@@ -4,8 +4,8 @@ GO ?= go
 BENCH_OUT ?= bench.out
 # One benchmark snapshot per perf PR; bench compares the fresh snapshot's
 # query-count metrics against the committed baseline of the previous PR.
-BENCH_JSON ?= BENCH_8.json
-BENCH_BASELINE ?= BENCH_7.json
+BENCH_JSON ?= BENCH_9.json
+BENCH_BASELINE ?= BENCH_8.json
 # Minimum statement coverage (percent) for the algorithm, server-contract,
 # pipelined-dispatcher, session, fault-injection, retrying-transport,
 # index-engine, disk-engine, dataset-factory and shared-memo packages,

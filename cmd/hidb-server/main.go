@@ -54,7 +54,7 @@
 //
 // GET /metrics exposes the QoS counters (quota 429s, shed 503s by reason,
 // the /batch width histogram, in-flight depth, live sessions by rate
-// class) plus the engine, shared-cache and plan-cache counters in the
+// class) plus the engine, shared-cache and plan-path counters in the
 // Prometheus text format; GET /stats reports the same introspection as
 // JSON. Both stay served while draining.
 //

@@ -76,15 +76,15 @@
 // attributes — compressed per-value bitmap indexes over the priority ranks,
 // so a multi-attribute equality conjunction is answered by a word-parallel
 // AND instead of a posting-list walk. The planner chooses among them with a
-// cost model fed by selectivities measured on a sample of the actual data at
-// construction (not assumed from domain sizes), and memoizes the chosen plan
-// per query shape — the attribute/predicate-kind pattern, not the constants —
-// in a lock-free cache, so a crawl that issues thousands of structurally
-// identical queries plans once and executes thereafter. All paths return
+// cost model fed by exact candidate counts and by selectivities measured on
+// a sample of the actual data at construction (not assumed from domain
+// sizes). It plans every query from its own constants: a crawl narrows the
+// same query shape again and again, and each narrower query deserves its
+// own, usually tighter, path. Planning allocates nothing. All paths return
 // bit-identical answers; planning changes speed, never responses, so the
-// paper's query counts are untouched. LocalServer.PlanStats exposes the
-// planner's counters (cached shapes, hit rate, per-path execution counts),
-// and a session server reports them on GET /stats.
+// paper's query counts are untouched. LocalServer.PlanStats counts how often
+// each access path executed, and a session server reports the counts on
+// GET /stats.
 //
 // # On-disk stores
 //
@@ -200,7 +200,7 @@
 // hidb_requests_total, hidb_queries_total, hidb_shed_total by reason
 // (capacity, draining, session_table_full), hidb_quota_rejected_total,
 // the hidb_batch_width histogram, per-rate-class session gauges and the
-// plan-cache/engine counters — ready for any Prometheus-compatible
+// plan-path/engine counters — ready for any Prometheus-compatible
 // scraper with no client library involved. GET /healthz distinguishes
 // liveness from readiness: a draining handler answers 503 with
 // ready=false so load balancers rotate it out while in-flight work
@@ -281,10 +281,9 @@ type (
 	QueryResult = hiddendb.Result
 	// LocalServer is an in-process hidden database.
 	LocalServer = hiddendb.Local
-	// PlannerStats is a local store's query-planner introspection: cached
-	// plan shapes, plan-cache hits and misses, and per-access-path execution
-	// counts (see LocalServer.PlanStats and the package doc's engine
-	// section).
+	// PlannerStats is a local store's query-planner introspection: how
+	// often each access path executed (see LocalServer.PlanStats and the
+	// package doc's engine section).
 	PlannerStats = index.PlanStats
 )
 

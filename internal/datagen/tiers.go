@@ -121,8 +121,8 @@ const PathoNeedle int64 = 1
 // Pathological head tuples: high enough that needle posting lists hold
 // ~n/6 ranks and their per-block cardinality (~65536/6) crosses the
 // bitmap-container threshold, low enough that the tightest list stays
-// under the v1 planner's n/4 scan margin (so v1 picks the posting walk,
-// not the scan, and the benchmark comparison is plan against plan).
+// under n/4, so walking it remains a plausible rival plan to the bitmap
+// AND rather than losing outright to the scan.
 const pathoNeedleProb = 1.0 / 6
 
 // TierSchema returns the fixed schema every tiered dataset shares: three

@@ -71,7 +71,7 @@ func TestPathologicalNeedle(t *testing.T) {
 		}
 	}
 	// C1 = needle alone should match roughly n/6 (tail included) — broad
-	// enough to hurt a posting walk, under the v1 planner's n/4 margin.
+	// enough to hurt a posting walk, yet under n/4.
 	// Accept a generous band so the test never flakes on seed choice.
 	if single < n/10 || single > n/4 {
 		t.Errorf("single-predicate needle matches = %d, want about n/6 = %d", single, n/6)

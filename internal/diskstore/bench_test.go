@@ -99,9 +99,9 @@ func reportMS(b *testing.B, label string, d time.Duration) {
 }
 
 // BenchmarkIntersect3Way1MDiskCold measures the needle conjunction on a
-// freshly opened disk store: empty plan cache, empty block cache — the
-// first-query latency a just-started server pays, dominated by the
-// planner's bitmap AND over the mapped posting lists.
+// freshly opened disk store: empty block cache — the first-query latency a
+// just-started server pays, dominated by the planner's bitmap AND over the
+// mapped posting lists.
 func BenchmarkIntersect3Way1MDiskCold(b *testing.B) {
 	benchSetup(b)
 	b.ReportAllocs()
@@ -118,8 +118,8 @@ func BenchmarkIntersect3Way1MDiskCold(b *testing.B) {
 }
 
 // BenchmarkIntersect3Way1MMemCold is the in-memory pair: the same needle
-// query through a cold plan cache (fresh per-band stores are too expensive
-// to rebuild per iteration, so "cold" here means an unwarmed plan — the
+// query, planned and executed per iteration over an already-built store
+// (fresh per-band stores are too expensive to rebuild per iteration — the
 // store construction cost is what BenchmarkBuild1MDisk measures).
 func BenchmarkIntersect3Way1MMemCold(b *testing.B) {
 	benchSetup(b)
@@ -137,7 +137,7 @@ func BenchmarkIntersect3Way1MMemCold(b *testing.B) {
 }
 
 // BenchmarkIntersect3Way1MDiskWarm measures the steady state the
-// acceptance criterion bounds: plan cached, hot blocks promoted — the
+// acceptance criterion bounds: hot blocks promoted — the
 // per-query cost a long-running disk server pays, to compare against
 // BenchmarkIntersect3Way1MMemCold's steady state.
 func BenchmarkIntersect3Way1MDiskWarm(b *testing.B) {
@@ -145,7 +145,7 @@ func BenchmarkIntersect3Way1MDiskWarm(b *testing.B) {
 	s := benchOpen(b, benchState.patho1MPath)
 	defer s.Close()
 	q := needle1M(s.Schema())
-	for i := 0; i < 20; i++ { // warm plan cache and promote the needle blocks
+	for i := 0; i < 20; i++ { // promote the needle blocks
 		s.Select(q, 64)
 	}
 	b.ReportAllocs()

@@ -19,7 +19,7 @@
 //
 // Open maps the file read-only and assembles one index.Store per priority
 // band from artifacts aliasing the mapped pages (index.NewFromArtifacts):
-// the planner v2 cost model, the plan cache, and all five access paths run
+// the per-query cost-model planner and all five access paths run
 // unchanged against on-disk postings. Three properties make the disk
 // engine's behaviour bit-identical to the in-memory engine over the same
 // relation:

@@ -117,9 +117,6 @@ func TestDiskMatchesMemAcrossPatterns(t *testing.T) {
 				}
 			}
 			dps, mps := disk.PlanStats(), mem.PlanStats()
-			if dps.Shapes != mps.Shapes || dps.Hits != mps.Hits || dps.Misses != mps.Misses {
-				t.Fatalf("plan cache diverged: disk %+v, mem %+v", dps, mps)
-			}
 			for path, c := range mps.Paths {
 				if dps.Paths[path] != c {
 					t.Fatalf("plan choices diverged on %s: disk %d, mem %d (disk %v, mem %v)", path, dps.Paths[path], c, dps.Paths, mps.Paths)

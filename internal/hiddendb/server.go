@@ -242,10 +242,9 @@ func (l *Local) Shards() int {
 // Dump returns the ground-truth bag (priority order). Test/measurement only.
 func (l *Local) Dump() dataspace.Bag { return dataspace.Bag(l.store.All()) }
 
-// PlanStats reports the backing store's query-planner counters: cached plan
-// shapes, cache hits and misses, and how often each access path executed.
-// The counters are cumulative since construction and safe to read while
-// queries are in flight.
+// PlanStats reports how often each of the backing store's access paths
+// executed. The counters are cumulative since construction and safe to
+// read while queries are in flight.
 func (l *Local) PlanStats() index.PlanStats { return l.store.PlanStats() }
 
 // EngineStats reports which engine implementation backs the server ("mem"

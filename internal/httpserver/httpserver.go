@@ -27,9 +27,8 @@
 //     so a crawl resumes across budgets paying only for new queries.
 //
 // GET /stats reports the aggregate and per-session counters as a
-// wire.StatsMsg, plus the store's query-planner counters (plan-cache hit
-// rate and per-access-path execution counts) when the backing server
-// exposes them. GET /metrics exposes the same introspection — plus the
+// wire.StatsMsg, plus the store's per-access-path execution counts when
+// the backing server exposes them. GET /metrics exposes the same introspection — plus the
 // QoS counters: quota 429s, shed 503s by reason, the /batch width
 // histogram, the in-flight depth — in the Prometheus text format, so a
 // scraper needs no custom exporter (see metrics.go for the series). Both
@@ -794,14 +793,7 @@ func (h *Handler) handleStats(w http.ResponseWriter) {
 		}
 	}
 	if ps, ok := h.srv.(interface{ PlanStats() index.PlanStats }); ok {
-		st := ps.PlanStats()
-		msg.Planner = &wire.PlannerStatsMsg{
-			Shapes:  st.Shapes,
-			Hits:    st.Hits,
-			Misses:  st.Misses,
-			HitRate: st.HitRate(),
-			Paths:   st.Paths,
-		}
+		msg.Planner = &wire.PlannerStatsMsg{Paths: ps.PlanStats().Paths}
 	}
 	msg.Engine = h.engineStats()
 	writeJSON(w, msg)

@@ -19,7 +19,7 @@
 //	hidb_sessions_recovered_journals_total  journals reloaded via prefix recovery
 //	hidb_rate_class_sessions{class=...}     live sessions per rate class
 //	hidb_shared_cache_*                fleet tier counters (fleet mode)
-//	hidb_plan_cache_*, hidb_plan_path_total{path=...}  planner counters
+//	hidb_plan_path_total{path=...}     executed selections by access path
 //	hidb_engine_info{kind=...}, hidb_engine_cache_*    store engine counters
 package httpserver
 
@@ -116,11 +116,7 @@ func (h *Handler) handleMetrics(w http.ResponseWriter) {
 	}
 
 	if ps, ok := h.srv.(interface{ PlanStats() index.PlanStats }); ok {
-		st := ps.PlanStats()
-		m.gauge("hidb_plan_cache_shapes", "Distinct query shapes with a cached plan.", st.Shapes)
-		m.counter("hidb_plan_cache_hits_total", "Plan-cache lookup hits.", st.Hits)
-		m.counter("hidb_plan_cache_misses_total", "Plan-cache lookup misses.", st.Misses)
-		if len(st.Paths) > 0 {
+		if st := ps.PlanStats(); len(st.Paths) > 0 {
 			paths := make([]string, 0, len(st.Paths))
 			for p := range st.Paths {
 				paths = append(paths, p)

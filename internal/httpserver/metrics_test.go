@@ -51,7 +51,7 @@ func postBatchToken(t *testing.T, url, token string, msg wire.BatchRequest) *htt
 // TestMetricsGoldenText pins the whole Prometheus exposition, byte for
 // byte, after a fixed traffic scenario that lights up every always-present
 // series: served queries, a batch, one shed of each deterministic reason,
-// a quota rejection, live sessions with a rate class, plan-cache and
+// a quota rejection, live sessions with a rate class, plan-path and
 // engine counters. Reordering series, renaming one, or changing a label
 // breaks dashboards silently — this test makes it loud instead.
 func TestMetricsGoldenText(t *testing.T) {
@@ -174,15 +174,6 @@ hidb_sessions_recovered_journals_total 0
 # HELP hidb_rate_class_sessions Live sessions per named rate class.
 # TYPE hidb_rate_class_sessions gauge
 hidb_rate_class_sessions{class="gold"} 1
-# HELP hidb_plan_cache_shapes Distinct query shapes with a cached plan.
-# TYPE hidb_plan_cache_shapes gauge
-hidb_plan_cache_shapes 1
-# HELP hidb_plan_cache_hits_total Plan-cache lookup hits.
-# TYPE hidb_plan_cache_hits_total counter
-hidb_plan_cache_hits_total 2
-# HELP hidb_plan_cache_misses_total Plan-cache lookup misses.
-# TYPE hidb_plan_cache_misses_total counter
-hidb_plan_cache_misses_total 1
 # HELP hidb_plan_path_total Executed selections by access path.
 # TYPE hidb_plan_path_total counter
 hidb_plan_path_total{path="scan"} 3

@@ -152,9 +152,8 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
-// TestStatsPlannerCounters: GET /stats surfaces the store's query-planner
-// introspection — plan-cache hits/misses and per-access-path counts — and
-// repeated query shapes show up as cache hits.
+// TestStatsPlannerCounters: GET /stats surfaces the store's per-access-path
+// execution counts, one per query that reached the store.
 func TestStatsPlannerCounters(t *testing.T) {
 	h, ds := sessionHandler(t, 200, 10, session.Config{})
 	ts := httptest.NewServer(h)
@@ -164,9 +163,8 @@ func TestStatsPlannerCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Eight distinct-value queries of one shape: the first plans, the rest
-	// hit the cached plan (session memoization never fires — the values all
-	// differ — so every query reaches the store).
+	// Eight distinct-value queries: session memoization never fires — the
+	// values all differ — so every query reaches the store.
 	if _, err := cl.AnswerBatch(context.Background(), distinctBatch(ds.Schema, 8)); err != nil {
 		t.Fatal(err)
 	}
@@ -183,18 +181,6 @@ func TestStatsPlannerCounters(t *testing.T) {
 	p := msg.Planner
 	if p == nil {
 		t.Fatal("stats: no planner counters from a local store")
-	}
-	if p.Hits+p.Misses != 8 {
-		t.Errorf("planner lookups = %d hits + %d misses, want 8 total", p.Hits, p.Misses)
-	}
-	if p.Shapes < 1 || p.Misses < 1 {
-		t.Errorf("planner shapes=%d misses=%d, want >= 1 each", p.Shapes, p.Misses)
-	}
-	if p.Hits != 7 {
-		t.Errorf("planner hits = %d, want 7 (one shape, eight queries)", p.Hits)
-	}
-	if want := float64(p.Hits) / float64(p.Hits+p.Misses); p.HitRate != want {
-		t.Errorf("hit rate %v, want %v", p.HitRate, want)
 	}
 	var executed int64
 	for _, c := range p.Paths {

@@ -95,14 +95,15 @@ func BenchmarkSelectIntersectPostingRange(b *testing.B) {
 }
 
 // BenchmarkSelectGallop pins the galloping-merge intersection itself
-// (bypassing the planner's cache heuristic, which prefers column probes at
-// this store size), so regressions in the large-store path stay visible.
+// (forced past the planner's cache-size heuristic, which prefers column
+// probes at this store size), so regressions in the large-store path stay
+// visible.
 func BenchmarkSelectGallop(b *testing.B) {
 	s := benchStore(b)
 	q := dataspace.UniverseQuery(s.Schema()).WithValue(0, 3).WithValue(1, 7)
 	preds := q.Preds()
-	pl := s.choosePlan(preds, s.Size()/4)
-	if pl.secondary < 0 || !s.isCat[pl.secondary] {
+	pl, ok := forcePlan(s, preds, 65, pathGallop)
+	if !ok {
 		b.Fatal("expected a posting ∩ posting plan")
 	}
 	b.ReportAllocs()

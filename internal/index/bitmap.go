@@ -333,7 +333,7 @@ const sparseIntersectMax = 256
 // capture the caller's accumulator and drag it to the heap, breaking the
 // one-allocation Select contract.
 func intersectInto(bms []*rankBitmap, words []uint64, dst []int32, max int) []int32 {
-	var idxArr [shapeMaxDims]int
+	var idxArr [bitmapMaxDims]int
 	cur := bitmapCursor{bms: bms}
 	if len(bms) <= len(idxArr) {
 		cur.idx = idxArr[:len(bms)]
@@ -452,7 +452,7 @@ func countSparse(bms []*rankBitmap, idx []int, small int, sc *container) int {
 // blocks are popcounted word-parallel. words must be a bitmapWords-long
 // scratch slice.
 func intersectCount(bms []*rankBitmap, words []uint64) int {
-	var idxArr [shapeMaxDims]int
+	var idxArr [bitmapMaxDims]int
 	cur := bitmapCursor{bms: bms}
 	if len(bms) <= len(idxArr) {
 		cur.idx = idxArr[:len(bms)]

@@ -14,7 +14,7 @@
 // schema lookup (the attribute kinds are flattened into a []bool once at
 // build time).
 //
-// # Access paths (planner v2)
+// # Access paths
 //
 // Five access paths are maintained and chosen between per query, the way a
 // (very small) relational engine would:
@@ -53,21 +53,21 @@
 // constant factors for the per-candidate work (probe ≈ 2×, sort-restoring
 // range enumeration ≈ 3×), and the bitmap path costs its word-AND sweep
 // (n/64 words per attribute) plus ~1.5× the expected intersection size.
-// The cheapest path wins. Count keeps the v1 planner (choosePlan, full n as
-// the scan cost, since counting cannot early-exit) plus a popcount fast
-// path when every bound predicate is bitmap-indexed.
+// The cheapest path wins. Count runs the same planner with the scan costed
+// at n, since counting cannot early-exit, and answers a bitmap plan that
+// covers every bound predicate with a popcount.
 //
-// # Plan cache
+// # Planning
 //
-// The chosen path is memoized per query shape — the per-attribute predicate
-// kinds, not the values — in a lock-free copy-on-write cache (plancache.go),
-// so the steady state of every crawl algorithm (thousands of queries in a
-// handful of shapes) skips planning entirely. A cached plan fixes only the
-// structural decision (path kind and driving attributes); posting lists,
-// range bounds and bitmaps are re-fetched from the query's actual values at
-// execution time, which is what makes a shape-cached plan correct for every
-// query of its shape. Store.PlanStats exposes the cache's hit counters and
-// per-path execution counts.
+// Every query is planned from its own values (planner.go). The crawlers
+// recurse by narrowing a query, so one query shape recurs with ever tighter
+// constants, and a plan memoized per shape freezes the broad first query's
+// early-exit scan for every narrow query after it: under such a cache a
+// YahooLike k=256 crawl ran 1063 of its 1064 Selects as scans. Planning
+// reads only exact candidate counts (one map lookup or two binary searches
+// per bound predicate), evaluates the sample only when the scan could win,
+// and returns the plan by value: it allocates nothing (BenchmarkPlan1M).
+// Store.PlanStats counts the executions of each access path.
 //
 // # Allocation discipline
 //
@@ -87,6 +87,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"hidb/internal/dataspace"
 )
@@ -129,8 +130,8 @@ type Store struct {
 	// stats is the sampled selectivity statistics driving the cost model.
 	// Shards of a Sharded store share one instance.
 	stats *SelStats
-	// pc is the per-shape plan cache plus the planner counters.
-	pc *planCache
+	// paths counts Select executions per access path (PlanStats).
+	paths [numPaths]atomic.Int64
 	// scratch recycles the rank buffers of the numeric-range and bitmap
 	// paths. It is per-Store (not package-global) so that independent
 	// shards of a Sharded store never contend on one pool.
@@ -185,7 +186,6 @@ func newWithStats(schema *dataspace.Schema, byRank []dataspace.Tuple, stats *Sel
 		sortedRank: make([][]int32, d),
 		rankPos:    make([][]int32, d),
 		stats:      stats,
-		pc:         newPlanCache(),
 	}
 	for i := 0; i < d; i++ {
 		col := make([]int64, n)
@@ -308,7 +308,6 @@ func NewFromArtifacts(schema *dataspace.Schema, a Artifacts) (*Store, error) {
 		sortedRank: a.SortedRank,
 		rankPos:    a.RankPos,
 		stats:      a.Stats,
-		pc:         newPlanCache(),
 	}
 	for i := 0; i < d; i++ {
 		attr := schema.Attr(i)
@@ -373,9 +372,16 @@ func (s *Store) EngineStats() EngineStats { return EngineStats{Kind: "mem"} }
 // Stats returns the store's sampled selectivity statistics.
 func (s *Store) Stats() *SelStats { return s.stats }
 
-// PlanStats returns the planner's cumulative counters: cached shapes, plan
-// cache hits and misses, and per-access-path Select execution counts.
-func (s *Store) PlanStats() PlanStats { return s.pc.stats() }
+// PlanStats returns the per-access-path Select execution counts.
+func (s *Store) PlanStats() PlanStats {
+	ps := PlanStats{Paths: make(map[string]int64, numPaths)}
+	for i, name := range pathNames {
+		if v := s.paths[i].Load(); v != 0 {
+			ps.Paths[name] = v
+		}
+	}
+	return ps
+}
 
 // coversAt reports whether the tuple at rank r satisfies every predicate,
 // reading the columns directly.
@@ -442,86 +448,6 @@ func rangeBounds(vals []int64, lo, hi int64) (from, to int) {
 	return from, to
 }
 
-// plan describes the value-specific execution of one query: a primary
-// candidate enumerator plus an optional secondary intersection filter. It
-// is rebuilt per query (buildPlan) from the shape-cached structural
-// decision, or computed from scratch by choosePlan (the v1 planner, still
-// the exact-cost engine behind Count).
-type plan struct {
-	// primary is the attribute of the primary access path; -1 means the
-	// priority-ordered columnar scan.
-	primary int
-	// m is the primary path's exact candidate count.
-	m int
-	// list is the primary posting list (categorical primary).
-	list []int32
-	// from, to bound the primary sorted-column segment (numeric primary).
-	from, to int
-	// secondary is the attribute of the second-tightest path; -1 = none.
-	secondary int
-	// secList is the secondary posting list (categorical secondary under a
-	// categorical primary — the galloping-merge case).
-	secList []int32
-	// secFrom, secTo bound the secondary rank→sorted-position window
-	// (numeric secondary).
-	secFrom, secTo int32
-	// bound counts the predicates that constrain the query at all.
-	bound int
-}
-
-// choosePlan picks the cheapest access path for the predicates from exact
-// candidate counts. maxCost is the candidate count above which the scan
-// wins (n for Count, whose scan cannot early-exit). Select no longer calls
-// this — planPath replaces the fixed margin with the sampled cost model —
-// but Count and the forced-path tests still do.
-func (s *Store) choosePlan(preds []dataspace.Pred, maxCost int) plan {
-	pl := plan{primary: -1, secondary: -1}
-	best1, best2 := -1, -1
-	var m1, m2 int
-	var list1, list2 []int32
-	var from1, to1, from2, to2 int
-	for i := range preds {
-		p := &preds[i]
-		var m, from, to int
-		var list []int32
-		if s.isCat[i] {
-			if p.Wild {
-				continue
-			}
-			list = s.post[i][p.Value]
-			m = len(list)
-		} else {
-			if p.Lo == dataspace.NegInf && p.Hi == dataspace.PosInf {
-				continue
-			}
-			from, to = rangeBounds(s.sortedVal[i], p.Lo, p.Hi)
-			m = to - from
-		}
-		pl.bound++
-		switch {
-		case best1 < 0 || m < m1:
-			best2, m2, list2, from2, to2 = best1, m1, list1, from1, to1
-			best1, m1, list1, from1, to1 = i, m, list, from, to
-		case best2 < 0 || m < m2:
-			best2, m2, list2, from2, to2 = i, m, list, from, to
-		}
-	}
-	if best1 < 0 || m1 > maxCost {
-		return plan{primary: -1, secondary: -1, bound: pl.bound}
-	}
-	pl.primary, pl.m = best1, m1
-	pl.list, pl.from, pl.to = list1, from1, to1
-	if best2 >= 0 {
-		pl.secondary = best2
-		if s.isCat[best2] {
-			pl.secList = list2
-		} else {
-			pl.secFrom, pl.secTo = int32(from2), int32(to2)
-		}
-	}
-	return pl
-}
-
 // getScratch returns a pooled rank buffer with at least the given capacity,
 // so a steady query stream allocates nothing beyond its result slices.
 func (s *Store) getScratch(capacity int) *[]int32 {
@@ -542,171 +468,24 @@ func (s *Store) Select(q dataspace.Query, limit int) []dataspace.Tuple {
 	}
 	want := limit + 1
 	preds := q.Preds()
-	key, ok := shapeKey(s.isCat, preds)
-	var cp *cachedPlan
-	if ok {
-		cp = s.pc.get(key)
-	} else {
-		s.pc.misses.Add(1)
-	}
-	if cp == nil {
-		cp = s.planPath(preds, want)
-		if ok {
-			s.pc.put(key, cp)
-		}
-	}
-	return s.execSelect(cp, preds, want)
+	return s.execSelect(s.planQuery(preds, want), preds, want)
 }
 
-// planPath chooses the access path for a query whose shape has no cached
-// plan yet, using the sampled cost model (see the package comment). The
-// returned plan carries only the structural decision; execSelect re-derives
-// the value-specific artifacts per query.
-func (s *Store) planPath(preds []dataspace.Pred, want int) *cachedPlan {
-	n := s.n
-	best1, best2 := -1, -1
-	var m1, m2 int
-	var bmAttrs []int8
-	var bmSkip uint64
-	bmSel := 1.0
-	bound := 0
-	useBitmaps := len(preds) <= shapeMaxDims
-	for i := range preds {
-		p := &preds[i]
-		var m int
-		if s.isCat[i] {
-			if p.Wild {
-				continue
-			}
-			m = len(s.post[i][p.Value])
-			if useBitmaps && s.bitmaps[i] != nil {
-				bmAttrs = append(bmAttrs, int8(i))
-				bmSkip |= 1 << uint(i)
-				bmSel *= float64(m) / float64(n)
-			}
-		} else {
-			if p.Lo == dataspace.NegInf && p.Hi == dataspace.PosInf {
-				continue
-			}
-			from, to := rangeBounds(s.sortedVal[i], p.Lo, p.Hi)
-			m = to - from
-		}
-		bound++
-		switch {
-		case best1 < 0 || m < m1:
-			best2, m2 = best1, m1
-			best1, m1 = i, m
-		case best2 < 0 || m < m2:
-			best2, m2 = i, m
-		}
-	}
-	_ = m2
-	// Expected ranks the chunked scan reads before collecting want matches.
-	scanCost := float64(n)
-	if c := float64(want) / s.stats.jointSel(preds); c < scanCost {
-		scanCost = c
-	}
-	cp := &cachedPlan{path: pathScan, primary: -1, secondary: -1}
-	bestCost := scanCost
-	if best1 >= 0 {
-		var idxCost float64
-		var path pathKind
-		if s.isCat[best1] {
-			// Posting walk: one secondary probe + residual check per candidate.
-			idxCost = 2 * float64(m1)
-			path = pathPosting
-		} else {
-			// Range enumeration pays an extra rank re-sort.
-			idxCost = 3 * float64(m1)
-			path = pathRange
-		}
-		if idxCost < bestCost {
-			bestCost = idxCost
-			cp = &cachedPlan{path: path, primary: int8(best1), secondary: int8(best2)}
-		}
-	}
-	if len(bmAttrs) >= 2 {
-		// Word-parallel AND over every block plus the emission of the
-		// expected intersection (independence estimate from exact
-		// per-value frequencies).
-		bmCost := float64(n)/64*float64(len(bmAttrs)) + 1.5*float64(n)*bmSel
-		if bmCost < bestCost {
-			exact := bound == len(bmAttrs)
-			cp = &cachedPlan{path: pathBitmap, primary: -1, secondary: -1,
-				bitmapAttrs: bmAttrs, bitmapSkip: bmSkip, exact: exact}
-		}
-	}
-	return cp
-}
-
-// execSelect runs a structural plan against the query's actual values. The
-// posting/gallop/range family rebuilds its value-specific plan (which
-// posting list, which range bounds, which of the two attributes is tighter)
-// per query, so a shape-cached decision stays correct for every query of
-// the shape.
-func (s *Store) execSelect(cp *cachedPlan, preds []dataspace.Pred, want int) []dataspace.Tuple {
-	switch cp.path {
-	case pathScan:
-		s.pc.note(pathScan)
-		return s.selectScan(preds, want)
-	case pathBitmap:
-		s.pc.note(pathBitmap)
-		return s.selectBitmap(cp, preds, want)
-	default:
-		pl := s.buildPlan(cp, preds)
-		if s.isCat[pl.primary] {
-			if pl.secondary >= 0 && s.isCat[pl.secondary] && useGallop(len(pl.secList), s.n) {
-				s.pc.note(pathGallop)
-				return s.selectGallop(preds, pl, want)
-			}
-			s.pc.note(pathPosting)
-			return s.selectPosting(preds, pl, want)
-		}
-		s.pc.note(pathRange)
+// execSelect runs a plan's access path and counts its execution.
+func (s *Store) execSelect(pl plan, preds []dataspace.Pred, want int) []dataspace.Tuple {
+	s.paths[pl.path].Add(1)
+	switch pl.path {
+	case pathPosting:
+		return s.selectPosting(preds, pl, want)
+	case pathGallop:
+		return s.selectGallop(preds, pl, want)
+	case pathRange:
 		return s.selectRange(preds, pl, want)
+	case pathBitmap:
+		return s.selectBitmap(preds, pl, want)
+	default:
+		return s.selectScan(preds, want)
 	}
-}
-
-// buildPlan materializes the value-specific plan for the cached structural
-// decision: it fetches the posting lists / range bounds of the two chosen
-// attributes for this query's values and lets the tighter one drive (the
-// cached primary was tightest for the query that planned the shape, not
-// necessarily for this one).
-func (s *Store) buildPlan(cp *cachedPlan, preds []dataspace.Pred) plan {
-	a := int(cp.primary)
-	var mA, fromA, toA int
-	var listA []int32
-	if s.isCat[a] {
-		listA = s.post[a][preds[a].Value]
-		mA = len(listA)
-	} else {
-		fromA, toA = rangeBounds(s.sortedVal[a], preds[a].Lo, preds[a].Hi)
-		mA = toA - fromA
-	}
-	b := int(cp.secondary)
-	if b < 0 {
-		return plan{primary: a, m: mA, list: listA, from: fromA, to: toA, secondary: -1}
-	}
-	var mB, fromB, toB int
-	var listB []int32
-	if s.isCat[b] {
-		listB = s.post[b][preds[b].Value]
-		mB = len(listB)
-	} else {
-		fromB, toB = rangeBounds(s.sortedVal[b], preds[b].Lo, preds[b].Hi)
-		mB = toB - fromB
-	}
-	if mB < mA {
-		a, b = b, a
-		mA, fromA, toA, listA, mB, fromB, toB, listB = mB, fromB, toB, listB, mA, fromA, toA, listA
-	}
-	pl := plan{primary: a, m: mA, list: listA, from: fromA, to: toA, secondary: b}
-	if s.isCat[b] {
-		pl.secList = listB
-	} else {
-		pl.secFrom, pl.secTo = int32(fromB), int32(toB)
-	}
-	return pl
 }
 
 // scanChunk is the rank-block width of the chunked scan: 8 ranks per mask
@@ -783,43 +562,53 @@ func (s *Store) chunkMask(preds []dataspace.Pred, base int) uint32 {
 	return mask
 }
 
-// selectBitmap intersects the rank bitmaps of the plan's equality
-// predicates into a pooled rank buffer (ascending — already priority
-// order) and applies the residual predicates, if any, per surviving rank.
-// A plan whose bitmaps cover every bound predicate (cp.exact) needs no
-// residual pass and lets the intersection stop at want ranks.
-func (s *Store) selectBitmap(cp *cachedPlan, preds []dataspace.Pred, want int) []dataspace.Tuple {
-	var bmArr [shapeMaxDims]*rankBitmap
-	bms := bmArr[:0]
-	for _, a := range cp.bitmapAttrs {
+// planBitmaps fetches the rank bitmaps of the equality predicates on the
+// attributes in set into arr, sparsest first so it drives the block walk.
+// ok=false means some value occurs nowhere: the intersection is empty.
+func (s *Store) planBitmaps(preds []dataspace.Pred, set uint64, arr *[bitmapMaxDims]*rankBitmap) (bms []*rankBitmap, ok bool) {
+	bms = arr[:0]
+	for ; set != 0; set &= set - 1 {
+		a := bits.TrailingZeros64(set)
 		bm := s.bitmaps[a].get(preds[a].Value)
 		if bm == nil {
-			// The value occurs nowhere: the intersection is empty.
-			return []dataspace.Tuple{}
+			return nil, false
 		}
 		bms = append(bms, bm)
 	}
-	// Let the sparsest bitmap drive the block walk.
 	for i := 1; i < len(bms); i++ {
 		for j := i; j > 0 && bms[j].card < bms[j-1].card; j-- {
 			bms[j], bms[j-1] = bms[j-1], bms[j]
 		}
 	}
+	return bms, true
+}
+
+// selectBitmap intersects the rank bitmaps of the plan's equality
+// predicates into a pooled rank buffer (ascending — already priority
+// order) and applies the residual predicates, if any, per surviving rank.
+// A plan whose bitmaps cover every bound predicate (pl.exact) needs no
+// residual pass and lets the intersection stop at want ranks.
+func (s *Store) selectBitmap(preds []dataspace.Pred, pl plan, want int) []dataspace.Tuple {
+	var arr [bitmapMaxDims]*rankBitmap
+	bms, ok := s.planBitmaps(preds, pl.bitmapSkip, &arr)
+	if !ok {
+		return []dataspace.Tuple{}
+	}
 	maxRanks := -1
-	if cp.exact {
+	if pl.exact {
 		maxRanks = want
 	}
 	wordsp := s.words.Get().(*[]uint64)
 	bufp := s.getScratch(1 << 10)
 	ranks := intersectInto(bms, *wordsp, (*bufp)[:0], maxRanks)
 	out := make([]dataspace.Tuple, 0, min(want, len(ranks)))
-	if cp.exact {
+	if pl.exact {
 		for _, r := range ranks {
 			out = append(out, s.tupleAt(r))
 		}
 	} else {
 		for _, r := range ranks {
-			if s.coversAtSkip(preds, r, cp.bitmapSkip) {
+			if s.coversAtSkip(preds, r, pl.bitmapSkip) {
 				out = append(out, s.tupleAt(r))
 				if len(out) == want {
 					break
@@ -845,11 +634,11 @@ func (s *Store) selectBitmap(cp *cachedPlan, preds []dataspace.Pred, want int) [
 // stays small enough to remain resident.
 //
 // The intersection filter is intentionally open-coded in selectPosting,
-// selectGallop and Count's categorical branch rather than shared through a
-// per-rank callback: the loops capture their accumulators (the result
-// slice / the counter), so a closure-based iterator would escape them to
-// the heap and break the one-allocation Select contract the benchmarks
-// pin. TestGallopPathsMatchColumnProbe keeps the copies equivalent.
+// selectGallop and Count's posting and gallop branches rather than shared
+// through a per-rank callback: the loops capture their accumulators (the
+// result slice / the counter), so a closure-based iterator would escape
+// them to the heap and break the one-allocation Select contract the
+// benchmarks pin. TestGallopPathsMatchColumnProbe keeps the copies equivalent.
 func useGallop(m2, n int) bool {
 	return m2 <= 2048 && n >= colCacheTuples
 }
@@ -1008,91 +797,74 @@ func (s *Store) SelectBatch(ctx context.Context, qs []dataspace.Query, limit int
 	return out
 }
 
-// countBitmap answers a Count whose bound predicates are all bitmap-indexed
-// equalities with a popcount of the bitmap intersection — no candidate is
-// ever enumerated. ok=false means the query does not qualify and the caller
-// falls back to the exact-cost planner.
-func (s *Store) countBitmap(preds []dataspace.Pred) (int, bool) {
-	if len(preds) > shapeMaxDims {
-		return 0, false
-	}
-	var bmArr [shapeMaxDims]*rankBitmap
-	bms := bmArr[:0]
-	for i := range preds {
-		p := &preds[i]
-		if s.isCat[i] {
-			if p.Wild {
-				continue
-			}
-			if s.bitmaps[i] == nil {
-				return 0, false
-			}
-			bm := s.bitmaps[i].get(p.Value)
-			if bm == nil {
-				// The value occurs nowhere, so the conjunction is empty
-				// no matter what the other predicates say.
-				return 0, true
-			}
-			bms = append(bms, bm)
-		} else if p.Lo != dataspace.NegInf || p.Hi != dataspace.PosInf {
-			return 0, false
-		}
-	}
-	if len(bms) < 2 {
-		return 0, false
-	}
-	for i := 1; i < len(bms); i++ {
-		for j := i; j > 0 && bms[j].card < bms[j-1].card; j-- {
-			bms[j], bms[j-1] = bms[j-1], bms[j]
-		}
+// countBitmap counts a bitmap plan's matches: a popcount of the
+// intersection when the bitmaps enforce every bound predicate, otherwise
+// the residual check over the intersected ranks.
+func (s *Store) countBitmap(preds []dataspace.Pred, pl plan) int {
+	var arr [bitmapMaxDims]*rankBitmap
+	bms, ok := s.planBitmaps(preds, pl.bitmapSkip, &arr)
+	if !ok {
+		return 0
 	}
 	wordsp := s.words.Get().(*[]uint64)
-	c := intersectCount(bms, *wordsp)
-	s.words.Put(wordsp)
-	return c, true
+	defer s.words.Put(wordsp)
+	if pl.exact {
+		return intersectCount(bms, *wordsp)
+	}
+	bufp := s.getScratch(1 << 10)
+	ranks := intersectInto(bms, *wordsp, (*bufp)[:0], -1)
+	c := 0
+	for _, r := range ranks {
+		if s.coversAtSkip(preds, r, pl.bitmapSkip) {
+			c++
+		}
+	}
+	*bufp = ranks[:0]
+	s.scratch.Put(bufp)
+	return c
 }
 
-// Count returns the exact number of tuples matching q. Unlike Select it
-// cannot early-exit, so the planner prefers any index path over the scan;
-// result order is irrelevant, so no sorting or allocation happens on any
-// path.
+// Count returns the exact number of tuples matching q. It runs Select's
+// planner with want = n, since counting cannot early-exit; result order is
+// irrelevant, so no sorting or allocation happens on any path.
 func (s *Store) Count(q dataspace.Query) int {
 	n := s.n
 	preds := q.Preds()
-	if c, ok := s.countBitmap(preds); ok {
-		return c
-	}
-	pl := s.choosePlan(preds, n)
+	pl := s.planQuery(preds, n)
 	switch {
 	case pl.bound == 0:
 		return n
-	case pl.primary < 0:
-		c := 0
-		for r := 0; r < n; r++ {
+	case pl.bound == 1:
+		// A single bound predicate: its candidate count is exact.
+		return pl.m
+	}
+	c := 0
+	switch pl.path {
+	case pathScan:
+		base := 0
+		for ; base+scanChunk <= n; base += scanChunk {
+			c += bits.OnesCount32(s.chunkMask(preds, base))
+		}
+		for r := base; r < n; r++ {
 			if s.coversAt(preds, int32(r)) {
 				c++
 			}
 		}
-		return c
-	case pl.bound == 1:
-		// A single bound predicate: the path's candidate count is exact.
-		return pl.m
-	case s.isCat[pl.primary]:
-		c := 0
-		if pl.secondary >= 0 && s.isCat[pl.secondary] && useGallop(len(pl.secList), n) {
-			b := pl.secList
-			j := 0
-			for _, r := range pl.list {
-				j = gallop(b, j, r)
-				if j == len(b) {
-					break
-				}
-				if b[j] == r && s.coversAt(preds, r) {
-					c++
-				}
+	case pathBitmap:
+		c = s.countBitmap(preds, pl)
+	case pathGallop:
+		b := pl.secList
+		j := 0
+		for _, r := range pl.list {
+			j = gallop(b, j, r)
+			if j == len(b) {
+				break
 			}
-			return c
+			if b[j] == r && s.coversAt(preds, r) {
+				c++
+			}
 		}
+	case pathPosting:
 		var pos []int32
 		var col []int64
 		var secVal int64
@@ -1116,14 +888,12 @@ func (s *Store) Count(q dataspace.Query) int {
 				c++
 			}
 		}
-		return c
 	default:
-		c := 0
 		for _, r := range s.sortedRank[pl.primary][pl.from:pl.to] {
 			if s.coversAt(preds, r) {
 				c++
 			}
 		}
-		return c
 	}
+	return c
 }

@@ -363,14 +363,15 @@ func TestSelectGallopMatchesColumnProbe(t *testing.T) {
 			WithValue(0, rng.IntRange(1, 5)).
 			WithValue(1, rng.IntRange(1, 20))
 		preds := q.Preds()
-		pl := s.choosePlan(preds, s.Size()/4)
-		if pl.primary < 0 || !s.isCat[pl.primary] || pl.secondary < 0 || !s.isCat[pl.secondary] {
-			t.Fatalf("trial %d: expected a posting ∩ posting plan, got %+v", trial, pl)
-		}
 		for _, limit := range []int{0, 3, 50} {
 			want := limit + 1
-			gal := s.selectGallop(preds, pl, want)
-			col := s.selectPosting(preds, pl, want)
+			galPlan, ok := forcePlan(s, preds, want, pathGallop)
+			if !ok {
+				t.Fatalf("trial %d: expected a posting ∩ posting plan, got %+v", trial, galPlan)
+			}
+			colPlan, _ := forcePlan(s, preds, want, pathPosting)
+			gal := s.execSelect(galPlan, preds, want)
+			col := s.execSelect(colPlan, preds, want)
 			if len(gal) != len(col) {
 				t.Fatalf("trial %d limit %d: gallop %d tuples, column probe %d", trial, limit, len(gal), len(col))
 			}

@@ -32,7 +32,7 @@ func patho1MStore(b *testing.B) *Store {
 }
 
 // needleQuery is the 3-way intersection C1=C2=C3=needle: each predicate
-// alone matches ~31k of the million tuples, the conjunction only the
+// alone matches ~170k of the million tuples, the conjunction only the
 // bottom ~1k ranks.
 func needleQuery(s *Store) dataspace.Query {
 	return dataspace.UniverseQuery(s.Schema()).
@@ -41,14 +41,13 @@ func needleQuery(s *Store) dataspace.Query {
 		WithValue(2, datagen.PathoNeedle)
 }
 
-// BenchmarkSelect3WayIntersect1M measures planner v2 on the needle
-// conjunction — the cost model routes it to the word-parallel bitmap AND.
-// Compare against BenchmarkSelect3WayIntersect1MV1, the v1 plan on the
-// identical query (the acceptance-criteria speedup pair).
+// BenchmarkSelect3WayIntersect1M measures the planner on the needle
+// conjunction — the cost model routes it to the word-parallel bitmap AND
+// instead of walking the tightest ~170k-rank posting list.
 func BenchmarkSelect3WayIntersect1M(b *testing.B) {
 	s := patho1MStore(b)
 	q := needleQuery(s)
-	s.Select(q, 64) // warm the plan cache and scratch pools
+	s.Select(q, 64) // warm the scratch pools
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -58,25 +57,32 @@ func BenchmarkSelect3WayIntersect1M(b *testing.B) {
 	}
 }
 
-// BenchmarkSelect3WayIntersect1MV1 runs the identical needle query through
-// the v1 planner: choosePlan picks the tightest posting list (~31k ranks)
-// and walks it with per-candidate column probes, blind to the intersection
-// being three orders of magnitude smaller.
-func BenchmarkSelect3WayIntersect1MV1(b *testing.B) {
+// BenchmarkPlan1M measures planning alone — the per-query cost every Select
+// and Count pays — for the needle (bitmap), posting and range queries on
+// the 1M store. Planning must allocate nothing.
+func BenchmarkPlan1M(b *testing.B) {
 	s := patho1MStore(b)
-	q := needleQuery(s)
-	preds := q.Preds()
-	pl := s.choosePlan(preds, s.Size()/4)
-	if pl.primary < 0 || !s.isCat[pl.primary] {
-		b.Fatal("expected a posting-list plan")
-	}
-	s.Select(q, 64) // same warmup as the v2 side
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := v1Select(s, preds, pl, 65); len(got) != 65 {
-			b.Fatalf("v1 needle select returned %d tuples", len(got))
-		}
+	uni := dataspace.UniverseQuery(s.Schema())
+	for _, bc := range []struct {
+		name string
+		q    dataspace.Query
+		path pathKind
+	}{
+		{"needle", needleQuery(s), pathBitmap},
+		{"posting", uni.WithValue(3, 7), pathPosting},
+		{"range", uni.WithRange(4, 0, 5000).WithValue(0, datagen.PathoNeedle+1), pathRange},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			preds := bc.q.Preds()
+			if pl := s.planQuery(preds, 65); pl.path != bc.path {
+				b.Fatalf("planned %s, want %s", pathNames[pl.path], pathNames[bc.path])
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.planQuery(preds, 65)
+			}
+		})
 	}
 }
 

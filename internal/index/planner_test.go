@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"testing"
 
@@ -61,53 +62,34 @@ func sameTuples(a, b []dataspace.Tuple) bool {
 	return true
 }
 
-// forceBitmapPlan builds the bitmap plan for the query's predicates the way
-// planPath would, regardless of cost. ok=false when fewer than two bound
-// equality predicates carry bitmap indexes.
-func forceBitmapPlan(s *Store, preds []dataspace.Pred) (*cachedPlan, bool) {
-	var attrs []int8
-	var skip uint64
-	bound := 0
-	for i := range preds {
-		p := &preds[i]
-		if s.isCat[i] {
-			if p.Wild {
-				continue
-			}
-			bound++
-			if s.bitmaps[i] != nil {
-				attrs = append(attrs, int8(i))
-				skip |= 1 << uint(i)
-			}
-		} else if p.Lo != dataspace.NegInf || p.Hi != dataspace.PosInf {
-			bound++
-		}
+// forcePlan plans the query, then overrides the chosen access path with
+// path — how the tests reach every path on one query regardless of cost.
+// ok=false when the query cannot run that path: posting needs a categorical
+// primary, gallop a categorical primary and secondary, range a numeric
+// primary, and bitmap two bitmap-indexed equalities.
+func forcePlan(s *Store, preds []dataspace.Pred, want int, path pathKind) (pl plan, ok bool) {
+	pl = s.planQuery(preds, want)
+	cat := func(a int) bool { return a >= 0 && s.isCat[a] }
+	switch path {
+	case pathScan:
+		ok = true
+	case pathPosting:
+		ok = cat(pl.primary)
+	case pathGallop:
+		ok = cat(pl.primary) && cat(pl.secondary)
+	case pathRange:
+		ok = pl.primary >= 0 && !s.isCat[pl.primary]
+	case pathBitmap:
+		ok = bits.OnesCount64(pl.bitmapSkip) >= 2
 	}
-	if len(attrs) < 2 {
-		return nil, false
-	}
-	return &cachedPlan{
-		path: pathBitmap, primary: -1, secondary: -1,
-		bitmapAttrs: attrs, bitmapSkip: skip, exact: bound == len(attrs),
-	}, true
+	pl.path = path
+	return pl, ok
 }
 
-// v1Select dispatches the v1 planner's plan the way the old Select did —
-// the reference implementation the bitmap and chunked-scan paths must match.
-func v1Select(s *Store, preds []dataspace.Pred, pl plan, want int) []dataspace.Tuple {
-	if s.isCat[pl.primary] {
-		if pl.secondary >= 0 && s.isCat[pl.secondary] && useGallop(len(pl.secList), len(s.byRank)) {
-			return s.selectGallop(preds, pl, want)
-		}
-		return s.selectPosting(preds, pl, want)
-	}
-	return s.selectRange(preds, pl, want)
-}
-
-// TestAccessPathsAgreeAcrossPatterns is the planner-v2 oracle: on every
-// generator pattern, for random queries of every arity, the chunked scan,
-// the posting/gallop/range family, and the bitmap path must all return
-// exactly the naive reference answer — same tuples, same order.
+// TestAccessPathsAgreeAcrossPatterns is the planner oracle: on every
+// generator pattern, for random queries of every arity, each access path —
+// forced through the planner's plan, whatever its cost — must return
+// exactly the naive reference answer: same tuples, same order.
 func TestAccessPathsAgreeAcrossPatterns(t *testing.T) {
 	for _, p := range datagen.Patterns {
 		p := p
@@ -115,7 +97,7 @@ func TestAccessPathsAgreeAcrossPatterns(t *testing.T) {
 			s := tierStore(t, p, 11)
 			n := s.Size()
 			rng := simrand.New(uint64(p) + 101)
-			bitmapQueries := 0
+			var forced [numPaths]int
 			for trial := 0; trial < 150; trial++ {
 				q := tierQuery(s.Schema(), rng, n)
 				preds := q.Preds()
@@ -125,25 +107,23 @@ func TestAccessPathsAgreeAcrossPatterns(t *testing.T) {
 					if got := s.Select(q, limit); !sameTuples(got, expect) {
 						t.Fatalf("trial %d limit %d: Select diverges from naive on %s", trial, limit, q)
 					}
-					if got := s.selectScan(preds, want); !sameTuples(got, expect) {
-						t.Fatalf("trial %d limit %d: chunked scan diverges from naive on %s", trial, limit, q)
-					}
-					if pl := s.choosePlan(preds, n); pl.primary >= 0 {
-						if got := v1Select(s, preds, pl, want); !sameTuples(got, expect) {
-							t.Fatalf("trial %d limit %d: v1 %v path diverges from naive on %s",
-								trial, limit, pl.primary, q)
+					for path := pathKind(0); path < numPaths; path++ {
+						pl, ok := forcePlan(s, preds, want, path)
+						if !ok {
+							continue
 						}
-					}
-					if cp, ok := forceBitmapPlan(s, preds); ok {
-						bitmapQueries++
-						if got := s.selectBitmap(cp, preds, want); !sameTuples(got, expect) {
-							t.Fatalf("trial %d limit %d: bitmap path diverges from naive on %s", trial, limit, q)
+						forced[path]++
+						if got := s.execSelect(pl, preds, want); !sameTuples(got, expect) {
+							t.Fatalf("trial %d limit %d: %s path diverges from naive on %s",
+								trial, limit, pathNames[path], q)
 						}
 					}
 				}
 			}
-			if bitmapQueries == 0 {
-				t.Fatal("no trial exercised the bitmap path; query generator is broken")
+			for path, c := range forced {
+				if c == 0 {
+					t.Fatalf("no trial exercised the %s path; query generator is broken", pathNames[path])
+				}
 			}
 		})
 	}
@@ -190,73 +170,66 @@ func TestCountMatchesNaiveAcrossPatterns(t *testing.T) {
 	}
 }
 
-// TestPlanCacheCounters pins the cache's observable arithmetic: one miss
-// per new shape, hits for every repeat, per-path counts summing to the
-// Select count.
-func TestPlanCacheCounters(t *testing.T) {
+// pathTotal sums a PlanStats' per-path execution counts.
+func pathTotal(ps PlanStats) int64 {
+	var total int64
+	for _, v := range ps.Paths {
+		total += v
+	}
+	return total
+}
+
+// TestPlanStatsCounters pins the planner's observable arithmetic: one path
+// execution per Select, none per Count, and the retired cache counters
+// reading zero.
+func TestPlanStatsCounters(t *testing.T) {
 	s := tierStore(t, datagen.PatternRandom, 19)
 	rng := simrand.New(20)
 	sch := s.Schema()
 	const repeats = 50
-	// One shape: C1 = v, varying v.
 	for i := 0; i < repeats; i++ {
-		s.Select(dataspace.UniverseQuery(sch).WithValue(0, rng.IntRange(1, 32)), 64)
+		q := dataspace.UniverseQuery(sch).WithValue(0, rng.IntRange(1, 32))
+		s.Select(q, 64)
+		s.Count(q)
 	}
-	ps := s.PlanStats()
-	if ps.Shapes != 1 || ps.Misses != 1 || ps.Hits != repeats-1 {
-		t.Fatalf("after %d same-shape selects: shapes=%d hits=%d misses=%d, want 1/%d/1",
-			repeats, ps.Shapes, ps.Hits, ps.Misses, repeats-1)
-	}
-	// A second shape: C1 = v ∧ C2 = w.
 	s.Select(dataspace.UniverseQuery(sch).WithValue(0, 1).WithValue(1, 2), 64)
-	ps = s.PlanStats()
-	if ps.Shapes != 2 || ps.Misses != 2 {
-		t.Fatalf("after a second shape: shapes=%d misses=%d, want 2/2", ps.Shapes, ps.Misses)
+	ps := s.PlanStats()
+	if got := pathTotal(ps); got != repeats+1 {
+		t.Fatalf("path counts sum to %d, want %d: %v", got, repeats+1, ps.Paths)
 	}
-	var pathTotal int64
-	for _, v := range ps.Paths {
-		pathTotal += v
-	}
-	if pathTotal != repeats+1 {
-		t.Fatalf("path counts sum to %d, want %d", pathTotal, repeats+1)
-	}
-	if hr := ps.HitRate(); hr <= 0.9 {
-		t.Fatalf("hit rate %.3f, want > 0.9", hr)
-	}
-	if (PlanStats{}).HitRate() != 0 {
-		t.Fatal("empty PlanStats should have hit rate 0")
+	if ps.Hits != 0 || ps.Misses != 0 || ps.HitRate() != 0 {
+		t.Fatalf("retired cache counters read hits=%d misses=%d rate=%v, want 0",
+			ps.Hits, ps.Misses, ps.HitRate())
 	}
 }
 
-// TestPlanCacheCap verifies the cache stops growing at planCacheCap and
-// keeps answering correctly (over-cap shapes just re-plan).
-func TestPlanCacheCap(t *testing.T) {
-	defer func(v int) { planCacheCap = v }(planCacheCap)
-	planCacheCap = 2
-	s := tierStore(t, datagen.PatternRandom, 29)
-	sch := s.Schema()
-	queries := []dataspace.Query{
-		dataspace.UniverseQuery(sch).WithValue(0, 3),
-		dataspace.UniverseQuery(sch).WithValue(1, 4),
-		dataspace.UniverseQuery(sch).WithValue(2, 5),
-		dataspace.UniverseQuery(sch).WithValue(3, 6),
-	}
-	for _, q := range queries {
-		for i := 0; i < 3; i++ {
-			if !sameTuples(s.Select(q, 64), naive(s, q, 65)) {
-				t.Fatalf("over-cap query diverges from naive: %s", q)
-			}
+// TestNarrowQueryAfterBroadSameShape is the regression test for per-shape
+// plan caching: a broad range picks the early-exit scan, and a narrow
+// range of the same shape that follows must be planned from its own
+// values — onto the range path, not the broad query's scan.
+func TestNarrowQueryAfterBroadSameShape(t *testing.T) {
+	s := tierStore(t, datagen.PatternRandom, 23)
+	n := int64(s.Size())
+	uni := dataspace.UniverseQuery(s.Schema())
+	broad, narrow := uni.WithRange(4, 0, n/2), uni.WithRange(4, 0, 20)
+	for _, tc := range []struct {
+		q    dataspace.Query
+		path string
+	}{{broad, "scan"}, {narrow, "range"}} {
+		before := s.PlanStats().Paths[tc.path]
+		if got := s.Select(tc.q, 64); !sameTuples(got, naive(s, tc.q, 65)) {
+			t.Fatalf("Select diverges from naive on %s", tc.q)
+		}
+		if s.PlanStats().Paths[tc.path] != before+1 {
+			t.Fatalf("%s executed paths %v, want %s", tc.q, s.PlanStats().Paths, tc.path)
 		}
 	}
-	if ps := s.PlanStats(); ps.Shapes != 2 {
-		t.Fatalf("capped cache holds %d shapes, want 2", ps.Shapes)
-	}
 }
 
-// TestPlanCacheConcurrent hammers one store from many goroutines with a
-// mixed shape workload. Run under -race this is the lock-freedom proof for
-// the copy-on-write cache; the result check keeps it honest.
-func TestPlanCacheConcurrent(t *testing.T) {
+// TestPlannerConcurrent hammers one store from many goroutines with a mixed
+// workload. Run under -race it proves planning shares no mutable state
+// beyond the atomic path counters; the result check keeps it honest.
+func TestPlannerConcurrent(t *testing.T) {
 	s := tierStore(t, datagen.PatternRealistic, 31)
 	const workers, perWorker = 8, 100
 	var wg sync.WaitGroup
@@ -280,61 +253,13 @@ func TestPlanCacheConcurrent(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	ps := s.PlanStats()
-	if ps.Hits+ps.Misses != workers*perWorker {
-		t.Fatalf("hits+misses = %d, want %d", ps.Hits+ps.Misses, workers*perWorker)
+	if got := pathTotal(s.PlanStats()); got != workers*perWorker {
+		t.Fatalf("path counts sum to %d, want %d", got, workers*perWorker)
 	}
 }
 
-// TestShapeKey pins the shape-key packing: values never matter, predicate
-// kinds always do, and schemas beyond 32 attributes opt out.
-func TestShapeKey(t *testing.T) {
-	isCat := []bool{true, true, false, false}
-	u := func() []dataspace.Pred {
-		return []dataspace.Pred{
-			{Wild: true}, {Wild: true},
-			{Lo: dataspace.NegInf, Hi: dataspace.PosInf},
-			{Lo: dataspace.NegInf, Hi: dataspace.PosInf},
-		}
-	}
-	base, ok := shapeKey(isCat, u())
-	if !ok {
-		t.Fatal("4-dim shape key should pack")
-	}
-	// Same shape, different values → same key.
-	a := u()
-	a[0] = dataspace.Pred{Value: 3}
-	a[2] = dataspace.Pred{Lo: 5, Hi: 10}
-	b := u()
-	b[0] = dataspace.Pred{Value: 9}
-	b[2] = dataspace.Pred{Lo: -50, Hi: 4000}
-	ka, _ := shapeKey(isCat, a)
-	kb, _ := shapeKey(isCat, b)
-	if ka != kb {
-		t.Fatalf("same shape hashed differently: %x vs %x", ka, kb)
-	}
-	if ka == base {
-		t.Fatal("bound shape collides with the universe shape")
-	}
-	// Point range vs proper range vs unbounded are distinct shapes.
-	c := u()
-	c[2] = dataspace.Pred{Lo: 7, Hi: 7}
-	kc, _ := shapeKey(isCat, c)
-	d := u()
-	d[2] = dataspace.Pred{Lo: 7, Hi: 8}
-	kd, _ := shapeKey(isCat, d)
-	if kc == kd || kc == base || kd == base {
-		t.Fatalf("numeric shapes collide: point=%x range=%x free=%x", kc, kd, base)
-	}
-	// 33 attributes cannot pack.
-	wide := make([]dataspace.Pred, 33)
-	if _, ok := shapeKey(make([]bool, 33), wide); ok {
-		t.Fatal("33-dim shape key should not pack")
-	}
-}
-
-// TestWideSchemaUncached verifies a store wider than the shape key still
-// answers correctly, planning every query (all misses, no cached shapes).
+// TestWideSchemaUncached verifies a store wider than the bitmap path's
+// attribute mask still plans and answers every query correctly.
 func TestWideSchemaUncached(t *testing.T) {
 	attrs := make([]dataspace.Attribute, 33)
 	for i := range attrs {
@@ -367,16 +292,13 @@ func TestWideSchemaUncached(t *testing.T) {
 			t.Fatalf("trial %d: wide-schema Select diverges from naive", trial)
 		}
 	}
-	ps := s.PlanStats()
-	if ps.Shapes != 0 || ps.Hits != 0 || ps.Misses != 30 {
-		t.Fatalf("wide schema: shapes=%d hits=%d misses=%d, want 0/0/30",
-			ps.Shapes, ps.Hits, ps.Misses)
+	if got := pathTotal(s.PlanStats()); got != 30 {
+		t.Fatalf("wide schema: path counts sum to %d, want 30", got)
 	}
 }
 
 // TestShardedSharesStatsKeepsPlans pins the Sharded contract: one shared
-// selectivity sample, independent per-shard plan caches, aggregated
-// PlanStats.
+// selectivity sample, per-shard planning, aggregated PlanStats.
 func TestShardedSharesStatsKeepsPlans(t *testing.T) {
 	d := datagen.Tiered(datagen.PatternRandom, datagen.Tier10K, 47)
 	sh, err := NewSharded(d.Schema, d.Tuples, 4)
@@ -401,8 +323,7 @@ func TestShardedSharesStatsKeepsPlans(t *testing.T) {
 			t.Fatalf("sharded Select diverges from naive on %s", q)
 		}
 	}
-	ps := sh.PlanStats()
-	if ps.Hits+ps.Misses == 0 {
+	if pathTotal(sh.PlanStats()) < 40 {
 		t.Fatal("sharded PlanStats should aggregate shard counters")
 	}
 }
@@ -428,6 +349,23 @@ func TestSelStats(t *testing.T) {
 	if sel := st.jointSel(impossible.Preds()); sel <= 0 || sel > 1.0/float64(statsSampleMax) {
 		t.Fatalf("impossible-predicate selectivity = %v, want the 0.5/S floor", sel)
 	}
+	// The column-wise evaluation counts exactly the sampled rows a
+	// row-by-row Covers check accepts.
+	rows := st.SampleRows()
+	rng := simrand.New(54)
+	for trial := 0; trial < 200; trial++ {
+		q := tierQuery(sch, rng, len(d.Tuples))
+		matched := 0
+		for _, r := range rows {
+			if q.Covers(r) {
+				matched++
+			}
+		}
+		want := max(float64(matched), 0.5) / float64(len(rows))
+		if got := st.jointSel(q.Preds()); got != want {
+			t.Fatalf("trial %d: jointSel = %v, want %v on %s", trial, got, want, q)
+		}
+	}
 	// Uniform 32-way categorical: second moment near 1/32.
 	if es := st.EqSel(0); es < 0.01 || es > 0.1 {
 		t.Fatalf("EqSel(C1) = %v, want ≈ 1/32", es)
@@ -449,35 +387,39 @@ func TestSelStats(t *testing.T) {
 }
 
 // TestSelectAllocsSteadyState pins the one-allocation Select contract on
-// every access path: once the plan is cached and the scratch pools are
-// warm, a Select allocates exactly its result slice.
+// every access path: planning allocates nothing, so once the scratch pools
+// are warm (AllocsPerRun's warm-up call) a Select allocates exactly its
+// result slice — including a narrow query right after a broad one of the
+// same shape.
 func TestSelectAllocsSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items nondeterministically under -race")
 	}
 	s := tierStore(t, datagen.PatternPathological, 67)
 	sch := s.Schema()
-	needle := dataspace.UniverseQuery(sch).
+	uni := dataspace.UniverseQuery(sch)
+	needle := uni.
 		WithValue(0, datagen.PathoNeedle).
 		WithValue(1, datagen.PathoNeedle).
 		WithValue(2, datagen.PathoNeedle)
 	cases := []struct {
 		name string
-		q    dataspace.Query
+		qs   []dataspace.Query
 	}{
-		{"scan", dataspace.UniverseQuery(sch)},
-		{"posting", dataspace.UniverseQuery(sch).WithValue(3, 7)},
-		{"range", dataspace.UniverseQuery(sch).WithRange(4, 100, 3000).WithValue(0, 2)},
-		{"bitmap", needle},
+		{"scan", []dataspace.Query{uni}},
+		{"posting", []dataspace.Query{uni.WithValue(3, 7)}},
+		{"range", []dataspace.Query{uni.WithRange(4, 100, 3000).WithValue(0, 2)}},
+		{"bitmap", []dataspace.Query{needle}},
+		{"broad then narrow", []dataspace.Query{uni.WithRange(4, 0, 5000), uni.WithRange(4, 0, 20)}},
 	}
 	for _, tc := range cases {
-		q := tc.q
-		s.Select(q, 64) // plan + pool warmup before measuring
 		allocs := testing.AllocsPerRun(100, func() {
-			s.Select(q, 64)
+			for _, q := range tc.qs {
+				s.Select(q, 64)
+			}
 		})
-		if allocs > 1 {
-			t.Errorf("%s path: %.1f allocs per Select, want <= 1", tc.name, allocs)
+		if allocs > float64(len(tc.qs)) {
+			t.Errorf("%s: %.1f allocs per %d Selects, want <= 1 each", tc.name, allocs, len(tc.qs))
 		}
 	}
 	if allocs := testing.AllocsPerRun(100, func() { s.Count(needle) }); allocs > 0 {

@@ -38,8 +38,8 @@ type Engine interface {
 	Schema() *dataspace.Schema
 	// All returns the tuples in priority order (shared storage, read-only).
 	All() []dataspace.Tuple
-	// PlanStats returns the planner's cumulative counters: cached shapes,
-	// plan-cache hits/misses, and per-access-path Select execution counts.
+	// PlanStats returns the cumulative per-access-path Select execution
+	// counts.
 	PlanStats() PlanStats
 	// EngineStats returns the engine's kind ("mem", "disk") and, for
 	// engines that serve rows through a cache, its hit/miss counters.
@@ -95,9 +95,8 @@ func NewSharded(schema *dataspace.Schema, byRank []dataspace.Tuple, shards int) 
 	// One selectivity sample over the whole relation, shared by every
 	// shard: selectivity is a property of the data shape, not of any one
 	// priority band, and a full-relation sample is strictly better than
-	// per-shard ones. Plan caches stay per-shard — each shard's posting
-	// lists have their own sizes, so shards may legitimately pick
-	// different paths for the same shape.
+	// per-shard ones. Each shard plans against its own posting lists, so
+	// shards may legitimately pick different paths for the same query.
 	stats := buildSelStats(schema, byRank)
 	s := &Sharded{schema: schema, byRank: byRank, shards: make([]*Store, 0, shards)}
 	for i := 0; i < shards; i++ {
@@ -111,9 +110,8 @@ func NewSharded(schema *dataspace.Schema, byRank []dataspace.Tuple, shards int) 
 	return s, nil
 }
 
-// PlanStats aggregates the per-shard planner counters. Shapes counts
-// cached (shard, shape) pairs, so it can exceed the number of distinct
-// query shapes the store has seen.
+// PlanStats aggregates the per-shard path counts. A Select that walks
+// several shards executes one path per shard it reaches.
 func (s *Sharded) PlanStats() PlanStats {
 	var ps PlanStats
 	for _, sh := range s.shards {

@@ -1,12 +1,12 @@
 // Sampled selectivity statistics.
 //
-// The v1 planner chose scan versus index with a hard-coded margin: any index
-// path touching at most n/4 candidates beat the scan. That constant encodes
-// an assumption about data shape that real datasets routinely violate — a
-// 90%-selective predicate makes a 250k-candidate posting walk far slower
-// than a scan that early-exits within a few thousand ranks, while a
-// pathological distribution that hides all matches at the bottom of the
-// rank space makes the same scan catastrophically slow.
+// Choosing scan versus index with a hard-coded margin (say, any index path
+// touching at most n/4 candidates beats the scan) encodes an assumption
+// about data shape that real datasets routinely violate: a 90%-selective
+// predicate makes a 250k-candidate posting walk far slower than a scan
+// that early-exits within a few thousand ranks, while a pathological
+// distribution that hides all matches at the bottom of the rank space makes
+// the same scan catastrophically slow.
 //
 // SelStats replaces the assumption with measurement: one stride sample of
 // the relation, taken at Store construction, kept column-major so the
@@ -21,6 +21,8 @@
 package index
 
 import (
+	"math/bits"
+
 	"hidb/internal/dataspace"
 )
 
@@ -142,29 +144,52 @@ func (st *SelStats) SampleRows() []dataspace.Tuple {
 // conjunction, by evaluating it over the sample. The estimate is smoothed
 // away from zero (half a row's worth) so the cost model never divides by
 // zero and never treats "no sampled match" as "no match at all".
+//
+// The planner runs it for every query no index path settles, so it works
+// like the chunked scan: per 64-row block of the column-major sample, each
+// bound predicate ANDs in a survivor word from one sequential column read,
+// and the block stops at its first empty word.
 func (st *SelStats) jointSel(preds []dataspace.Pred) float64 {
 	if st.sampled == 0 {
 		return 1
 	}
 	matched := 0
-	for j := 0; j < st.sampled; j++ {
-		ok := true
+	for base := 0; base < st.sampled; base += 64 {
+		end := min(base+64, st.sampled)
+		alive := ^uint64(0) >> uint(64-(end-base))
 		for i := range preds {
 			p := &preds[i]
-			v := st.cols[i][j]
+			var m uint64
 			if st.isCat[i] {
-				if !p.Wild && v != p.Value {
-					ok = false
-					break
+				if p.Wild {
+					continue
 				}
-			} else if v < p.Lo || v > p.Hi {
-				ok = false
+				val := p.Value
+				for j, v := range st.cols[i][base:end] {
+					var bit uint64
+					if v == val {
+						bit = 1
+					}
+					m |= bit << (uint(j) & 63)
+				}
+			} else {
+				lo, hi := p.Lo, p.Hi
+				if lo == dataspace.NegInf && hi == dataspace.PosInf {
+					continue
+				}
+				for j, v := range st.cols[i][base:end] {
+					var bit uint64
+					if v >= lo && v <= hi {
+						bit = 1
+					}
+					m |= bit << (uint(j) & 63)
+				}
+			}
+			if alive &= m; alive == 0 {
 				break
 			}
 		}
-		if ok {
-			matched++
-		}
+		matched += bits.OnesCount64(alive)
 	}
 	sel := float64(matched) / float64(st.sampled)
 	if floor := 0.5 / float64(st.sampled); sel < floor {

@@ -159,16 +159,9 @@ type SharedCacheStatsMsg struct {
 }
 
 // PlannerStatsMsg is the store's query-planner introspection in the /stats
-// response: the plan cache's occupancy and hit ratio, plus how often each
-// access path (scan, posting, gallop, range, bitmap) actually executed.
+// response: how often each access path (scan, posting, gallop, range,
+// bitmap) actually executed.
 type PlannerStatsMsg struct {
-	// Shapes is the number of distinct query shapes with a cached plan.
-	Shapes int `json:"shapes"`
-	// Hits and Misses count plan-cache lookups since construction.
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
-	// HitRate is Hits / (Hits + Misses), 0 before any lookup.
-	HitRate float64 `json:"hitRate"`
 	// Paths counts executed selections by access path name.
 	Paths map[string]int64 `json:"paths,omitempty"`
 }
