@@ -6,6 +6,14 @@
 // crawler's query count equal to the server's while dividing the network
 // cost by the batch size.
 //
+// Answer and AnswerBatch append their request bodies with the wire
+// codec's encoders. Each reads its response, through a 64 MiB (/query) or
+// 256 MiB (/batch) limit, into a pooled buffer and parses it with
+// wire.ParseResult or wire.ParseBatchResponse, without encoding/json; no
+// returned result references the buffer. A /batch answer with more
+// results than the batch had queries is an error, whatever its
+// quotaExceeded or error fields say.
+//
 // Every round trip is issued with http.NewRequestWithContext under the
 // caller's ctx: cancelling a crawl aborts its in-flight request at the
 // transport, and a deadline bounds each remote query.
@@ -30,6 +38,7 @@ import (
 	"io"
 	"iter"
 	"net/http"
+	"sync"
 
 	"hidb/internal/core"
 	"hidb/internal/dataspace"
@@ -151,10 +160,7 @@ func ctxErr(ctx context.Context, err error) error {
 
 // Answer implements hiddendb.Server with one POST /query round-trip.
 func (c *Client) Answer(ctx context.Context, q dataspace.Query) (hiddendb.Result, error) {
-	body, err := json.Marshal(wire.EncodeQuery(q))
-	if err != nil {
-		return hiddendb.Result{}, fmt.Errorf("httpclient: encoding query: %w", err)
-	}
+	body := wire.AppendQuery(make([]byte, 0, 32*c.schema.Dims()), q)
 	resp, err := c.doRetry(ctx, "query", http.MethodPost, "/query", body)
 	if err != nil {
 		return hiddendb.Result{}, ctxErr(ctx, fmt.Errorf("httpclient: query round-trip: %w", err))
@@ -168,11 +174,16 @@ func (c *Client) Answer(ctx context.Context, q dataspace.Query) (hiddendb.Result
 		snippet, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
 		return hiddendb.Result{}, fmt.Errorf("httpclient: query returned %s: %s", resp.Status, snippet)
 	}
-	var msg wire.ResultMsg
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&msg); err != nil {
-		return hiddendb.Result{}, ctxErr(ctx, fmt.Errorf("httpclient: decoding result: %w", err))
+	buf, err := readAnswer(resp.Body, 64<<20)
+	if err != nil {
+		return hiddendb.Result{}, ctxErr(ctx, fmt.Errorf("httpclient: reading result: %w", err))
 	}
-	return wire.DecodeResult(c.schema, msg)
+	defer releaseAnswer(buf)
+	res, err := wire.ParseResult(c.schema, buf.Bytes())
+	if err != nil {
+		return hiddendb.Result{}, fmt.Errorf("httpclient: decoding result: %w", err)
+	}
+	return res, nil
 }
 
 // AnswerBatch implements hiddendb.Server with one POST /batch round-trip.
@@ -185,10 +196,7 @@ func (c *Client) AnswerBatch(ctx context.Context, qs []dataspace.Query) ([]hidde
 	if len(qs) == 0 {
 		return nil, nil
 	}
-	body, err := json.Marshal(wire.EncodeBatchRequest(qs))
-	if err != nil {
-		return nil, fmt.Errorf("httpclient: encoding batch: %w", err)
-	}
+	body := wire.AppendBatchRequest(make([]byte, 0, 32*len(qs)*c.schema.Dims()), qs)
 	resp, err := c.doRetry(ctx, "batch", http.MethodPost, "/batch", body)
 	if err != nil {
 		return nil, ctxErr(ctx, fmt.Errorf("httpclient: batch round-trip: %w", err))
@@ -202,18 +210,24 @@ func (c *Client) AnswerBatch(ctx context.Context, qs []dataspace.Query) ([]hidde
 		snippet, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
 		return nil, fmt.Errorf("httpclient: batch returned %s: %s", resp.Status, snippet)
 	}
-	var msg wire.BatchResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 256<<20)).Decode(&msg); err != nil {
-		return nil, ctxErr(ctx, fmt.Errorf("httpclient: decoding batch result: %w", err))
-	}
-	results, quotaExceeded, err := wire.DecodeBatchResponse(c.schema, msg)
+	buf, err := readAnswer(resp.Body, 256<<20)
 	if err != nil {
-		return nil, err
+		return nil, ctxErr(ctx, fmt.Errorf("httpclient: reading batch result: %w", err))
 	}
-	if msg.Error != "" {
+	defer releaseAnswer(buf)
+	results, quotaExceeded, serverErr, err := wire.ParseBatchResponse(c.schema, buf.Bytes())
+	if err != nil {
+		return nil, fmt.Errorf("httpclient: decoding batch result: %w", err)
+	}
+	if len(results) > len(qs) {
+		// Whatever its flags say, an answer longer than the batch is not
+		// a prefix of it.
+		return nil, fmt.Errorf("httpclient: batch answered %d results for %d queries", len(results), len(qs))
+	}
+	if serverErr != "" {
 		// A mid-batch server failure: the prefix was answered and paid
 		// for — deliver it with the error, per the Server contract.
-		return results, fmt.Errorf("httpclient: server failed mid-batch: %s", msg.Error)
+		return results, fmt.Errorf("httpclient: server failed mid-batch: %s", serverErr)
 	}
 	if quotaExceeded {
 		return results, hiddendb.ErrQuotaExceeded
@@ -222,6 +236,32 @@ func (c *Client) AnswerBatch(ctx context.Context, qs []dataspace.Query) ([]hidde
 		return nil, fmt.Errorf("httpclient: batch answered %d of %d queries with no quota signal", len(results), len(qs))
 	}
 	return results, nil
+}
+
+// maxPooledAnswer bounds the read buffers answerBufs keeps, so one huge
+// answer does not pin its buffer for the life of the process.
+const maxPooledAnswer = 4 << 20
+
+// answerBufs recycles the buffers /query and /batch answers are read
+// into. The wire parsers copy everything they return out of the buffer.
+var answerBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readAnswer reads a response body, at most limit bytes of it, into a
+// pooled buffer; hand the buffer back with releaseAnswer.
+func readAnswer(body io.Reader, limit int64) (*bytes.Buffer, error) {
+	buf := answerBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	if _, err := buf.ReadFrom(io.LimitReader(body, limit)); err != nil {
+		releaseAnswer(buf)
+		return nil, err
+	}
+	return buf, nil
+}
+
+func releaseAnswer(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledAnswer {
+		answerBufs.Put(buf)
+	}
 }
 
 // CrawlResult is the outcome of a server-side streaming crawl.

@@ -3,12 +3,14 @@ package httpclient
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"hidb/internal/dataspace"
+	"hidb/internal/hiddendb"
 	"hidb/internal/wire"
 )
 
@@ -80,5 +82,33 @@ func TestBatchErrorDeliversPrefix(t *testing.T) {
 	}
 	if len(res) != 1 || len(res[0].Tuples) != 1 || res[0].Tuples[0][0] != 7 {
 		t.Fatalf("prefix = %+v, want the single answered result", res)
+	}
+}
+
+// TestBatchRejectsOversizeResponse: a /batch answer with more results than
+// the batch had queries is not an answered prefix, whatever flag rides
+// with it. It must fail without results, never reach the caller (whose
+// progress accounting sizes by len(results)) as a quota-cut prefix.
+func TestBatchRejectsOversizeResponse(t *testing.T) {
+	sch := dataspace.MustSchema([]dataspace.Attribute{
+		{Name: "x", Kind: dataspace.Numeric, Min: 0, Max: 100},
+	})
+	two := []wire.ResultMsg{{Tuples: [][]int64{{1}}}, {Tuples: [][]int64{{2}}}}
+	for name, resp := range map[string]wire.BatchResponse{
+		"quotaExceeded": {Results: two, QuotaExceeded: true},
+		"error":         {Results: two, Error: "backend on fire"},
+		"no flag":       {Results: two},
+	} {
+		t.Run(name, func(t *testing.T) {
+			ts, _ := stubServer(t, sch, 5, resp)
+			c, err := Dial(context.Background(), ts.URL, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := c.AnswerBatch(context.Background(), []dataspace.Query{dataspace.UniverseQuery(sch)})
+			if err == nil || errors.Is(err, hiddendb.ErrQuotaExceeded) || res != nil {
+				t.Fatalf("2 results for 1 query: got %d results, err %v; want none and a non-quota error", len(res), err)
+			}
+		})
 	}
 }

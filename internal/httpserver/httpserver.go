@@ -7,6 +7,11 @@
 // tuples plus the overflow signal, and repeating a query returns the same
 // response.
 //
+// /query and /batch answers are appended by the wire codec into a pooled
+// buffer and written in one Write, with the bytes encoding/json would
+// write. Request bodies, which third-party clients send, are decoded with
+// encoding/json.
+//
 // # Per-client sessions
 //
 // The paper's cost model is per-client: real sites enforce their query
@@ -444,7 +449,7 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 		case err != nil:
 			http.Error(w, "server error: "+err.Error(), http.StatusInternalServerError)
 		default:
-			writeJSON(w, wire.EncodeResult(res))
+			writeAnswer(w, func(b []byte) []byte { return wire.AppendResult(b, res) })
 		}
 		return
 	}
@@ -474,7 +479,7 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "server error: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	writeJSON(w, wire.EncodeResult(res))
+	writeAnswer(w, func(b []byte) []byte { return wire.AppendResult(b, res) })
 }
 
 // handleBatch answers B form queries in one round trip, with exactly the
@@ -551,13 +556,13 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		// Deliver the paid prefix with the error signal instead of
 		// discarding responses the inner server already paid for.
-		out := wire.EncodeBatchResponse(res, admitted < len(qs))
-		out.Error = err.Error()
-		writeJSON(w, out)
+		writeAnswer(w, func(b []byte) []byte {
+			return wire.AppendBatchResponse(b, res, admitted < len(qs), err.Error())
+		})
 		return
 	}
 	quotaHit := admitted < len(qs) || errors.Is(err, hiddendb.ErrQuotaExceeded)
-	writeJSON(w, wire.EncodeBatchResponse(res, quotaHit))
+	writeAnswer(w, func(b []byte) []byte { return wire.AppendBatchResponse(b, res, quotaHit, "") })
 }
 
 // writeBatch encodes a session-mode batch outcome: the answered prefix
@@ -573,11 +578,11 @@ func (h *Handler) writeBatch(w http.ResponseWriter, qs []dataspace.Query, res []
 		}
 		return
 	}
-	out := wire.EncodeBatchResponse(res, quotaHit)
+	serverErr := ""
 	if err != nil && !quotaHit {
-		out.Error = err.Error()
+		serverErr = err.Error()
 	}
-	writeJSON(w, out)
+	writeAnswer(w, func(b []byte) []byte { return wire.AppendBatchResponse(b, res, quotaHit, serverErr) })
 }
 
 // handleCrawl runs a crawling algorithm server-side against the caller's
@@ -812,6 +817,27 @@ func (h *Handler) engineStats() *wire.EngineStatsMsg {
 		CacheHits:   st.CacheHits,
 		CacheMisses: st.CacheMisses,
 		CacheBlocks: st.CacheBlocks,
+	}
+}
+
+// maxPooledAnswer bounds the response buffers answerBufs keeps, so one
+// huge answer does not pin its buffer for the life of the process.
+const maxPooledAnswer = 1 << 20
+
+// answerBufs recycles the buffers /query and /batch answers are appended
+// into.
+var answerBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeAnswer writes a /query or /batch answer, which appendBody appends
+// into a pooled buffer, in one Write. The bytes are those writeJSON
+// writes for the message struct (see the wire codec).
+func writeAnswer(w http.ResponseWriter, appendBody func([]byte) []byte) {
+	buf := answerBufs.Get().(*[]byte)
+	*buf = appendBody((*buf)[:0])
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(*buf)
+	if cap(*buf) <= maxPooledAnswer {
+		answerBufs.Put(buf)
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 )
 
 // sessionHandler builds a per-session handler over a fresh random dataset.
-func sessionHandler(t *testing.T, n, k int, cfg session.Config) (*Handler, *datagen.Dataset) {
+func sessionHandler(t testing.TB, n, k int, cfg session.Config) (*Handler, *datagen.Dataset) {
 	t.Helper()
 	ds, err := datagen.Random(datagen.RandomSpec{
 		N:          n,

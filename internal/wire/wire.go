@@ -4,6 +4,19 @@
 // responses. The format is deliberately explicit — categorical predicates
 // are a value or a wildcard, numeric predicates an inclusive range with
 // null standing for ±infinity — so third-party clients can speak it.
+//
+// The format is fixed: it is what encoding/json writes for the message
+// structs below. The answer path does not go through encoding/json or
+// reflection, though. AppendQuery, AppendBatchRequest, AppendResult and
+// AppendBatchResponse write the same bytes with strconv appends, and
+// TestAppendMatchesEncodingJSON pins them byte for byte. ParseResult and
+// ParseBatchResponse read an answer in one pass into one flat []int64 per
+// answer. They accept and decode what json.Decoder plus DecodeResult or
+// DecodeBatchResponse accept, except for two inputs they reject: null as
+// a tuple element, and non-whitespace after the top-level value. The
+// struct converters (EncodeResult, DecodeQuery, ...) stay: the request
+// decoders and the journal use them, and the tests take them as the
+// reference.
 package wire
 
 import (
@@ -252,11 +265,20 @@ func EncodeResult(r hiddendb.Result) ResultMsg {
 func DecodeResult(s *dataspace.Schema, msg ResultMsg) (hiddendb.Result, error) {
 	r := hiddendb.Result{Overflow: msg.Overflow, Tuples: make([]dataspace.Tuple, len(msg.Tuples))}
 	for i, vals := range msg.Tuples {
-		t := dataspace.Tuple(vals)
-		if err := t.Validate(s); err != nil {
-			return hiddendb.Result{}, fmt.Errorf("wire: tuple %d: %w", i, err)
-		}
-		r.Tuples[i] = t
+		r.Tuples[i] = dataspace.Tuple(vals)
+	}
+	if err := validTuples(s, r.Tuples); err != nil {
+		return hiddendb.Result{}, err
 	}
 	return r, nil
+}
+
+// validTuples validates every tuple of an answer against the schema.
+func validTuples(s *dataspace.Schema, tuples dataspace.Bag) error {
+	for i, t := range tuples {
+		if err := t.Validate(s); err != nil {
+			return fmt.Errorf("wire: tuple %d: %w", i, err)
+		}
+	}
+	return nil
 }
