@@ -89,7 +89,7 @@ func main() {
 	batch := flag.Int("batch", 0, "max queries per AnswerBatch round trip (0 = worker count; capped at -workers)")
 	inflight := flag.Int("inflight", 0, "pipeline depth: overlapped AnswerBatch round trips (0 = default 2; 1 = flush-on-completion; -1 = adaptive — widen while widening keeps saving round trips)")
 	token := flag.String("token", "", "API token sent as Authorization: Bearer (per-session quota/journal on the server)")
-	retries := flag.Int("retries", 0, "retry transient remote failures up to this many attempts per operation, with backoff (0 = fail fast); against a per-session server retried queries replay from its journal for free")
+	retries := flag.Int("retries", 0, "retry transient remote failures up to this many attempts per operation, with backoff (0 = fail fast); retried queries replay from the server's session journal for free")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "after SIGINT/SIGTERM, force-exit if the crawl has not wound down within this long (the journal saved so far stays intact)")
 	flag.Parse()
 

@@ -7,10 +7,9 @@
 // Usage:
 //
 //	hidb-server -dataset yahoo -k 1000 -addr :8080
-//	hidb-server -dataset nsf -k 256 -quota 50000
 //	hidb-server -dataset yahoo -shards 8      # priority-range-sharded store
 //	hidb-server -dataset adult -quota-per-client 20000 -session-ttl 24h \
-//	    -journal-dir ./journals               # per-client sessions
+//	    -journal-dir ./journals               # budgeted, resumable clients
 //
 // With -shards N the store is partitioned into N priority-rank ranges and a
 // /batch request fans out across the shards in parallel (each shard with
@@ -29,25 +28,26 @@
 //
 //	hidb-server -dataset yahoo -engine disk -data-dir ./data -shards 8
 //
-// Any of -quota-per-client, -rate-per-client, -session-ttl or -journal-dir
-// switches the server to per-client sessions: each API token
-// (Authorization: Bearer) gets its own quota, token-bucket rate limit
-// (-rate-per-client queries/second sustained, throttled queries wait
-// inside the request and cancel with it) and journal over the shared
-// store; GET /stats reports per-session and aggregate counters; and POST
-// /crawl runs the optimal crawl server-side, streaming (tuple,
-// paid-queries) progress as NDJSON. -session-ttl is the budget window (an idle session expires and
-// the token's next request starts a fresh budget), and -journal-dir makes
+// Every request is served through the caller's session: each API token
+// (Authorization: Bearer) gets its own quota (-quota-per-client),
+// token-bucket rate limit (-rate-per-client queries/second sustained,
+// throttled queries wait inside the request and cancel with it) and
+// journal over the shared store, and tokenless clients share the
+// anonymous session on the same terms. A query a session already paid
+// for replays from its journal for free. GET /stats reports per-session
+// and aggregate counters, and POST /crawl runs the optimal crawl
+// server-side, streaming (tuple, paid-queries) progress as NDJSON.
+// -session-ttl is the budget window (an idle session expires and the
+// token's next request starts a fresh budget), and -journal-dir makes
 // crawls resumable across windows: an evicted session's journal is
 // persisted — also on shutdown — and reloaded when its token returns, so
-// already-paid queries replay for free. The global -quota is mutually
-// exclusive with session mode.
+// already-paid queries replay for free.
 //
-// -rate-class name=qps[:burst] (repeatable; also enables sessions) names
-// per-token QoS tiers: a token joins the class named by its prefix before
-// the first '-' ("gold-alice" joins class "gold"), tokens with no listed
-// class fall back to the flat -rate-per-client, and a class with qps 0 is
-// an explicit unlimited tier. Classes shape timing only — budgets,
+// -rate-class name=qps[:burst] (repeatable) names per-token QoS tiers: a
+// token joins the class named by its prefix before the first '-'
+// ("gold-alice" joins class "gold"), tokens with no listed class fall
+// back to the flat -rate-per-client, and a class with qps 0 is an
+// explicit unlimited tier. Classes shape timing only — budgets,
 // journals and the paper's query counts are untouched:
 //
 //	hidb-server -dataset adult -rate-class gold=50:100 -rate-class free=2
@@ -58,11 +58,10 @@
 // Prometheus text format; GET /stats reports the same introspection as
 // JSON. Both stay served while draining.
 //
-// -shared-cache free|charged (also enables sessions) adds the fleet-wide
-// shared answer tier under every session's stack: the first token to issue
-// a query pays for it and the answer serves the whole fleet, with
-// concurrent askers blocking on the in-flight fetch instead of re-issuing
-// it. Under free a shared hit costs the asker nothing (M crawlers of one
+// -shared-cache free|charged adds the fleet-wide shared answer tier under
+// every session's stack: the first token to issue a query pays for it and
+// the answer serves the whole fleet, with concurrent askers blocking on
+// the in-flight fetch instead of re-issuing it. Under free a shared hit costs the asker nothing (M crawlers of one
 // store at ~1x total cost); under charged it saves the store's work but is
 // still debited, preserving the paper's per-client accounting.
 // -shared-cache-bytes bounds the tier's memory with LRU eviction. The
@@ -194,19 +193,18 @@ func main() {
 	seed := flag.Uint64("seed", 11, "dataset generator seed")
 	prioritySeed := flag.Uint64("priority-seed", 42, "tuple priority permutation seed")
 	addr := flag.String("addr", ":8080", "listen address")
-	quota := flag.Int("quota", 0, "global max queries served (0 = unlimited; exclusive with per-client sessions)")
 	shards := flag.Int("shards", 1, "priority-range shards of the store (>1 answers /batch with a parallel fan-out)")
 	engine := flag.String("engine", "mem", "store engine: mem (in-memory columnar store) or disk (persistent columnar store under -data-dir, built on first run; responses bit-identical)")
 	dataDir := flag.String("data-dir", "", "directory holding disk-engine store files (required with -engine disk)")
-	quotaPerClient := flag.Int("quota-per-client", 0, "per-token query budget per session window (0 = unlimited; enables sessions)")
-	ratePerClient := flag.Float64("rate-per-client", 0, "per-token sustained queries/second, token-bucket throttled (0 = unthrottled; enables sessions)")
+	quotaPerClient := flag.Int("quota-per-client", 0, "per-token query budget per session window, tokenless clients included (0 = unlimited)")
+	ratePerClient := flag.Float64("rate-per-client", 0, "per-token sustained queries/second, token-bucket throttled (0 = unthrottled)")
 	rateBurst := flag.Int("rate-burst", 0, "token-bucket burst for -rate-per-client (0 = ceil of the rate)")
 	var rateClasses rateClassFlag
-	flag.Var(&rateClasses, "rate-class", "named qps tier, name=qps[:burst], repeatable (e.g. -rate-class gold=50:100 -rate-class free=2); a token's class is its prefix before the first '-', unlisted prefixes fall back to -rate-per-client; enables sessions")
-	sessionTTL := flag.Duration("session-ttl", 0, "idle session expiry — the budget window (0 = never; enables sessions)")
-	journalDir := flag.String("journal-dir", "", "persist each session's journal here on eviction/shutdown, reload on reconnect (enables sessions)")
+	flag.Var(&rateClasses, "rate-class", "named qps tier, name=qps[:burst], repeatable (e.g. -rate-class gold=50:100 -rate-class free=2); a token's class is its prefix before the first '-', unlisted prefixes fall back to -rate-per-client")
+	sessionTTL := flag.Duration("session-ttl", 0, "idle session expiry — the budget window (0 = never)")
+	journalDir := flag.String("journal-dir", "", "persist each session's journal here on eviction/shutdown, reload on reconnect")
 	maxSessions := flag.Int("max-sessions", 0, "live session cap, LRU-evicted beyond it (0 = default)")
-	sharedCache := flag.String("shared-cache", "off", "fleet-wide shared answer cache: off (paper mode), free (a hit another token paid for costs the asker nothing), or charged (a hit saves the store's work but is still debited); enables sessions")
+	sharedCache := flag.String("shared-cache", "off", "fleet-wide shared answer cache: off (paper mode), free (a hit another token paid for costs the asker nothing), or charged (a hit saves the store's work but is still debited)")
 	sharedCacheBytes := flag.Int64("shared-cache-bytes", 0, "bound the shared cache's resident size, LRU-evicted beyond it (0 = unbounded)")
 	maxInFlight := flag.Int("max-inflight", 0, "shed query-carrying requests beyond this concurrency with 503 + Retry-After (0 = unbounded; any value enables shedding: a full session table turns new tokens away instead of evicting)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long a SIGINT/SIGTERM shutdown waits for in-flight requests to finish")
@@ -215,12 +213,6 @@ func main() {
 	sharedPolicy, err := hidb.ParseSharedCachePolicy(*sharedCache)
 	if err != nil {
 		log.Print(err)
-		os.Exit(2)
-	}
-	sessions := *quotaPerClient > 0 || *ratePerClient > 0 || len(rateClasses) > 0 || *sessionTTL > 0 ||
-		*journalDir != "" || *maxSessions > 0 || sharedPolicy != hidb.SharedCacheOff
-	if sessions && *quota > 0 {
-		log.Print("-quota is the sessionless global budget; with sessions use -quota-per-client")
 		os.Exit(2)
 	}
 
@@ -257,33 +249,24 @@ func main() {
 		os.Exit(2)
 	}
 
-	var opts []httpserver.Option
-	if sessions {
-		opts = append(opts, httpserver.WithSessions(session.Config{
-			Quota:            *quotaPerClient,
-			RatePerSecond:    *ratePerClient,
-			RateBurst:        *rateBurst,
-			RateClasses:      rateClasses,
-			TTL:              *sessionTTL,
-			MaxSessions:      *maxSessions,
-			JournalDir:       *journalDir,
-			SharedCache:      sharedPolicy,
-			SharedCacheBytes: *sharedCacheBytes,
-		}))
-	} else if *quota > 0 {
-		opts = append(opts, httpserver.WithQuota(*quota))
-	}
+	opts := []httpserver.Option{httpserver.WithSessions(session.Config{
+		Quota:            *quotaPerClient,
+		RatePerSecond:    *ratePerClient,
+		RateBurst:        *rateBurst,
+		RateClasses:      rateClasses,
+		TTL:              *sessionTTL,
+		MaxSessions:      *maxSessions,
+		JournalDir:       *journalDir,
+		SharedCache:      sharedPolicy,
+		SharedCacheBytes: *sharedCacheBytes,
+	})}
 	if *maxInFlight > 0 {
 		opts = append(opts, httpserver.WithShedding(*maxInFlight))
 	}
 	handler := httpserver.New(srv, opts...)
 
-	mode := "global"
-	if sessions {
-		mode = "per-client"
-	}
-	log.Printf("serving %s (n=%d, k=%d, max duplicates=%d, engine=%s, shards=%d, quota mode=%s) on %s",
-		ds.Name, ds.N(), *k, ds.Tuples.MaxMultiplicity(), srv.EngineStats().Kind, srv.Shards(), mode, *addr)
+	log.Printf("serving %s (n=%d, k=%d, max duplicates=%d, engine=%s, shards=%d) on %s",
+		ds.Name, ds.N(), *k, ds.Tuples.MaxMultiplicity(), srv.EngineStats().Kind, srv.Shards(), *addr)
 	// A clean shutdown persists live sessions' journals, so resumable
 	// crawls survive a server restart, not just an eviction. The signal
 	// ctx is also every request's base context: on SIGINT/SIGTERM the
@@ -317,11 +300,9 @@ func main() {
 		if err := server.Shutdown(shutdownCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			log.Printf("shutdown: %v", err)
 		}
-		if tbl := handler.Sessions(); tbl != nil {
-			if err := tbl.Close(); err != nil {
-				log.Printf("persisting session journals: %v", err)
-				os.Exit(1)
-			}
+		if err := handler.Sessions().Close(); err != nil {
+			log.Printf("persisting session journals: %v", err)
+			os.Exit(1)
 		}
 	}
 }

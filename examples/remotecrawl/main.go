@@ -40,7 +40,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	handler := hidb.NewSessionHTTPHandler(local, hidb.SessionConfig{Quota: 10000})
+	handler := hidb.NewHTTPHandler(local, hidb.SessionConfig{Quota: 10000})
 	server := &http.Server{Handler: handler}
 	go server.Serve(ln)
 	defer server.Close()

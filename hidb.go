@@ -42,8 +42,11 @@
 //
 // To crawl a remote hidden database, expose it with NewHTTPHandler on the
 // serving side and DialHTTP on the crawling side; every algorithm runs
-// unmodified against the remote connection. RemoteClient.CrawlSeq is the
-// wire form of CrawlSeq — the server runs the algorithm and streams the
+// unmodified against the remote connection. The handler serves every
+// request through the caller's session, keyed by its API token
+// (DialHTTPToken), with a private quota and journal; tokenless clients
+// share the anonymous session. RemoteClient.CrawlSeq is the wire form of
+// CrawlSeq — the server runs the algorithm and streams the
 // tuples — with a resume cursor for reconnecting after a broken stream.
 //
 // # Batched serving
@@ -83,7 +86,7 @@
 // own, usually tighter, path. Planning allocates nothing. All paths return
 // bit-identical answers; planning changes speed, never responses, so the
 // paper's query counts are untouched. LocalServer.PlanStats counts how often
-// each access path executed, and a session server reports the counts on
+// each access path executed, and the HTTP server reports the counts on
 // GET /stats.
 //
 // # On-disk stores
@@ -146,8 +149,8 @@
 // server's Retry-After; protocol answers (a quota rejection, a malformed
 // query) are never retried. A severed /crawl stream resumes automatically
 // from the tuple after the last one delivered, so reconnects neither
-// duplicate nor lose tuples. None of this double-charges the client: a
-// per-session server journals every paid answer, so a retried query or a
+// duplicate nor lose tuples. None of this double-charges the client: the
+// server journals every paid answer per session, so a retried query or a
 // resumed crawl replays the journaled prefix for free, and the paid query
 // count comes out identical to a fault-free run. When retries are
 // exhausted (or a retry budget runs dry) the failure surfaces as a
@@ -409,15 +412,15 @@ func CrawlSeq(ctx context.Context, srv Server, opts *CrawlOptions) iter.Seq2[Tup
 }
 
 // NewHTTPHandler exposes a Server over HTTP (GET /schema, POST /query,
-// POST /batch — B queries for one round trip, answered as if sequential).
-// A positive quota caps the number of queries served (batches count per
-// query, not per request), mirroring per-IP limits of real sites; zero
-// means unlimited.
-func NewHTTPHandler(srv Server, quota int) http.Handler {
-	if quota > 0 {
-		return httpserver.New(srv, httpserver.WithQuota(quota))
-	}
-	return httpserver.New(srv)
+// POST /batch — B queries for one round trip, answered as if sequential —
+// and POST /crawl, a server-side crawl streamed as NDJSON). Every request
+// resolves through the caller's token-keyed session (Authorization:
+// Bearer; tokenless callers share the anonymous session), so quotas,
+// journals and query counters are per-client, and GET /stats reports
+// them. cfg tunes the sessions; its zero value is unlimited budgets, no
+// expiry and 1024 live sessions.
+func NewHTTPHandler(srv Server, cfg SessionConfig) http.Handler {
+	return httpserver.New(srv, httpserver.WithSessions(cfg))
 }
 
 // SessionConfig tunes per-client HTTP sessions: each API token's query
@@ -451,15 +454,6 @@ func ParseSharedCachePolicy(s string) (SharedCachePolicy, error) {
 	return hiddendb.ParseSharedCachePolicy(s)
 }
 
-// NewSessionHTTPHandler exposes a Server over HTTP with per-client
-// sessions: every request resolves through the caller's token-keyed
-// session (Authorization: Bearer), so quotas, journals and query counters
-// are per-client, GET /stats reports them, and POST /crawl streams a
-// server-side crawl of the caller's session as NDJSON.
-func NewSessionHTTPHandler(srv Server, cfg SessionConfig) http.Handler {
-	return httpserver.New(srv, httpserver.WithSessions(cfg))
-}
-
 // DialHTTP connects to a remote hidden database served by NewHTTPHandler
 // and returns it as a Server every algorithm can crawl. The ctx bounds the
 // initial schema fetch; every later round trip carries its own. A nil
@@ -481,9 +475,9 @@ type RemoteCrawlEvent = wire.CrawlEvent
 type RemoteCrawlResult = httpclient.CrawlResult
 
 // DialHTTPToken connects like DialHTTP but identifies the client with an
-// API token (sent as "Authorization: Bearer" on every request): against a
-// per-session server, quota, journal and query counters are then private
-// to this client. The concrete client is returned so its Crawl and
+// API token (sent as "Authorization: Bearer" on every request): the
+// server's quota, journal and query counters are then private to this
+// client. The concrete client is returned so its Crawl and
 // CrawlSeq methods — the streaming server-side crawl — are reachable.
 func DialHTTPToken(ctx context.Context, baseURL, token string, httpClient *http.Client) (*RemoteClient, error) {
 	return httpclient.DialToken(ctx, baseURL, token, httpClient)
@@ -503,8 +497,8 @@ type TransportError = httpclient.TransportError
 // DialHTTPRetry connects like DialHTTPToken and arms the client with a
 // retrying transport: transient failures (5xx answers, transport errors,
 // per-attempt timeouts) back off and retry under policy, severed /crawl
-// streams resume from the tuple after the last one delivered, and — against
-// a per-session server, which journals every paid answer — none of it
+// streams resume from the tuple after the last one delivered, and — as the
+// server journals every paid answer per session — none of it
 // double-charges: replays are free, so the paid query count matches a
 // fault-free run. Protocol answers (quota exceeded, bad request) are never
 // retried. Failures that outlive the policy surface as *TransportError.
@@ -620,7 +614,7 @@ type (
 	// damaged file is quarantined as path+".corrupt".
 	DiskCorruptionError = diskstore.CorruptionError
 	// EngineStats identifies a server's engine ("mem" or "disk") and, for
-	// the disk engine, its block-cache hit/miss counters. A session server
+	// the disk engine, its block-cache hit/miss counters. The HTTP server
 	// reports them on GET /stats and in the /crawl terminal event.
 	EngineStats = index.EngineStats
 )

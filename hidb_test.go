@@ -48,10 +48,6 @@ func TestCrawlPicksAlgorithmAndCompletes(t *testing.T) {
 // access path.
 func TestPlannerAdaptsDuringCrawl(t *testing.T) {
 	ds := hidb.YahooLike(9)
-	if testing.Short() {
-		ds = hidb.AdultLike(9)
-		ds.Tuples = ds.Tuples[:5000]
-	}
 	for _, k := range []int{256, 1000} {
 		srv, err := hidb.NewLocalServer(ds.Schema, ds.Tuples, k, 9)
 		if err != nil {
@@ -124,7 +120,7 @@ func TestHTTPEndToEndThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(hidb.NewHTTPHandler(srv, 0))
+	ts := httptest.NewServer(hidb.NewHTTPHandler(srv, hidb.SessionConfig{}))
 	defer ts.Close()
 
 	remote, err := hidb.DialHTTP(context.Background(), ts.URL, nil)
@@ -145,7 +141,7 @@ func TestHTTPQuotaThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(hidb.NewHTTPHandler(srv, 2))
+	ts := httptest.NewServer(hidb.NewHTTPHandler(srv, hidb.SessionConfig{Quota: 2}))
 	defer ts.Close()
 	remote, err := hidb.DialHTTP(context.Background(), ts.URL, nil)
 	if err != nil {

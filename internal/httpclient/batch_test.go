@@ -87,8 +87,12 @@ func TestAnswerBatchQuotaPrefix(t *testing.T) {
 	if len(res) != 6 {
 		t.Fatalf("answered %d queries, want the 6-query budget", len(res))
 	}
-	// Spent budget: the next batch fails outright with the typed error.
-	if _, err := c.AnswerBatch(context.Background(), qs[:2]); !errors.Is(err, hiddendb.ErrQuotaExceeded) {
+	// Spent budget: a next batch of unpaid queries fails outright with the
+	// typed error, while the paid prefix still replays for free.
+	if _, err := c.AnswerBatch(context.Background(), qs[6:8]); !errors.Is(err, hiddendb.ErrQuotaExceeded) {
 		t.Fatalf("post-budget batch err = %v", err)
+	}
+	if res, err := c.AnswerBatch(context.Background(), qs[:2]); err != nil || len(res) != 2 {
+		t.Fatalf("replaying the paid prefix: %d results, err %v", len(res), err)
 	}
 }

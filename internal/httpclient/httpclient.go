@@ -18,7 +18,7 @@
 // caller's ctx: cancelling a crawl aborts its in-flight request at the
 // transport, and a deadline bounds each remote query.
 //
-// DialToken identifies the client to a per-session server: the token rides
+// DialToken identifies the client to the server: the token rides
 // every request as "Authorization: Bearer <token>", and the server keys
 // its quota, journal and counters by it — two clients with distinct tokens
 // never touch each other's budgets. Crawl consumes the server-side
@@ -68,9 +68,9 @@ func Dial(ctx context.Context, baseURL string, httpClient *http.Client) (*Client
 }
 
 // DialToken is Dial with a client identity: every request carries the API
-// token in the Authorization: Bearer header, so a per-session server
-// resolves it to this client's own quota, journal and counters. An empty
-// token shares the server's anonymous session.
+// token in the Authorization: Bearer header, so the server resolves it to
+// this client's own quota, journal and counters. An empty token shares
+// the server's anonymous session.
 func DialToken(ctx context.Context, baseURL, token string, httpClient *http.Client) (*Client, error) {
 	return dial(ctx, baseURL, token, httpClient, nil)
 }
@@ -80,9 +80,9 @@ func DialToken(ctx context.Context, baseURL, token string, httpClient *http.Clie
 // overload shedding (503 + Retry-After) — are retried per the policy with
 // exponential backoff and seeded jitter, and a severed /crawl stream is
 // resumed via the skip cursor instead of failing the extraction. Retrying
-// never costs extra queries against a session-mode server: a request the
-// server already served is replayed free from the session journal, one it
-// never saw is paid once on the attempt that lands. A round trip that
+// never costs extra queries: a request the server already served is
+// replayed free from the session journal, one it never saw is paid once
+// on the attempt that lands. A round trip that
 // stays down past the policy's attempts (or the client-wide retry budget)
 // fails with a *TransportError wrapping the last attempt's error.
 func DialRetry(ctx context.Context, baseURL, token string, httpClient *http.Client, policy RetryPolicy) (*Client, error) {

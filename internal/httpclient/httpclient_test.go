@@ -12,6 +12,7 @@ import (
 	"hidb/internal/dataspace"
 	"hidb/internal/hiddendb"
 	"hidb/internal/httpserver"
+	"hidb/internal/session"
 )
 
 func startServer(t *testing.T, ds *datagen.Dataset, k, quota int) (*httptest.Server, *hiddendb.Local) {
@@ -20,11 +21,7 @@ func startServer(t *testing.T, ds *datagen.Dataset, k, quota int) (*httptest.Ser
 	if err != nil {
 		t.Fatal(err)
 	}
-	var opts []httpserver.Option
-	if quota > 0 {
-		opts = append(opts, httpserver.WithQuota(quota))
-	}
-	ts := httptest.NewServer(httpserver.New(local, opts...))
+	ts := httptest.NewServer(httpserver.New(local, httpserver.WithSessions(session.Config{Quota: quota})))
 	t.Cleanup(ts.Close)
 	return ts, local
 }

@@ -57,7 +57,8 @@ func testBatch(sch *dataspace.Schema, n int, seed uint64) []dataspace.Query {
 
 // TestBatchEquivalence is the endpoint's contract: one POST /batch with N
 // queries returns byte-for-byte the N responses that N POST /query round
-// trips produce, while counting N queries but only one request.
+// trips produce, at the same query cost but for one request. The batch
+// runs on a fresh token: on the same session every query would replay.
 func TestBatchEquivalence(t *testing.T) {
 	h, ds := testHandler(t, 400, 10, 0)
 	ts := httptest.NewServer(h)
@@ -75,9 +76,9 @@ func TestBatchEquivalence(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	requestsBefore, queriesBefore := h.Requests(), h.Queries()
+	requestsBefore, singlesCost := h.Requests(), h.Queries()
 
-	resp := postBatch(t, ts.URL, wire.EncodeBatchRequest(qs))
+	resp := postBatchToken(t, ts.URL, "batcher", wire.EncodeBatchRequest(qs))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch: %s", resp.Status)
 	}
@@ -95,8 +96,16 @@ func TestBatchEquivalence(t *testing.T) {
 			t.Fatalf("batch result %d differs from /query:\n got %s\nwant %s", i, got, want)
 		}
 	}
-	if h.Queries() != queriesBefore+len(qs) {
-		t.Errorf("batch counted %d queries, want %d", h.Queries()-queriesBefore, len(qs))
+	// Each session pays once per distinct query; a repeat inside qs replays.
+	distinct := make(map[string]bool, len(qs))
+	for _, q := range qs {
+		distinct[q.Key()] = true
+	}
+	if singlesCost != len(distinct) {
+		t.Errorf("singles paid %d queries, want %d distinct", singlesCost, len(distinct))
+	}
+	if batchCost := h.Queries() - singlesCost; batchCost != len(distinct) {
+		t.Errorf("batch paid %d queries, want %d distinct", batchCost, len(distinct))
 	}
 	if h.Requests() != requestsBefore+1 {
 		t.Errorf("batch counted %d requests, want 1", h.Requests()-requestsBefore)
@@ -163,16 +172,17 @@ func TestBatchMalformed(t *testing.T) {
 	}
 }
 
-// TestBatchQuotaMidBatch: a batch that overruns the handler's quota is
-// answered up to the budget and flagged, and the next batch gets 429 —
-// batching cannot stretch a per-IP budget.
+// TestBatchQuotaMidBatch: a batch that overruns the session's quota is
+// answered up to the budget and flagged, and a next batch or query of new
+// queries gets 429 — batching cannot stretch a per-client budget — while
+// the paid prefix still replays for free.
 func TestBatchQuotaMidBatch(t *testing.T) {
 	h, ds := testHandler(t, 200, 10, 5)
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
-	qs := testBatch(ds.Schema, 8, 53)
-	resp := postBatch(t, ts.URL, wire.EncodeBatchRequest(qs))
+	qs := distinctBatch(ds.Schema, 10)
+	resp := postBatch(t, ts.URL, wire.EncodeBatchRequest(qs[:8]))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("first batch: %s", resp.Status)
 	}
@@ -188,23 +198,29 @@ func TestBatchQuotaMidBatch(t *testing.T) {
 	}
 
 	// Budget spent: the next batch is rejected outright.
-	resp = postBatch(t, ts.URL, wire.EncodeBatchRequest(qs[:2]))
+	resp = postBatch(t, ts.URL, wire.EncodeBatchRequest(qs[8:]))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("post-budget batch: %s, want 429", resp.Status)
 	}
 	// And so is a single query.
-	resp = postQuery(t, ts.URL, wire.EncodeQuery(dataspace.UniverseQuery(ds.Schema)))
+	resp = postQuery(t, ts.URL, wire.EncodeQuery(qs[9]))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("post-budget query: %s, want 429", resp.Status)
+	}
+	// The paid prefix is journaled: it replays in full, unflagged.
+	msg = decodeBatch(t, postBatch(t, ts.URL, wire.EncodeBatchRequest(qs[:5])))
+	if msg.QuotaExceeded || len(msg.Results) != 5 {
+		t.Fatalf("replayed prefix: %d results, flag=%v; want 5 unflagged", len(msg.Results), msg.QuotaExceeded)
 	}
 }
 
 // TestInnerQuotaConsistentAcrossEndpoints: when the wrapped server itself
 // enforces a budget (hiddendb.Quota below the handler), /query and /batch
-// surface it identically — typed 429 / quotaExceeded flag, with only the
-// served queries counted.
+// surface it identically — 429 when nothing could be served, the
+// quotaExceeded flag on a cut-short batch — with only the served queries
+// counted.
 func TestInnerQuotaConsistentAcrossEndpoints(t *testing.T) {
 	ds, err := datagen.Random(datagen.RandomSpec{
 		N:          100,
@@ -223,15 +239,15 @@ func TestInnerQuotaConsistentAcrossEndpoints(t *testing.T) {
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
-	u := wire.EncodeQuery(dataspace.UniverseQuery(ds.Schema))
+	qs := distinctBatch(ds.Schema, 5)
 	for i := 0; i < 2; i++ {
-		resp := postQuery(t, ts.URL, u)
+		resp := postQuery(t, ts.URL, wire.EncodeQuery(qs[i]))
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("in-budget query %d: %s", i, resp.Status)
 		}
 	}
-	resp := postQuery(t, ts.URL, u)
+	resp := postQuery(t, ts.URL, wire.EncodeQuery(qs[2]))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("inner quota via /query: %s, want 429", resp.Status)
@@ -240,17 +256,19 @@ func TestInnerQuotaConsistentAcrossEndpoints(t *testing.T) {
 		t.Fatalf("handler counted %d queries, want the 2 served", h.Queries())
 	}
 
-	// Same exhaustion through /batch: 200 with an empty prefix + flag.
-	resp = postBatch(t, ts.URL, wire.BatchRequest{Queries: []wire.QueryMsg{u, u}})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("inner quota via /batch: %s", resp.Status)
+	// Same exhaustion through /batch: nothing served is a 429 too...
+	resp = postBatch(t, ts.URL, wire.EncodeBatchRequest(qs[3:5]))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("inner quota via /batch: %s, want 429", resp.Status)
 	}
-	msg := decodeBatch(t, resp)
-	if !msg.QuotaExceeded || len(msg.Results) != 0 {
-		t.Fatalf("batch on spent inner budget: %d results, flag=%v", len(msg.Results), msg.QuotaExceeded)
+	// ...and a batch whose first query replays is cut short and flagged.
+	msg := decodeBatch(t, postBatch(t, ts.URL, wire.EncodeBatchRequest([]dataspace.Query{qs[0], qs[3]})))
+	if !msg.QuotaExceeded || len(msg.Results) != 1 {
+		t.Fatalf("batch on spent inner budget: %d results, flag=%v; want 1 + flag", len(msg.Results), msg.QuotaExceeded)
 	}
 	if h.Queries() != 2 {
-		t.Fatalf("handler counted %d queries after failed batch, want 2", h.Queries())
+		t.Fatalf("handler counted %d queries after failed batches, want 2", h.Queries())
 	}
 }
 

@@ -3,13 +3,16 @@ package httpserver
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"hidb/internal/core"
 	"hidb/internal/dataspace"
 	"hidb/internal/session"
 	"hidb/internal/wire"
@@ -105,7 +108,7 @@ func checkServe(t *testing.T, h *Handler, path string, limit int, body []byte) {
 	}
 }
 
-// fuzzHandler is a session-mode handler with an unlimited quota, so every
+// fuzzHandler is a handler with an unlimited quota, so every
 // well-formed request is answered.
 func fuzzHandler(f *testing.F) *Handler {
 	h, _ := sessionHandler(f, 200, 10, session.Config{})
@@ -144,5 +147,79 @@ func FuzzServeBatch(f *testing.F) {
 	h := fuzzHandler(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkServe(t, h, "/batch", 16<<20, body)
+	})
+}
+
+// FuzzServeCrawl posts arbitrary bodies to /crawl on a default handler (no
+// options: the anonymous session and every body token get an unlimited
+// budget) over a tiny dataset. The contract: no panic and no 5xx; a 400
+// exactly for the bodies the handler rejects — a JSON error other than an
+// empty body, a negative skip cursor, an unknown algorithm — or for a body
+// over the 1 MiB limit; and every 200 is an NDJSON stream of tuple lines
+// closed by exactly one done line, which counts those lines and never
+// reports more tuples streamed plus skipped than the table holds.
+func FuzzServeCrawl(f *testing.F) {
+	for _, s := range []string{``, `{}`, `{"skip":-1}`, `{"skip":3}`, `{"skip":1e18}`, `{"algorithm":"nope"}`} {
+		f.Add([]byte(s))
+	}
+	for _, name := range core.Names() {
+		f.Add([]byte(`{"algorithm":"` + name + `"}`))
+	}
+	f.Add([]byte(`{"token":"` + strings.Repeat("t", 64<<10) + `"}`))
+	f.Add([]byte(`{"pad":"` + strings.Repeat("x", 1<<20) + `"}`))
+	base, ds := sessionHandler(f, 40, 5, session.Config{})
+	h := New(base.srv)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/crawl", bytes.NewReader(body)))
+
+		var msg wire.CrawlRequest
+		refErr := json.NewDecoder(bytes.NewReader(body)).Decode(&msg)
+		if errors.Is(refErr, io.EOF) {
+			refErr = nil
+		}
+		if refErr == nil && msg.Skip < 0 {
+			refErr = errors.New("negative skip")
+		}
+		if refErr == nil && msg.Algorithm != "" {
+			_, refErr = core.ByName(msg.Algorithm)
+		}
+
+		switch rec.Code {
+		case http.StatusOK:
+			if refErr != nil {
+				t.Fatalf("POST /crawl answered 200 to a body the handler rejects (%v): %.200q", refErr, body)
+			}
+		case http.StatusBadRequest:
+			if refErr == nil && len(body) <= 1<<20 {
+				t.Fatalf("POST /crawl answered 400 to a well-formed body: %s\n%.200q", rec.Body, body)
+			}
+			return
+		default:
+			t.Fatalf("POST /crawl answered %d: %s\n%.200q", rec.Code, rec.Body, body)
+		}
+
+		if ct := rec.Header().Get("Content-Type"); ct != "application/x-ndjson" {
+			t.Fatalf("200 /crawl content type %q", ct)
+		}
+		lines := strings.Split(strings.TrimSuffix(rec.Body.String(), "\n"), "\n")
+		for i, line := range lines {
+			var ev wire.CrawlEvent
+			if err := json.Unmarshal([]byte(line), &ev); err != nil {
+				t.Fatalf("line %d is not JSON (%v): %.200q", i, err, line)
+			}
+			if last := i == len(lines)-1; ev.Done != last {
+				t.Fatalf("line %d of %d: done=%v; want exactly one done line, last", i, len(lines), ev.Done)
+			}
+			if !ev.Done {
+				continue
+			}
+			if ev.Tuples != len(lines)-1 {
+				t.Fatalf("done line counts %d tuples, stream carried %d", ev.Tuples, len(lines)-1)
+			}
+			if ev.Tuples+ev.Skipped > ds.N() {
+				t.Fatalf("done line: %d tuples + %d skipped exceeds n=%d", ev.Tuples, ev.Skipped, ds.N())
+			}
+		}
 	})
 }

@@ -15,13 +15,13 @@
 // # Per-client sessions
 //
 // The paper's cost model is per-client: real sites enforce their query
-// budgets per IP or API key. With WithSessions, the handler resolves every
-// query-carrying request to the caller's session — keyed by the API token
-// in the standard "Authorization: Bearer <token>" header (the Token field
-// of the /batch and /crawl envelopes is a body-level fallback; requests
-// without a token share the anonymous session). Each session owns a
-// private quota and journal over the one shared store (see the session
-// package), so:
+// budgets per IP or API key. The handler resolves every query-carrying
+// request to the caller's session — keyed by the API token in the
+// standard "Authorization: Bearer <token>" header (the Token field of the
+// /batch and /crawl envelopes is a body-level fallback; requests without a
+// token share the anonymous session). Each session owns a private quota
+// and journal over the one shared store (see the session package;
+// WithSessions configures the table), so:
 //
 //   - 429 and the quotaExceeded batch flag are per-token: one client
 //     exhausting its budget never blocks another;
@@ -42,16 +42,16 @@
 //
 // # The /crawl stream
 //
-// POST /crawl (session mode's companion endpoint; body: wire.CrawlRequest)
-// runs the requested crawling algorithm server-side against the caller's
-// session and streams progress as NDJSON (Content-Type
-// application/x-ndjson): one wire.CrawlEvent line per extracted tuple —
-// the tuple plus the session's paid query count at that moment — and a
-// single terminal line with Done set summarizing the crawl. A failure
-// mid-crawl (typically the session's budget running dry) is reported on
-// the terminal line, since the HTTP status is long committed; the queries
-// already paid are journaled, so re-POSTing /crawl after the budget window
-// resets fast-forwards for free and finishes the job.
+// POST /crawl (body: wire.CrawlRequest) runs the requested crawling
+// algorithm server-side against the caller's session and streams progress
+// as NDJSON (Content-Type application/x-ndjson): one wire.CrawlEvent line
+// per extracted tuple — the tuple plus the session's paid query count at
+// that moment — and a single terminal line with Done set summarizing the
+// crawl. A failure mid-crawl (typically the session's budget running dry)
+// is reported on the terminal line, since the HTTP status is long
+// committed; the queries already paid are journaled, so re-POSTing /crawl
+// after the budget window resets fast-forwards for free and finishes the
+// job.
 //
 // The crawl runs under the request's context: a client that disconnects
 // mid-stream cancels its own crawl — only its session's in-flight work,
@@ -68,23 +68,10 @@
 // Every handler honours its request context: cancelled requests stop
 // between queries, and a server Shutdown with a cancelled base context
 // drains promptly even mid-/crawl.
-//
-// # Legacy single-quota mode
-//
-// Without sessions, the handler can still enforce one global quota,
-// modelling the per-IP limits that motivate the paper's cost metric. The
-// quota is counted in queries, not requests, so batching cannot stretch a
-// budget: it caps the total queries served across /query and /batch alike,
-// and a batch that would overrun the remaining budget is answered up to
-// the budget and flagged, mirroring hiddendb.Quota's sequential semantics.
-// On a mid-batch server failure the already-answered prefix — which the
-// wrapped server has paid for — is delivered with the error in
-// wire.BatchResponse.Error rather than discarded.
 package httpserver
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -104,7 +91,10 @@ import (
 // Handler serves a hidden database over HTTP. It implements http.Handler.
 type Handler struct {
 	srv hiddendb.Server
-	// table holds the per-token sessions; nil in legacy single-quota mode.
+	// cfg configures the session table New builds (see WithSessions).
+	cfg session.Config
+	// table holds the per-token sessions every query-carrying request
+	// resolves through.
 	table *session.Table
 	// maxInFlight, when positive, sheds query-carrying requests beyond
 	// this concurrency with 503 + Retry-After (see WithShedding).
@@ -118,7 +108,7 @@ type Handler struct {
 
 	// QoS counters for GET /metrics, atomics so the scrape path never
 	// contends with the serving path.
-	quota429     atomic.Int64 // 429 responses (legacy and per-session quotas alike)
+	quota429     atomic.Int64 // 429 responses
 	shedCapacity atomic.Int64 // 503s from the in-flight bound
 	shedDraining atomic.Int64 // 503s from drain mode
 	shedFull     atomic.Int64 // 503s turning unseen tokens off a full session table
@@ -133,45 +123,30 @@ type Handler struct {
 	mu sync.Mutex
 	// inFlight counts the query-carrying requests currently being served.
 	inFlight int
-	// queries counts the form queries served on the legacy (sessionless)
-	// paths; with sessions, per-token counts live in the table and
-	// Queries() aggregates both.
-	queries int
 	// requests counts the query-carrying HTTP round trips served (/query,
 	// /batch and /crawl alike) — the denominator of the batching win.
 	requests int
-	// quota, when positive, caps the number of queries served in legacy
-	// mode; further requests get 429.
-	quota int
 }
 
 // Option configures a Handler.
 type Option func(*Handler)
 
-// WithQuota caps the total number of queries the handler will serve,
-// across /query and /batch alike (a batch debits one unit per query, so
-// batching cannot stretch the budget). Mutually exclusive with
-// WithSessions — per-client budgets belong in session.Config.Quota.
-func WithQuota(n int) Option {
-	return func(h *Handler) { h.quota = n }
-}
-
-// WithSessions switches the handler to per-client sessions: every /query,
-// /batch and /crawl resolves through the caller's token-keyed session
-// (quota, journal — see the session package and the package doc).
+// WithSessions configures the handler's session table: each token's quota,
+// rate limit, TTL, journal directory and the fleet cache (see the session
+// package and the package doc). Without it the table runs on the zero
+// session.Config: unlimited budgets, no expiry, DefaultMaxSessions.
 func WithSessions(cfg session.Config) Option {
-	return func(h *Handler) { h.table = session.NewTable(h.srv, cfg) }
+	return func(h *Handler) { h.cfg = cfg }
 }
 
 // WithShedding bounds the query-carrying requests (/query, /batch,
 // /crawl) served concurrently: beyond maxInFlight the handler answers
 // 503 with a Retry-After hint instead of queueing unboundedly — an
 // overloaded real site does the same, and a retry-enabled client backs
-// off and tries again for free. In session mode it also turns away
-// tokens it has never seen while the session table is full, protecting
-// established clients' sessions (and their journals) from eviction
-// churn. maxInFlight <= 0 keeps requests unbounded but still enables
-// the table-full protection.
+// off and tries again for free. It also turns away tokens it has never
+// seen while the session table is full, protecting established clients'
+// sessions (and their journals) from eviction churn. maxInFlight <= 0
+// keeps requests unbounded but still enables the table-full protection.
 func WithShedding(maxInFlight int) Option {
 	return func(h *Handler) {
 		h.maxInFlight = maxInFlight
@@ -179,42 +154,32 @@ func WithShedding(maxInFlight int) Option {
 	}
 }
 
-// New builds a handler over the given server. Combining WithQuota and
-// WithSessions is a configuration error and panics.
+// New builds a handler over the given server, with the session table every
+// query-carrying request resolves through.
 func New(srv hiddendb.Server, opts ...Option) *Handler {
 	h := &Handler{srv: srv}
 	for _, o := range opts {
 		o(h)
 	}
-	if h.table != nil && h.quota > 0 {
-		panic("httpserver: WithQuota and WithSessions are mutually exclusive; set session.Config.Quota instead")
-	}
+	h.table = session.NewTable(srv, h.cfg)
 	return h
 }
 
 // Queries returns the number of paid form queries served so far, across
-// all clients (in session mode: live and evicted sessions plus any legacy
-// serving; journal replays are free).
-func (h *Handler) Queries() int {
-	h.mu.Lock()
-	n := h.queries
-	h.mu.Unlock()
-	if h.table != nil {
-		n += h.table.TotalQueries()
-	}
-	return n
-}
+// all clients: live and evicted sessions alike (journal replays are free).
+func (h *Handler) Queries() int { return h.table.TotalQueries() }
 
 // Requests returns the number of query-carrying HTTP round trips served so
 // far (/query, /batch and /crawl requests alike). With batching, Requests
-// grows ~B× slower than Queries.
+// grows ~B× slower than Queries. A request shed or rejected before its
+// session resolves is not served and not counted.
 func (h *Handler) Requests() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.requests
 }
 
-// Sessions exposes the per-token session table, nil in legacy mode.
+// Sessions exposes the per-token session table.
 func (h *Handler) Sessions() *session.Table { return h.table }
 
 // Drain puts the handler into drain mode: every new query-carrying
@@ -232,13 +197,6 @@ func (h *Handler) InFlight() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.inFlight
-}
-
-// noteRequest counts one query-carrying round trip.
-func (h *Handler) noteRequest() {
-	h.mu.Lock()
-	h.requests++
-	h.mu.Unlock()
 }
 
 // shedReason distinguishes why a request was turned away: the Retry-After
@@ -370,19 +328,13 @@ func (h *Handler) handleHealthz(w http.ResponseWriter) {
 		Ready    bool `json:"ready"`
 		Draining bool `json:"draining"`
 		InFlight int  `json:"inFlight"`
-		// Sessions is a pointer so "session table enabled, zero live
-		// sessions" serializes as "sessions":0 instead of vanishing into
-		// the same absence that means "sessions disabled".
-		Sessions *int `json:"sessions,omitempty"`
+		Sessions int  `json:"sessions"`
 	}{
 		Live:     true,
 		Ready:    !draining,
 		Draining: draining,
 		InFlight: inFlight,
-	}
-	if h.table != nil {
-		n := h.table.Len()
-		status.Sessions = &n
+		Sessions: h.table.Len(),
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if !status.Ready {
@@ -395,9 +347,10 @@ func (h *Handler) handleSchema(w http.ResponseWriter) {
 	writeJSON(w, wire.EncodeSchema(h.srv.Schema(), h.srv.K()))
 }
 
-// resolveSession returns the caller's session. The token comes from the
-// Authorization: Bearer header, falling back to the request body's Token
-// field; an empty token is the shared anonymous session.
+// resolveSession returns the caller's session and counts the request as
+// served. The token comes from the Authorization: Bearer header, falling
+// back to the request body's Token field; an empty token is the shared
+// anonymous session.
 func (h *Handler) resolveSession(w http.ResponseWriter, r *http.Request, bodyToken string) (*session.Session, bool) {
 	token := wire.Bearer(r.Header)
 	if token == "" {
@@ -415,6 +368,9 @@ func (h *Handler) resolveSession(w http.ResponseWriter, r *http.Request, bodyTok
 		http.Error(w, "session error: "+err.Error(), http.StatusInternalServerError)
 		return nil, false
 	}
+	h.mu.Lock()
+	h.requests++
+	h.mu.Unlock()
 	return sess, true
 }
 
@@ -435,51 +391,19 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad query: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-
-	if h.table != nil {
-		h.noteRequest()
-		sess, ok := h.resolveSession(w, r, "")
-		if !ok {
-			return
-		}
-		res, err := sess.Server().Answer(r.Context(), q)
-		switch {
-		case errors.Is(err, hiddendb.ErrQuotaExceeded):
-			h.reject429(w)
-		case err != nil:
-			http.Error(w, "server error: "+err.Error(), http.StatusInternalServerError)
-		default:
-			writeAnswer(w, func(b []byte) []byte { return wire.AppendResult(b, res) })
-		}
+	sess, ok := h.resolveSession(w, r, "")
+	if !ok {
 		return
 	}
-
-	h.mu.Lock()
-	h.requests++
-	if h.quota > 0 && h.queries >= h.quota {
-		h.mu.Unlock()
+	res, err := sess.Server().Answer(r.Context(), q)
+	switch {
+	case errors.Is(err, hiddendb.ErrQuotaExceeded):
 		h.reject429(w)
-		return
-	}
-	h.queries++
-	h.mu.Unlock()
-
-	res, err := h.srv.Answer(r.Context(), q)
-	if err != nil {
-		// The query was not served: refund it, and surface a wrapped
-		// server's own budget as 429 — the same typed signal /batch gives —
-		// so the two endpoints stay interchangeable.
-		h.mu.Lock()
-		h.queries--
-		h.mu.Unlock()
-		if errors.Is(err, hiddendb.ErrQuotaExceeded) {
-			h.reject429(w)
-			return
-		}
+	case err != nil:
 		http.Error(w, "server error: "+err.Error(), http.StatusInternalServerError)
-		return
+	default:
+		writeAnswer(w, func(b []byte) []byte { return wire.AppendResult(b, res) })
 	}
-	writeAnswer(w, func(b []byte) []byte { return wire.AppendResult(b, res) })
 }
 
 // handleBatch answers B form queries in one round trip, with exactly the
@@ -487,6 +411,7 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 // affordable prefix, and a batch cut short (by quota or by a server
 // failure) reports the answered prefix — which was paid for and must not
 // be discarded — plus the quotaExceeded flag or the error, respectively.
+// A batch that could not start at all gets /query's 429 or 500.
 func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 	release, ok := h.admit(w)
 	if !ok {
@@ -508,67 +433,13 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad batch: empty", http.StatusBadRequest)
 		return
 	}
+	sess, ok := h.resolveSession(w, r, msg.Token)
+	if !ok {
+		return
+	}
 	h.noteBatchWidth(len(qs))
 
-	if h.table != nil {
-		h.noteRequest()
-		sess, ok := h.resolveSession(w, r, msg.Token)
-		if !ok {
-			return
-		}
-		res, err := sess.Server().AnswerBatch(r.Context(), qs)
-		h.writeBatch(w, qs, res, err)
-		return
-	}
-
-	h.mu.Lock()
-	h.requests++
-	admitted := len(qs)
-	if h.quota > 0 {
-		remaining := h.quota - h.queries
-		if remaining <= 0 {
-			h.mu.Unlock()
-			h.reject429(w)
-			return
-		}
-		if admitted > remaining {
-			admitted = remaining
-		}
-	}
-	h.queries += admitted // reserved; unanswered queries are refunded below
-	h.mu.Unlock()
-
-	res, err := h.srv.AnswerBatch(r.Context(), qs[:admitted])
-	// Per the Server contract, res is the answered prefix: those queries
-	// were served (and counted by any wrapped Counting/Quota decorator),
-	// whatever the error. Refund only the queries beyond the prefix, so
-	// the handler's counter can never disagree with the wrapped server's.
-	if n := admitted - len(res); n > 0 {
-		h.mu.Lock()
-		h.queries -= n
-		h.mu.Unlock()
-	}
-	if err != nil && !errors.Is(err, hiddendb.ErrQuotaExceeded) {
-		if len(res) == 0 {
-			// Nothing was served: a plain 500 keeps old clients working.
-			http.Error(w, "server error: "+err.Error(), http.StatusInternalServerError)
-			return
-		}
-		// Deliver the paid prefix with the error signal instead of
-		// discarding responses the inner server already paid for.
-		writeAnswer(w, func(b []byte) []byte {
-			return wire.AppendBatchResponse(b, res, admitted < len(qs), err.Error())
-		})
-		return
-	}
-	quotaHit := admitted < len(qs) || errors.Is(err, hiddendb.ErrQuotaExceeded)
-	writeAnswer(w, func(b []byte) []byte { return wire.AppendBatchResponse(b, res, quotaHit, "") })
-}
-
-// writeBatch encodes a session-mode batch outcome: the answered prefix
-// plus the quota flag or error signal, with the contract's 429 for a batch
-// that could not start at all.
-func (h *Handler) writeBatch(w http.ResponseWriter, qs []dataspace.Query, res []hiddendb.Result, err error) {
+	res, err := sess.Server().AnswerBatch(r.Context(), qs)
 	quotaHit := errors.Is(err, hiddendb.ErrQuotaExceeded)
 	if err != nil && len(res) == 0 {
 		if quotaHit {
@@ -617,51 +488,14 @@ func (h *Handler) handleCrawl(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-
-	h.noteRequest()
-	var target hiddendb.Server
-	var paid func() int // the caller's paid-query count, streamed per tuple
-	var onPaid func()   // bookkeeping per paid query, before the flush
-	// freeBreakdown stamps the terminal line with how many of this crawl's
-	// queries were answered for free, and from where (session mode only).
-	freeBreakdown := func(*wire.CrawlEvent) {}
-	if h.table != nil {
-		sess, ok := h.resolveSession(w, r, msg.Token)
-		if !ok {
-			return
-		}
-		target = sess.Server()
-		paid = sess.Queries
-		// Counter values before the crawl, so the terminal line reports this
-		// crawl's deltas rather than session-lifetime totals.
-		replays0 := sess.Replays()
-		sharedHits0, sharedWaits0 := sess.SharedHits(), sess.SharedWaits()
-		freeBreakdown = func(ev *wire.CrawlEvent) {
-			ev.Replays = sess.Replays() - replays0
-			ev.SharedHits = sess.SharedHits() - sharedHits0
-			ev.SharedWaits = sess.SharedWaits() - sharedWaits0
-		}
-		// A crawl can outlive the session TTL while being perfectly
-		// active; touching per paid query keeps the table from evicting
-		// a session that is mid-extraction.
-		token := sess.Token()
-		onPaid = func() { h.table.Touch(token) }
-	} else {
-		// Legacy mode: the crawl debits the handler's one global counter
-		// per query — the same check-and-reserve /query performs — so
-		// concurrent requests can never overrun the quota between them.
-		target = &legacyQuota{h: h, inner: h.srv}
-		h.mu.Lock()
-		exhausted := h.quota > 0 && h.queries >= h.quota
-		h.mu.Unlock()
-		if exhausted {
-			h.reject429(w)
-			return
-		}
-		served := 0
-		paid = func() int { return served }
-		onPaid = func() { served++ }
+	sess, ok := h.resolveSession(w, r, msg.Token)
+	if !ok {
+		return
 	}
+	// Counter values before the crawl, so the terminal line reports this
+	// crawl's deltas rather than session-lifetime totals.
+	replays0 := sess.Replays()
+	sharedHits0, sharedWaits0 := sess.SharedHits(), sess.SharedWaits()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
@@ -684,7 +518,7 @@ func (h *Handler) handleCrawl(w http.ResponseWriter, r *http.Request) {
 	tuplesSent, toSkip := 0, msg.Skip
 	opts := &core.Options{
 		OnTuples: func(tuples dataspace.Bag) {
-			n := paid()
+			n := sess.Queries()
 			for _, t := range tuples {
 				if toSkip > 0 {
 					toSkip--
@@ -694,16 +528,26 @@ func (h *Handler) handleCrawl(w http.ResponseWriter, r *http.Request) {
 				tuplesSent++
 			}
 		},
+		// A crawl can outlive the session TTL while being perfectly
+		// active; touching per paid query keeps the table from evicting
+		// a session that is mid-extraction.
 		OnProgress: func(core.CurvePoint) {
-			onPaid()
+			h.table.Touch(sess.Token())
 			flush()
 		},
 	}
 
-	res, err := crawler.Crawl(r.Context(), target, opts)
-	final := wire.CrawlEvent{Done: true, Queries: paid(), Tuples: tuplesSent, Skipped: msg.Skip - toSkip}
-	final.Engine = h.engineStats()
-	freeBreakdown(&final)
+	res, err := crawler.Crawl(r.Context(), sess.Server(), opts)
+	final := wire.CrawlEvent{
+		Done:        true,
+		Queries:     sess.Queries(),
+		Tuples:      tuplesSent,
+		Skipped:     msg.Skip - toSkip,
+		Replays:     sess.Replays() - replays0,
+		SharedHits:  sess.SharedHits() - sharedHits0,
+		SharedWaits: sess.SharedWaits() - sharedWaits0,
+		Engine:      h.engineStats(),
+	}
 	if res != nil {
 		final.Resolved = res.Resolved
 		final.Overflowed = res.Overflowed
@@ -716,85 +560,38 @@ func (h *Handler) handleCrawl(w http.ResponseWriter, r *http.Request) {
 	flush()
 }
 
-// legacyQuota serves a sessionless /crawl through the handler's single
-// global counter: each query is checked and reserved under h.mu exactly as
-// /query does, so a crawl racing other requests can never overrun -quota,
-// and /stats always reflects every query served. Failed queries are
-// refunded, mirroring handleQuery.
-type legacyQuota struct {
-	h     *Handler
-	inner hiddendb.Server
-}
-
-func (l *legacyQuota) Answer(ctx context.Context, q dataspace.Query) (hiddendb.Result, error) {
-	l.h.mu.Lock()
-	if l.h.quota > 0 && l.h.queries >= l.h.quota {
-		l.h.mu.Unlock()
-		return hiddendb.Result{}, hiddendb.ErrQuotaExceeded
-	}
-	l.h.queries++
-	l.h.mu.Unlock()
-	res, err := l.inner.Answer(ctx, q)
-	if err != nil {
-		l.h.mu.Lock()
-		l.h.queries--
-		l.h.mu.Unlock()
-	}
-	return res, err
-}
-
-// AnswerBatch loops over Answer: the server-side crawlers are sequential,
-// so batching buys nothing here, and per-query reservation is what keeps
-// the global counter exact under concurrency.
-func (l *legacyQuota) AnswerBatch(ctx context.Context, qs []dataspace.Query) ([]hiddendb.Result, error) {
-	out := make([]hiddendb.Result, 0, len(qs))
-	for _, q := range qs {
-		res, err := l.Answer(ctx, q)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}
-
-func (l *legacyQuota) K() int                    { return l.inner.K() }
-func (l *legacyQuota) Schema() *dataspace.Schema { return l.inner.Schema() }
-
 // handleStats reports the aggregate and per-session counters.
 func (h *Handler) handleStats(w http.ResponseWriter) {
-	h.mu.Lock()
-	msg := wire.StatsMsg{Queries: h.queries, Requests: h.requests}
-	h.mu.Unlock()
-	if h.table != nil {
-		msg.Queries += h.table.TotalQueries()
-		msg.EvictedSessions = h.table.Evicted()
-		for _, s := range h.table.Stats() {
-			msg.Sessions = append(msg.Sessions, wire.SessionStatsMsg{
-				Token:       s.Token,
-				Queries:     s.Queries,
-				Resolved:    s.Resolved,
-				Overflowed:  s.Overflowed,
-				Remaining:   s.Remaining,
-				Replays:     s.Replays,
-				JournalLen:  s.JournalLen,
-				SharedHits:  s.SharedHits,
-				SharedWaits: s.SharedWaits,
-				SharedLeads: s.SharedLeads,
-				RateClass:   s.RateClass,
-			})
-		}
-		if sc := h.table.SharedCache(); sc != nil {
-			st := sc.Stats()
-			msg.SharedCache = &wire.SharedCacheStatsMsg{
-				Hits:      st.Hits,
-				Waits:     st.Waits,
-				Leads:     st.Leads,
-				Entries:   st.Entries,
-				Bytes:     st.Bytes,
-				Evictions: st.Evictions,
-				InFlight:  st.InFlight,
-			}
+	msg := wire.StatsMsg{
+		Queries:         h.table.TotalQueries(),
+		Requests:        h.Requests(),
+		EvictedSessions: h.table.Evicted(),
+	}
+	for _, s := range h.table.Stats() {
+		msg.Sessions = append(msg.Sessions, wire.SessionStatsMsg{
+			Token:       s.Token,
+			Queries:     s.Queries,
+			Resolved:    s.Resolved,
+			Overflowed:  s.Overflowed,
+			Remaining:   s.Remaining,
+			Replays:     s.Replays,
+			JournalLen:  s.JournalLen,
+			SharedHits:  s.SharedHits,
+			SharedWaits: s.SharedWaits,
+			SharedLeads: s.SharedLeads,
+			RateClass:   s.RateClass,
+		})
+	}
+	if sc := h.table.SharedCache(); sc != nil {
+		st := sc.Stats()
+		msg.SharedCache = &wire.SharedCacheStatsMsg{
+			Hits:      st.Hits,
+			Waits:     st.Waits,
+			Leads:     st.Leads,
+			Entries:   st.Entries,
+			Bytes:     st.Bytes,
+			Evictions: st.Evictions,
+			InFlight:  st.InFlight,
 		}
 	}
 	if ps, ok := h.srv.(interface{ PlanStats() index.PlanStats }); ok {

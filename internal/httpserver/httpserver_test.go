@@ -9,30 +9,16 @@ import (
 
 	"hidb/internal/datagen"
 	"hidb/internal/dataspace"
-	"hidb/internal/hiddendb"
+	"hidb/internal/session"
 	"hidb/internal/wire"
 )
 
+// testHandler builds a handler over a fresh random dataset whose every
+// session, the anonymous one included, has the given query budget (0 is
+// unlimited).
 func testHandler(t *testing.T, n, k, quota int) (*Handler, *datagen.Dataset) {
 	t.Helper()
-	ds, err := datagen.Random(datagen.RandomSpec{
-		N:          n,
-		CatDomains: []int{4},
-		NumRanges:  [][2]int64{{0, 1000}},
-		DupRate:    0.05,
-	}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := hiddendb.NewLocal(ds.Schema, ds.Tuples, k, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var opts []Option
-	if quota > 0 {
-		opts = append(opts, WithQuota(quota))
-	}
-	return New(srv, opts...), ds
+	return sessionHandler(t, n, k, session.Config{Quota: quota})
 }
 
 func TestSchemaEndpoint(t *testing.T) {
@@ -161,21 +147,32 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
+// TestQuotaEnforced: the anonymous session's budget admits exactly quota
+// distinct queries; past it a new query gets 429, while a query already
+// paid for is still answered — a free journal replay.
 func TestQuotaEnforced(t *testing.T) {
 	h, ds := testHandler(t, 100, 10, 3)
 	ts := httptest.NewServer(h)
 	defer ts.Close()
-	u := wire.EncodeQuery(dataspace.UniverseQuery(ds.Schema))
+	qs := distinctBatch(ds.Schema, 4)
 	for i := 0; i < 3; i++ {
-		resp := postQuery(t, ts.URL, u)
+		resp := postQuery(t, ts.URL, wire.EncodeQuery(qs[i]))
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("in-budget query %d: %s", i, resp.Status)
 		}
 	}
-	resp := postQuery(t, ts.URL, u)
+	resp := postQuery(t, ts.URL, wire.EncodeQuery(qs[3]))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-budget query: %s, want 429", resp.Status)
+	}
+	resp = postQuery(t, ts.URL, wire.EncodeQuery(qs[0]))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("already-paid query after the budget ran out: %s, want a 200 replay", resp.Status)
+	}
+	if h.Queries() != 3 {
+		t.Fatalf("paid queries = %d, want the 3-query budget", h.Queries())
 	}
 }

@@ -14,7 +14,7 @@
 //	hidb_quota_rejected_total          429 responses
 //	hidb_shed_total{reason=...}        503s: capacity | draining | session_table_full
 //	hidb_batch_width_*                 histogram of /batch request widths
-//	hidb_sessions_live                 live sessions (session mode)
+//	hidb_sessions_live                 live sessions
 //	hidb_sessions_evicted_total        sessions evicted by TTL/LRU
 //	hidb_sessions_recovered_journals_total  journals reloaded via prefix recovery
 //	hidb_rate_class_sessions{class=...}     live sessions per rate class
@@ -88,31 +88,29 @@ func (h *Handler) handleMetrics(w http.ResponseWriter) {
 	m.sample("hidb_batch_width_sum", "", h.batchSum.Load())
 	m.sample("hidb_batch_width_count", "", h.batchCount.Load())
 
-	if h.table != nil {
-		m.gauge("hidb_sessions_live", "Live sessions in the table.", h.table.Len())
-		m.counter("hidb_sessions_evicted_total", "Sessions evicted by TTL expiry or LRU pressure.", h.table.Evicted())
-		m.counter("hidb_sessions_recovered_journals_total", "Session journals reloaded via longest-valid-prefix recovery.", h.table.RecoveredJournals())
-		if classes := h.table.ClassCounts(); len(classes) > 0 {
-			names := make([]string, 0, len(classes))
-			for name := range classes {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			m.meta("hidb_rate_class_sessions", "Live sessions per named rate class.", "gauge")
-			for _, name := range names {
-				m.sample("hidb_rate_class_sessions", fmt.Sprintf("{class=%q}", name), classes[name])
-			}
+	m.gauge("hidb_sessions_live", "Live sessions in the table.", h.table.Len())
+	m.counter("hidb_sessions_evicted_total", "Sessions evicted by TTL expiry or LRU pressure.", h.table.Evicted())
+	m.counter("hidb_sessions_recovered_journals_total", "Session journals reloaded via longest-valid-prefix recovery.", h.table.RecoveredJournals())
+	if classes := h.table.ClassCounts(); len(classes) > 0 {
+		names := make([]string, 0, len(classes))
+		for name := range classes {
+			names = append(names, name)
 		}
-		if sc := h.table.SharedCache(); sc != nil {
-			st := sc.Stats()
-			m.counter("hidb_shared_cache_hits_total", "Queries answered from a populated shared-tier entry.", st.Hits)
-			m.counter("hidb_shared_cache_waits_total", "Queries answered by waiting out another session's in-flight fetch.", st.Waits)
-			m.counter("hidb_shared_cache_leads_total", "Queries paid by one session and published for the fleet.", st.Leads)
-			m.gauge("hidb_shared_cache_entries", "Resident shared-tier entries.", st.Entries)
-			m.gauge("hidb_shared_cache_bytes", "Resident shared-tier bytes (0 when unbounded).", st.Bytes)
-			m.counter("hidb_shared_cache_evictions_total", "Shared-tier entries dropped by the byte bound.", st.Evictions)
-			m.gauge("hidb_shared_cache_inflight", "Queries being led right now.", st.InFlight)
+		sort.Strings(names)
+		m.meta("hidb_rate_class_sessions", "Live sessions per named rate class.", "gauge")
+		for _, name := range names {
+			m.sample("hidb_rate_class_sessions", fmt.Sprintf("{class=%q}", name), classes[name])
 		}
+	}
+	if sc := h.table.SharedCache(); sc != nil {
+		st := sc.Stats()
+		m.counter("hidb_shared_cache_hits_total", "Queries answered from a populated shared-tier entry.", st.Hits)
+		m.counter("hidb_shared_cache_waits_total", "Queries answered by waiting out another session's in-flight fetch.", st.Waits)
+		m.counter("hidb_shared_cache_leads_total", "Queries paid by one session and published for the fleet.", st.Leads)
+		m.gauge("hidb_shared_cache_entries", "Resident shared-tier entries.", st.Entries)
+		m.gauge("hidb_shared_cache_bytes", "Resident shared-tier bytes (0 when unbounded).", st.Bytes)
+		m.counter("hidb_shared_cache_evictions_total", "Shared-tier entries dropped by the byte bound.", st.Evictions)
+		m.gauge("hidb_shared_cache_inflight", "Queries being led right now.", st.InFlight)
 	}
 
 	if ps, ok := h.srv.(interface{ PlanStats() index.PlanStats }); ok {

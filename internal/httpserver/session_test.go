@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 
@@ -369,10 +368,12 @@ func (f *failingServer) AnswerBatch(ctx context.Context, qs []dataspace.Query) (
 	return out, nil
 }
 
-// TestBatchFailureDeliversPrefix is the answered-prefix regression test:
-// when the wrapped server dies mid-batch, the handler must deliver the
-// prefix the server already paid for — with the error signal — and count
-// exactly those queries, never refunding queries the inner server served.
+// TestBatchFailureDeliversPrefix is the answered-prefix regression test on
+// a default handler: when the wrapped server dies mid-batch, a tokenless
+// caller gets the prefix the server already paid for — with the error
+// signal — and the handler counts exactly those queries, never refunding
+// queries the inner server served. The anonymous session journals the
+// prefix, so the client's retry replays it before failing again.
 func TestBatchFailureDeliversPrefix(t *testing.T) {
 	ds, err := datagen.Random(datagen.RandomSpec{
 		N:          200,
@@ -388,7 +389,7 @@ func TestBatchFailureDeliversPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	inner := hiddendb.NewCounting(&failingServer{Server: local, failAt: 3})
-	h := New(inner, WithQuota(100))
+	h := New(inner)
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
@@ -412,7 +413,9 @@ func TestBatchFailureDeliversPrefix(t *testing.T) {
 		t.Fatalf("handler counted %d, wrapped server %d; want both 3", h.Queries(), inner.Queries())
 	}
 
-	// The same failure surfaces through the client as prefix + error.
+	// The same failure surfaces through the client as prefix + error: the
+	// anonymous session replays the paid prefix, and the backend fails on
+	// the first new query without another query being counted.
 	c, err := httpclient.Dial(context.Background(), ts.URL, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -421,15 +424,20 @@ func TestBatchFailureDeliversPrefix(t *testing.T) {
 	if err == nil || errors.Is(err, hiddendb.ErrQuotaExceeded) {
 		t.Fatalf("client error = %v, want a non-quota server failure", err)
 	}
-	if len(res) != 0 {
-		// This second batch replays nothing (no journal in legacy mode):
-		// the server fails on its first query, so the prefix is empty.
-		t.Fatalf("second batch delivered %d results, want 0", len(res))
+	if len(res) != 3 {
+		t.Fatalf("second batch delivered %d results, want the 3-query replayed prefix", len(res))
+	}
+	if h.Queries() != 3 {
+		t.Fatalf("handler counted %d after the replay, want still 3", h.Queries())
 	}
 }
 
-// TestBatchFailurePrefixThroughSession: the same contract holds through a
-// per-token session stack.
+// TestBatchFailurePrefixThroughSession is the answered-prefix regression
+// test: when the wrapped server dies mid-batch, the handler must deliver
+// the prefix the server already paid for — with the error signal, not the
+// quota flag — and count exactly those queries, never more or fewer than
+// the wrapped server served. The session journals the prefix, so it
+// replays for free while the backend is still down.
 func TestBatchFailurePrefixThroughSession(t *testing.T) {
 	ds, err := datagen.Random(datagen.RandomSpec{
 		N:          200,
@@ -444,15 +452,37 @@ func TestBatchFailurePrefixThroughSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := New(&failingServer{Server: local, failAt: 3}, WithSessions(session.Config{Quota: 100}))
+	inner := hiddendb.NewCounting(&failingServer{Server: local, failAt: 3})
+	h := New(inner, WithSessions(session.Config{Quota: 100}))
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
+	qs := distinctBatch(ds.Schema, 5)
+	resp := postBatchToken(t, ts.URL, "alice", wire.EncodeBatchRequest(qs))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("mid-batch failure: %s, want 200 with the paid prefix", resp.Status)
+	}
+	msg := decodeBatch(t, resp)
+	if len(msg.Results) != 3 {
+		t.Fatalf("delivered %d results, want the 3-query paid prefix", len(msg.Results))
+	}
+	if msg.Error == "" {
+		t.Error("mid-batch failure not signalled in the response")
+	}
+	if msg.QuotaExceeded {
+		t.Error("non-quota failure flagged quotaExceeded")
+	}
+	// The handler's counter agrees with the wrapped server's own count.
+	if h.Queries() != inner.Queries() || h.Queries() != 3 {
+		t.Fatalf("handler counted %d, wrapped server %d; want both 3", h.Queries(), inner.Queries())
+	}
+
+	// The same failure surfaces through the client as prefix + error: the
+	// journaled prefix replays, and the backend fails on the first new query.
 	c, err := httpclient.DialToken(context.Background(), ts.URL, "alice", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs := distinctBatch(ds.Schema, 5)
 	res, err := c.AnswerBatch(context.Background(), qs)
 	if err == nil || errors.Is(err, hiddendb.ErrQuotaExceeded) {
 		t.Fatalf("err = %v, want a non-quota server failure", err)
@@ -474,25 +504,25 @@ func TestBatchFailurePrefixThroughSession(t *testing.T) {
 	}
 }
 
-// TestLegacyCrawlSharesGlobalQuota: in sessionless mode, /crawl debits the
-// same global counter as /query and /batch — two concurrent crawls can
-// never overrun -quota between them.
-func TestLegacyCrawlSharesGlobalQuota(t *testing.T) {
+// TestAnonymousCrawlsShareQuota: tokenless callers share the anonymous
+// session, so two concurrent /crawl streams debit one budget and can never
+// overrun it between them; a later crawl replays the paid queries and dies
+// on the same spent budget.
+func TestAnonymousCrawlsShareQuota(t *testing.T) {
 	const quota = 5
 	h, _ := testHandler(t, 400, 10, quota)
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
+	c, err := httpclient.Dial(context.Background(), ts.URL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := httpclient.Dial(context.Background(), ts.URL, nil)
-			if err != nil {
-				t.Error(err)
-				return
-			}
 			// The dataset needs far more than 5 queries: both crawls must
 			// die on the shared budget.
 			if _, err := c.Crawl(context.Background(), "", 0, nil); !errors.Is(err, hiddendb.ErrQuotaExceeded) {
@@ -504,26 +534,63 @@ func TestLegacyCrawlSharesGlobalQuota(t *testing.T) {
 	if h.Queries() != quota {
 		t.Fatalf("concurrent crawls served %d queries total, want exactly the %d-query quota", h.Queries(), quota)
 	}
-	// The budget is spent for every endpoint.
-	resp, err := http.Post(ts.URL+"/crawl", "application/json", strings.NewReader("{}"))
-	if err != nil {
-		t.Fatal(err)
+	// A spent budget does not refuse the stream: it replays the paid
+	// queries and reports the quota on the done line.
+	res, err := c.Crawl(context.Background(), "", 0, nil)
+	if !errors.Is(err, hiddendb.ErrQuotaExceeded) {
+		t.Fatalf("post-budget crawl err = %v, want quota", err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("post-budget crawl: %s, want 429", resp.Status)
+	if res == nil {
+		t.Fatal("post-budget crawl returned no result: the stream did not open")
+	}
+	if res.Queries != quota {
+		t.Fatalf("post-budget crawl: %d paid, want %d", res.Queries, quota)
+	}
+	if n := h.Sessions().Len(); n != 1 {
+		t.Fatalf("%d sessions, want only the anonymous one", n)
 	}
 }
 
-// TestQuotaSpansEndpoints pins WithQuota's contract: the budget is counted
-// in queries across /query and /batch alike, so batching cannot stretch
-// it.
+// TestDefaultHandlerHonoursTokens: a handler built without WithSessions
+// still keys every request by its token, so two clients pay separately.
+func TestDefaultHandlerHonoursTokens(t *testing.T) {
+	base, ds := testHandler(t, 200, 10, 0)
+	h := New(base.srv)
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+
+	qs := distinctBatch(ds.Schema, 3)
+	for tok, n := range map[string]int{"alice": 3, "bob": 1} {
+		c, err := httpclient.DialToken(context.Background(), ts.URL, tok, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.AnswerBatch(context.Background(), qs[:n]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for tok, want := range map[string]int{"alice": 3, "bob": 1} {
+		sess, err := h.Sessions().Get(tok)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sess.Queries() != want {
+			t.Errorf("%s paid %d queries, want %d", tok, sess.Queries(), want)
+		}
+	}
+	if h.Queries() != 4 || h.Sessions().Len() != 2 {
+		t.Fatalf("%d queries over %d sessions, want 4 over 2", h.Queries(), h.Sessions().Len())
+	}
+}
+
+// TestQuotaSpansEndpoints: a session's budget is counted in queries across
+// /query and /batch alike, so batching cannot stretch it.
 func TestQuotaSpansEndpoints(t *testing.T) {
 	h, ds := testHandler(t, 200, 10, 5)
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
-	qs := distinctBatch(ds.Schema, 4)
+	qs := distinctBatch(ds.Schema, 7)
 	// Two singles spend 2 of 5...
 	for i := 0; i < 2; i++ {
 		resp := postQuery(t, ts.URL, wire.EncodeQuery(qs[i]))
@@ -532,21 +599,21 @@ func TestQuotaSpansEndpoints(t *testing.T) {
 			t.Fatalf("single %d: %s", i, resp.Status)
 		}
 	}
-	// ...so a 4-query batch only affords 3.
-	msg := decodeBatch(t, postBatch(t, ts.URL, wire.EncodeBatchRequest(qs)))
+	// ...so a batch of 4 new queries only affords 3.
+	msg := decodeBatch(t, postBatch(t, ts.URL, wire.EncodeBatchRequest(qs[2:6])))
 	if !msg.QuotaExceeded || len(msg.Results) != 3 {
 		t.Fatalf("batch after singles: %d results, flag=%v; want 3 + flag", len(msg.Results), msg.QuotaExceeded)
 	}
 	if h.Queries() != 5 {
 		t.Fatalf("counted %d queries across endpoints, want 5", h.Queries())
 	}
-	// Both endpoints now refuse.
-	resp := postQuery(t, ts.URL, wire.EncodeQuery(qs[0]))
+	// Both endpoints now refuse a new query.
+	resp := postQuery(t, ts.URL, wire.EncodeQuery(qs[6]))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("post-budget single: %s, want 429", resp.Status)
 	}
-	resp = postBatch(t, ts.URL, wire.EncodeBatchRequest(qs[:1]))
+	resp = postBatch(t, ts.URL, wire.EncodeBatchRequest(qs[6:]))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("post-budget batch: %s, want 429", resp.Status)

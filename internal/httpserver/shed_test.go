@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -94,7 +96,8 @@ func TestShedAtCapacity(t *testing.T) {
 	if code := <-first; code != http.StatusOK {
 		t.Fatalf("in-flight request finished with %d", code)
 	}
-	resp = postQuery(t, ts.URL, u)
+	// A new query: repeating u would be a free journal replay.
+	resp = postQuery(t, ts.URL, wire.EncodeQuery(dataspace.UniverseQuery(ds.Schema).WithValue(0, 1)))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-overload query: %s", resp.Status)
@@ -188,6 +191,11 @@ func TestSessionTableFullRejectsNewTokens(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("new token on full table: got %s, want 503", resp.Status)
 	}
+	resp = postBatchToken(t, ts.URL, "carol", wire.BatchRequest{Queries: []wire.QueryMsg{u, u}})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("new token's batch on full table: got %s, want 503", resp.Status)
+	}
 	resp = postQueryToken(t, ts.URL, "alice", u)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -196,8 +204,22 @@ func TestSessionTableFullRejectsNewTokens(t *testing.T) {
 	if n := shedding.Sessions().Len(); n != 2 {
 		t.Errorf("session table has %d entries, want 2", n)
 	}
+	// A shed request was never served: only alice, bob and alice count as
+	// round trips, and carol's batch never reaches the width histogram.
+	if n := shedding.Requests(); n != 3 {
+		t.Errorf("Requests() = %d after 3 served and 2 shed requests, want 3", n)
+	}
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exposition, _ := io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	if !strings.Contains(string(exposition), "\nhidb_batch_width_count 0\n") {
+		t.Errorf("shed batch reached the width histogram:\n%s", exposition)
+	}
 
-	// Legacy behaviour without WithShedding: the table evicts LRU instead.
+	// Without WithShedding the table evicts LRU instead.
 	evicting := New(srv, WithSessions(session.Config{MaxSessions: 2}))
 	ts2 := httptest.NewServer(evicting)
 	defer ts2.Close()

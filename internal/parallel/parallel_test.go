@@ -205,6 +205,8 @@ func TestParallelQueryFilter(t *testing.T) {
 // TestBatchedCrawlReducesRoundTrips is the acceptance property of the
 // batched stack: a parallel crawl over HTTP issues the same number of
 // queries as a sequential crawl but packs them into ~B× fewer round trips.
+// It runs over a bare loopback and again with a 1 ms round trip behind
+// the handler, as a remote site would charge.
 func TestBatchedCrawlReducesRoundTrips(t *testing.T) {
 	ds := dataset(t, specs()["mixed"], 77)
 	k := 32
@@ -216,32 +218,43 @@ func TestBatchedCrawlReducesRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	handler := httpserver.New(server(t, ds, k))
-	ts := httptest.NewServer(handler)
-	defer ts.Close()
-	client, err := httpclient.Dial(context.Background(), ts.URL, nil)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name    string
+		latency time.Duration
+	}{{"loopback", 0}, {"latency-1ms", time.Millisecond}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var srv hiddendb.Server = server(t, ds, k)
+			if tc.latency > 0 {
+				srv = hiddendb.NewLatency(srv, tc.latency)
+			}
+			handler := httpserver.New(srv)
+			ts := httptest.NewServer(handler)
+			defer ts.Close()
+			client, err := httpclient.Dial(context.Background(), ts.URL, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := (Crawler{Workers: 16}).Crawl(context.Background(), client, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Tuples.EqualMultiset(ds.Tuples) {
+				t.Fatal("batched remote crawl incomplete")
+			}
+			if res.Queries != seq.Queries {
+				t.Fatalf("batched crawl cost %d != sequential %d — batching changed the metric", res.Queries, seq.Queries)
+			}
+			if got := handler.Queries(); got != res.Queries {
+				t.Fatalf("server answered %d queries, crawler counted %d", got, res.Queries)
+			}
+			requests := handler.Requests()
+			if requests >= res.Queries/2 {
+				t.Fatalf("%d queries took %d round trips — batching is not batching", res.Queries, requests)
+			}
+			t.Logf("%d queries in %d round trips (%.1f queries/request)",
+				res.Queries, requests, float64(res.Queries)/float64(requests))
+		})
 	}
-	res, err := (Crawler{Workers: 16}).Crawl(context.Background(), client, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Tuples.EqualMultiset(ds.Tuples) {
-		t.Fatal("batched remote crawl incomplete")
-	}
-	if res.Queries != seq.Queries {
-		t.Fatalf("batched crawl cost %d != sequential %d — batching changed the metric", res.Queries, seq.Queries)
-	}
-	if got := handler.Queries(); got != res.Queries {
-		t.Fatalf("server answered %d queries, crawler counted %d", got, res.Queries)
-	}
-	requests := handler.Requests()
-	if requests >= res.Queries/2 {
-		t.Fatalf("%d queries took %d round trips — batching is not batching", res.Queries, requests)
-	}
-	t.Logf("%d queries in %d round trips (%.1f queries/request)",
-		res.Queries, requests, float64(res.Queries)/float64(requests))
 }
 
 // TestBatchSizeDoesNotChangeCost sweeps Options.BatchSize: the query count

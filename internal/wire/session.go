@@ -122,7 +122,7 @@ type StatsMsg struct {
 	Queries int `json:"queries"`
 	// Requests is the number of query-carrying HTTP round trips served.
 	Requests int `json:"requests"`
-	// Sessions lists the live per-token sessions (session mode only).
+	// Sessions lists the live per-token sessions.
 	Sessions []SessionStatsMsg `json:"sessions,omitempty"`
 	// EvictedSessions counts sessions already evicted by TTL or LRU
 	// pressure; their queries remain in the aggregate.
