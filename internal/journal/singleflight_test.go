@@ -2,6 +2,8 @@ package journal
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -124,5 +126,122 @@ func TestSingleFlightWaiterHonoursContext(t *testing.T) {
 	}
 	if got := inner.calls.Load(); got != 1 {
 		t.Fatalf("inner server charged %d times, want 1", got)
+	}
+}
+
+// ask is one concurrent request on a journal server.
+type ask func(ctx context.Context, s *Server) error
+
+func answerAsk(q dataspace.Query) ask {
+	return func(ctx context.Context, s *Server) error {
+		_, err := s.Answer(ctx, q)
+		return err
+	}
+}
+
+func batchAsk(qs ...dataspace.Query) ask {
+	return func(ctx context.Context, s *Server) error {
+		res, err := s.AnswerBatch(ctx, qs)
+		if err == nil && len(res) != len(qs) {
+			return fmt.Errorf("batch answered %d of %d", len(res), len(qs))
+		}
+		return err
+	}
+}
+
+// TestAnswerBatchSingleFlight: a journal miss reaches the inner server once
+// however its concurrent asks split between Answer and AnswerBatch — the
+// later ask waits for the earlier one and replays its answer. Crossing
+// batches must not deadlock, and a leader cancelled while a follower waits
+// hands the query over: the follower pays for it once, the cancelled
+// attempt is never counted as paid.
+func TestAnswerBatchSingleFlight(t *testing.T) {
+	schema := dataspace.MustSchema([]dataspace.Attribute{
+		{Name: "C", Kind: dataspace.Categorical, DomainSize: 3},
+	})
+	u := dataspace.UniverseQuery(schema)
+	x, y := u.WithValue(0, 1), u.WithValue(0, 2)
+
+	cases := []struct {
+		name          string
+		first, second ask
+		// cancelFirst cancels the first ask's ctx while the second waits
+		// on it.
+		cancelFirst bool
+		// rounds > 0 starts both asks together with the inner server
+		// ungated, that many times, so the claims interleave freely —
+		// including the true crossing, where each batch leads one query
+		// and follows the other.
+		rounds int
+		// paid is the answers the inner server returned (and the journal
+		// recorded), calls every query that reached it, replays the
+		// waiters' answers.
+		paid, calls, replays int
+	}{
+		{name: "batch∥batch", first: batchAsk(x), second: batchAsk(x), paid: 1, calls: 1, replays: 1},
+		{name: "Answer∥batch", first: answerAsk(x), second: batchAsk(x), paid: 1, calls: 1, replays: 1},
+		{name: "batch∥Answer", first: batchAsk(x), second: answerAsk(x), paid: 1, calls: 1, replays: 1},
+		{name: "crossing", first: batchAsk(x, y), second: batchAsk(y, x), paid: 2, calls: 2, replays: 2},
+		{name: "crossing-race", first: batchAsk(x, y), second: batchAsk(y, x), rounds: 200, paid: 2, calls: 2, replays: 2},
+		{name: "leader-cancelled", first: batchAsk(x), second: batchAsk(x), cancelFirst: true, paid: 1, calls: 2, replays: 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rounds := max(tc.rounds, 1)
+			for r := 0; r < rounds; r++ {
+				inner := &blockingInner{schema: schema, gate: make(chan struct{}), arrived: make(chan struct{}, 4)}
+				counting := hiddendb.NewCounting(inner)
+				j := New(schema, 4)
+				srv, err := Wrap(counting, j)
+				if err != nil {
+					t.Fatal(err)
+				}
+				firstCtx, cancel := context.WithCancel(context.Background())
+				firstErr, secondErr := make(chan error, 1), make(chan error, 1)
+				pending := []chan error{firstErr, secondErr}
+				if tc.rounds > 0 {
+					close(inner.gate)
+				}
+				go func() { firstErr <- tc.first(firstCtx, srv) }()
+				if tc.rounds == 0 {
+					<-inner.arrived // the first ask leads and parks in the inner server
+				}
+				go func() { secondErr <- tc.second(context.Background(), srv) }()
+				if tc.rounds == 0 {
+					time.Sleep(10 * time.Millisecond) // let the second ask reach the miss
+					if tc.cancelFirst {
+						cancel()
+						if err := <-firstErr; !errors.Is(err, context.Canceled) {
+							t.Fatalf("cancelled leader returned %v, want context.Canceled", err)
+						}
+						pending = pending[1:]
+					}
+					close(inner.gate)
+				}
+				for _, ch := range pending {
+					select {
+					case err := <-ch:
+						if err != nil {
+							t.Fatalf("round %d: %v", r, err)
+						}
+					case <-time.After(5 * time.Second):
+						t.Fatalf("round %d: asks deadlocked", r)
+					}
+				}
+				if got := counting.Queries(); got != tc.paid {
+					t.Fatalf("round %d: inner server charged %d answers, want %d", r, got, tc.paid)
+				}
+				if got := int(inner.calls.Load()); got != tc.calls {
+					t.Fatalf("round %d: %d queries reached the inner server, want %d", r, got, tc.calls)
+				}
+				if j.Len() != tc.paid {
+					t.Fatalf("round %d: journal recorded %d, want %d", r, j.Len(), tc.paid)
+				}
+				if srv.Replays() != tc.replays {
+					t.Fatalf("round %d: replays = %d, want %d", r, srv.Replays(), tc.replays)
+				}
+				cancel()
+			}
+		})
 	}
 }
