@@ -26,6 +26,7 @@ import (
 
 	"hidb/internal/dataspace"
 	"hidb/internal/hiddendb"
+	"hidb/internal/journal"
 )
 
 // ErrUnsolvable is returned when a point query overflows: some point of the
@@ -145,7 +146,7 @@ type Crawler interface {
 }
 
 // session carries the shared machinery of one crawl: the crawl's context,
-// the counting (and possibly caching) view of the server, the output bag,
+// the counting (and possibly memoized) view of the server, the output bag,
 // and progress bookkeeping.
 type session struct {
 	ctx      context.Context
@@ -170,16 +171,16 @@ func (s *session) splitThreshold() int {
 	return s.splitDenom
 }
 
-// newSession wraps srv in a counter and, when cached is true, a memo table
-// on top of the counter so repeated queries are free.
+// newSession wraps srv in a counter and, when cached is true, a journal on
+// top of the counter so repeated queries are free.
 func newSession(ctx context.Context, srv hiddendb.Server, opts *Options, cached bool) *session {
 	if opts == nil {
 		opts = &Options{}
 	}
 	counting := hiddendb.NewCounting(srv)
 	var view hiddendb.Server = counting
-	if cached {
-		view = hiddendb.NewCaching(counting)
+	if cached { // a journal built from srv's own schema and k always wraps it
+		view, _ = journal.Wrap(counting, journal.New(srv.Schema(), srv.K()))
 	}
 	return &session{
 		ctx:      ctx,
@@ -196,8 +197,8 @@ var emptyResult = hiddendb.Result{}
 
 // issue sends q to the server (or suppresses it per the dependency
 // heuristic) and records progress. The ctx is consulted first, so a
-// cancelled crawl stops promptly even through a streak of free cache hits
-// or suppressed queries.
+// cancelled crawl stops promptly even through a streak of free journal
+// replays or suppressed queries.
 func (s *session) issue(q dataspace.Query) (hiddendb.Result, error) {
 	if err := s.ctx.Err(); err != nil {
 		return emptyResult, err
@@ -211,7 +212,7 @@ func (s *session) issue(q dataspace.Query) (hiddendb.Result, error) {
 	if err != nil {
 		return res, err
 	}
-	if s.counting.Queries() != before { // not a cache hit
+	if s.counting.Queries() != before { // not a replay
 		s.progress()
 	}
 	return res, nil

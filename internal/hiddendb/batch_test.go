@@ -3,7 +3,6 @@ package hiddendb
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
@@ -71,7 +70,7 @@ func TestAnswerBatchMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return NewQuota(NewCaching(NewCounting(srv)), 1<<20)
+			return NewQuota(NewCounting(srv), 1<<20)
 		},
 	}
 	for name, mk := range build {
@@ -200,77 +199,6 @@ func TestCountingBatch(t *testing.T) {
 	}
 }
 
-// TestCachingBatchDedupes: within one batch, repeats of a query are hits
-// and only distinct queries reach the inner server — exactly the sequential
-// accounting.
-func TestCachingBatchDedupes(t *testing.T) {
-	sch := testSchema(t)
-	srv, _ := NewLocal(sch, testBag(500, 31), 20, 7)
-	counting := NewCounting(srv)
-	caching := NewCaching(counting)
-
-	u := dataspace.UniverseQuery(sch)
-	a := u.WithValue(0, 1)
-	b := u.WithValue(0, 2)
-	qs := []dataspace.Query{a, b, a, a, b, u}
-
-	res, err := caching.AnswerBatch(context.Background(), qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != len(qs) {
-		t.Fatalf("answered %d of %d", len(res), len(qs))
-	}
-	if counting.Queries() != 3 {
-		t.Fatalf("inner saw %d queries, want 3 distinct", counting.Queries())
-	}
-	if caching.Misses() != 3 || caching.Hits() != 3 {
-		t.Fatalf("hits/misses = %d/%d, want 3/3", caching.Hits(), caching.Misses())
-	}
-	if !sameResult(res[0], res[2]) || !sameResult(res[0], res[3]) || !sameResult(res[1], res[4]) {
-		t.Fatal("repeated queries answered differently within one batch")
-	}
-	// A second batch of the same queries is all hits.
-	if _, err := caching.AnswerBatch(context.Background(), qs); err != nil {
-		t.Fatal(err)
-	}
-	if counting.Queries() != 3 {
-		t.Fatalf("second batch reached the server: %d queries", counting.Queries())
-	}
-}
-
-// TestCachingBatchErrorAccounting: a batch cut short by an inner error
-// accounts exactly like sequential issuing — a cached query positioned
-// after the failure is never "answered" and must not count as a hit.
-func TestCachingBatchErrorAccounting(t *testing.T) {
-	sch := testSchema(t)
-	srv, _ := NewLocal(sch, testBag(300, 39), 10, 5)
-	quota := NewQuota(srv, 1)
-	caching := NewCaching(quota)
-
-	u := dataspace.UniverseQuery(sch)
-	cached := u.WithValue(0, 1)
-	fresh := u.WithValue(0, 2)
-	if _, err := caching.Answer(context.Background(), cached); err != nil { // spends the whole budget
-		t.Fatal(err)
-	}
-	if caching.Hits() != 0 || caching.Misses() != 1 {
-		t.Fatalf("setup hits/misses = %d/%d", caching.Hits(), caching.Misses())
-	}
-	res, err := caching.AnswerBatch(context.Background(), []dataspace.Query{fresh, cached})
-	if !errors.Is(err, ErrQuotaExceeded) {
-		t.Fatalf("err = %v, want ErrQuotaExceeded", err)
-	}
-	if len(res) != 0 {
-		t.Fatalf("answered %d queries on a spent budget, want 0", len(res))
-	}
-	// Sequentially, Answer(fresh) fails first and cached is never reached:
-	// the counters must not move.
-	if caching.Hits() != 0 || caching.Misses() != 1 {
-		t.Fatalf("failed batch moved counters: hits/misses = %d/%d, want 0/1", caching.Hits(), caching.Misses())
-	}
-}
-
 // TestLatencyBatchIsOneRoundTrip: B batched queries pay the delay once.
 func TestLatencyBatchIsOneRoundTrip(t *testing.T) {
 	sch := testSchema(t)
@@ -284,66 +212,5 @@ func TestLatencyBatchIsOneRoundTrip(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*delay {
 		t.Fatalf("10-query batch took %v — paying per-query latency, not per-round-trip", elapsed)
-	}
-}
-
-// TestCountingCachingConcurrent hammers the measurement wrappers from many
-// goroutines mixing Answer and AnswerBatch; under -race this is the
-// concurrency-safety proof, and the totals must still reconcile.
-func TestCountingCachingConcurrent(t *testing.T) {
-	sch := testSchema(t)
-	srv, _ := NewLocalSharded(sch, testBag(1000, 37), 20, 11, 4)
-	counting := NewCounting(srv)
-	caching := NewCaching(counting)
-
-	const goroutines = 8
-	var wg sync.WaitGroup
-	var issued sync.Map // key -> true, the distinct queries sent
-	total := make([]int, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			qs := batchQueries(sch, 120, 40+uint64(g)%4) // overlapping streams
-			for _, q := range qs {
-				issued.Store(q.Key(), true)
-			}
-			for i := 0; i < len(qs); i += 6 {
-				if i%2 == 0 {
-					if _, err := caching.AnswerBatch(context.Background(), qs[i:i+6]); err != nil {
-						t.Errorf("goroutine %d: %v", g, err)
-						return
-					}
-				} else {
-					for _, q := range qs[i : i+6] {
-						if _, err := caching.Answer(context.Background(), q); err != nil {
-							t.Errorf("goroutine %d: %v", g, err)
-							return
-						}
-					}
-				}
-				total[g] += 6
-			}
-		}(g)
-	}
-	wg.Wait()
-
-	sum := 0
-	for _, n := range total {
-		sum += n
-	}
-	if got := caching.Hits() + caching.Misses(); got != sum {
-		t.Fatalf("hits+misses = %d, want %d issued", got, sum)
-	}
-	distinct := 0
-	issued.Range(func(_, _ any) bool { distinct++; return true })
-	// Without singleflight a distinct query may reach the server more than
-	// once under concurrency, but never fewer times than once, and the
-	// counter must agree with the cache's miss count.
-	if counting.Queries() != caching.Misses() {
-		t.Fatalf("inner queries %d != misses %d", counting.Queries(), caching.Misses())
-	}
-	if counting.Queries() < distinct {
-		t.Fatalf("inner saw %d queries for %d distinct", counting.Queries(), distinct)
 	}
 }

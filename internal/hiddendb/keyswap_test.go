@@ -1,8 +1,8 @@
 package hiddendb_test
 
-// Caching switched its memo key from the string Query.Key to the binary
-// Query.AppendKey encoding. The test here pins the behavioural contract of
-// that swap from the algorithms' point of view: lazy-slice-cover's query
+// The crawlers' memo keys queries by the binary Query.AppendKey encoding,
+// not the string Query.Key. The test here pins the behavioural contract of
+// that key from the algorithms' point of view: lazy-slice-cover's query
 // count — the paper's cost metric — must be exactly what the canonical
 // string key would produce. If the binary key were coarser (two different
 // queries colliding), the crawl would receive a wrong cached answer and

@@ -34,11 +34,12 @@
 // always agree after an abort.
 //
 // The package also provides the measurement wrappers the crawling algorithms
-// and the experiment harness are built on: a query counter, a memoizing
-// cache (the "lazy" in lazy-slice-cover), a quota enforcer that models
-// the per-IP query budgets real sites impose, and a token-bucket rate
-// limiter modelling their per-client throttling. All wrappers are safe for
-// concurrent use when their inner server is, and propagate batches natively.
+// and the experiment harness are built on: a query counter, a quota
+// enforcer that models the per-IP query budgets real sites impose, and a
+// token-bucket rate limiter modelling their per-client throttling. All
+// wrappers are safe for concurrent use when their inner server is, and
+// propagate batches natively. The memo the crawling algorithms run behind
+// (the "lazy" in lazy-slice-cover) is the journal package's Server.
 package hiddendb
 
 import (
@@ -51,7 +52,6 @@ import (
 
 	"hidb/internal/dataspace"
 	"hidb/internal/index"
-	"hidb/internal/memo"
 	"hidb/internal/simrand"
 )
 
@@ -315,148 +315,6 @@ func (c *Counting) Reset() {
 	c.resolved.Store(0)
 	c.overflow.Store(0)
 }
-
-// Caching wraps a Server and memoizes responses by canonical query key.
-// A repeated query is answered from the cache and does not count against the
-// inner server. Lazy-slice-cover and hybrid rely on this to consult a slice
-// query many times while paying for it once.
-//
-// The memo key is the compact binary encoding of Query.AppendKey, probed
-// through memo.Cache.Probe: a cache hit performs no allocation at all, and
-// a miss pays one key-string allocation. The table is the memo package's
-// sharded cache and the hit/miss counters are atomics, so Caching is safe
-// for concurrent use — many workers (or one batched dispatcher) can share a
-// memo without serializing on a single lock. Caching is for stacks without
-// a journal (the algorithms' own sessions); a journal is itself a memo on
-// the same core, so a session stack needs no Caching beneath it.
-type Caching struct {
-	inner  Server
-	cache  *memo.Cache[Result]
-	hits   atomic.Int64
-	misses atomic.Int64
-}
-
-// NewCaching wraps srv with an empty memo table.
-func NewCaching(srv Server) *Caching {
-	return &Caching{inner: srv, cache: memo.New[Result](0, nil)}
-}
-
-// Answer implements Server with memoization.
-func (c *Caching) Answer(ctx context.Context, q dataspace.Query) (Result, error) {
-	res, key, ok := c.cache.Probe(q.AppendKey)
-	if ok {
-		c.hits.Add(1)
-		return res, nil
-	}
-	res, err := c.inner.Answer(ctx, q)
-	if err == nil {
-		c.misses.Add(1)
-		c.cache.Set(key, res)
-	}
-	return res, err
-}
-
-// AnswerBatch implements Server with memoization and the sequential
-// contract: cached queries are answered for free, the remaining misses are
-// forwarded to the inner server as one (deduplicated) batch, and a query
-// repeated within the batch counts as a hit — exactly as if the batch had
-// been issued query by query.
-func (c *Caching) AnswerBatch(ctx context.Context, qs []dataspace.Query) ([]Result, error) {
-	out, hits, err := MemoBatch(qs,
-		func(q dataspace.Query) (Result, string, bool) { return c.cache.Probe(q.AppendKey) },
-		func(miss []dataspace.Query) ([]Result, error) { return c.inner.AnswerBatch(ctx, miss) },
-		func(key string, _ dataspace.Query, res Result) {
-			c.misses.Add(1)
-			c.cache.Set(key, res)
-		})
-	c.hits.Add(int64(hits))
-	return out, err
-}
-
-// MemoBatch answers a batch through a memo table with the sequential
-// contract, and is the shared engine of Caching.AnswerBatch and the
-// journal wrapper's. Queries found by lookup are free; on a miss lookup
-// returns the query's memo key (memo.Cache.Probe's contract), which
-// dedupes the batch and is handed back to record. The remaining distinct
-// queries are forwarded in order as one batch (an in-batch repeat rides on
-// its first occurrence, since a sequential caller would find it memoized
-// by then); each answered miss is handed to record before results are
-// assembled. When forward fails, the answered prefix ends at the first
-// unanswered query, exactly as if the batch had been issued one by one —
-// in particular the returned hit count covers only that prefix, so memo
-// accounting never counts queries a sequential caller would not have
-// reached.
-func MemoBatch(
-	qs []dataspace.Query,
-	lookup func(dataspace.Query) (Result, string, bool),
-	forward func([]dataspace.Query) ([]Result, error),
-	record func(key string, q dataspace.Query, res Result),
-) (results []Result, hits int, err error) {
-	out := make([]Result, len(qs))
-	// missOf[i] indexes qs[i]'s entry in the forwarded batch, -1 for a
-	// memo hit; missPos[j] is the position of miss j's first occurrence.
-	missOf := make([]int, len(qs))
-	var missPos []int
-	var missQs []dataspace.Query
-	var missKeys []string
-	seen := make(map[string]int)
-	for i, q := range qs {
-		res, key, ok := lookup(q)
-		if ok {
-			out[i] = res
-			missOf[i] = -1
-			continue
-		}
-		if j, ok := seen[key]; ok {
-			missOf[i] = j
-			continue
-		}
-		seen[key] = len(missQs)
-		missOf[i] = len(missQs)
-		missPos = append(missPos, i)
-		missQs = append(missQs, q)
-		missKeys = append(missKeys, key)
-	}
-	var missRes []Result
-	if len(missQs) > 0 {
-		missRes, err = forward(missQs)
-		for j, res := range missRes {
-			record(missKeys[j], missQs[j], res)
-		}
-	}
-	for i := range qs {
-		j := missOf[i]
-		if j >= 0 && j >= len(missRes) {
-			// First unanswered miss (or a repeat of one): the sequential
-			// prefix ends here; later queries were never issued, so their
-			// hits are not counted.
-			return out[:i], hits, err
-		}
-		if j >= 0 {
-			out[i] = missRes[j]
-			if missPos[j] != i {
-				hits++ // in-batch repeat of an answered miss
-			}
-		} else {
-			hits++ // memo hit
-		}
-	}
-	return out, hits, err
-}
-
-// K implements Server.
-func (c *Caching) K() int { return c.inner.K() }
-
-// Schema implements Server.
-func (c *Caching) Schema() *dataspace.Schema { return c.inner.Schema() }
-
-// Hits returns how many queries were served from the cache.
-func (c *Caching) Hits() int { return int(c.hits.Load()) }
-
-// Misses returns how many queries fell through to the inner server (and
-// were then memoized). Hits() + Misses() is the number of successfully
-// answered queries.
-func (c *Caching) Misses() int { return int(c.misses.Load()) }
 
 // Quota wraps a Server and fails with ErrQuotaExceeded after budget
 // queries, modelling per-IP limits of real sites ("most systems have a

@@ -164,77 +164,6 @@ func TestCounting(t *testing.T) {
 	}
 }
 
-func TestCachingDedupes(t *testing.T) {
-	sch := testSchema(t)
-	srv, _ := NewLocal(sch, testBag(500, 7), 20, 8)
-	counting := NewCounting(srv)
-	caching := NewCaching(counting)
-	u := dataspace.UniverseQuery(sch)
-
-	r1, _ := caching.Answer(context.Background(), u)
-	r2, _ := caching.Answer(context.Background(), u)
-	r3, _ := caching.Answer(context.Background(), u)
-	if counting.Queries() != 1 {
-		t.Fatalf("inner saw %d queries, want 1", counting.Queries())
-	}
-	if caching.Hits() != 2 {
-		t.Fatalf("Hits = %d, want 2", caching.Hits())
-	}
-	if len(r1.Tuples) != len(r2.Tuples) || len(r2.Tuples) != len(r3.Tuples) {
-		t.Fatal("cache returned different responses")
-	}
-
-	// Semantically equal but separately built queries share the cache key.
-	q1 := u.WithValue(0, 3)
-	q2 := dataspace.UniverseQuery(sch).WithValue(0, 3)
-	caching.Answer(context.Background(), q1)
-	caching.Answer(context.Background(), q2)
-	if counting.Queries() != 2 {
-		t.Fatalf("equal queries not deduped: inner saw %d", counting.Queries())
-	}
-	if caching.K() != 20 || caching.Schema() != sch {
-		t.Fatal("Caching does not forward K/Schema")
-	}
-}
-
-func TestCachingHitMissAccounting(t *testing.T) {
-	sch := testSchema(t)
-	srv, _ := NewLocal(sch, testBag(500, 7), 20, 8)
-	counting := NewCounting(srv)
-	caching := NewCaching(counting)
-	rng := simrand.New(13)
-
-	// Issue a randomized stream with many repeats; the memo key is the
-	// binary AppendKey encoding, so distinct queries must miss exactly once
-	// and repeats must always hit.
-	issued := 0
-	distinct := map[string]bool{}
-	for i := 0; i < 400; i++ {
-		q := dataspace.UniverseQuery(sch)
-		if rng.Bool(0.7) {
-			q = q.WithValue(0, rng.IntRange(1, 4))
-		}
-		if rng.Bool(0.7) {
-			lo := rng.IntRange(0, 90)
-			q = q.WithRange(1, lo, lo+rng.IntRange(0, 4))
-		}
-		if _, err := caching.Answer(context.Background(), q); err != nil {
-			t.Fatal(err)
-		}
-		issued++
-		distinct[q.Key()] = true
-	}
-	if caching.Hits()+caching.Misses() != issued {
-		t.Fatalf("Hits(%d) + Misses(%d) != %d issued", caching.Hits(), caching.Misses(), issued)
-	}
-	if caching.Misses() != len(distinct) {
-		t.Fatalf("Misses = %d, want %d (one per distinct canonical key)", caching.Misses(), len(distinct))
-	}
-	if counting.Queries() != caching.Misses() {
-		t.Fatalf("inner server saw %d queries, want Misses() = %d", counting.Queries(), caching.Misses())
-	}
-}
-
 func TestQuota(t *testing.T) {
 	sch := testSchema(t)
 	srv, _ := NewLocal(sch, testBag(100, 9), 10, 10)

@@ -2,19 +2,17 @@ package journal
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"hidb/internal/core"
 	"hidb/internal/datagen"
 	"hidb/internal/hiddendb"
 )
 
-// populatedJournal builds a journal holding a real (small) crawl's
+// populatedJournal builds a journal holding a small crawl-like mix of
 // entries. Deliberately small: the torn-file test re-reads it once per
 // sampled cut point.
 func populatedJournal(t *testing.T) *Journal {
@@ -37,9 +35,7 @@ func populatedJournal(t *testing.T) *Journal {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (core.Hybrid{}).Crawl(context.Background(), wrapped, nil); err != nil {
-		t.Fatal(err)
-	}
+	recordMix(t, wrapped, 100, 23)
 	if j.Len() < 10 {
 		t.Fatalf("journal too small to exercise recovery: %d entries", j.Len())
 	}

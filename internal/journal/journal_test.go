@@ -3,14 +3,13 @@ package journal
 import (
 	"bytes"
 	"context"
-	"errors"
 	"strings"
 	"testing"
 
-	"hidb/internal/core"
 	"hidb/internal/datagen"
 	"hidb/internal/dataspace"
 	"hidb/internal/hiddendb"
+	"hidb/internal/simrand"
 )
 
 func testDataset(t *testing.T) *datagen.Dataset {
@@ -26,6 +25,42 @@ func testDataset(t *testing.T) *datagen.Dataset {
 		t.Fatal(err)
 	}
 	return ds
+}
+
+// recordMix pays n pseudo-random queries through srv in one batch, so its
+// journal records the kind of mix a crawl leaves: wildcards and pinned
+// values, closed, half-open and unbounded numeric ranges, and repeats
+// (which are replays).
+func recordMix(t *testing.T, srv *Server, n int, seed uint64) {
+	t.Helper()
+	sch := srv.Schema()
+	rng := simrand.New(seed)
+	qs := make([]dataspace.Query, n)
+	for i := range qs {
+		q := dataspace.UniverseQuery(sch)
+		for a := 0; a < sch.Dims(); a++ {
+			attr := sch.Attr(a)
+			if attr.Kind == dataspace.Categorical {
+				if rng.Bool(0.5) {
+					q = q.WithValue(a, rng.IntRange(1, int64(attr.DomainSize)))
+				}
+				continue
+			}
+			lo := rng.IntRange(0, 5000)
+			switch rng.Intn(4) {
+			case 1:
+				q = q.WithRange(a, lo, dataspace.PosInf)
+			case 2:
+				q = q.WithRange(a, dataspace.NegInf, lo)
+			case 3:
+				q = q.WithRange(a, lo, lo+rng.IntRange(0, 500))
+			}
+		}
+		qs[i] = q
+	}
+	if _, err := srv.AnswerBatch(context.Background(), qs); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestRecordLookup(t *testing.T) {
@@ -63,13 +98,11 @@ func TestSerializationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Run a full crawl to populate the journal with a realistic mix of
-	// queries (wildcards, pins, ranges, ±inf extents).
-	if _, err := (core.Hybrid{}).Crawl(context.Background(), wrapped, nil); err != nil {
-		t.Fatal(err)
-	}
+	// Populate the journal with a crawl-like mix of queries (wildcards,
+	// pins, ranges, ±inf extents).
+	recordMix(t, wrapped, 500, 7)
 	if j.Len() == 0 {
-		t.Fatal("crawl recorded nothing")
+		t.Fatal("recorded nothing")
 	}
 
 	var buf bytes.Buffer
@@ -167,108 +200,5 @@ func TestWrapValidation(t *testing.T) {
 	other := dataspace.MustSchema([]dataspace.Attribute{{Name: "X", Kind: dataspace.Numeric}})
 	if _, err := Wrap(srv, New(other, 16)); err == nil {
 		t.Error("schema mismatch accepted")
-	}
-}
-
-// TestResumeAfterQuota is the package's reason to exist: a crawl that dies
-// on a query quota resumes from its journal and completes, paying in total
-// exactly what an uninterrupted crawl pays.
-func TestResumeAfterQuota(t *testing.T) {
-	ds := testDataset(t)
-	k := 16
-
-	// Reference: uninterrupted cost.
-	ref, err := hiddendb.NewLocal(ds.Schema, ds.Tuples, k, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := (core.Hybrid{}).Crawl(context.Background(), ref, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Interrupted runs: 40 queries per "day".
-	journal := New(ds.Schema, k)
-	budget := 40
-	sessions := 0
-	for {
-		sessions++
-		if sessions > 100 {
-			t.Fatal("resume did not converge")
-		}
-		srv, err := hiddendb.NewLocal(ds.Schema, ds.Tuples, k, 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		quotaed := hiddendb.NewQuota(srv, budget)
-		wrapped, err := Wrap(quotaed, journal)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		// Persist/restore between sessions, as a real crawler would.
-		var buf bytes.Buffer
-		if _, err := journal.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		journal, err = ReadFrom(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wrapped, err = Wrap(quotaed, journal)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		res, err := (core.Hybrid{}).Crawl(context.Background(), wrapped, nil)
-		if errors.Is(err, hiddendb.ErrQuotaExceeded) {
-			continue // next day, fresh budget
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Tuples.EqualMultiset(ds.Tuples) {
-			t.Fatal("resumed crawl incomplete")
-		}
-		break
-	}
-
-	if sessions < 2 {
-		t.Fatalf("test did not exercise resume (budget too big? full cost %d)", full.Queries)
-	}
-	// Total paid queries across all sessions == journal size == the
-	// uninterrupted cost (determinism makes the replay exact).
-	if journal.Len() != full.Queries {
-		t.Fatalf("total paid queries %d != uninterrupted cost %d", journal.Len(), full.Queries)
-	}
-	t.Logf("completed in %d sessions of %d queries (total %d)", sessions, budget, journal.Len())
-}
-
-func TestReplaysCounted(t *testing.T) {
-	ds := testDataset(t)
-	srv, _ := hiddendb.NewLocal(ds.Schema, ds.Tuples, 16, 42)
-	j := New(ds.Schema, 16)
-	w1, err := Wrap(srv, j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := (core.Hybrid{}).Crawl(context.Background(), w1, nil); err != nil {
-		t.Fatal(err)
-	}
-	paid := j.Len()
-
-	// Second run over the same journal replays everything.
-	w2, err := Wrap(srv, j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := (core.Hybrid{}).Crawl(context.Background(), w2, nil); err != nil {
-		t.Fatal(err)
-	}
-	if j.Len() != paid {
-		t.Fatalf("second run paid %d extra queries", j.Len()-paid)
-	}
-	if w2.Replays() == 0 {
-		t.Fatal("second run reported no replays")
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"hidb/internal/dataspace"
 	"hidb/internal/hiddendb"
+	"hidb/internal/memo"
 )
 
 // blockingInner is a hidden-database stand-in whose Answer parks on a gate,
@@ -149,11 +150,54 @@ func batchAsk(qs ...dataspace.Query) ask {
 	}
 }
 
+// within fails the test unless ch delivers within a deadline — the
+// deadlock detector of the single-flight tests.
+func within(t *testing.T, ch <-chan error, what string) error {
+	t.Helper()
+	select {
+	case err := <-ch:
+		return err
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s: deadlocked", what)
+		return nil
+	}
+}
+
+// awaitArrival waits, with within's deadline, for a query to park in the
+// inner server.
+func (b *blockingInner) awaitArrival(t *testing.T, what string) {
+	t.Helper()
+	select {
+	case <-b.arrived:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s: never reached the inner server", what)
+	}
+}
+
+// checkPaid pins a single-flight case's accounting: paid answers counted
+// by the inner counter and recorded by the journal, calls reaching the
+// (blocking) inner server, and replays handed to waiters.
+func checkPaid(t *testing.T, counting *hiddendb.Counting, inner *blockingInner, j *Journal, srv *Server, paid, calls, replays int) {
+	t.Helper()
+	if got := counting.Queries(); got != paid {
+		t.Errorf("inner server charged %d answers, want %d", got, paid)
+	}
+	if got := int(inner.calls.Load()); got != calls {
+		t.Errorf("%d queries reached the inner server, want %d", got, calls)
+	}
+	if j.Len() != paid {
+		t.Errorf("journal recorded %d, want %d", j.Len(), paid)
+	}
+	if srv.Replays() != replays {
+		t.Errorf("replays = %d, want %d", srv.Replays(), replays)
+	}
+}
+
 // TestAnswerBatchSingleFlight: a journal miss reaches the inner server once
 // however its concurrent asks split between Answer and AnswerBatch — the
 // later ask waits for the earlier one and replays its answer. Crossing
 // batches must not deadlock, and a leader cancelled while a follower waits
-// hands the query over: the follower pays for it once, the cancelled
+// hands the query over: the follower pays for it once, and the cancelled
 // attempt is never counted as paid.
 func TestAnswerBatchSingleFlight(t *testing.T) {
 	schema := dataspace.MustSchema([]dataspace.Attribute{
@@ -161,87 +205,101 @@ func TestAnswerBatchSingleFlight(t *testing.T) {
 	})
 	u := dataspace.UniverseQuery(schema)
 	x, y := u.WithValue(0, 1), u.WithValue(0, 2)
+	setup := func(t *testing.T) (*blockingInner, *hiddendb.Counting, *Journal, *Server) {
+		inner := &blockingInner{schema: schema, gate: make(chan struct{}), arrived: make(chan struct{}, 4)}
+		counting := hiddendb.NewCounting(inner)
+		j := New(schema, 4)
+		srv, err := Wrap(counting, j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return inner, counting, j, srv
+	}
 
+	// Each case starts first, waits until it parks in the inner server
+	// (so it leads every miss it asks), then starts second and lets it
+	// reach the same misses before opening the gate.
 	cases := []struct {
 		name          string
 		first, second ask
 		// cancelFirst cancels the first ask's ctx while the second waits
 		// on it.
 		cancelFirst bool
-		// rounds > 0 starts both asks together with the inner server
-		// ungated, that many times, so the claims interleave freely —
-		// including the true crossing, where each batch leads one query
-		// and follows the other.
-		rounds int
-		// paid is the answers the inner server returned (and the journal
-		// recorded), calls every query that reached it, replays the
-		// waiters' answers.
+		// paid is the answers the inner server returned and the journal
+		// recorded, calls every query that reached the inner server,
+		// replays the answers handed to waiters.
 		paid, calls, replays int
 	}{
 		{name: "batch∥batch", first: batchAsk(x), second: batchAsk(x), paid: 1, calls: 1, replays: 1},
 		{name: "Answer∥batch", first: answerAsk(x), second: batchAsk(x), paid: 1, calls: 1, replays: 1},
 		{name: "batch∥Answer", first: batchAsk(x), second: answerAsk(x), paid: 1, calls: 1, replays: 1},
 		{name: "crossing", first: batchAsk(x, y), second: batchAsk(y, x), paid: 2, calls: 2, replays: 2},
-		{name: "crossing-race", first: batchAsk(x, y), second: batchAsk(y, x), rounds: 200, paid: 2, calls: 2, replays: 2},
 		{name: "leader-cancelled", first: batchAsk(x), second: batchAsk(x), cancelFirst: true, paid: 1, calls: 2, replays: 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rounds := max(tc.rounds, 1)
-			for r := 0; r < rounds; r++ {
-				inner := &blockingInner{schema: schema, gate: make(chan struct{}), arrived: make(chan struct{}, 4)}
-				counting := hiddendb.NewCounting(inner)
-				j := New(schema, 4)
-				srv, err := Wrap(counting, j)
-				if err != nil {
-					t.Fatal(err)
-				}
-				firstCtx, cancel := context.WithCancel(context.Background())
-				firstErr, secondErr := make(chan error, 1), make(chan error, 1)
-				pending := []chan error{firstErr, secondErr}
-				if tc.rounds > 0 {
-					close(inner.gate)
-				}
-				go func() { firstErr <- tc.first(firstCtx, srv) }()
-				if tc.rounds == 0 {
-					<-inner.arrived // the first ask leads and parks in the inner server
-				}
-				go func() { secondErr <- tc.second(context.Background(), srv) }()
-				if tc.rounds == 0 {
-					time.Sleep(10 * time.Millisecond) // let the second ask reach the miss
-					if tc.cancelFirst {
-						cancel()
-						if err := <-firstErr; !errors.Is(err, context.Canceled) {
-							t.Fatalf("cancelled leader returned %v, want context.Canceled", err)
-						}
-						pending = pending[1:]
-					}
-					close(inner.gate)
-				}
-				for _, ch := range pending {
-					select {
-					case err := <-ch:
-						if err != nil {
-							t.Fatalf("round %d: %v", r, err)
-						}
-					case <-time.After(5 * time.Second):
-						t.Fatalf("round %d: asks deadlocked", r)
-					}
-				}
-				if got := counting.Queries(); got != tc.paid {
-					t.Fatalf("round %d: inner server charged %d answers, want %d", r, got, tc.paid)
-				}
-				if got := int(inner.calls.Load()); got != tc.calls {
-					t.Fatalf("round %d: %d queries reached the inner server, want %d", r, got, tc.calls)
-				}
-				if j.Len() != tc.paid {
-					t.Fatalf("round %d: journal recorded %d, want %d", r, j.Len(), tc.paid)
-				}
-				if srv.Replays() != tc.replays {
-					t.Fatalf("round %d: replays = %d, want %d", r, srv.Replays(), tc.replays)
-				}
+			inner, counting, j, srv := setup(t)
+			firstCtx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			firstErr, secondErr := make(chan error, 1), make(chan error, 1)
+			go func() { firstErr <- tc.first(firstCtx, srv) }()
+			inner.awaitArrival(t, "first ask")
+			go func() { secondErr <- tc.second(context.Background(), srv) }()
+			time.Sleep(10 * time.Millisecond)
+			if tc.cancelFirst {
 				cancel()
+				if err := within(t, firstErr, "cancelled leader"); !errors.Is(err, context.Canceled) {
+					t.Fatalf("cancelled leader returned %v, want context.Canceled", err)
+				}
 			}
+			close(inner.gate)
+			if !tc.cancelFirst {
+				if err := within(t, firstErr, "first ask"); err != nil {
+					t.Fatalf("first ask: %v", err)
+				}
+			}
+			if err := within(t, secondErr, "second ask"); err != nil {
+				t.Fatalf("second ask: %v", err)
+			}
+			checkPaid(t, counting, inner, j, srv, tc.paid, tc.calls, tc.replays)
 		})
 	}
+
+	// The crossing interleaving proper: [x,y] ∥ [y,x] where each batch
+	// claims one query before the other does. Claims are too quick to
+	// interleave on demand, so the test plays the [y,x] batch by hand: it
+	// leads y, and while it still holds y it waits on x. The [x,y] batch
+	// must forward and release x before it waits on y, or both block.
+	t.Run("crossing-claims", func(t *testing.T) {
+		inner, counting, j, srv := setup(t)
+		ctx := context.Background()
+		xkey, ykey := string(x.AppendKey(nil)), string(y.AppendKey(nil))
+		if _, via := srv.flight.Claim(ykey, srv.recorded(ykey)); via != memo.Led {
+			t.Fatalf("claim on a fresh key: %v, want Led", via)
+		}
+		batchErr := make(chan error, 1)
+		go func() { batchErr <- batchAsk(x, y)(ctx, srv) }()
+		inner.awaitArrival(t, "[x,y] forwarding x")
+		close(inner.gate)
+		waitX := make(chan error, 1)
+		go func() {
+			_, _, err := srv.flight.Do(ctx, xkey, srv.recorded(xkey), func() (hiddendb.Result, error) {
+				return hiddendb.Result{}, errors.New("x fetched twice")
+			})
+			waitX <- err
+		}()
+		if err := within(t, waitX, "[y,x] waiting on x while leading y"); err != nil {
+			t.Fatal(err)
+		}
+		res, err := counting.AnswerBatch(ctx, []dataspace.Query{y})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.record(ykey, y, res[0])
+		srv.flight.Release(ykey, res[0], true)
+		if err := within(t, batchErr, "[x,y] waiting on y"); err != nil {
+			t.Fatal(err)
+		}
+		checkPaid(t, counting, inner, j, srv, 2, 2, 1)
+	})
 }

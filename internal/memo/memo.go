@@ -3,13 +3,12 @@
 // value, with an optional bounded-memory LRU, plus a per-key single-flight
 // (Flight) whose leadership survives a failed leader.
 //
-// One implementation backs every answer memo in the repository: each
-// session's journal (unbounded, private to one token, the session's only
-// memo), the fleet-wide shared answer cache hiddendb.Shared (bounded, one
-// per served store, read by every session), and hiddendb.Caching, the memo
-// table the crawling algorithms run behind when no journal exists. The
-// cache stores values, never computes them; the policy questions — who
-// pays for a miss, what a hit costs — live in the callers.
+// One implementation backs both answer memos in the repository: the
+// journal (unbounded and private — to one session's token, or to one
+// in-process crawl) and the fleet-wide shared answer cache hiddendb.Shared
+// (bounded, one per served store, read by every session). The cache
+// stores values, never computes them; the policy questions — who pays for
+// a miss, what a hit costs — live in the callers.
 package memo
 
 import (
@@ -57,7 +56,7 @@ type cacheEntry[V any] struct {
 // New builds a cache. maxBytes > 0 bounds the resident size: sizeOf
 // estimates each entry's bytes (nil panics when maxBytes > 0) and least
 // recently used entries are evicted beyond the bound. maxBytes == 0 is the
-// unbounded memo table hiddendb.Caching uses.
+// unbounded memo table a journal uses.
 func New[V any](maxBytes int64, sizeOf func(key string, v V) int64) *Cache[V] {
 	if maxBytes > 0 && sizeOf == nil {
 		panic("memo: a bounded cache needs a sizeOf estimator")
@@ -225,10 +224,10 @@ const (
 	Waited
 )
 
-// call is one key's in-flight fetch. The leader deposits the value in the
-// call itself before closing done, so waiters never depend on the backing
-// cache still holding the entry (an LRU may have evicted it by the time
-// they wake).
+// call is one waited-on fetch. The leader deposits the value in the call
+// itself before closing done, so waiters never depend on the backing cache
+// still holding the entry (an LRU may have evicted it by the time they
+// wake).
 type call[V any] struct {
 	done chan struct{}
 	v    V
@@ -245,12 +244,16 @@ type call[V any] struct {
 // call NewFlight.
 type Flight[V any] struct {
 	mu sync.Mutex
-	m  map[string]*call[V]
+	// m maps each key in flight to its call. The first waiter makes the
+	// call; until then the key maps to unwaited, so an uncontended fetch
+	// allocates nothing.
+	m        map[string]*call[V]
+	unwaited *call[V]
 }
 
 // NewFlight returns an empty in-flight registry.
 func NewFlight[V any]() *Flight[V] {
-	return &Flight[V]{m: make(map[string]*call[V])}
+	return &Flight[V]{m: make(map[string]*call[V]), unwaited: &call[V]{}}
 }
 
 // InFlight returns the number of keys currently being fetched.
@@ -258,6 +261,63 @@ func (f *Flight[V]) InFlight() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return len(f.m)
+}
+
+// Claim is Do without the fetch and the wait. Hit returns lookup's value.
+// Led registers the caller as the key's leader: it must fetch, publish a
+// success to lookup, and Release the key exactly once, answered or not.
+// Waited means another caller leads the key; Do waits for it. A caller
+// leading several keys must Release them all before it waits on any
+// other, or two such callers can deadlock.
+func (f *Flight[V]) Claim(key string, lookup func() (V, bool)) (V, Via) {
+	v, via, _ := f.claim(key, lookup)
+	return v, via
+}
+
+// claim is Claim returning, on Waited, the leader's in-flight call.
+func (f *Flight[V]) claim(key string, lookup func() (V, bool)) (V, Via, *call[V]) {
+	if v, ok := lookup(); ok {
+		return v, Hit, nil
+	}
+	var zero V
+	f.mu.Lock()
+	if c, ok := f.m[key]; ok {
+		if c == f.unwaited {
+			c = &call[V]{done: make(chan struct{})}
+			f.m[key] = c
+		}
+		f.mu.Unlock()
+		return zero, Waited, c
+	}
+	// No leader in flight — but one may have landed and deregistered
+	// between the lookup miss above and taking f.mu. A leader publishes
+	// to the cache before deregistering, so re-checking lookup while
+	// holding f.mu is authoritative: a miss here proves the key has never
+	// been fetched and no fetch is running, and registering now makes the
+	// caller the only party that can fetch it.
+	if v, ok := lookup(); ok {
+		f.mu.Unlock()
+		return v, Hit, nil
+	}
+	f.m[key] = f.unwaited
+	f.mu.Unlock()
+	return zero, Led, nil
+}
+
+// Release ends the caller's leadership of key. With ok the waiters receive
+// v; without, they re-check the cache and one of them leads next.
+func (f *Flight[V]) Release(key string, v V, ok bool) {
+	f.mu.Lock()
+	c := f.m[key]
+	delete(f.m, key)
+	f.mu.Unlock()
+	if c == f.unwaited {
+		return
+	}
+	if ok {
+		c.v, c.ok = v, true
+	}
+	close(c.done)
 }
 
 // Do returns the key's value: from lookup if present, from a concurrent
@@ -271,62 +331,37 @@ func (f *Flight[V]) InFlight() int {
 //
 // At-most-one-fetch contract: a successful fetch must make its value
 // visible to lookup before it returns (SharedView's fetch publishes to the
-// cache, a journal's records the answer, then each returns). Do leans on that ordering to close the window
-// between a caller's lookup miss and its registration: the final lookup
-// re-check below runs under f.mu, after which a registered leader is the
-// only party that can fetch the key.
+// cache, a journal's records the answer, then each returns). Do leans on
+// that ordering to close the window between a caller's lookup miss and its
+// registration (see claim): a registered leader is the only party that can
+// fetch the key.
 func (f *Flight[V]) Do(ctx context.Context, key string, lookup func() (V, bool), fetch func() (V, error)) (V, Via, error) {
 	waited := false
 	for {
-		if v, ok := lookup(); ok {
+		v, via, c := f.claim(key, lookup)
+		switch via {
+		case Hit:
 			if waited {
 				return v, Waited, nil
 			}
 			return v, Hit, nil
+		case Led:
+			v, err := fetch()
+			f.Release(key, v, err == nil)
+			return v, Led, err
 		}
-		f.mu.Lock()
-		if c, ok := f.m[key]; ok {
-			f.mu.Unlock()
-			select {
-			case <-c.done:
-				if c.ok {
-					return c.v, Waited, nil
-				}
-				// The leader failed; its failure is its own (a cancelled
-				// crawl, an exhausted budget). Re-check the cache and race
-				// for leadership.
-				waited = true
-				continue
-			case <-ctx.Done():
-				var zero V
-				return zero, Waited, ctx.Err()
+		select {
+		case <-c.done:
+			if c.ok {
+				return c.v, Waited, nil
 			}
+			// The leader failed; its failure is its own (a cancelled
+			// crawl, an exhausted budget). Re-check the cache and race
+			// for leadership.
+			waited = true
+		case <-ctx.Done():
+			var zero V
+			return zero, Waited, ctx.Err()
 		}
-		// No leader in flight — but one may have landed and deregistered
-		// between our lookup miss above and taking f.mu. A leader publishes
-		// to the cache before deregistering, so re-checking lookup while
-		// holding f.mu is authoritative: a miss here proves the key has
-		// never been fetched and no fetch is running, and registering now
-		// makes us the only party that can fetch it.
-		if v, ok := lookup(); ok {
-			f.mu.Unlock()
-			if waited {
-				return v, Waited, nil
-			}
-			return v, Hit, nil
-		}
-		c := &call[V]{done: make(chan struct{})}
-		f.m[key] = c
-		f.mu.Unlock()
-
-		v, err := fetch()
-		if err == nil {
-			c.v, c.ok = v, true
-		}
-		f.mu.Lock()
-		delete(f.m, key)
-		f.mu.Unlock()
-		close(c.done)
-		return v, Led, err
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestCacheGetSet(t *testing.T) {
@@ -304,5 +305,52 @@ func TestFlightNeverDoubleFetches(t *testing.T) {
 	wg.Wait()
 	if got := fetches.Load(); got != keys {
 		t.Fatalf("%d fetches for %d keys; a key was fetched twice", got, keys)
+	}
+}
+
+// TestFlightClaimRelease: Claim reports a cached key as Hit, registers the
+// first claimant of a missing key as its leader and reports a led key as
+// Waited; a Do waiting on a claimed key receives the value the leader
+// releases, and after a failed release the waiter leads a fetch itself.
+func TestFlightClaimRelease(t *testing.T) {
+	c := New[int](0, nil)
+	f := NewFlight[int]()
+	lookup := func() (int, bool) { return c.GetString("k") }
+	c.Set("cached", 7)
+	if v, via := f.Claim("cached", func() (int, bool) { return c.GetString("cached") }); via != Hit || v != 7 {
+		t.Fatalf("Claim on a cached key = %d, %v; want 7, Hit", v, via)
+	}
+
+	for _, ok := range []bool{true, false} {
+		if _, via := f.Claim("k", lookup); via != Led {
+			t.Fatalf("first Claim = %v, want Led", via)
+		}
+		if _, via := f.Claim("k", lookup); via != Waited {
+			t.Fatalf("second Claim = %v, want Waited", via)
+		}
+		got := make(chan int, 1)
+		go func() {
+			v, _, err := f.Do(context.Background(), "k", lookup, func() (int, error) { return 3, nil })
+			if err != nil {
+				t.Errorf("waiter: %v", err)
+			}
+			got <- v
+		}()
+		time.Sleep(10 * time.Millisecond) // let the waiter block on the leader
+		if ok {
+			c.Set("k", 5) // a leader publishes before it releases
+		}
+		f.Release("k", 5, ok)
+		want := 3 // the failed leader's waiter fetched it
+		if ok {
+			want = 5
+		}
+		if v := <-got; v != want {
+			t.Fatalf("release ok=%v: waiter got %d, want %d", ok, v, want)
+		}
+		if f.InFlight() != 0 {
+			t.Fatalf("in-flight registry not drained: %d", f.InFlight())
+		}
+		c = New[int](0, nil)
 	}
 }

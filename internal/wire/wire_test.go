@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -192,4 +194,82 @@ func TestQueryRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// fuzzQueryMsg builds a QueryMsg from fuzz input: arity predicates, pred i
+// shaped by the bits of shapes[i] (1 wild, 2 value, 4 lo, 8 hi) and its set
+// fields filled from successive little-endian int64s of nums (zero once
+// nums runs out). Every hostile shape is reachable: wrong arity, both or
+// neither of wild/value, lo > hi, int64 extremes.
+func fuzzQueryMsg(arity uint8, shapes, nums []byte) QueryMsg {
+	next := func() *int64 {
+		var v int64
+		if len(nums) >= 8 {
+			v = int64(binary.LittleEndian.Uint64(nums))
+			nums = nums[8:]
+		}
+		return &v
+	}
+	msg := QueryMsg{Preds: make([]Pred, arity%8)}
+	for i := range msg.Preds {
+		var shape byte
+		if i < len(shapes) {
+			shape = shapes[i]
+		}
+		p := &msg.Preds[i]
+		p.Wild = shape&1 != 0
+		if shape&2 != 0 {
+			p.Value = next()
+		}
+		if shape&4 != 0 {
+			p.Lo = next()
+		}
+		if shape&8 != 0 {
+			p.Hi = next()
+		}
+	}
+	return msg
+}
+
+func int64s(vs ...int64) []byte {
+	b := make([]byte, 0, 8*len(vs))
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
+	}
+	return b
+}
+
+// FuzzDecodeQuery feeds DecodeQuery hostile QueryMsg values directly. Each
+// must yield an error or a valid query that round-trips through
+// EncodeQuery — never a panic.
+func FuzzDecodeQuery(f *testing.F) {
+	f.Add(uint8(3), []byte{1, 0, 0}, []byte(nil))                                         // universe
+	f.Add(uint8(3), []byte{2, 12, 4}, int64s(2, -5, 9, 0))                                // pin, closed and half-open ranges
+	f.Add(uint8(2), []byte{1, 0}, []byte(nil))                                            // too few predicates
+	f.Add(uint8(4), []byte{1, 0, 0, 0}, []byte(nil))                                      // too many
+	f.Add(uint8(3), []byte{3, 0, 0}, int64s(1))                                           // both wild and value
+	f.Add(uint8(3), []byte{0, 0, 0}, []byte(nil))                                         // neither
+	f.Add(uint8(3), []byte{2, 0, 0}, int64s(5))                                           // value outside the domain
+	f.Add(uint8(3), []byte{1, 12, 12}, int64s(9, 3, 100, -100))                           // lo > hi
+	f.Add(uint8(3), []byte{1, 12, 12}, int64s(math.MinInt64, math.MaxInt64, 0, 0))        // int64 extremes
+	f.Add(uint8(3), []byte{2, 4, 8}, int64s(math.MinInt64, math.MinInt64, math.MaxInt64)) // extreme pin and bounds
+	f.Add(uint8(3), []byte{1, 13, 14}, int64s(0, 1, 2, 3))                                // wild or value on a numeric
+	f.Add(uint8(3), []byte{13, 0, 0}, int64s(0, 1))                                       // lo/hi on a categorical
+	s := fuzzSchema()
+	f.Fuzz(func(t *testing.T, arity uint8, shapes, nums []byte) {
+		q, err := DecodeQuery(s, fuzzQueryMsg(arity, shapes, nums))
+		if err != nil {
+			return
+		}
+		if err := q.Validate(); err != nil {
+			t.Fatalf("decoded an invalid query: %v", err)
+		}
+		back, err := DecodeQuery(s, EncodeQuery(q))
+		if err != nil {
+			t.Fatalf("re-decoding the encoded query: %v", err)
+		}
+		if back.Key() != q.Key() {
+			t.Fatalf("round trip changed the query: %s -> %s", q, back)
+		}
+	})
 }
