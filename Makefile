@@ -2,10 +2,12 @@
 
 GO ?= go
 BENCH_OUT ?= bench.out
-# One benchmark snapshot per perf PR; bench compares the fresh snapshot's
-# query-count metrics against the committed baseline of the previous PR.
-BENCH_JSON ?= BENCH_10.json
-BENCH_BASELINE ?= BENCH_9.json
+# bench compares the fresh snapshot's query-count metrics against the
+# committed baseline CI diffs against. The snapshot goes to an untracked
+# file, so a bare `make bench` never overwrites a committed baseline; a
+# perf PR commits its own snapshot with BENCH_JSON=BENCH_<n>.json.
+BENCH_JSON ?= bench-snapshot.json
+BENCH_BASELINE ?= BENCH_10.json
 # Minimum statement coverage (percent) for the algorithm, server-contract,
 # pipelined-dispatcher, session, fault-injection, retrying-transport,
 # index-engine, disk-engine, dataset-factory, shared-memo, journal-memo,
@@ -56,7 +58,7 @@ cover:
 # microbenchmarks — and snapshots it as JSON for the perf trajectory.
 # Output goes to the file first (not through tee) so a failing benchmark
 # run aborts the target instead of writing a partial snapshot. The snapshot
-# is then diffed against the previous PR's baseline: all *_queries metrics
+# is then diffed against BENCH_BASELINE: all *_queries metrics
 # (the paper's cost measure) and *_hitrate metrics (the fleet ablation's
 # deterministic cache-hit ratios) must be bit-identical.
 bench:
@@ -101,4 +103,4 @@ server-smoke: build
 	GO=$(GO) bash scripts/server-smoke.sh
 
 clean:
-	rm -f $(BENCH_OUT) $(COVER_OUT) loadgen-a.json loadgen-b.json
+	rm -f $(BENCH_OUT) bench-snapshot.json $(COVER_OUT) loadgen-a.json loadgen-b.json

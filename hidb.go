@@ -51,24 +51,25 @@
 //
 // # Batched serving
 //
-// Server carries a batched entry point, AnswerBatch, with one invariant: a
-// batch is answered exactly as if its queries were issued sequentially
-// through Answer, so the query count — the paper's cost metric — never
+// A Server answers through one entry point, AnswerBatch, with one
+// invariant: a batch is answered exactly as if its queries were issued
+// one at a time, so the query count — the paper's cost metric — never
 // depends on how queries are packed, while B batched queries cost a single
 // round trip (one POST /batch over HTTP, one delay under a latency model,
-// one fan-out over a sharded store). Cancellation obeys the same
-// invariant from the other side: a cancelled batch ends at an answered
-// prefix, and a query cut off by ctx was never served, never charged.
-// ParallelCrawler drains its ready queries into such batches
-// automatically, and pipelines them: up to CrawlOptions.InFlight round
-// trips (default 2, the double buffer; hidb-crawl's -inflight flag) fly
-// at once, the next batch departing the moment a flight slot frees, so a
-// high-latency connection never idles between round trips. A custom
-// wrapper implements Server directly; for the common case of a per-IP
-// budget, NewQuotaServer already keeps the batch and cancellation
-// contracts. For serving many concurrent crawls from one process,
-// NewShardedLocalServer partitions the store into priority-range shards
-// that answer batches in parallel, each with its own scratch memory.
+// one fan-out over a sharded store). Answer(ctx, q) is a one-query batch.
+// Cancellation obeys the same invariant from the other side: a cancelled
+// batch ends at an answered prefix, and a query cut off by ctx was never
+// served, never charged. ParallelCrawler drains its ready queries into
+// such batches automatically, and pipelines them: up to
+// CrawlOptions.InFlight round trips (default 2, the double buffer;
+// hidb-crawl's -inflight flag) fly at once, the next batch departing the
+// moment a flight slot frees, so a high-latency connection never idles
+// between round trips. A custom wrapper implements Server directly, its
+// Answer a one-query AnswerBatch; for a per-IP budget, NewQuotaServer
+// already keeps the batch and cancellation contracts. For serving many
+// concurrent crawls from one process, NewShardedLocalServer partitions the
+// store into priority-range shards that answer batches in parallel, each
+// with its own scratch memory.
 //
 // # The engine
 //
@@ -275,10 +276,10 @@ const (
 
 // Server-side types. See the hiddendb package.
 type (
-	// Server is the query interface of a hidden database: single queries
-	// via Answer(ctx, q), batches via AnswerBatch(ctx, qs) (a batch is
-	// answered as if issued sequentially; a cancelled ctx ends it at an
-	// answered prefix).
+	// Server is the query interface of a hidden database: batches via
+	// AnswerBatch(ctx, qs) (a batch is answered as if issued sequentially;
+	// a cancelled ctx ends it at an answered prefix), and single queries
+	// via Answer(ctx, q), which is a one-query batch.
 	Server = hiddendb.Server
 	// QueryResult is a server's response to one query.
 	QueryResult = hiddendb.Result
@@ -543,8 +544,8 @@ var ErrInjectedFault = hiddendb.ErrInjected
 // NewSimClock returns a virtual clock at time zero.
 func NewSimClock() *SimClock { return hiddendb.NewSimClock() }
 
-// NewSimLatencyServer wraps srv so every round trip — one Answer or one
-// whole AnswerBatch — costs delay of virtual time on clock. A sequential
+// NewSimLatencyServer wraps srv so every round trip — one AnswerBatch
+// call, however wide — costs delay of virtual time on clock. A sequential
 // crawl drives the clock by itself; for ParallelCrawler, pass the same
 // clock in CrawlOptions.Clock so the pipelined dispatcher can keep the
 // clock's runnable-work accounting. After the crawl, clock.Now() is its

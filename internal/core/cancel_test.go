@@ -24,18 +24,18 @@ type cancelAfter struct {
 }
 
 func (c *cancelAfter) Answer(ctx context.Context, q dataspace.Query) (hiddendb.Result, error) {
-	if c.serve == 0 {
-		c.cancel()
-		return hiddendb.Result{}, ctx.Err()
-	}
-	c.serve--
-	return c.Server.Answer(ctx, q)
+	return hiddendb.Answer(ctx, c, q)
 }
 
 func (c *cancelAfter) AnswerBatch(ctx context.Context, qs []dataspace.Query) ([]hiddendb.Result, error) {
 	out := make([]hiddendb.Result, 0, len(qs))
 	for _, q := range qs {
-		res, err := c.Answer(ctx, q)
+		if c.serve == 0 {
+			c.cancel()
+			return out, ctx.Err()
+		}
+		c.serve--
+		res, err := hiddendb.Answer(ctx, c.Server, q)
 		if err != nil {
 			return out, err
 		}

@@ -41,63 +41,6 @@ func sameResult(a, b Result) bool {
 	return true
 }
 
-// TestAnswerBatchMatchesSequential is the tentpole invariant: for every
-// server in the stack — plain Local, sharded Local, and the full decorator
-// tower — a batch is answered exactly as the same queries issued one at a
-// time.
-func TestAnswerBatchMatchesSequential(t *testing.T) {
-	sch := testSchema(t)
-	bag := testBag(2000, 21)
-	qs := batchQueries(sch, 64, 22)
-
-	build := map[string]func() Server{
-		"local": func() Server {
-			srv, err := NewLocal(sch, bag, 25, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return srv
-		},
-		"sharded": func() Server {
-			srv, err := NewLocalSharded(sch, bag, 25, 5, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return srv
-		},
-		"decorated": func() Server {
-			srv, err := NewLocalSharded(sch, bag, 25, 5, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return NewQuota(NewCounting(srv), 1<<20)
-		},
-	}
-	for name, mk := range build {
-		seq := mk()
-		want := make([]Result, len(qs))
-		for i, q := range qs {
-			res, err := seq.Answer(context.Background(), q)
-			if err != nil {
-				t.Fatalf("%s: sequential query %d: %v", name, i, err)
-			}
-			want[i] = res
-		}
-		got, err := mk().AnswerBatch(context.Background(), qs)
-		if err != nil {
-			t.Fatalf("%s: AnswerBatch: %v", name, err)
-		}
-		if len(got) != len(qs) {
-			t.Fatalf("%s: batch answered %d of %d", name, len(got), len(qs))
-		}
-		for i := range got {
-			if !sameResult(got[i], want[i]) {
-				t.Fatalf("%s: batch result %d differs from sequential Answer", name, i)
-			}
-		}
-	}
-}
-
 // TestShardedLocalIdenticalToLocal pins that sharding is invisible in the
 // responses: same (bag, k, seed) means bit-identical answers.
 func TestShardedLocalIdenticalToLocal(t *testing.T) {

@@ -33,8 +33,7 @@ type FlakyConfig struct {
 	// streams.
 	Seed uint64
 	// FailNth, when positive, fails every FailNth-th query attempt with
-	// ErrInjected (the 1-based attempt counter is global across Answer and
-	// AnswerBatch).
+	// ErrInjected (the 1-based attempt counter is global across calls).
 	FailNth int
 	// FailProb, when positive, fails each attempt with this probability,
 	// drawn deterministically from Seed.
@@ -104,15 +103,9 @@ func (f *Flaky) faultLocked() error {
 	return err
 }
 
-// Answer implements Server, possibly injecting a fault instead of serving.
+// Answer implements Server as a one-query batch.
 func (f *Flaky) Answer(ctx context.Context, q dataspace.Query) (Result, error) {
-	f.mu.Lock()
-	err := f.faultLocked()
-	f.mu.Unlock()
-	if err != nil {
-		return Result{}, err
-	}
-	return f.inner.Answer(ctx, q)
+	return Answer(ctx, f, q)
 }
 
 // AnswerBatch implements Server with the answered-prefix contract: fault

@@ -27,8 +27,7 @@ type recorder struct {
 }
 
 func (r *recorder) Answer(ctx context.Context, q dataspace.Query) (hiddendb.Result, error) {
-	r.seen[q.Key()]++
-	return r.inner.Answer(ctx, q)
+	return hiddendb.Answer(ctx, r, q)
 }
 
 func (r *recorder) AnswerBatch(ctx context.Context, qs []dataspace.Query) ([]hiddendb.Result, error) {

@@ -109,12 +109,9 @@ func (r *RateLimited) take(ctx context.Context, n int) error {
 	return nil
 }
 
-// Answer implements Server, waiting for one token first.
+// Answer implements Server as a one-query batch.
 func (r *RateLimited) Answer(ctx context.Context, q dataspace.Query) (Result, error) {
-	if err := r.take(ctx, 1); err != nil {
-		return Result{}, err
-	}
-	return r.inner.Answer(ctx, q)
+	return Answer(ctx, r, q)
 }
 
 // AnswerBatch implements Server: the batch waits until all its queries are

@@ -15,11 +15,13 @@
 // # The batched contract
 //
 // The paper's cost metric is the query count, but a production crawler pays
-// a round trip per query. Server therefore carries two entry points with one
-// semantics: AnswerBatch(qs) answers exactly as if the queries were issued
-// sequentially through Answer, so the query count — the paper's metric — is
-// independent of how queries are packed into batches, while the round-trip
-// count divides by the batch size.
+// a round trip per query. A Server therefore answers through AnswerBatch,
+// exactly as if the queries were issued one at a time, so the query count
+// — the paper's metric — is independent of how queries are packed into
+// batches, while the round-trip count divides by the batch size. Every
+// decorator keeps its accounting there alone: its Answer is a one-query
+// batch (the Answer function). Only the leaves, Local and the HTTP client,
+// answer a lone query natively, as their backends can.
 //
 // # Context
 //
@@ -70,12 +72,12 @@ func (r Result) Resolved() bool { return !r.Overflow }
 // Server is the query interface a crawler sees. Implementations must be
 // deterministic: issuing the same query twice yields the same response.
 type Server interface {
-	// Answer runs one form query against the hidden database. A cancelled
-	// or expired ctx aborts the query with the ctx's error before it is
-	// served.
+	// Answer runs one form query against the hidden database, as a
+	// one-query AnswerBatch. A cancelled or expired ctx aborts the query
+	// with the ctx's error before it is served.
 	Answer(ctx context.Context, q dataspace.Query) (Result, error)
 	// AnswerBatch answers the queries exactly as if they were issued
-	// sequentially through Answer, in order: results[i] is the response to
+	// sequentially, one at a time, in order: results[i] is the response to
 	// qs[i], and the server-side query count grows by len(qs). On failure
 	// the returned slice holds the responses of the queries answered
 	// before the failing one (len(results) < len(qs)) and the error
@@ -87,6 +89,18 @@ type Server interface {
 	K() int
 	// Schema describes the data space the server's form exposes.
 	Schema() *dataspace.Schema
+}
+
+// Answer answers q through srv as a one-query batch.
+func Answer(ctx context.Context, srv Server, q dataspace.Query) (Result, error) {
+	res, err := srv.AnswerBatch(ctx, []dataspace.Query{q})
+	if len(res) == 1 {
+		return res[0], nil
+	}
+	if err == nil {
+		err = fmt.Errorf("hiddendb: a one-query batch answered %d results", len(res))
+	}
+	return Result{}, err
 }
 
 // ErrQuotaExceeded is returned by a QuotaServer once its budget is spent.
@@ -171,7 +185,7 @@ func rankPermutation(bag dataspace.Bag, k int, seed uint64) ([]dataspace.Tuple, 
 	return byRank, nil
 }
 
-// Answer implements Server.
+// Answer implements Server with one engine Select.
 func (l *Local) Answer(ctx context.Context, q dataspace.Query) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
@@ -184,12 +198,20 @@ func (l *Local) Answer(ctx context.Context, q dataspace.Query) (Result, error) {
 	return l.result(l.store.Select(q, l.k)), nil
 }
 
-// AnswerBatch implements Server. On a sharded store the batch is evaluated
-// by all shards in parallel; the responses are nevertheless exactly the
-// sequential Answer responses, in order. A ctx cancelled mid-batch stops
-// the store's evaluation (and, on a sharded store, its fan-out) and
-// returns the answered prefix with the ctx's error.
+// AnswerBatch implements Server. A one-query batch is one Answer. On a
+// sharded store a wider batch is evaluated by all shards in parallel; the
+// responses are nevertheless exactly the sequential Answer responses, in
+// order. A ctx cancelled mid-batch stops the store's evaluation (and, on a
+// sharded store, its fan-out) and returns the answered prefix with the
+// ctx's error.
 func (l *Local) AnswerBatch(ctx context.Context, qs []dataspace.Query) ([]Result, error) {
+	if len(qs) == 1 {
+		res, err := l.Answer(ctx, qs[0])
+		if err != nil {
+			return nil, err
+		}
+		return []Result{res}, nil
+	}
 	valid := len(qs)
 	var verr error
 	for i, q := range qs {
@@ -265,14 +287,9 @@ type Counting struct {
 // NewCounting wraps srv with a fresh counter.
 func NewCounting(srv Server) *Counting { return &Counting{inner: srv} }
 
-// Answer implements Server, incrementing the counters.
+// Answer implements Server as a one-query batch.
 func (c *Counting) Answer(ctx context.Context, q dataspace.Query) (Result, error) {
-	res, err := c.inner.Answer(ctx, q)
-	if err != nil {
-		return res, err
-	}
-	c.note(res)
-	return res, nil
+	return Answer(ctx, c, q)
 }
 
 // AnswerBatch implements Server; a batch counts as len(results) queries,
@@ -280,18 +297,14 @@ func (c *Counting) Answer(ctx context.Context, q dataspace.Query) (Result, error
 func (c *Counting) AnswerBatch(ctx context.Context, qs []dataspace.Query) ([]Result, error) {
 	results, err := c.inner.AnswerBatch(ctx, qs)
 	for _, res := range results {
-		c.note(res)
+		c.queries.Add(1)
+		if res.Overflow {
+			c.overflow.Add(1)
+		} else {
+			c.resolved.Add(1)
+		}
 	}
 	return results, err
-}
-
-func (c *Counting) note(res Result) {
-	c.queries.Add(1)
-	if res.Overflow {
-		c.overflow.Add(1)
-	} else {
-		c.resolved.Add(1)
-	}
 }
 
 // K implements Server.
@@ -341,24 +354,9 @@ func Cancelled(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// Answer implements Server, debiting the budget. A query aborted by ctx
-// cancellation is refunded: it never reached the hidden database, so after
-// an abort the budget spent always equals the queries actually served.
+// Answer implements Server as a one-query batch.
 func (q *Quota) Answer(ctx context.Context, query dataspace.Query) (Result, error) {
-	q.mu.Lock()
-	if q.used >= q.budget {
-		q.mu.Unlock()
-		return Result{}, ErrQuotaExceeded
-	}
-	q.used++
-	q.mu.Unlock()
-	res, err := q.inner.Answer(ctx, query)
-	if err != nil && Cancelled(err) {
-		q.mu.Lock()
-		q.used--
-		q.mu.Unlock()
-	}
-	return res, err
+	return Answer(ctx, q, query)
 }
 
 // AnswerBatch implements Server with sequential debiting semantics: the
@@ -368,7 +366,8 @@ func (q *Quota) Answer(ctx context.Context, query dataspace.Query) (Result, erro
 // A batch cut short by ctx cancellation instead refunds every unanswered
 // query, including the first unserved one: cancellation happens on the
 // client's side of the wire, so nothing beyond the answered prefix was
-// ever submitted.
+// ever submitted, and after an abort the budget spent always equals the
+// queries actually served.
 func (q *Quota) AnswerBatch(ctx context.Context, qs []dataspace.Query) ([]Result, error) {
 	if len(qs) == 0 {
 		return nil, nil
@@ -452,18 +451,14 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// Answer implements Server after the simulated round-trip delay. A ctx
-// cancelled during the delay aborts the query immediately — the simulated
-// round trip never completes, so nothing is served.
+// Answer implements Server as a one-query batch.
 func (l *Latency) Answer(ctx context.Context, q dataspace.Query) (Result, error) {
-	if err := sleepCtx(ctx, l.delay); err != nil {
-		return Result{}, err
-	}
-	return l.inner.Answer(ctx, q)
+	return Answer(ctx, l, q)
 }
 
 // AnswerBatch implements Server: one simulated round trip for the whole
-// batch, abortable by ctx exactly as Answer's is.
+// batch. A ctx cancelled during the delay aborts the batch immediately —
+// the simulated round trip never completes, so nothing is served.
 func (l *Latency) AnswerBatch(ctx context.Context, qs []dataspace.Query) ([]Result, error) {
 	if err := sleepCtx(ctx, l.delay); err != nil {
 		return nil, err

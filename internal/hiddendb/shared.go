@@ -93,9 +93,33 @@ func sharedEntrySize(key string, res Result) int64 {
 type Shared struct {
 	cache  *memo.Cache[Result]
 	flight *memo.Flight[Result]
-	hits   atomic.Int64
-	waits  atomic.Int64
-	leads  atomic.Int64
+	tallies
+}
+
+// tallies accumulates Memo tallies: a view's, or the whole tier's.
+type tallies struct{ hits, waits, leads atomic.Int64 }
+
+// Hits returns how many queries were answered from an already-cached entry.
+func (c *tallies) Hits() int { return int(c.hits.Load()) }
+
+// Waits returns how many queries were answered by waiting out another
+// session's in-flight fetch — the follower side of the pace car.
+func (c *tallies) Waits() int { return int(c.waits.Load()) }
+
+// Leads returns how many queries were led: paid through the leading
+// session's own stack and populated into the cache.
+func (c *tallies) Leads() int { return int(c.leads.Load()) }
+
+func (c *tallies) add(t Tally) {
+	if t.Hits > 0 {
+		c.hits.Add(int64(t.Hits))
+	}
+	if t.Waits > 0 {
+		c.waits.Add(int64(t.Waits))
+	}
+	if t.Leads > 0 {
+		c.leads.Add(int64(t.Leads))
+	}
 }
 
 // NewShared builds an empty shared cache. maxBytes > 0 bounds its resident
@@ -109,16 +133,8 @@ func NewShared(maxBytes int64) *Shared {
 	}
 }
 
-// Hits returns how many queries were answered from an already-cached entry.
-func (s *Shared) Hits() int { return int(s.hits.Load()) }
-
-// Waits returns how many queries were answered by waiting out a concurrent
-// leader's in-flight fetch — the follower side of the pace car.
-func (s *Shared) Waits() int { return int(s.waits.Load()) }
-
-// Leads returns how many queries some session led: paid through its own
-// stack and populated into the cache.
-func (s *Shared) Leads() int { return int(s.leads.Load()) }
+// publish is every view's Memo.Record: it stores a led answer.
+func (s *Shared) publish(key string, _ dataspace.Query, res Result) { s.cache.Set(key, res) }
 
 // Entries returns the number of answers currently cached.
 func (s *Shared) Entries() int { return s.cache.Len() }
@@ -171,90 +187,38 @@ func (s *Shared) Stats() SharedStats {
 // counter sit above the view and charge hits and leads alike). Each view
 // keeps per-session hit/wait/lead counters alongside the tier-wide ones.
 func (s *Shared) View(inner Server) *SharedView {
-	return &SharedView{shared: s, inner: inner}
+	return &SharedView{shared: s, memo: Memo{Inner: inner, Cache: s.cache, Flight: s.flight, Record: s.publish}}
 }
 
-// SharedView is one session's window onto a Shared tier. It implements
-// Server; safe for concurrent use when inner is.
+// SharedView is one session's window onto a Shared tier: a Memo over the
+// tier's cache and flight. A query some other session is fetching right
+// now waits for that leader (taking over if it fails); an uncached one is
+// led — paid through inner, this session's budget, and published for the
+// fleet — and the misses a batch leads reach inner as one batch. It
+// implements Server; safe for concurrent use when inner is.
 type SharedView struct {
 	shared *Shared
-	inner  Server
-	hits   atomic.Int64
-	waits  atomic.Int64
-	leads  atomic.Int64
+	memo   Memo
+	tallies
 }
 
-// Hits returns this session's answers served from an already-cached entry.
-func (v *SharedView) Hits() int { return int(v.hits.Load()) }
-
-// Waits returns this session's answers served by waiting on another
-// session's in-flight fetch.
-func (v *SharedView) Waits() int { return int(v.waits.Load()) }
-
-// Leads returns the queries this session led (paid and populated).
-func (v *SharedView) Leads() int { return int(v.leads.Load()) }
-
-// Answer implements Server. A cached answer returns immediately; a query
-// some other session is fetching right now blocks until that leader lands
-// or fails (handing leadership over on failure); otherwise this session
-// leads: the query is paid through inner — this session's budget — and the
-// answer is published for the fleet. Per-key single-flight guarantees the
-// store is asked each query at most once however many sessions race on it.
+// Answer implements Server as a one-query batch.
 func (v *SharedView) Answer(ctx context.Context, q dataspace.Query) (Result, error) {
-	res, key, ok := v.shared.cache.Probe(q.AppendKey)
-	if ok {
-		v.hits.Add(1)
-		v.shared.hits.Add(1)
-		return res, nil
-	}
-
-	res, via, err := v.shared.flight.Do(ctx, key,
-		func() (Result, bool) { return v.shared.cache.GetString(key) },
-		func() (Result, error) {
-			r, err := v.inner.Answer(ctx, q)
-			if err == nil {
-				v.shared.cache.Set(key, r)
-			}
-			return r, err
-		})
-	if err != nil {
-		return res, err
-	}
-	switch via {
-	case memo.Led:
-		v.leads.Add(1)
-		v.shared.leads.Add(1)
-	case memo.Waited:
-		v.waits.Add(1)
-		v.shared.waits.Add(1)
-	default: // memo.Hit: cached between our miss and the flight's re-check
-		v.hits.Add(1)
-		v.shared.hits.Add(1)
-	}
-	return res, nil
+	return Answer(ctx, v, q)
 }
 
-// AnswerBatch implements Server by issuing the queries one at a time: each
-// query independently hits, waits or leads, which preserves the sequential
-// contract exactly — results is the answered prefix and the error describes
-// the first query that could not be answered. (The per-shard batch fan-out
-// happens below the tier only for the queries this session actually leads;
-// a fleet at steady state answers most of a batch from the cache without
-// touching the store at all.)
+// AnswerBatch implements Server through the view's Memo, with the
+// sequential contract: each query hits, waits or leads exactly as it
+// would have alone, and the counters grow by the Memo's tally.
 func (v *SharedView) AnswerBatch(ctx context.Context, qs []dataspace.Query) ([]Result, error) {
-	out := make([]Result, 0, len(qs))
-	for _, q := range qs {
-		res, err := v.Answer(ctx, q)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, res)
-	}
-	return out, nil
+	res, t, err := v.memo.AnswerBatch(ctx, qs)
+	v.add(t)
+	v.shared.add(t)
+	return res, err
 }
 
 // K implements Server.
-func (v *SharedView) K() int { return v.inner.K() }
+func (v *SharedView) K() int { return v.memo.Inner.K() }
 
 // Schema implements Server.
-func (v *SharedView) Schema() *dataspace.Schema { return v.inner.Schema() }
+func (v *SharedView) Schema() *dataspace.Schema { return v.memo.Inner.Schema() }

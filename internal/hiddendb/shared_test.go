@@ -157,6 +157,84 @@ func TestSharedViewBatchPrefix(t *testing.T) {
 	}
 }
 
+// callLog records the calls reaching a server: the width of each batch
+// and the number of lone Answer calls.
+type callLog struct {
+	Server
+	answers int
+	batches []int
+}
+
+func (c *callLog) Answer(ctx context.Context, q dataspace.Query) (Result, error) {
+	c.answers++
+	return c.Server.Answer(ctx, q)
+}
+
+func (c *callLog) AnswerBatch(ctx context.Context, qs []dataspace.Query) ([]Result, error) {
+	c.batches = append(c.batches, len(qs))
+	return c.Server.AnswerBatch(ctx, qs)
+}
+
+// TestSharedViewBatchLeadsOnce: the distinct misses of a batch reach the
+// view's inner server as one batch, and the view's hits, waits and leads
+// are those of the same queries asked one at a time.
+func TestSharedViewBatchLeadsOnce(t *testing.T) {
+	ctx := context.Background()
+	sch := testSchema(t)
+	srv, err := NewLocal(sch, testBag(400, 11), 25, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := dataspace.UniverseQuery(sch)
+	cached := []dataspace.Query{u.WithValue(0, 1), u.WithValue(0, 2)}
+	a, b, c, d := u.WithRange(1, 0, 10), u.WithRange(1, 0, 20), u.WithValue(0, 3), u.WithValue(0, 4).WithRange(1, 5, 50)
+	qs := []dataspace.Query{a, cached[0], b, a, c, cached[1], b, d}
+	const misses = 4
+
+	// run asks qs through a fresh view whose tier already holds cached.
+	run := func(batch bool) (*SharedView, *callLog) {
+		shared := NewShared(0)
+		for _, q := range cached {
+			if _, err := shared.View(srv).Answer(ctx, q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		calls := &callLog{Server: srv}
+		v := shared.View(calls)
+		got := make([]Result, len(qs))
+		if batch {
+			res, err := v.AnswerBatch(ctx, qs)
+			if err != nil || len(res) != len(qs) {
+				t.Fatalf("AnswerBatch: %d of %d answered, %v", len(res), len(qs), err)
+			}
+			copy(got, res)
+		} else {
+			for i, q := range qs {
+				if got[i], err = v.Answer(ctx, q); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for i, q := range qs {
+			if want, _ := srv.Answer(ctx, q); !sameResult(got[i], want) {
+				t.Fatalf("batch=%v: answer %d is not the store's", batch, i)
+			}
+		}
+		return v, calls
+	}
+
+	v, calls := run(true)
+	if calls.answers != 0 || len(calls.batches) != 1 || calls.batches[0] != misses {
+		t.Fatalf("the batch's %d misses reached the inner server as %d Answer calls and batches %v; want one batch of %d",
+			misses, calls.answers, calls.batches, misses)
+	}
+	ref, _ := run(false)
+	got, want := [3]int{v.Hits(), v.Waits(), v.Leads()}, [3]int{ref.Hits(), ref.Waits(), ref.Leads()}
+	if got != want || want != [3]int{len(qs) - misses, 0, misses} {
+		t.Fatalf("batch hits, waits, leads = %v; one at a time %v; want both %v", got, want, [3]int{len(qs) - misses, 0, misses})
+	}
+}
+
 // TestSharedBounded: a byte-bounded tier evicts old answers and re-pays
 // them on the next ask — the cache is an optimization, never truth.
 func TestSharedBounded(t *testing.T) {
@@ -230,14 +308,14 @@ func TestSharedViewLeaderErrorNotCached(t *testing.T) {
 	}
 }
 
-// serverFunc overrides Answer on an inner server (test seam).
+// serverFunc answers each query of a batch with answer (test seam).
 type serverFunc struct {
 	inner  Server
 	answer func(ctx context.Context, q dataspace.Query) (Result, error)
 }
 
 func (s serverFunc) Answer(ctx context.Context, q dataspace.Query) (Result, error) {
-	return s.answer(ctx, q)
+	return Answer(ctx, s, q)
 }
 
 func (s serverFunc) AnswerBatch(ctx context.Context, qs []dataspace.Query) ([]Result, error) {

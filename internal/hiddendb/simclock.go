@@ -28,6 +28,7 @@ import (
 	"container/heap"
 	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hidb/internal/dataspace"
@@ -214,8 +215,8 @@ func (c *SimClock) advanceLocked() {
 	}
 }
 
-// SimLatency wraps a Server so that every round trip — one Answer, or one
-// whole AnswerBatch — costs a fixed delay of *virtual* time on the given
+// SimLatency wraps a Server so that every round trip — one AnswerBatch
+// call, of one query or many — costs a fixed delay of *virtual* time on the given
 // SimClock, the deterministic counterpart of the Latency decorator's real
 // sleep. Like Latency, a batch pays the delay once; a ctx cancelled during
 // the virtual wait aborts the round trip before it is served, so nothing
@@ -225,9 +226,7 @@ type SimLatency struct {
 	inner Server
 	delay time.Duration
 	clock *SimClock
-
-	mu    sync.Mutex
-	trips int
+	trips atomic.Int64
 }
 
 // NewSimLatency wraps srv with a per-round-trip virtual delay on clock.
@@ -240,25 +239,11 @@ func (l *SimLatency) Clock() *SimClock { return l.clock }
 
 // Trips returns how many round trips have been served (and paid the
 // simulated delay) so far.
-func (l *SimLatency) Trips() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.trips
-}
+func (l *SimLatency) Trips() int { return int(l.trips.Load()) }
 
-func (l *SimLatency) noteTrip() {
-	l.mu.Lock()
-	l.trips++
-	l.mu.Unlock()
-}
-
-// Answer implements Server after one simulated round trip.
+// Answer implements Server as a one-query batch.
 func (l *SimLatency) Answer(ctx context.Context, q dataspace.Query) (Result, error) {
-	if err := l.clock.Sleep(ctx, l.delay); err != nil {
-		return Result{}, err
-	}
-	l.noteTrip()
-	return l.inner.Answer(ctx, q)
+	return Answer(ctx, l, q)
 }
 
 // AnswerBatch implements Server: one simulated round trip for the whole
@@ -267,7 +252,7 @@ func (l *SimLatency) AnswerBatch(ctx context.Context, qs []dataspace.Query) ([]R
 	if err := l.clock.Sleep(ctx, l.delay); err != nil {
 		return nil, err
 	}
-	l.noteTrip()
+	l.trips.Add(1)
 	return l.inner.AnswerBatch(ctx, qs)
 }
 

@@ -1,14 +1,14 @@
 // Package httpclient implements hiddendb.Server over the HTTP wire
 // protocol of internal/httpserver, so every crawling algorithm can run
 // unmodified against a remote hidden database: Dial fetches the search
-// form's schema once, each Answer call is one POST /query round-trip, and
-// AnswerBatch packs B queries into one POST /batch round-trip — keeping the
-// crawler's query count equal to the server's while dividing the network
-// cost by the batch size.
+// form's schema once, each Answer call and each one-query AnswerBatch is
+// one POST /query round-trip, and AnswerBatch packs B > 1 queries into one
+// POST /batch round-trip — keeping the crawler's query count equal to the
+// server's while dividing the network cost by the batch size.
 //
-// Answer and AnswerBatch append their request bodies with the wire
-// codec's encoders. Each reads its response, through a 64 MiB (/query) or
-// 256 MiB (/batch) limit, into a pooled buffer and parses it with
+// Request bodies are appended with the wire codec's encoders. Both
+// endpoints share one response path: the answer is read, through a 64 MiB
+// (/query) or 256 MiB (/batch) limit, into a pooled buffer and parsed with
 // wire.ParseResult or wire.ParseBatchResponse, without encoding/json; no
 // returned result references the buffer. A /batch answer with more
 // results than the batch had queries is an error, whatever its
@@ -159,80 +159,55 @@ func ctxErr(ctx context.Context, err error) error {
 }
 
 // Answer implements hiddendb.Server with one POST /query round-trip.
-func (c *Client) Answer(ctx context.Context, q dataspace.Query) (hiddendb.Result, error) {
+func (c *Client) Answer(ctx context.Context, q dataspace.Query) (res hiddendb.Result, err error) {
 	body := wire.AppendQuery(make([]byte, 0, 32*c.schema.Dims()), q)
-	resp, err := c.doRetry(ctx, "query", http.MethodPost, "/query", body)
-	if err != nil {
-		return hiddendb.Result{}, ctxErr(ctx, fmt.Errorf("httpclient: query round-trip: %w", err))
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusTooManyRequests:
-		return hiddendb.Result{}, hiddendb.ErrQuotaExceeded
-	default:
-		snippet, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		return hiddendb.Result{}, fmt.Errorf("httpclient: query returned %s: %s", resp.Status, snippet)
-	}
-	buf, err := readAnswer(resp.Body, 64<<20)
-	if err != nil {
-		return hiddendb.Result{}, ctxErr(ctx, fmt.Errorf("httpclient: reading result: %w", err))
-	}
-	defer releaseAnswer(buf)
-	res, err := wire.ParseResult(c.schema, buf.Bytes())
-	if err != nil {
-		return hiddendb.Result{}, fmt.Errorf("httpclient: decoding result: %w", err)
-	}
-	return res, nil
+	err = c.post(ctx, "query", body, 64<<20, func(b []byte) (err error) {
+		res, err = wire.ParseResult(c.schema, b)
+		return err
+	})
+	return res, err
 }
 
-// AnswerBatch implements hiddendb.Server with one POST /batch round-trip.
-// The server answers the batch exactly as if the queries had been issued
-// sequentially; a batch cut short — by the server's quota or by a server
-// failure mid-batch — returns the answered (and paid-for) prefix plus
-// hiddendb.ErrQuotaExceeded or the server's error, respectively. Cancelling
-// ctx aborts the in-flight round trip.
+// AnswerBatch implements hiddendb.Server with one round trip: POST /query
+// for a one-query batch, POST /batch for a wider one. The server answers
+// the batch exactly as if the queries had been issued sequentially; a
+// batch cut short — by the server's quota or by a server failure
+// mid-batch — returns the answered (and paid-for) prefix plus
+// hiddendb.ErrQuotaExceeded or the server's error, respectively.
+// Cancelling ctx aborts the in-flight round trip.
 func (c *Client) AnswerBatch(ctx context.Context, qs []dataspace.Query) ([]hiddendb.Result, error) {
-	if len(qs) == 0 {
+	switch len(qs) {
+	case 0:
 		return nil, nil
+	case 1:
+		res, err := c.Answer(ctx, qs[0])
+		if err != nil {
+			return nil, err
+		}
+		return []hiddendb.Result{res}, nil
 	}
+	var results []hiddendb.Result
+	var quotaExceeded bool
+	var serverErr string
 	body := wire.AppendBatchRequest(make([]byte, 0, 32*len(qs)*c.schema.Dims()), qs)
-	resp, err := c.doRetry(ctx, "batch", http.MethodPost, "/batch", body)
-	if err != nil {
-		return nil, ctxErr(ctx, fmt.Errorf("httpclient: batch round-trip: %w", err))
+	if err := c.post(ctx, "batch", body, 256<<20, func(b []byte) (err error) {
+		results, quotaExceeded, serverErr, err = wire.ParseBatchResponse(c.schema, b)
+		return err
+	}); err != nil {
+		return nil, err
 	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusTooManyRequests:
-		return nil, hiddendb.ErrQuotaExceeded
-	default:
-		snippet, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		return nil, fmt.Errorf("httpclient: batch returned %s: %s", resp.Status, snippet)
-	}
-	buf, err := readAnswer(resp.Body, 256<<20)
-	if err != nil {
-		return nil, ctxErr(ctx, fmt.Errorf("httpclient: reading batch result: %w", err))
-	}
-	defer releaseAnswer(buf)
-	results, quotaExceeded, serverErr, err := wire.ParseBatchResponse(c.schema, buf.Bytes())
-	if err != nil {
-		return nil, fmt.Errorf("httpclient: decoding batch result: %w", err)
-	}
-	if len(results) > len(qs) {
+	switch {
+	case len(results) > len(qs):
 		// Whatever its flags say, an answer longer than the batch is not
 		// a prefix of it.
 		return nil, fmt.Errorf("httpclient: batch answered %d results for %d queries", len(results), len(qs))
-	}
-	if serverErr != "" {
+	case serverErr != "":
 		// A mid-batch server failure: the prefix was answered and paid
 		// for — deliver it with the error, per the Server contract.
 		return results, fmt.Errorf("httpclient: server failed mid-batch: %s", serverErr)
-	}
-	if quotaExceeded {
+	case quotaExceeded:
 		return results, hiddendb.ErrQuotaExceeded
-	}
-	if len(results) != len(qs) {
+	case len(results) != len(qs):
 		return nil, fmt.Errorf("httpclient: batch answered %d of %d queries with no quota signal", len(results), len(qs))
 	}
 	return results, nil
@@ -246,22 +221,38 @@ const maxPooledAnswer = 4 << 20
 // into. The wire parsers copy everything they return out of the buffer.
 var answerBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// readAnswer reads a response body, at most limit bytes of it, into a
-// pooled buffer; hand the buffer back with releaseAnswer.
-func readAnswer(body io.Reader, limit int64) (*bytes.Buffer, error) {
+// post is the one response path of /query and /batch: it sends one
+// POST /<op> round trip and reads the 200 answer, at most limit bytes of
+// it, into a pooled buffer for parse. A 429 is hiddendb.ErrQuotaExceeded,
+// any other status an error quoting the body.
+func (c *Client) post(ctx context.Context, op string, body []byte, limit int64, parse func([]byte) error) error {
+	resp, err := c.doRetry(ctx, op, http.MethodPost, "/"+op, body)
+	if err != nil {
+		return ctxErr(ctx, fmt.Errorf("httpclient: %s round-trip: %w", op, err))
+	}
+	defer resp.Body.Close()
+	switch resp.StatusCode {
+	case http.StatusOK:
+	case http.StatusTooManyRequests:
+		return hiddendb.ErrQuotaExceeded
+	default:
+		snippet, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
+		return fmt.Errorf("httpclient: %s returned %s: %s", op, resp.Status, snippet)
+	}
 	buf := answerBufs.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledAnswer {
+			answerBufs.Put(buf)
+		}
+	}()
 	buf.Reset()
-	if _, err := buf.ReadFrom(io.LimitReader(body, limit)); err != nil {
-		releaseAnswer(buf)
-		return nil, err
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, limit)); err != nil {
+		return ctxErr(ctx, fmt.Errorf("httpclient: reading %s result: %w", op, err))
 	}
-	return buf, nil
-}
-
-func releaseAnswer(buf *bytes.Buffer) {
-	if buf.Cap() <= maxPooledAnswer {
-		answerBufs.Put(buf)
+	if err := parse(buf.Bytes()); err != nil {
+		return fmt.Errorf("httpclient: decoding %s result: %w", op, err)
 	}
+	return nil
 }
 
 // CrawlResult is the outcome of a server-side streaming crawl.

@@ -3,6 +3,7 @@ package httpclient
 import (
 	"context"
 	"errors"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -125,13 +126,22 @@ func TestAnswerMatchesLocal(t *testing.T) {
 	}
 }
 
+// pathCounter is an http.RoundTripper that counts requests by path.
+type pathCounter map[string]int
+
+func (p pathCounter) RoundTrip(r *http.Request) (*http.Response, error) {
+	p[r.URL.Path]++
+	return http.DefaultTransport.RoundTrip(r)
+}
+
 // TestRemoteCrawlEqualsLocal is the end-to-end property: the full crawl
 // through HTTP retrieves the same bag with the same query count as the
-// in-process crawl.
+// in-process crawl, one POST /query per paid query.
 func TestRemoteCrawlEqualsLocal(t *testing.T) {
 	ds := mixedDataset(t, 2000)
 	ts, local := startServer(t, ds, 32, 0)
-	c, err := Dial(context.Background(), ts.URL, nil)
+	paths := pathCounter{}
+	c, err := Dial(context.Background(), ts.URL, &http.Client{Transport: paths})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,6 +158,9 @@ func TestRemoteCrawlEqualsLocal(t *testing.T) {
 	}
 	if remoteRes.Queries != localRes.Queries {
 		t.Fatalf("remote crawl cost %d != local %d", remoteRes.Queries, localRes.Queries)
+	}
+	if want := (pathCounter{"/schema": 1, "/query": remoteRes.Queries}); !maps.Equal(paths, want) {
+		t.Fatalf("a sequential crawl sent %v, want %v", paths, want)
 	}
 }
 

@@ -14,32 +14,33 @@ import (
 	"hidb/internal/wire"
 )
 
-// stubServer serves a fixed schema and a scripted /batch response, and
-// records the Authorization headers it sees.
+// stubServer serves a fixed schema, an empty /query answer and a scripted
+// /batch response, and records each request's path and Authorization
+// header.
 func stubServer(t *testing.T, sch *dataspace.Schema, k int, batch wire.BatchResponse) (*httptest.Server, *[]string) {
 	t.Helper()
-	var auths []string
+	var seen []string
+	answers := map[string]any{"/schema": wire.EncodeSchema(sch, k), "/query": wire.ResultMsg{}, "/batch": batch}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/schema", func(w http.ResponseWriter, r *http.Request) {
-		auths = append(auths, r.Header.Get("Authorization"))
-		json.NewEncoder(w).Encode(wire.EncodeSchema(sch, k))
-	})
-	mux.HandleFunc("/batch", func(w http.ResponseWriter, r *http.Request) {
-		auths = append(auths, r.Header.Get("Authorization"))
-		json.NewEncoder(w).Encode(batch)
-	})
+	for path, answer := range answers {
+		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+			seen = append(seen, path+" "+r.Header.Get("Authorization"))
+			json.NewEncoder(w).Encode(answer)
+		})
+	}
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
-	return ts, &auths
+	return ts, &seen
 }
 
 // TestTokenRidesEveryRequest: DialToken stamps Authorization: Bearer on
-// the schema fetch and every query-carrying request.
+// the schema fetch and every query-carrying request. A one-query batch
+// goes over /query.
 func TestTokenRidesEveryRequest(t *testing.T) {
 	sch := dataspace.MustSchema([]dataspace.Attribute{
 		{Name: "x", Kind: dataspace.Numeric, Min: 0, Max: 100},
 	})
-	ts, auths := stubServer(t, sch, 5, wire.BatchResponse{Results: []wire.ResultMsg{{}}})
+	ts, seen := stubServer(t, sch, 5, wire.BatchResponse{Results: []wire.ResultMsg{{}}})
 	c, err := DialToken(context.Background(), ts.URL, "secret-tok", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -50,12 +51,12 @@ func TestTokenRidesEveryRequest(t *testing.T) {
 	if _, err := c.AnswerBatch(context.Background(), []dataspace.Query{dataspace.UniverseQuery(sch)}); err != nil {
 		t.Fatal(err)
 	}
-	if len(*auths) != 2 {
-		t.Fatalf("saw %d requests, want 2", len(*auths))
+	if len(*seen) != 2 {
+		t.Fatalf("saw %d requests, want 2", len(*seen))
 	}
-	for i, a := range *auths {
-		if a != "Bearer secret-tok" {
-			t.Errorf("request %d Authorization = %q", i, a)
+	for i, want := range []string{"/schema Bearer secret-tok", "/query Bearer secret-tok"} {
+		if (*seen)[i] != want {
+			t.Errorf("request %d = %q, want %q", i, (*seen)[i], want)
 		}
 	}
 }
@@ -93,11 +94,11 @@ func TestBatchRejectsOversizeResponse(t *testing.T) {
 	sch := dataspace.MustSchema([]dataspace.Attribute{
 		{Name: "x", Kind: dataspace.Numeric, Min: 0, Max: 100},
 	})
-	two := []wire.ResultMsg{{Tuples: [][]int64{{1}}}, {Tuples: [][]int64{{2}}}}
+	three := []wire.ResultMsg{{Tuples: [][]int64{{1}}}, {Tuples: [][]int64{{2}}}, {Tuples: [][]int64{{3}}}}
 	for name, resp := range map[string]wire.BatchResponse{
-		"quotaExceeded": {Results: two, QuotaExceeded: true},
-		"error":         {Results: two, Error: "backend on fire"},
-		"no flag":       {Results: two},
+		"quotaExceeded": {Results: three, QuotaExceeded: true},
+		"error":         {Results: three, Error: "backend on fire"},
+		"no flag":       {Results: three},
 	} {
 		t.Run(name, func(t *testing.T) {
 			ts, _ := stubServer(t, sch, 5, resp)
@@ -105,9 +106,10 @@ func TestBatchRejectsOversizeResponse(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := c.AnswerBatch(context.Background(), []dataspace.Query{dataspace.UniverseQuery(sch)})
+			u := dataspace.UniverseQuery(sch)
+			res, err := c.AnswerBatch(context.Background(), []dataspace.Query{u, u})
 			if err == nil || errors.Is(err, hiddendb.ErrQuotaExceeded) || res != nil {
-				t.Fatalf("2 results for 1 query: got %d results, err %v; want none and a non-quota error", len(res), err)
+				t.Fatalf("3 results for 2 queries: got %d results, err %v; want none and a non-quota error", len(res), err)
 			}
 		})
 	}

@@ -27,12 +27,7 @@ type ledger struct {
 }
 
 func (l *ledger) Answer(ctx context.Context, q dataspace.Query) (hiddendb.Result, error) {
-	time.Sleep(time.Millisecond)
-	res, err := l.Server.Answer(ctx, q)
-	if err == nil {
-		l.paid.Add(1)
-	}
-	return res, err
+	return hiddendb.Answer(ctx, l, q)
 }
 
 func (l *ledger) AnswerBatch(ctx context.Context, qs []dataspace.Query) ([]hiddendb.Result, error) {

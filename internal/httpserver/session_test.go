@@ -346,20 +346,20 @@ type failingServer struct {
 }
 
 func (f *failingServer) Answer(ctx context.Context, q dataspace.Query) (hiddendb.Result, error) {
-	f.mu.Lock()
-	if f.served >= f.failAt {
-		f.mu.Unlock()
-		return hiddendb.Result{}, errors.New("backend on fire")
-	}
-	f.served++
-	f.mu.Unlock()
-	return f.Server.Answer(ctx, q)
+	return hiddendb.Answer(ctx, f, q)
 }
 
 func (f *failingServer) AnswerBatch(ctx context.Context, qs []dataspace.Query) ([]hiddendb.Result, error) {
 	out := make([]hiddendb.Result, 0, len(qs))
 	for _, q := range qs {
-		res, err := f.Answer(ctx, q)
+		f.mu.Lock()
+		if f.served >= f.failAt {
+			f.mu.Unlock()
+			return out, errors.New("backend on fire")
+		}
+		f.served++
+		f.mu.Unlock()
+		res, err := hiddendb.Answer(ctx, f.Server, q)
 		if err != nil {
 			return out, err
 		}

@@ -19,7 +19,7 @@ import (
 	"hidb/internal/wire"
 )
 
-// gatedServer blocks every Answer until the gate is closed, so a test can
+// gatedServer blocks every call until the gate is closed, so a test can
 // hold a request in flight deterministically.
 type gatedServer struct {
 	hiddendb.Server
@@ -27,12 +27,16 @@ type gatedServer struct {
 }
 
 func (g *gatedServer) Answer(ctx context.Context, q dataspace.Query) (hiddendb.Result, error) {
+	return hiddendb.Answer(ctx, g, q)
+}
+
+func (g *gatedServer) AnswerBatch(ctx context.Context, qs []dataspace.Query) ([]hiddendb.Result, error) {
 	select {
 	case <-g.gate:
 	case <-ctx.Done():
-		return hiddendb.Result{}, ctx.Err()
+		return nil, ctx.Err()
 	}
-	return g.Server.Answer(ctx, q)
+	return g.Server.AnswerBatch(ctx, qs)
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {

@@ -1,4 +1,20 @@
 package journal
 
+import "hidb/internal/dataspace"
+
 // NewTestDataset exposes testDataset to the external crawl tests.
 var NewTestDataset = testDataset
+
+// RaceEnabled exposes raceEnabled to the external tests.
+const RaceEnabled = raceEnabled
+
+// Queries returns the recorded queries in the order they were paid.
+func (j *Journal) Queries() []dataspace.Query {
+	j.mu.RLock()
+	defer j.mu.RUnlock()
+	qs := make([]dataspace.Query, len(j.log))
+	for i, e := range j.log {
+		qs[i] = e.q
+	}
+	return qs
+}

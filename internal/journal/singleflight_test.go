@@ -14,8 +14,8 @@ import (
 	"hidb/internal/memo"
 )
 
-// blockingInner is a hidden-database stand-in whose Answer parks on a gate,
-// so a test can hold two callers inside the miss window at once.
+// blockingInner is a hidden-database stand-in whose every query parks on a
+// gate, so a test can hold two callers inside the miss window at once.
 type blockingInner struct {
 	schema  *dataspace.Schema
 	gate    chan struct{}
@@ -24,24 +24,20 @@ type blockingInner struct {
 }
 
 func (b *blockingInner) Answer(ctx context.Context, q dataspace.Query) (hiddendb.Result, error) {
-	b.calls.Add(1)
-	b.arrived <- struct{}{}
-	select {
-	case <-b.gate:
-	case <-ctx.Done():
-		return hiddendb.Result{}, ctx.Err()
-	}
-	return hiddendb.Result{}, nil
+	return hiddendb.Answer(ctx, b, q)
 }
 
 func (b *blockingInner) AnswerBatch(ctx context.Context, qs []dataspace.Query) ([]hiddendb.Result, error) {
 	out := make([]hiddendb.Result, 0, len(qs))
-	for _, q := range qs {
-		res, err := b.Answer(ctx, q)
-		if err != nil {
-			return out, err
+	for range qs {
+		b.calls.Add(1)
+		b.arrived <- struct{}{}
+		select {
+		case <-b.gate:
+		case <-ctx.Done():
+			return out, ctx.Err()
 		}
-		out = append(out, res)
+		out = append(out, hiddendb.Result{})
 	}
 	return out, nil
 }
@@ -274,7 +270,11 @@ func TestAnswerBatchSingleFlight(t *testing.T) {
 		inner, counting, j, srv := setup(t)
 		ctx := context.Background()
 		xkey, ykey := string(x.AppendKey(nil)), string(y.AppendKey(nil))
-		if _, via := srv.flight.Claim(ykey, srv.recorded(ykey)); via != memo.Led {
+		recorded := func(key string) func() (hiddendb.Result, bool) {
+			return func() (hiddendb.Result, bool) { return j.answers.GetString(key) }
+		}
+		flight := srv.memo.Flight
+		if _, via := flight.Claim(ykey, recorded(ykey)); via != memo.Led {
 			t.Fatalf("claim on a fresh key: %v, want Led", via)
 		}
 		batchErr := make(chan error, 1)
@@ -283,7 +283,7 @@ func TestAnswerBatchSingleFlight(t *testing.T) {
 		close(inner.gate)
 		waitX := make(chan error, 1)
 		go func() {
-			_, _, err := srv.flight.Do(ctx, xkey, srv.recorded(xkey), func() (hiddendb.Result, error) {
+			_, _, err := flight.Do(ctx, xkey, recorded(xkey), func() (hiddendb.Result, error) {
 				return hiddendb.Result{}, errors.New("x fetched twice")
 			})
 			waitX <- err
@@ -296,7 +296,7 @@ func TestAnswerBatchSingleFlight(t *testing.T) {
 			t.Fatal(err)
 		}
 		j.record(ykey, y, res[0])
-		srv.flight.Release(ykey, res[0], true)
+		flight.Release(ykey, res[0], true)
 		if err := within(t, batchErr, "[x,y] waiting on y"); err != nil {
 			t.Fatal(err)
 		}

@@ -158,14 +158,17 @@ func (c *Cache[V]) Set(key string, v V) bool {
 		sh.mu.Unlock()
 		return false
 	}
-	e := &cacheEntry[V]{key: key, v: v}
-	if sh.lru == nil {
-		el := &list.Element{Value: e}
-		sh.m[key] = el
+	if sh.lru == nil { // one allocation holds the element and its entry
+		n := &struct {
+			el list.Element
+			e  cacheEntry[V]
+		}{e: cacheEntry[V]{key: key, v: v}}
+		n.el.Value = &n.e
+		sh.m[key] = &n.el
 		sh.mu.Unlock()
 		return true
 	}
-	e.size = c.sizeOf(key, v)
+	e := &cacheEntry[V]{key: key, v: v, size: c.sizeOf(key, v)}
 	sh.m[key] = sh.lru.PushFront(e)
 	sh.bytes += e.size
 	evicted := 0
@@ -330,8 +333,8 @@ func (f *Flight[V]) Release(key string, v V, ok bool) {
 // without consuming anything.
 //
 // At-most-one-fetch contract: a successful fetch must make its value
-// visible to lookup before it returns (SharedView's fetch publishes to the
-// cache, a journal's records the answer, then each returns). Do leans on
+// visible to lookup before it returns (hiddendb.Memo's fetch records the
+// answer in its cache, then returns). Do leans on
 // that ordering to close the window between a caller's lookup miss and its
 // registration (see claim): a registered leader is the only party that can
 // fetch the key.

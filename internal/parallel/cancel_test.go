@@ -35,19 +35,12 @@ func (c *cancelMidBatch) take(n int) (granted int, exhausted bool) {
 	return n, c.serve == 0
 }
 
-// Granted queries are served under a background ctx — they model work
-// already on the wire when the cancellation lands, which completes.
 func (c *cancelMidBatch) Answer(ctx context.Context, q dataspace.Query) (hiddendb.Result, error) {
-	n, exhausted := c.take(1)
-	if exhausted {
-		defer c.cancel()
-	}
-	if n == 0 {
-		return hiddendb.Result{}, context.Canceled
-	}
-	return c.Server.Answer(context.Background(), q)
+	return hiddendb.Answer(ctx, c, q)
 }
 
+// Granted queries are served under a background ctx — they model work
+// already on the wire when the cancellation lands, which completes.
 func (c *cancelMidBatch) AnswerBatch(ctx context.Context, qs []dataspace.Query) ([]hiddendb.Result, error) {
 	n, exhausted := c.take(len(qs))
 	if exhausted {

@@ -334,11 +334,7 @@ func (f *flaggingServer) take() (ok, exhausted bool) {
 }
 
 func (f *flaggingServer) Answer(ctx context.Context, q dataspace.Query) (hiddendb.Result, error) {
-	ok, _ := f.take()
-	if !ok {
-		return hiddendb.Result{}, hiddendb.ErrQuotaExceeded
-	}
-	return f.inner.Answer(ctx, q)
+	return hiddendb.Answer(ctx, f, q)
 }
 
 func (f *flaggingServer) AnswerBatch(ctx context.Context, qs []dataspace.Query) ([]hiddendb.Result, error) {

@@ -211,7 +211,7 @@ func TestFleetOffIsPaperMode(t *testing.T) {
 	}
 }
 
-// gatedStore blocks the first Answer that reaches it until released, so a
+// gatedStore blocks the first call that reaches it until released, so a
 // test can hold a leader mid-fetch while it rearranges the world around it.
 type gatedStore struct {
 	hiddendb.Server
@@ -221,25 +221,17 @@ type gatedStore struct {
 }
 
 func (g *gatedStore) Answer(ctx context.Context, q dataspace.Query) (hiddendb.Result, error) {
+	return hiddendb.Answer(ctx, g, q)
+}
+
+func (g *gatedStore) AnswerBatch(ctx context.Context, qs []dataspace.Query) ([]hiddendb.Result, error) {
 	gate := false
 	g.once.Do(func() { gate = true })
 	if gate {
 		close(g.entered)
 		<-g.release
 	}
-	return g.Server.Answer(ctx, q)
-}
-
-func (g *gatedStore) AnswerBatch(ctx context.Context, qs []dataspace.Query) ([]hiddendb.Result, error) {
-	out := make([]hiddendb.Result, 0, len(qs))
-	for _, q := range qs {
-		res, err := g.Answer(ctx, q)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, res)
-	}
-	return out, nil
+	return g.Server.AnswerBatch(ctx, qs)
 }
 
 // TestFleetEvictionMidFlight: a leader whose session is evicted (LRU
