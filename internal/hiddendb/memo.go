@@ -7,7 +7,7 @@ import (
 	"hidb/internal/memo"
 )
 
-// Memo is the loop both memo decorators — a session's journal
+// Memo is the single-flight both memo decorators — a session's journal
 // (journal.Server) and the fleet tier (SharedView) — answer through: a
 // query is answered from Cache when it can be, else paid through Inner and
 // recorded. Misses are single-flighted through Flight, so however
@@ -40,20 +40,23 @@ func (t *Tally) add(via memo.Via) {
 	}
 }
 
-// Probe looks q up in the cache. A hit allocates nothing; a miss returns
-// q's cache key, ready for Miss.
-func (m *Memo) Probe(q dataspace.Query) (Result, string, bool) {
-	return m.Cache.Probe(q.AppendKey)
+// Answer answers q alone. A cache hit allocates nothing. A miss waits for
+// a call that already leads q; otherwise, or if that leader fails, it
+// leads q itself through a one-query Inner batch.
+func (m *Memo) Answer(ctx context.Context, q dataspace.Query) (Result, memo.Via, error) {
+	res, key, ok := m.Cache.Probe(q.AppendKey)
+	if ok {
+		return res, memo.Hit, nil
+	}
+	return m.miss(ctx, q, key)
 }
 
 func (m *Memo) lookup(key string) func() (Result, bool) {
 	return func() (Result, bool) { return m.Cache.GetString(key) }
 }
 
-// Miss answers q, which Probe missed under key. It waits for a call that
-// already leads key; otherwise, or if that leader fails, it leads key
-// itself through a one-query Inner batch.
-func (m *Memo) Miss(ctx context.Context, q dataspace.Query, key string) (Result, memo.Via, error) {
+// miss is Answer for a q the cache missed under key.
+func (m *Memo) miss(ctx context.Context, q dataspace.Query, key string) (Result, memo.Via, error) {
 	return m.Flight.Do(ctx, key, m.lookup(key), func() (Result, error) {
 		res, err := Answer(ctx, m.Inner, q)
 		if err == nil {
@@ -79,32 +82,24 @@ type batchMiss struct {
 // flight. The misses this call leads go to Inner as one batch, and every
 // led key is recorded and released, answered or not, before this call
 // waits on any other call's key, so crossing batches cannot deadlock. A
-// followed key whose leader fails is paid here, as Miss pays it. On
+// followed key whose leader fails is paid here, as Answer pays it. On
 // failure the result is the answered prefix plus the error; a led miss
 // past the prefix may already be paid, and is recorded, so a retry hits
 // it. Leads counts every query this call paid, Hits and Waits the prefix.
+//
+// Paying past the prefix keeps the books only where Record is the payer's
+// own ledger, as in the journal. A memo whose caller records just the
+// answers it gets back (SharedView, under a session's journal) answers a
+// batch one query at a time through Answer instead.
 func (m *Memo) AnswerBatch(ctx context.Context, qs []dataspace.Query) ([]Result, Tally, error) {
 	var t Tally
-	if len(qs) == 1 { // nothing to share: skip the bookkeeping
-		res, key, ok := m.Probe(qs[0])
-		via := memo.Hit
-		if !ok {
-			var err error
-			if res, via, err = m.Miss(ctx, qs[0], key); err != nil {
-				return nil, t, err
-			}
-		}
-		t.add(via)
-		return []Result{res}, t, nil
-	}
-
 	out := make([]Result, len(qs))
 	missOf := make([]int, len(qs)) // qs[i]'s index in misses, -1 for a hit
 	var misses []batchMiss
 	var led []dataspace.Query
 	seen := make(map[string]int)
 	for i, q := range qs {
-		res, key, ok := m.Probe(q)
+		res, key, ok := m.Cache.Probe(q.AppendKey)
 		if j, dup := seen[key]; !ok && dup {
 			missOf[i] = j
 			continue
@@ -149,7 +144,7 @@ func (m *Memo) AnswerBatch(ctx context.Context, qs []dataspace.Query) ([]Result,
 		}
 		b := &misses[j]
 		if !b.done && b.via == memo.Waited {
-			res, via, ferr := m.Miss(ctx, b.q, b.key)
+			res, via, ferr := m.miss(ctx, b.q, b.key)
 			if ferr != nil {
 				err = ferr
 			} else {

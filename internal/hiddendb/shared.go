@@ -194,8 +194,7 @@ func (s *Shared) View(inner Server) *SharedView {
 // tier's cache and flight. A query some other session is fetching right
 // now waits for that leader (taking over if it fails); an uncached one is
 // led — paid through inner, this session's budget, and published for the
-// fleet — and the misses a batch leads reach inner as one batch. It
-// implements Server; safe for concurrent use when inner is.
+// fleet. It implements Server; safe for concurrent use when inner is.
 type SharedView struct {
 	shared *Shared
 	memo   Memo
@@ -207,14 +206,28 @@ func (v *SharedView) Answer(ctx context.Context, q dataspace.Query) (Result, err
 	return Answer(ctx, v, q)
 }
 
-// AnswerBatch implements Server through the view's Memo, with the
-// sequential contract: each query hits, waits or leads exactly as it
-// would have alone, and the counters grow by the Memo's tally.
+// AnswerBatch implements Server by asking the view's Memo one query at a
+// time: each query hits, waits or leads exactly as it would have alone.
+// So the view never pays past a wait it has not resolved — under
+// SharedFree the session's journal above records only the answered
+// prefix, and must match what inner charged — and it leads one key at a
+// time, so other sessions never wait on a key its batch has not reached.
 func (v *SharedView) AnswerBatch(ctx context.Context, qs []dataspace.Query) ([]Result, error) {
-	res, t, err := v.memo.AnswerBatch(ctx, qs)
+	out := make([]Result, 0, len(qs))
+	var t Tally
+	var err error
+	for _, q := range qs {
+		var res Result
+		var via memo.Via
+		if res, via, err = v.memo.Answer(ctx, q); err != nil {
+			break
+		}
+		t.add(via)
+		out = append(out, res)
+	}
 	v.add(t)
 	v.shared.add(t)
-	return res, err
+	return out, err
 }
 
 // K implements Server.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"hidb/internal/dataspace"
 )
@@ -175,10 +176,11 @@ func (c *callLog) AnswerBatch(ctx context.Context, qs []dataspace.Query) ([]Resu
 	return c.Server.AnswerBatch(ctx, qs)
 }
 
-// TestSharedViewBatchLeadsOnce: the distinct misses of a batch reach the
-// view's inner server as one batch, and the view's hits, waits and leads
-// are those of the same queries asked one at a time.
-func TestSharedViewBatchLeadsOnce(t *testing.T) {
+// TestSharedViewBatchLeadsOneAtATime: each distinct miss of a batch
+// reaches the view's inner server once, as its own one-query batch, and
+// the view's hits, waits and leads are those of the same queries asked one
+// at a time.
+func TestSharedViewBatchLeadsOneAtATime(t *testing.T) {
 	ctx := context.Background()
 	sch := testSchema(t)
 	srv, err := NewLocal(sch, testBag(400, 11), 25, 42)
@@ -224,14 +226,63 @@ func TestSharedViewBatchLeadsOnce(t *testing.T) {
 	}
 
 	v, calls := run(true)
-	if calls.answers != 0 || len(calls.batches) != 1 || calls.batches[0] != misses {
-		t.Fatalf("the batch's %d misses reached the inner server as %d Answer calls and batches %v; want one batch of %d",
+	if calls.answers != 0 || fmt.Sprint(calls.batches) != "[1 1 1 1]" {
+		t.Fatalf("the batch's %d misses reached the inner server as %d Answer calls and batches %v; want %d batches of 1",
 			misses, calls.answers, calls.batches, misses)
 	}
 	ref, _ := run(false)
 	got, want := [3]int{v.Hits(), v.Waits(), v.Leads()}, [3]int{ref.Hits(), ref.Waits(), ref.Leads()}
 	if got != want || want != [3]int{len(qs) - misses, 0, misses} {
 		t.Fatalf("batch hits, waits, leads = %v; one at a time %v; want both %v", got, want, [3]int{len(qs) - misses, 0, misses})
+	}
+}
+
+// TestSharedViewBatchHoldsOneKey: a batch leads one key at a time. While
+// its first lead is held up in the store, another view asking the batch's
+// second query leads it at once instead of waiting for the batch.
+func TestSharedViewBatchHoldsOneKey(t *testing.T) {
+	ctx := context.Background()
+	sch := testSchema(t)
+	srv, err := NewLocal(sch, testBag(200, 5), 25, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := dataspace.UniverseQuery(sch)
+	a, b := u.WithValue(0, 1), u.WithValue(0, 2)
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	gated := serverFunc{inner: srv, answer: func(ctx context.Context, q dataspace.Query) (Result, error) {
+		once.Do(func() { close(entered); <-release })
+		return srv.Answer(ctx, q)
+	}}
+	shared := NewShared(0)
+	batchDone := make(chan error, 1)
+	go func() {
+		_, err := shared.View(gated).AnswerBatch(ctx, []dataspace.Query{a, b})
+		batchDone <- err
+	}()
+	<-entered // the batch leads a, held in the store
+
+	other := shared.View(srv)
+	otherDone := make(chan error, 1)
+	go func() {
+		_, err := other.Answer(ctx, b)
+		otherDone <- err
+	}()
+	select {
+	case err := <-otherDone:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("the other view waited on b, a key the held batch had not reached")
+	}
+	close(release)
+	if err := <-batchDone; err != nil {
+		t.Fatal(err)
+	}
+	if other.Leads() != 1 || shared.Leads() != 2 {
+		t.Fatalf("other view led %d, tier %d; want 1 and 2 (a by the batch, b by the other view)", other.Leads(), shared.Leads())
 	}
 }
 

@@ -17,12 +17,12 @@
 //
 // A journal is also a memo: because the server's answers are stable, the
 // recorded answer to a query is the answer. Server is a hiddendb.Memo
-// over the journal's answers, the same loop the fleet tier's SharedView
-// runs over the shared cache. Lookups go through a sharded memo.Cache
-// keyed by Query.AppendKey, so a replay allocates nothing. Answer and
-// AnswerBatch single-flight their misses through the Memo's one
-// memo.Flight, so however concurrent calls split a query between the two
-// paths, it is paid once. Every session stack runs behind its journal,
+// over the journal's answers, the same single-flight the fleet tier's
+// SharedView runs over the shared cache. Lookups go through a sharded
+// memo.Cache keyed by Query.AppendKey, so a replay allocates nothing.
+// Answer and AnswerBatch single-flight their misses through the Memo's
+// one memo.Flight, so however concurrent calls split a query between the
+// two paths, it is paid once. Every session stack runs behind its journal,
 // and so does every in-process crawl that re-asks queries (core's
 // slice-cover family and hybrid), with a fresh journal per crawl.
 package journal
@@ -174,15 +174,9 @@ func Wrap(inner hiddendb.Server, j *Journal) (*Server, error) {
 }
 
 // Answer implements hiddendb.Server. Replays are free, allocate nothing and
-// ignore ctx — they touch no remote resource — while a miss goes to the
-// Memo with the key the probe built, and honours ctx.
+// ignore ctx — they touch no remote resource — while a miss honours ctx.
 func (s *Server) Answer(ctx context.Context, q dataspace.Query) (hiddendb.Result, error) {
-	res, key, ok := s.memo.Probe(q)
-	if ok {
-		s.replays.Add(1)
-		return res, nil
-	}
-	res, via, err := s.memo.Miss(ctx, q, key)
+	res, via, err := s.memo.Answer(ctx, q)
 	if err == nil && via != memo.Led {
 		s.replays.Add(1)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -213,11 +214,13 @@ func TestFleetOffIsPaperMode(t *testing.T) {
 
 // gatedStore blocks the first call that reaches it until released, so a
 // test can hold a leader mid-fetch while it rearranges the world around it.
+// With fail set, that first call then fails with it.
 type gatedStore struct {
 	hiddendb.Server
 	once    sync.Once
 	entered chan struct{}
 	release chan struct{}
+	fail    error
 }
 
 func (g *gatedStore) Answer(ctx context.Context, q dataspace.Query) (hiddendb.Result, error) {
@@ -230,8 +233,90 @@ func (g *gatedStore) AnswerBatch(ctx context.Context, qs []dataspace.Query) ([]h
 	if gate {
 		close(g.entered)
 		<-g.release
+		if g.fail != nil {
+			return nil, g.fail
+		}
 	}
 	return g.Server.AnswerBatch(ctx, qs)
+}
+
+// waitSignal is a context that reports the first time a caller selects on
+// its Done channel, which the fleet tier's flight does only to wait on
+// another session's lead.
+type waitSignal struct {
+	context.Context
+	once    sync.Once
+	waiting chan struct{}
+}
+
+func (c *waitSignal) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.waiting) })
+	return c.Context.Done()
+}
+
+// TestFleetBatchStopsAtFailedWait: a SharedFree batch [w, l] whose w is
+// led by another session pays nothing past w until w resolves. The leader
+// of w fails, so the batch leads w itself with its one query of budget and
+// gets [w] plus ErrQuotaExceeded, as asking w then l would. Its counter,
+// quota and journal each account for w alone; paying l before the wait
+// resolved would charge a query the journal never records.
+func TestFleetBatchStopsAtFailedWait(t *testing.T) {
+	store, ds := testShared(t, 200, 10)
+	gated := &gatedStore{
+		Server:  store,
+		entered: make(chan struct{}),
+		release: make(chan struct{}),
+		fail:    errors.New("leader failed"),
+	}
+	tbl := NewTable(gated, Config{Quota: 1, SharedCache: hiddendb.SharedFree})
+	qs := distinctQueries(ds.Schema, 2)
+	w, l := qs[0], qs[1]
+
+	leader, err := tbl.Get("leader")
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaderDone := make(chan error, 1)
+	go func() {
+		_, err := leader.Server().Answer(context.Background(), w)
+		leaderDone <- err
+	}()
+	<-gated.entered // the leader holds w inside the store
+
+	follower, err := tbl.Get("follower")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &waitSignal{Context: context.Background(), waiting: make(chan struct{})}
+	type answer struct {
+		res []hiddendb.Result
+		err error
+	}
+	done := make(chan answer, 1)
+	go func() {
+		res, err := follower.Server().AnswerBatch(ctx, []dataspace.Query{w, l})
+		done <- answer{res, err}
+	}()
+	<-ctx.waiting // the follower waits on the leader's w
+	close(gated.release)
+	if err := <-leaderDone; err == nil {
+		t.Fatal("the gated leader succeeded; want its failure")
+	}
+	var got answer
+	select {
+	case got = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the follower's batch never finished")
+	}
+	if len(got.res) != 1 || !errors.Is(got.err, hiddendb.ErrQuotaExceeded) {
+		t.Fatalf("batch answered %d with %v; want [w] and ErrQuotaExceeded", len(got.res), got.err)
+	}
+	if want, _ := store.Answer(context.Background(), w); !reflect.DeepEqual(got.res[0], want) {
+		t.Fatal("the follower's answer to w is not the store's")
+	}
+	if q, j, r := follower.Queries(), follower.JournalLen(), follower.Remaining(); q != 1 || j != 1 || r != 0 {
+		t.Fatalf("follower counter %d, journal %d, remaining %d; want 1, 1, 0", q, j, r)
+	}
 }
 
 // TestFleetEvictionMidFlight: a leader whose session is evicted (LRU
