@@ -94,11 +94,12 @@ loadgen-smoke: build
 	$(GO) run ./cmd/hidb-loadgen -check loadgen-a.json
 	rm -f loadgen-a.json loadgen-b.json
 
-# server-smoke is the default server end to end over a real socket:
-# hidb-server with no session flags serves AdultLike at k=256, a 16-worker
-# hidb-crawl must pay exactly 778 queries, /stats must show them on the
-# anonymous session, SIGTERM must exit 0, and the removed -quota flag must
-# be refused (see scripts/server-smoke.sh).
+# server-smoke is the default server end to end over a real socket, once
+# per engine (mem, then -engine disk): hidb-server with no session flags
+# serves AdultLike at k=256, a 16-worker hidb-crawl must pay exactly 778
+# queries, /stats must show them on the anonymous session and name the
+# engine, SIGTERM must exit 0, and the removed -quota flag must be refused
+# (see scripts/server-smoke.sh).
 server-smoke: build
 	GO=$(GO) bash scripts/server-smoke.sh
 

@@ -23,8 +23,7 @@
 // built on first run (in the same priority permutation the in-memory
 // engine uses, partitioned into -shards bands) and reused thereafter, so
 // restarts skip dataset generation entirely. Responses and query counts
-// are bit-identical to -engine mem; GET /stats reports the engine kind and
-// the disk block cache's hit/miss counters:
+// are bit-identical to -engine mem; GET /stats reports the engine kind:
 //
 //	hidb-server -dataset yahoo -engine disk -data-dir ./data -shards 8
 //
@@ -163,14 +162,14 @@ func openDiskServer(dir string, ds *datagen.Dataset, k int, prioritySeed uint64,
 		return nil, err
 	}
 	path := filepath.Join(dir, ds.Name+".hidb")
-	store, err := hidb.OpenDisk(path, hidb.DiskOpenOptions{})
+	store, err := hidb.OpenDisk(path)
 	if errors.Is(err, os.ErrNotExist) {
 		log.Printf("building disk store %s (n=%d, bands=%d)", path, ds.N(), shards)
 		byRank := hidb.RankOrder(ds.Tuples, prioritySeed)
 		if err := hidb.BuildDisk(path, ds.Schema, slices.Values(byRank), hidb.DiskBuildOptions{Bands: shards}); err != nil {
 			return nil, err
 		}
-		store, err = hidb.OpenDisk(path, hidb.DiskOpenOptions{})
+		store, err = hidb.OpenDisk(path)
 	}
 	if err != nil {
 		var ce *hidb.DiskCorruptionError

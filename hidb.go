@@ -98,14 +98,14 @@
 // file: per-attribute column segments, per-band posting-list and
 // sorted-projection indexes, and a checksummed footer carrying the schema
 // and the planner's selectivity sample. OpenDisk maps the file read-only
-// and serves Select/Count straight off the mapped pages through a small
-// cache of materialized hot blocks, so serving a 10M-tuple store costs
+// and serves Select/Count straight off the mapped pages, copying only each
+// answer's rows onto the heap, so serving a 10M-tuple store costs
 // megabytes of heap, not gigabytes. NewDiskLocalServer wraps the opened
 // store as a LocalServer; everything stacked on a local server — sessions,
 // journals, the shared cache, the HTTP handler — runs unchanged on top.
 //
 //	_ = hidb.BuildDisk(path, schema, rows, hidb.DiskBuildOptions{Bands: 8})
-//	store, _ := hidb.OpenDisk(path, hidb.DiskOpenOptions{})
+//	store, _ := hidb.OpenDisk(path)
 //	defer store.Close()
 //	srv, _ := hidb.NewDiskLocalServer(store, 1000)
 //
@@ -120,9 +120,9 @@
 // rename): a crash mid-build leaves no partial file at the target path.
 // Opening validates the footer's checksum and structure; a torn or
 // bit-flipped file is quarantined as path+".corrupt" and reported as a
-// *DiskCorruptionError. DiskOpenOptions.Verify (or the store's Verify
-// method) additionally re-checksums every data segment — worth paying at
-// startup for long-lived servers. Pick the disk engine when the dataset
+// *DiskCorruptionError. The store's Verify method additionally
+// re-checksums every data segment — worth paying at startup for
+// long-lived servers. Pick the disk engine when the dataset
 // dwarfs RAM or a prebuilt store should outlive the process; pick the
 // in-memory engine for anything that fits — steady-state it is faster by
 // a small constant factor, with no build step.
@@ -609,14 +609,12 @@ type (
 	DiskStore = diskstore.Store
 	// DiskBuildOptions tunes BuildDisk (the priority-range band count).
 	DiskBuildOptions = diskstore.BuildOptions
-	// DiskOpenOptions tunes OpenDisk (block-cache size, full-file verify).
-	DiskOpenOptions = diskstore.OpenOptions
 	// DiskCorruptionError reports a torn or bit-flipped store file; the
 	// damaged file is quarantined as path+".corrupt".
 	DiskCorruptionError = diskstore.CorruptionError
-	// EngineStats identifies a server's engine ("mem" or "disk") and, for
-	// the disk engine, its block-cache hit/miss counters. The HTTP server
-	// reports them on GET /stats and in the /crawl terminal event.
+	// EngineStats identifies a server's engine ("mem" or "disk"). The
+	// HTTP server reports it on GET /stats and in the /crawl terminal
+	// event.
 	EngineStats = index.EngineStats
 )
 
@@ -633,8 +631,8 @@ func BuildDisk(path string, schema *Schema, rows iter.Seq[Tuple], opts DiskBuild
 // OpenDisk maps a store built by BuildDisk and returns it ready to serve.
 // A damaged file is quarantined as path+".corrupt" and reported as a
 // *DiskCorruptionError; see the package doc's on-disk section.
-func OpenDisk(path string, opts DiskOpenOptions) (*DiskStore, error) {
-	return diskstore.Open(path, opts)
+func OpenDisk(path string) (*DiskStore, error) {
+	return diskstore.Open(path, diskstore.OpenOptions{})
 }
 
 // RankOrder returns the bag in the tuple-priority order NewLocalServer
@@ -646,7 +644,7 @@ func RankOrder(tuples Bag, seed uint64) []Tuple { return hiddendb.RankOrder(tupl
 // return limit k: the full server contract — Answer, AnswerBatch, quotas,
 // sessions, journals, the HTTP stack — over the disk engine. The store's
 // rank order is its tuple priority (fixed at build time), so no seed is
-// taken here; LocalServer.EngineStats exposes the block-cache counters.
+// taken here; LocalServer.EngineStats reports the "disk" engine kind.
 func NewDiskLocalServer(store *DiskStore, k int) (*LocalServer, error) {
 	return hiddendb.NewLocalEngine(store, k)
 }

@@ -99,9 +99,9 @@ func reportMS(b *testing.B, label string, d time.Duration) {
 }
 
 // BenchmarkIntersect3Way1MDiskCold measures the needle conjunction on a
-// freshly opened disk store: empty block cache — the first-query latency a
-// just-started server pays, dominated by the planner's bitmap AND over the
-// mapped posting lists.
+// freshly opened disk store — the first-query latency a just-started
+// server pays, dominated by the planner's bitmap AND over the mapped
+// posting lists.
 func BenchmarkIntersect3Way1MDiskCold(b *testing.B) {
 	benchSetup(b)
 	b.ReportAllocs()

@@ -33,9 +33,13 @@
 //   - bitmap indexes are rebuilt at Open from the on-disk posting lists
 //     under the same size/domain gates the in-memory constructor applies.
 //
-// Result rows are materialized lazily through a small pinned block cache
-// (cache.go) whose hit/miss counters surface in EngineStats; planning and
-// filtering never materialize anything — they read the mapped columns.
+// Planning and filtering read the mapped columns in place, and so does
+// result emission: each band's Select collects its result ranks, then
+// copies each rank's d words out of the mapped columns into one
+// exact-size heap slab per call (index.Store's rows). Returned tuples are
+// therefore fresh copies that never alias the read-only mapping — callers
+// may keep or write them, and they outlive Close. The engine keeps no
+// cache of its own: the OS page cache holds the hot pages.
 //
 // # Integrity
 //
@@ -61,9 +65,6 @@ import (
 
 // OpenOptions configures Open.
 type OpenOptions struct {
-	// CacheBlocks bounds the pinned block cache (blocks of 256
-	// materialized rows). 0 means the default (1024 blocks).
-	CacheBlocks int
 	// Verify makes Open checksum every segment before serving (reads the
 	// whole file once). Without it only the footer and the index
 	// structure are validated; call Verify explicitly for a full audit.
@@ -77,8 +78,6 @@ type Store struct {
 	schema *dataspace.Schema
 	n      int
 	bands  []*index.Store
-	cache  *blockCache
-	cols   [][]int64
 	segs   []segMeta
 	data   []byte
 	unmap  func() error
@@ -108,7 +107,7 @@ func Open(path string, opts OpenOptions) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, cerr := assemble(path, data, opts)
+	s, cerr := assemble(path, data)
 	if cerr == nil && opts.Verify {
 		cerr = verifySegments(data, s.segs)
 	}
@@ -124,7 +123,7 @@ func Open(path string, opts OpenOptions) (*Store, error) {
 
 // assemble validates the footer and builds the per-band stores over views
 // of the mapped bytes.
-func assemble(path string, data []byte, opts OpenOptions) (*Store, *CorruptionError) {
+func assemble(path string, data []byte) (*Store, *CorruptionError) {
 	ft, err := decodeFooter(data)
 	if err != nil {
 		return nil, err.(*CorruptionError)
@@ -167,8 +166,6 @@ func assemble(path string, data []byte, opts OpenOptions) (*Store, *CorruptionEr
 		path:   path,
 		schema: schema,
 		n:      n,
-		cache:  newBlockCache(cols, n, opts.CacheBlocks),
-		cols:   cols,
 		segs:   ft.Segments,
 		data:   data,
 		bands:  make([]*index.Store, 0, ft.Bands),
@@ -184,11 +181,6 @@ func assemble(path string, data []byte, opts OpenOptions) (*Store, *CorruptionEr
 			SortedRank: make([][]int32, d),
 			RankPos:    make([][]int32, d),
 			Stats:      stats,
-		}
-		if bn > 0 {
-			base := int32(lo)
-			cache := s.cache
-			a.Row = func(r int32) dataspace.Tuple { return cache.row(base + r) }
 		}
 		for i := 0; i < d; i++ {
 			a.Cols[i] = cols[i][lo:hi]
@@ -275,8 +267,8 @@ func (s *Store) Verify() error {
 }
 
 // Close unmaps the file. The caller must have drained every in-flight
-// query: results already returned remain valid (tuples are materialized on
-// the heap), but no method may be called after Close.
+// query: results already returned remain valid (tuples are copied onto the
+// heap), but no method may be called after Close.
 func (s *Store) Close() error {
 	s.closeOnce.Do(func() {
 		if s.unmap != nil {
@@ -302,19 +294,14 @@ func (s *Store) Size() int { return s.n }
 // Schema returns the store's schema (decoded from the footer).
 func (s *Store) Schema() *dataspace.Schema { return s.schema }
 
-// All materializes the whole relation in priority order — the Engine
-// contract's Dump hook. On a larger-than-RAM store this allocates the full
-// relation; it exists for tests and measurement, not the query path.
+// All copies the whole relation onto the heap in priority order — the
+// Engine contract's Dump hook: the bands' rows, concatenated. On a
+// larger-than-RAM store this allocates the full relation; it exists for
+// tests and measurement, not the query path.
 func (s *Store) All() []dataspace.Tuple {
-	d := len(s.cols)
-	flat := make([]int64, s.n*d)
-	out := make([]dataspace.Tuple, s.n)
-	for r := 0; r < s.n; r++ {
-		t := flat[r*d : (r+1)*d : (r+1)*d]
-		for i, col := range s.cols {
-			t[i] = col[r]
-		}
-		out[r] = t
+	out := make([]dataspace.Tuple, 0, s.n)
+	for _, b := range s.bands {
+		out = append(out, b.All()...)
 	}
 	return out
 }
@@ -329,16 +316,15 @@ func (s *Store) PlanStats() index.PlanStats {
 	return ps
 }
 
-// EngineStats reports the disk engine and its block-cache counters.
-func (s *Store) EngineStats() index.EngineStats {
-	hits, misses, resident := s.cache.counters()
-	return index.EngineStats{Kind: "disk", CacheHits: hits, CacheMisses: misses, CacheBlocks: resident}
-}
+// EngineStats identifies the disk engine.
+func (s *Store) EngineStats() index.EngineStats { return index.EngineStats{Kind: "disk"} }
 
 // Select returns up to limit+1 tuples matching q in descending priority
 // order — bit-identical to the in-memory engines over the same relation.
 // Bands are visited in priority order with Sharded's early-exit walk, so an
-// overflowing query usually never touches the cold tail of the file.
+// overflowing query usually never touches the cold tail of the file. The
+// tuples are heap copies; a query the first band decides costs two
+// allocations (the result slice and its row slab), whatever its size.
 func (s *Store) Select(q dataspace.Query, limit int) []dataspace.Tuple {
 	if limit < 0 {
 		limit = 0

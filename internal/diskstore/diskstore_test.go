@@ -258,25 +258,43 @@ func TestBuildDeterministic(t *testing.T) {
 	}
 }
 
-// TestEngineStatsCounters exercises the block cache: a repeated hot query
-// must hit the cache, and the counters must surface through EngineStats.
-func TestEngineStatsCounters(t *testing.T) {
-	disk := openStore(t, buildTier(t, datagen.PatternSequential, datagen.Tier10K, 7, 1), OpenOptions{CacheBlocks: 4})
-	if es := disk.EngineStats(); es.Kind != "disk" || es.CacheHits != 0 || es.CacheMisses != 0 {
-		t.Fatalf("fresh store EngineStats = %+v", es)
+// TestDiskSelectAllocs pins the disk engine's allocation contract: a
+// Select the first band decides costs the result slice and the slab its
+// rows are copied into — two allocations on every access path, whatever
+// the result size — with the rank buffers recycled through the per-band
+// scratch pools.
+func TestDiskSelectAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items nondeterministically under -race")
 	}
-	q := dataspace.UniverseQuery(disk.Schema()).WithValue(0, 1)
-	for i := 0; i < 10; i++ {
-		if got := disk.Select(q, 9); len(got) != 10 {
-			t.Fatalf("Select returned %d tuples", len(got))
+	disk := openStore(t, buildTier(t, datagen.PatternPathological, datagen.Tier10K, 67, 1), OpenOptions{})
+	uni := dataspace.UniverseQuery(disk.Schema())
+	needle := uni.
+		WithValue(0, datagen.PathoNeedle).
+		WithValue(1, datagen.PathoNeedle).
+		WithValue(2, datagen.PathoNeedle)
+	for _, tc := range []struct {
+		path string
+		q    dataspace.Query
+	}{
+		{"scan", uni},
+		{"posting", uni.WithValue(3, 7)},
+		{"range", uni.WithRange(4, 100, 1500)},
+		{"bitmap", needle},
+	} {
+		before := disk.PlanStats().Paths[tc.path]
+		if got := disk.Select(tc.q, 999); len(got) == 0 {
+			t.Fatalf("%s: Select returned no tuples", tc.path)
+		}
+		if disk.PlanStats().Paths[tc.path] != before+1 {
+			t.Fatalf("%s: query ran another access path: %v", tc.path, disk.PlanStats().Paths)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { disk.Select(tc.q, 999) }); allocs > 2 {
+			t.Errorf("%s: %.1f allocs per Select, want <= 2", tc.path, allocs)
 		}
 	}
-	es := disk.EngineStats()
-	if es.CacheMisses == 0 || es.CacheHits == 0 {
-		t.Fatalf("cache counters did not move: %+v", es)
-	}
-	if es.CacheBlocks < 1 || es.CacheBlocks > 4 {
-		t.Fatalf("resident blocks %d escaped the cap", es.CacheBlocks)
+	if es := disk.EngineStats(); es.Kind != "disk" {
+		t.Fatalf("disk EngineStats = %+v", es)
 	}
 	// The in-memory engines identify themselves too.
 	ds := datagen.Tiered(datagen.PatternSequential, datagen.Tier10K, 7)
@@ -286,6 +304,53 @@ func TestEngineStatsCounters(t *testing.T) {
 	}
 	if es := mem.EngineStats(); es.Kind != "mem" {
 		t.Fatalf("mem EngineStats = %+v", es)
+	}
+}
+
+// TestDiskTuplesAreCopies guards the copy-out contract: the disk engine's
+// tuples are heap copies, never views of the read-only mapping (a write
+// through such a view would fault). It overwrites every tuple that Select
+// and SelectBatch return, then re-runs the queries: the answers must still
+// match the in-memory engine's.
+func TestDiskTuplesAreCopies(t *testing.T) {
+	const bands = 4
+	ds := datagen.Tiered(datagen.PatternRealistic, datagen.Tier10K, 19)
+	mem, err := index.NewSharded(ds.Schema, ds.Tuples, bands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk := openStore(t, buildTier(t, datagen.PatternRealistic, datagen.Tier10K, 19, bands), OpenOptions{})
+	rng := simrand.New(23)
+	qm := make([]dataspace.Query, 48)
+	qd := make([]dataspace.Query, len(qm))
+	for i := range qm {
+		qm[i] = tierQuery(ds.Schema, rng, ds.N())
+		if qd[i], err = remapQuery(disk.Schema(), qm[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clobber := func(res []dataspace.Tuple) {
+		for _, tu := range res {
+			for i := range tu {
+				tu[i] = -1
+			}
+		}
+	}
+	for _, q := range qd {
+		clobber(disk.Select(q, 64))
+	}
+	for _, res := range disk.SelectBatch(context.Background(), qd, 64) {
+		clobber(res)
+	}
+	for i := range qd {
+		if got, want := disk.Select(qd[i], 64), mem.Select(qm[i], 64); !sameTuples(got, want) {
+			t.Fatalf("query %d after overwriting earlier answers: disk returned %d tuples, mem %d", i, len(got), len(want))
+		}
+	}
+	for i, got := range disk.SelectBatch(context.Background(), qd, 64) {
+		if want := mem.Select(qm[i], 64); !sameTuples(got, want) {
+			t.Fatalf("batch query %d after overwriting earlier answers: disk returned %d tuples, mem %d", i, len(got), len(want))
+		}
 	}
 }
 

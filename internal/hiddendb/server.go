@@ -270,7 +270,7 @@ func (l *Local) Dump() dataspace.Bag { return dataspace.Bag(l.store.All()) }
 func (l *Local) PlanStats() index.PlanStats { return l.store.PlanStats() }
 
 // EngineStats reports which engine implementation backs the server ("mem"
-// or "disk") and, for disk engines, the block-cache hit/miss counters.
+// or "disk").
 func (l *Local) EngineStats() index.EngineStats { return l.store.EngineStats() }
 
 // Counting wraps a Server and counts the queries that actually reach it.

@@ -20,7 +20,7 @@
 //	hidb_rate_class_sessions{class=...}     live sessions per rate class
 //	hidb_shared_cache_*                fleet tier counters (fleet mode)
 //	hidb_plan_path_total{path=...}     executed selections by access path
-//	hidb_engine_info{kind=...}, hidb_engine_cache_*    store engine counters
+//	hidb_engine_info{kind=...}         store engine identity
 package httpserver
 
 import (
@@ -130,9 +130,6 @@ func (h *Handler) handleMetrics(w http.ResponseWriter) {
 	if es := h.engineStats(); es != nil {
 		m.meta("hidb_engine_info", "Store engine identity (value is always 1).", "gauge")
 		m.sample("hidb_engine_info", fmt.Sprintf("{kind=%q}", es.Kind), 1)
-		m.counter("hidb_engine_cache_hits_total", "Block-cache hits (disk engine; 0 for mem).", es.CacheHits)
-		m.counter("hidb_engine_cache_misses_total", "Block-cache misses (disk engine; 0 for mem).", es.CacheMisses)
-		m.gauge("hidb_engine_cache_blocks", "Resident materialized blocks (disk engine).", es.CacheBlocks)
 	}
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -181,15 +181,6 @@ hidb_plan_path_total{path="scan"} 3
 # HELP hidb_engine_info Store engine identity (value is always 1).
 # TYPE hidb_engine_info gauge
 hidb_engine_info{kind="mem"} 1
-# HELP hidb_engine_cache_hits_total Block-cache hits (disk engine; 0 for mem).
-# TYPE hidb_engine_cache_hits_total counter
-hidb_engine_cache_hits_total 0
-# HELP hidb_engine_cache_misses_total Block-cache misses (disk engine; 0 for mem).
-# TYPE hidb_engine_cache_misses_total counter
-hidb_engine_cache_misses_total 0
-# HELP hidb_engine_cache_blocks Resident materialized blocks (disk engine).
-# TYPE hidb_engine_cache_blocks gauge
-hidb_engine_cache_blocks 0
 `
 
 // TestHealthzZeroSessionsVisible pins the fixed bug where a session table

@@ -109,7 +109,7 @@ func BenchmarkSelectGallop(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := s.selectGallop(preds, pl, 65); len(got) != 65 {
+		if got := s.execSelect(pl, preds, 65); len(got) != 65 {
 			b.Fatalf("gallop returned %d tuples", len(got))
 		}
 	}

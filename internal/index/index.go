@@ -5,14 +5,15 @@
 //
 // # Columnar layout
 //
-// Tuples are stored twice: once as the row slice the server hands back to
-// callers (byRank, in descending priority order), and once as
-// struct-of-arrays columns — one contiguous []int64 per attribute, indexed
-// by rank. All predicate evaluation happens on the columns: checking
-// whether the tuple at some rank satisfies a predicate is a single load
-// from a dense array, with no per-tuple pointer chase and no per-attribute
-// schema lookup (the attribute kinds are flattened into a []bool once at
-// build time).
+// A row-backed Store (New) holds its tuples twice: once as the row slice
+// the server hands back to callers (byRank, in descending priority order),
+// and once as struct-of-arrays columns — one contiguous []int64 per
+// attribute, indexed by rank. An artifact-backed Store (NewFromArtifacts)
+// holds only the columns and copies result rows out of them. All predicate
+// evaluation happens on the columns: checking whether the tuple at some
+// rank satisfies a predicate is a single load from a dense array, with no
+// per-tuple pointer chase and no per-attribute schema lookup (the
+// attribute kinds are flattened into a []bool once at build time).
 //
 // # Access paths
 //
@@ -71,13 +72,15 @@
 //
 // # Allocation discipline
 //
-// Select performs one allocation per call — the result slice, sized
-// exactly min(limit+1, candidates) — regardless of access path. The
-// numeric-range and bitmap paths need intermediate rank buffers; they
-// filter into sync.Pool-recycled scratch (ranks and bitmap words) and sort
-// with the allocation-free slices.Sort. Count allocates nothing. The
-// scratch pools are per-Store, so the shards of a Sharded store never
-// contend on a shared pool.
+// Every access path collects its result ranks in a sync.Pool-recycled rank
+// buffer (the bitmap path also borrows pooled bitmap words, and the range
+// path sorts with the allocation-free slices.Sort); one rows call then
+// turns the ranks into tuples. Select therefore performs one allocation per
+// call on a row-backed store — the result slice, sized exactly to the
+// result — and two on an artifact-backed one, which adds the slab its
+// copied rows are cut from, regardless of access path and result size.
+// Count allocates nothing. The scratch pools are per-Store, so the shards
+// of a Sharded store never contend on a shared pool.
 package index
 
 import (
@@ -102,12 +105,8 @@ type Store struct {
 	n int
 	// byRank lists the tuples in descending priority order: byRank[0] is
 	// the tuple the server prefers to return first. nil for
-	// artifact-backed stores, which materialize rows through row instead.
+	// artifact-backed stores, whose rows copies results out of cols.
 	byRank []dataspace.Tuple
-	// row materializes the tuple at a rank when byRank is nil — the hook
-	// an artifact-backed store (e.g. a disk store serving rows from
-	// mmap'd pages through a block cache) plugs its lazy row source into.
-	row func(r int32) dataspace.Tuple
 	// isCat flattens the schema's attribute kinds for branch-friendly
 	// predicate checks.
 	isCat []bool
@@ -132,9 +131,10 @@ type Store struct {
 	stats *SelStats
 	// paths counts Select executions per access path (PlanStats).
 	paths [numPaths]atomic.Int64
-	// scratch recycles the rank buffers of the numeric-range and bitmap
-	// paths. It is per-Store (not package-global) so that independent
-	// shards of a Sharded store never contend on one pool.
+	// scratch recycles the rank buffers every Select path collects its
+	// result into (and Count's bitmap path). It is per-Store (not
+	// package-global) so that independent shards of a Sharded store never
+	// contend on one pool.
 	scratch sync.Pool
 	// words recycles the bitmapWords-long word buffers of the bitmap path.
 	words sync.Pool
@@ -238,11 +238,13 @@ func newWithStats(schema *dataspace.Schema, byRank []dataspace.Tuple, stats *Sel
 }
 
 // Artifacts is the set of prebuilt index structures an artifact-backed
-// Store is assembled from: the columnar mirror, the secondary indexes, the
-// shared selectivity sample, and a lazy row source. A disk store builds
-// these once at write time and hands Open'd slices (often aliasing mmap'd
-// file pages) straight to NewFromArtifacts, so the full planner and every
-// access path run unchanged against storage the Store does not own.
+// Store is assembled from: the columnar relation, the secondary indexes and
+// the shared selectivity sample. A disk store builds these once at write
+// time and hands Open'd slices (often aliasing read-only mmap'd file pages)
+// straight to NewFromArtifacts, so the full planner and every access path
+// run unchanged against storage the Store does not own. Result rows are
+// copied out of Cols onto the heap; no tuple a Select returns aliases the
+// artifacts.
 //
 // Invariants the caller must uphold (they mirror what newWithStats builds):
 // Cols[i][r] is attribute i of the rank-r tuple; Post[i] maps each
@@ -267,10 +269,6 @@ type Artifacts struct {
 	// partitioned store share a single instance so their plans agree
 	// with the in-memory engine's.
 	Stats *SelStats
-	// Row materializes the tuple at a rank. Only result emission calls
-	// it — planning and filtering read Cols — so a caller can serve it
-	// from a cache of disk pages.
-	Row func(r int32) dataspace.Tuple
 }
 
 // NewFromArtifacts builds a Store over prebuilt index structures instead of
@@ -291,13 +289,9 @@ func NewFromArtifacts(schema *dataspace.Schema, a Artifacts) (*Store, error) {
 	if a.Stats == nil {
 		return nil, fmt.Errorf("index: artifacts carry no selectivity statistics")
 	}
-	if a.N > 0 && a.Row == nil {
-		return nil, fmt.Errorf("index: artifacts carry no row source")
-	}
 	s := &Store{
 		schema:     schema,
 		n:          a.N,
-		row:        a.Row,
 		scratch:    sync.Pool{New: func() any { return new([]int32) }},
 		words:      sync.Pool{New: func() any { p := make([]uint64, bitmapWords); return &p }},
 		isCat:      make([]bool, d),
@@ -335,13 +329,32 @@ func NewFromArtifacts(schema *dataspace.Schema, a Artifacts) (*Store, error) {
 	return s, nil
 }
 
-// tupleAt materializes the tuple at rank r: a direct row-slice load for the
-// in-memory store, the lazy row source for artifact-backed ones.
-func (s *Store) tupleAt(r int32) dataspace.Tuple {
+// rows turns result ranks into tuples. A row-backed store returns its
+// shared byRank tuples. An artifact-backed store copies each rank's d words
+// out of cols into one exact-size slab allocated per call: the tuples are
+// fresh heap copies, never views into the (possibly read-only, mapped)
+// artifacts, so a caller may keep or even write them. Retention rule: the
+// tuples of one call share that slab — at most (limit+1)·d words for a
+// Select — so keeping any one of them keeps the whole slab alive.
+func (s *Store) rows(ranks []int32) []dataspace.Tuple {
+	out := make([]dataspace.Tuple, len(ranks))
 	if s.byRank != nil {
-		return s.byRank[r]
+		for i, r := range ranks {
+			out[i] = s.byRank[r]
+		}
+		return out
 	}
-	return s.row(r)
+	d := len(s.cols)
+	slab := make([]int64, len(ranks)*d)
+	for a, col := range s.cols {
+		for i, r := range ranks {
+			slab[i*d+a] = col[r]
+		}
+	}
+	for i := range out {
+		out[i] = slab[i*d : (i+1)*d : (i+1)*d]
+	}
+	return out
 }
 
 // Size returns the number of tuples in the store.
@@ -352,21 +365,21 @@ func (s *Store) Schema() *dataspace.Schema { return s.schema }
 
 // All returns the tuples in priority order. For a row-backed store the
 // slice and its tuples are shared and must not be mutated; an
-// artifact-backed store materializes every row — callers that only need a
-// subset should Select instead.
+// artifact-backed store copies every row through rows — callers that only
+// need a subset should Select instead.
 func (s *Store) All() []dataspace.Tuple {
 	if s.byRank != nil || s.n == 0 {
 		return s.byRank
 	}
-	out := make([]dataspace.Tuple, s.n)
-	for r := range out {
-		out[r] = s.row(int32(r))
+	ranks := make([]int32, s.n)
+	for r := range ranks {
+		ranks[r] = int32(r)
 	}
-	return out
+	return s.rows(ranks)
 }
 
-// EngineStats identifies the in-memory engine. Artifact-backed engines
-// report their own kind and cache counters.
+// EngineStats identifies the in-memory engine. Engines built over
+// artifacts report their own kind.
 func (s *Store) EngineStats() EngineStats { return EngineStats{Kind: "mem"} }
 
 // Stats returns the store's sampled selectivity statistics.
@@ -449,7 +462,7 @@ func rangeBounds(vals []int64, lo, hi int64) (from, to int) {
 }
 
 // getScratch returns a pooled rank buffer with at least the given capacity,
-// so a steady query stream allocates nothing beyond its result slices.
+// so a steady query stream allocates nothing beyond its results.
 func (s *Store) getScratch(capacity int) *[]int32 {
 	p := s.scratch.Get().(*[]int32)
 	if cap(*p) < capacity {
@@ -460,8 +473,9 @@ func (s *Store) getScratch(capacity int) *[]int32 {
 
 // Select returns up to limit+1 tuples matching q, in descending priority
 // order. Returning limit+1 tuples signals the caller that the true result
-// exceeds limit (the server's overflow condition). The returned slice shares
-// tuple storage with the store.
+// exceeds limit (the server's overflow condition). On a row-backed store the
+// returned tuples share storage with the store and must not be mutated; an
+// artifact-backed store returns fresh copies (see rows).
 func (s *Store) Select(q dataspace.Query, limit int) []dataspace.Tuple {
 	if limit < 0 {
 		limit = 0
@@ -471,21 +485,29 @@ func (s *Store) Select(q dataspace.Query, limit int) []dataspace.Tuple {
 	return s.execSelect(s.planQuery(preds, want), preds, want)
 }
 
-// execSelect runs a plan's access path and counts its execution.
+// execSelect runs a plan's access path, which appends at most want result
+// ranks to a pooled rank buffer, counts the execution, and turns the ranks
+// into tuples with one rows call.
 func (s *Store) execSelect(pl plan, preds []dataspace.Pred, want int) []dataspace.Tuple {
 	s.paths[pl.path].Add(1)
+	bufp := s.getScratch(min(want, s.n))
+	ranks := (*bufp)[:0]
 	switch pl.path {
 	case pathPosting:
-		return s.selectPosting(preds, pl, want)
+		ranks = s.selectPosting(ranks, preds, pl, want)
 	case pathGallop:
-		return s.selectGallop(preds, pl, want)
+		ranks = s.selectGallop(ranks, preds, pl, want)
 	case pathRange:
-		return s.selectRange(preds, pl, want)
+		ranks = s.selectRange(ranks, preds, pl, want)
 	case pathBitmap:
-		return s.selectBitmap(preds, pl, want)
+		ranks = s.selectBitmap(ranks, preds, pl, want)
 	default:
-		return s.selectScan(preds, want)
+		ranks = s.selectScan(ranks, preds, want)
 	}
+	out := s.rows(ranks)
+	*bufp = ranks[:0]
+	s.scratch.Put(bufp)
+	return out
 }
 
 // scanChunk is the rank-block width of the chunked scan: 8 ranks per mask
@@ -498,30 +520,29 @@ const scanChunk = 8
 // bitmask over the chunk from one sequential column read, the masks AND
 // together (with an early break when a chunk dies), and only survivors are
 // emitted — in rank order, since bit i of the mask is rank base+i.
-func (s *Store) selectScan(preds []dataspace.Pred, want int) []dataspace.Tuple {
+func (s *Store) selectScan(ranks []int32, preds []dataspace.Pred, want int) []int32 {
 	n := s.n
-	out := make([]dataspace.Tuple, 0, min(want, n))
 	base := 0
 	for ; base+scanChunk <= n; base += scanChunk {
 		mask := s.chunkMask(preds, base)
 		for mask != 0 {
 			b := bits.TrailingZeros32(mask)
 			mask &= mask - 1
-			out = append(out, s.tupleAt(int32(base+b)))
-			if len(out) == want {
-				return out
+			ranks = append(ranks, int32(base+b))
+			if len(ranks) == want {
+				return ranks
 			}
 		}
 	}
 	for r := base; r < n; r++ {
 		if s.coversAt(preds, int32(r)) {
-			out = append(out, s.tupleAt(int32(r)))
-			if len(out) == want {
+			ranks = append(ranks, int32(r))
+			if len(ranks) == want {
 				break
 			}
 		}
 	}
-	return out
+	return ranks
 }
 
 // chunkMask evaluates every bound predicate over the scanChunk ranks at
@@ -584,42 +605,44 @@ func (s *Store) planBitmaps(preds []dataspace.Pred, set uint64, arr *[bitmapMaxD
 }
 
 // selectBitmap intersects the rank bitmaps of the plan's equality
-// predicates into a pooled rank buffer (ascending — already priority
-// order) and applies the residual predicates, if any, per surviving rank.
-// A plan whose bitmaps cover every bound predicate (pl.exact) needs no
-// residual pass and lets the intersection stop at want ranks.
-func (s *Store) selectBitmap(preds []dataspace.Pred, pl plan, want int) []dataspace.Tuple {
+// predicates into the rank buffer (ascending — already priority order) and
+// applies the residual predicates, if any, per surviving rank, compacting
+// the buffer in place. A plan whose bitmaps cover every bound predicate
+// (pl.exact) needs no residual pass and lets the intersection stop at want
+// ranks.
+func (s *Store) selectBitmap(ranks []int32, preds []dataspace.Pred, pl plan, want int) []int32 {
 	var arr [bitmapMaxDims]*rankBitmap
 	bms, ok := s.planBitmaps(preds, pl.bitmapSkip, &arr)
 	if !ok {
-		return []dataspace.Tuple{}
+		return ranks
 	}
 	maxRanks := -1
 	if pl.exact {
 		maxRanks = want
 	}
 	wordsp := s.words.Get().(*[]uint64)
-	bufp := s.getScratch(1 << 10)
-	ranks := intersectInto(bms, *wordsp, (*bufp)[:0], maxRanks)
-	out := make([]dataspace.Tuple, 0, min(want, len(ranks)))
+	ranks = intersectInto(bms, *wordsp, ranks, maxRanks)
+	s.words.Put(wordsp)
 	if pl.exact {
-		for _, r := range ranks {
-			out = append(out, s.tupleAt(r))
-		}
-	} else {
-		for _, r := range ranks {
-			if s.coversAtSkip(preds, r, pl.bitmapSkip) {
-				out = append(out, s.tupleAt(r))
-				if len(out) == want {
-					break
-				}
+		return ranks
+	}
+	return s.keepCovered(ranks, preds, pl.bitmapSkip, want)
+}
+
+// keepCovered compacts ranks in place to its first want entries (all of
+// them when want < 0) that satisfy every predicate outside the skip
+// bitmask.
+func (s *Store) keepCovered(ranks []int32, preds []dataspace.Pred, skip uint64, want int) []int32 {
+	kept := ranks[:0]
+	for _, r := range ranks {
+		if s.coversAtSkip(preds, r, skip) {
+			kept = append(kept, r)
+			if len(kept) == want {
+				break
 			}
 		}
 	}
-	*bufp = ranks[:0]
-	s.scratch.Put(bufp)
-	s.words.Put(wordsp)
-	return out
+	return kept
 }
 
 // useGallop decides how a posting ∩ posting intersection tests membership
@@ -636,7 +659,7 @@ func (s *Store) selectBitmap(preds []dataspace.Pred, pl plan, want int) []datasp
 // The intersection filter is intentionally open-coded in selectPosting,
 // selectGallop and Count's posting and gallop branches rather than shared
 // through a per-rank callback: the loops capture their accumulators (the
-// result slice / the counter), so a closure-based iterator would escape
+// rank buffer / the counter), so a closure-based iterator would escape
 // them to the heap and break the one-allocation Select contract the
 // benchmarks pin. TestGallopPathsMatchColumnProbe keeps the copies equivalent.
 func useGallop(m2, n int) bool {
@@ -653,8 +676,7 @@ var colCacheTuples = 4 << 20
 // rejecting candidates with the cheapest test for the secondary predicate —
 // a rank→sorted-position window check (numeric) or a single column load
 // (categorical) — before the full predicate check.
-func (s *Store) selectPosting(preds []dataspace.Pred, pl plan, want int) []dataspace.Tuple {
-	out := make([]dataspace.Tuple, 0, min(want, len(pl.list)))
+func (s *Store) selectPosting(ranks []int32, preds []dataspace.Pred, pl plan, want int) []int32 {
 	var pos []int32
 	var col []int64
 	var secVal int64
@@ -675,21 +697,20 @@ func (s *Store) selectPosting(preds []dataspace.Pred, pl plan, want int) []datas
 			continue
 		}
 		if s.coversAt(preds, r) {
-			out = append(out, s.tupleAt(r))
-			if len(out) == want {
+			ranks = append(ranks, r)
+			if len(ranks) == want {
 				break
 			}
 		}
 	}
-	return out
+	return ranks
 }
 
 // selectGallop intersects the two posting lists with a galloping merge:
 // the shorter list (the primary) drives, and the cursor into the longer
 // one advances by exponential search, skipping runs of non-matching ranks.
-func (s *Store) selectGallop(preds []dataspace.Pred, pl plan, want int) []dataspace.Tuple {
+func (s *Store) selectGallop(ranks []int32, preds []dataspace.Pred, pl plan, want int) []int32 {
 	a, b := pl.list, pl.secList
-	out := make([]dataspace.Tuple, 0, min(want, len(a)))
 	j := 0
 	for _, r := range a {
 		j = gallop(b, j, r)
@@ -700,13 +721,13 @@ func (s *Store) selectGallop(preds []dataspace.Pred, pl plan, want int) []datasp
 			continue
 		}
 		if s.coversAt(preds, r) {
-			out = append(out, s.tupleAt(r))
-			if len(out) == want {
+			ranks = append(ranks, r)
+			if len(ranks) == want {
 				break
 			}
 		}
 	}
-	return out
+	return ranks
 }
 
 // gallop returns the smallest index >= lo with b[idx] >= target, probing
@@ -738,13 +759,13 @@ func gallop(b []int32, lo int, target int32) int {
 	return hi
 }
 
-// selectRange enumerates the primary sorted-column segment, filters by the
-// secondary predicate while the ranks are still in value order, then
-// restores rank order with one allocation-free sort of a pooled buffer.
-func (s *Store) selectRange(preds []dataspace.Pred, pl plan, want int) []dataspace.Tuple {
+// selectRange enumerates the primary sorted-column segment into the rank
+// buffer, filters by the secondary predicate while the ranks are still in
+// value order, restores rank order with one allocation-free sort, then
+// compacts the buffer in place to the first want full matches.
+func (s *Store) selectRange(ranks []int32, preds []dataspace.Pred, pl plan, want int) []int32 {
 	seg := s.sortedRank[pl.primary][pl.from:pl.to]
-	bufp := s.getScratch(len(seg))
-	ranks := (*bufp)[:0]
+	ranks = slices.Grow(ranks, len(seg))
 	switch {
 	case pl.secondary < 0:
 		ranks = append(ranks, seg...)
@@ -765,18 +786,7 @@ func (s *Store) selectRange(preds []dataspace.Pred, pl plan, want int) []dataspa
 		}
 	}
 	slices.Sort(ranks)
-	out := make([]dataspace.Tuple, 0, min(want, len(ranks)))
-	for _, r := range ranks {
-		if s.coversAt(preds, r) {
-			out = append(out, s.tupleAt(r))
-			if len(out) == want {
-				break
-			}
-		}
-	}
-	*bufp = ranks[:0]
-	s.scratch.Put(bufp)
-	return out
+	return s.keepCovered(ranks, preds, 0, want)
 }
 
 // SelectBatch answers every query of the batch with the same semantics as
@@ -812,16 +822,10 @@ func (s *Store) countBitmap(preds []dataspace.Pred, pl plan) int {
 		return intersectCount(bms, *wordsp)
 	}
 	bufp := s.getScratch(1 << 10)
-	ranks := intersectInto(bms, *wordsp, (*bufp)[:0], -1)
-	c := 0
-	for _, r := range ranks {
-		if s.coversAtSkip(preds, r, pl.bitmapSkip) {
-			c++
-		}
-	}
+	ranks := s.keepCovered(intersectInto(bms, *wordsp, (*bufp)[:0], -1), preds, pl.bitmapSkip, -1)
 	*bufp = ranks[:0]
 	s.scratch.Put(bufp)
-	return c
+	return len(ranks)
 }
 
 // Count returns the exact number of tuples matching q. It runs Select's
