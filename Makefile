@@ -94,8 +94,9 @@ loadgen-smoke: build
 	$(GO) run ./cmd/hidb-loadgen -check loadgen-a.json
 	rm -f loadgen-a.json loadgen-b.json
 
-# server-smoke is the default server end to end over a real socket, once
-# per engine (mem, then -engine disk): hidb-server with no session flags
+# server-smoke is the default server end to end over a real socket, three
+# times (mem, -engine disk, then -engine disk -shards 4 on the same data
+# dir, which must serve 4 bands): hidb-server with no session flags
 # serves AdultLike at k=256, a 16-worker hidb-crawl must pay exactly 778
 # queries, /stats must show them on the anonymous session and name the
 # engine, SIGTERM must exit 0, and the removed -quota flag must be refused

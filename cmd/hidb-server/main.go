@@ -18,12 +18,15 @@
 // unsharded store.
 //
 // -engine disk serves the dataset from a persistent columnar store file,
-// <data-dir>/<dataset>.hidb, mapped read-only and queried straight off
-// disk pages — the configuration for datasets larger than RAM. The file is
-// built on first run (in the same priority permutation the in-memory
-// engine uses, partitioned into -shards bands) and reused thereafter, so
-// restarts skip dataset generation entirely. Responses and query counts
-// are bit-identical to -engine mem; GET /stats reports the engine kind:
+// <data-dir>/<dataset>-<key>.hidb, mapped read-only and queried straight
+// off disk pages — the configuration for datasets larger than RAM. The
+// file is built on first run (in the same priority permutation the
+// in-memory engine uses, partitioned into -shards bands) and reused by
+// later runs with the same inputs, so restarts skip the index build; the
+// key hashes the schema, the priority-ordered tuples and the band count,
+// so any other -n, -seed, -priority-seed, -shards or -file contents get a
+// store of their own. Responses and query counts are bit-identical to
+// -engine mem; GET /stats reports the engine kind:
 //
 //	hidb-server -dataset yahoo -engine disk -data-dir ./data -shards 8
 //
@@ -81,6 +84,8 @@ package main
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"flag"
 	"fmt"
@@ -151,21 +156,21 @@ func loadFile(path string) (*datagen.Dataset, error) {
 	return loaded.Dataset, nil
 }
 
-// openDiskServer serves the dataset from a disk-resident store under dir:
-// <dir>/<name>.hidb, built on first run from the dataset in the same
-// priority permutation the in-memory engine would use, so responses — and
-// the paper's query counts — are bit-identical across -engine values. The
-// band count is fixed at build time; a rebuilt store (delete the file)
-// picks up a changed -shards.
+// openDiskServer serves the dataset from a disk-resident store under dir,
+// built from the dataset in the same priority permutation the in-memory
+// engine would use, so responses — and the paper's query counts — are
+// bit-identical across -engine values. The file is named for what it holds
+// (diskStorePath): a run with the same inputs reopens it, and a changed
+// dataset, priority seed or -shards builds a new one beside it.
 func openDiskServer(dir string, ds *datagen.Dataset, k int, prioritySeed uint64, shards int) (*hidb.LocalServer, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	path := filepath.Join(dir, ds.Name+".hidb")
+	byRank := hidb.RankOrder(ds.Tuples, prioritySeed)
+	path := diskStorePath(dir, ds.Name, ds.Schema, byRank, shards)
 	store, err := hidb.OpenDisk(path)
 	if errors.Is(err, os.ErrNotExist) {
 		log.Printf("building disk store %s (n=%d, bands=%d)", path, ds.N(), shards)
-		byRank := hidb.RankOrder(ds.Tuples, prioritySeed)
 		if err := hidb.BuildDisk(path, ds.Schema, slices.Values(byRank), hidb.DiskBuildOptions{Bands: shards}); err != nil {
 			return nil, err
 		}
@@ -179,6 +184,23 @@ func openDiskServer(dir string, ds *datagen.Dataset, k int, prioritySeed uint64,
 		return nil, err
 	}
 	return hidb.NewDiskLocalServer(store, k)
+}
+
+// diskStorePath names a store file <dir>/<name>-<key>.hidb, where key
+// hashes everything the file holds: the schema, the tuples in priority
+// order, and the band count.
+func diskStorePath(dir, name string, schema *hidb.Schema, byRank []hidb.Tuple, bands int) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%+v bands=%d\n", schema.Attrs(), bands)
+	var buf []byte
+	for _, t := range byRank {
+		buf = buf[:0]
+		for _, v := range t {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+		}
+		h.Write(buf)
+	}
+	return filepath.Join(dir, fmt.Sprintf("%s-%x.hidb", name, h.Sum(nil)[:8]))
 }
 
 func main() {
@@ -265,7 +287,7 @@ func main() {
 	handler := httpserver.New(srv, opts...)
 
 	log.Printf("serving %s (n=%d, k=%d, max duplicates=%d, engine=%s, shards=%d) on %s",
-		ds.Name, ds.N(), *k, ds.Tuples.MaxMultiplicity(), srv.EngineStats().Kind, srv.Shards(), *addr)
+		ds.Name, srv.Size(), *k, ds.Tuples.MaxMultiplicity(), srv.EngineStats().Kind, srv.Shards(), *addr)
 	// A clean shutdown persists live sessions' journals, so resumable
 	// crawls survive a server restart, not just an eviction. The signal
 	// ctx is also every request's base context: on SIGINT/SIGTERM the

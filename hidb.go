@@ -112,9 +112,10 @@
 // Responses are bit-identical to the in-memory engine's: the store is laid
 // out in the same priority order (build from RankOrder(tuples, seed) to
 // match NewLocalServer's permutation), the persisted sample reproduces the
-// in-memory planner's selectivity estimates exactly, and the per-band
-// partition mirrors the sharded store's — so plans, answers and the
-// paper's query counts are all unchanged by the engine swap.
+// in-memory planner's selectivity estimates exactly, and the opened store
+// is the sharded in-memory engine's own partitioned store with one shard
+// per band — so plans, answers and the paper's query counts are all
+// unchanged by the engine swap.
 //
 // Builds are crash-safe the same way journals are (write temp, fsync,
 // rename): a crash mid-build leaves no partial file at the target path.
@@ -604,8 +605,9 @@ func WithJournal(srv Server, j *Journal) (Server, error) { return journal.Wrap(s
 // On-disk store types. See the diskstore package and the package doc's
 // on-disk section.
 type (
-	// DiskStore is an opened disk-resident columnar store: an Engine
-	// serving Select/Count off mapped file pages. Close it when done.
+	// DiskStore is an opened disk-resident columnar store: the sharded
+	// engine, one shard per band, serving Select/Count off mapped file
+	// pages. Close it when done.
 	DiskStore = diskstore.Store
 	// DiskBuildOptions tunes BuildDisk (the priority-range band count).
 	DiskBuildOptions = diskstore.BuildOptions

@@ -24,10 +24,10 @@ import (
 	"hash/crc32"
 	"io"
 	"iter"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 
 	"hidb/internal/dataspace"
 	"hidb/internal/index"
@@ -36,12 +36,11 @@ import (
 
 // BuildOptions configures a store build.
 type BuildOptions struct {
-	// Bands is the number of contiguous priority-rank partitions, the
-	// disk analogue of index.NewSharded's shard count: band boundaries
-	// use the same i*n/bands split, each band carries its own posting and
-	// sorted-segment indexes, and SelectBatch fans out across bands. A
-	// count above the tuple count is clamped exactly as NewSharded clamps
-	// shards (the empty relation keeps one empty band). 0 means 1.
+	// Bands is the number of contiguous priority-rank partitions: the
+	// opened store is an index.Sharded with one shard per band, each band
+	// carrying its own posting and sorted-segment indexes. The count is
+	// clamped by index.Partitions (0 means 1; the empty relation keeps one
+	// empty band).
 	Bands int
 }
 
@@ -66,19 +65,15 @@ func NewBuilder(path string, schema *dataspace.Schema, opts BuildOptions) (*Buil
 	if schema == nil {
 		return nil, fmt.Errorf("diskstore: nil schema")
 	}
-	bands := opts.Bands
-	if bands < 0 {
-		return nil, fmt.Errorf("diskstore: band count must be >= 0, got %d", bands)
-	}
-	if bands == 0 {
-		bands = 1
+	if opts.Bands < 0 {
+		return nil, fmt.Errorf("diskstore: band count must be >= 0, got %d", opts.Bands)
 	}
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	d := schema.Dims()
-	b := &Builder{path: path, schema: schema, bands: bands, tmps: make([]*os.File, d), bufs: make([][]int64, d)}
+	b := &Builder{path: path, schema: schema, bands: opts.Bands, tmps: make([]*os.File, d), bufs: make([][]int64, d)}
 	for i := 0; i < d; i++ {
 		f, err := os.CreateTemp(dir, filepath.Base(path)+".col-*")
 		if err != nil {
@@ -144,7 +139,7 @@ func (b *Builder) Finish() (err error) {
 		}
 	}
 	n, d := b.n, b.schema.Dims()
-	bands := min(b.bands, max(n, 1))
+	bands := index.Partitions(n, b.bands)
 
 	dir := filepath.Dir(b.path)
 	out, err := os.CreateTemp(dir, filepath.Base(b.path)+".tmp-*")
@@ -180,7 +175,7 @@ func (b *Builder) Finish() (err error) {
 		sample[j] = make([]int64, d)
 	}
 	for band := 0; band < bands; band++ {
-		lo, hi := band*n/bands, (band+1)*n/bands
+		lo, hi := index.PartitionRange(n, bands, band)
 		for i := 0; i < d; i++ {
 			col := make([]int64, hi-lo)
 			if len(col) > 0 {
@@ -232,19 +227,12 @@ func (b *Builder) Finish() (err error) {
 	return nil
 }
 
-// writePosting builds and writes one band's posting index for a
-// categorical attribute: sorted distinct values, a prefix-offset table,
-// and the concatenated rank-ascending posting lists (band-local ranks).
+// writePosting writes one band's posting index (index.Postings) for a
+// categorical attribute: sorted distinct values, a prefix-offset table, and
+// the concatenated rank-ascending posting lists (band-local ranks).
 func (b *Builder) writePosting(sw *segWriter, attr, band int, col []int64) error {
-	post := make(map[int64][]int32)
-	for r, v := range col {
-		post[v] = append(post[v], int32(r))
-	}
-	keys := make([]int64, 0, len(post))
-	for v := range post {
-		keys = append(keys, v)
-	}
-	slices.Sort(keys)
+	post := index.Postings(col)
+	keys := slices.Sorted(maps.Keys(post))
 	offs := make([]int64, len(keys)+1)
 	ranks := make([]int32, 0, len(col))
 	for i, v := range keys {
@@ -261,32 +249,14 @@ func (b *Builder) writePosting(sw *segWriter, attr, band int, col []int64) error
 	return sw.writeSeg(segPostRank, attr, band, bytesOfInt32(ranks))
 }
 
-// writeSorted builds and writes one band's sorted segment for a numeric
-// attribute, with exactly newWithStats's sort (value ascending, ties in
-// rank order) so the artifacts are bit-identical to the in-memory index.
+// writeSorted writes one band's sorted segment (index.SortedSegment) for a
+// numeric attribute.
 func (b *Builder) writeSorted(sw *segWriter, attr, band int, col []int64) error {
-	n := len(col)
-	perm := make([]int32, n)
-	for r := range perm {
-		perm[r] = int32(r)
-	}
-	sort.Slice(perm, func(a, b int) bool {
-		va, vb := col[perm[a]], col[perm[b]]
-		if va != vb {
-			return va < vb
-		}
-		return perm[a] < perm[b]
-	})
-	vals := make([]int64, n)
-	pos := make([]int32, n)
-	for p, r := range perm {
-		vals[p] = col[r]
-		pos[r] = int32(p)
-	}
+	vals, ranks, pos := index.SortedSegment(col)
 	if err := sw.writeSeg(segSortVal, attr, band, bytesOfInt64(vals)); err != nil {
 		return err
 	}
-	if err := sw.writeSeg(segSortRank, attr, band, bytesOfInt32(perm)); err != nil {
+	if err := sw.writeSeg(segSortRank, attr, band, bytesOfInt32(ranks)); err != nil {
 		return err
 	}
 	return sw.writeSeg(segRankPos, attr, band, bytesOfInt32(pos))

@@ -17,21 +17,21 @@
 //
 // # Query evaluation
 //
-// Open maps the file read-only and assembles one index.Store per priority
-// band from artifacts aliasing the mapped pages (index.NewFromArtifacts):
-// the per-query cost-model planner and all five access paths run
-// unchanged against on-disk postings. Three properties make the disk
-// engine's behaviour bit-identical to the in-memory engine over the same
-// relation:
+// Open maps the file read-only, assembles one index.Store per priority
+// band from artifacts aliasing the mapped pages (index.NewFromArtifacts),
+// and serves the bands through index.NewPartitioned: the opened Store is an
+// index.Sharded, so the per-query cost-model planner, all five access
+// paths, the priority-ordered band walk and the batch fan-out are the
+// in-memory engine's own code running against on-disk postings. Two
+// properties make the disk engine's behaviour bit-identical to the
+// in-memory engine over the same relation:
 //
-//   - band boundaries use index.NewSharded's exact i*n/bands split, and
-//     Select/SelectBatch/Count replicate Sharded's priority-ordered
-//     early-exit walk and fan-out gates;
+//   - the builder writes the artifacts index.Postings and
+//     index.SortedSegment build, over the bands index.Partitions and
+//     index.PartitionRange fix;
 //   - the selectivity sample persisted in the footer is the same
 //     deterministic stride sample buildSelStats draws, so the cost model
-//     sees identical statistics (index.NewSelStats);
-//   - bitmap indexes are rebuilt at Open from the on-disk posting lists
-//     under the same size/domain gates the in-memory constructor applies.
+//     sees identical statistics (index.NewSelStats).
 //
 // Planning and filtering read the mapped columns in place, and so does
 // result emission: each band's Select collects its result ranks, then
@@ -52,10 +52,8 @@
 package diskstore
 
 import (
-	"context"
 	"hash/crc32"
 	"os"
-	"runtime"
 	"sync"
 
 	"hidb/internal/dataspace"
@@ -71,16 +69,15 @@ type OpenOptions struct {
 	Verify bool
 }
 
-// Store is the disk-resident engine: an opened, immutable store file.
-// All methods are safe for concurrent use until Close.
+// Store is the disk-resident engine: an opened, immutable store file,
+// served as an index.Sharded with one partition per band. All methods are
+// safe for concurrent use until Close.
 type Store struct {
-	path   string
-	schema *dataspace.Schema
-	n      int
-	bands  []*index.Store
-	segs   []segMeta
-	data   []byte
-	unmap  func() error
+	*index.Sharded
+	path  string
+	segs  []segMeta
+	data  []byte
+	unmap func() error
 
 	closeOnce sync.Once
 	closeErr  error
@@ -162,16 +159,9 @@ func assemble(path string, data []byte) (*Store, *CorruptionError) {
 		cols[i] = int64View(view(sg))
 	}
 
-	s := &Store{
-		path:   path,
-		schema: schema,
-		n:      n,
-		segs:   ft.Segments,
-		data:   data,
-		bands:  make([]*index.Store, 0, ft.Bands),
-	}
+	bands := make([]*index.Store, 0, ft.Bands)
 	for band := 0; band < ft.Bands; band++ {
-		lo, hi := band*n/ft.Bands, (band+1)*n/ft.Bands
+		lo, hi := index.PartitionRange(n, ft.Bands, band)
 		bn := hi - lo
 		a := index.Artifacts{
 			N:          bn,
@@ -204,9 +194,13 @@ func assemble(path string, data []byte) (*Store, *CorruptionError) {
 		if err != nil {
 			return nil, corrupt(-1, "band %d: %w", band, err)
 		}
-		s.bands = append(s.bands, st)
+		bands = append(bands, st)
 	}
-	return s, nil
+	sh, perr := index.NewPartitioned(bands)
+	if perr != nil {
+		return nil, corrupt(-1, "%w", perr)
+	}
+	return &Store{Sharded: sh, path: path, segs: ft.Segments, data: data}, nil
 }
 
 // decodePosting rebuilds one band's posting map with rank slices aliasing
@@ -281,127 +275,5 @@ func (s *Store) Close() error {
 // Path returns the store file's path.
 func (s *Store) Path() string { return s.path }
 
-// Bands returns the number of priority-band partitions fixed at build time.
-func (s *Store) Bands() int { return len(s.bands) }
-
-// NumShards aliases Bands under the sharded store's introspection name, so
-// generic partition-count probes see both engines uniformly.
-func (s *Store) NumShards() int { return len(s.bands) }
-
-// Size returns the number of tuples in the store.
-func (s *Store) Size() int { return s.n }
-
-// Schema returns the store's schema (decoded from the footer).
-func (s *Store) Schema() *dataspace.Schema { return s.schema }
-
-// All copies the whole relation onto the heap in priority order — the
-// Engine contract's Dump hook: the bands' rows, concatenated. On a
-// larger-than-RAM store this allocates the full relation; it exists for
-// tests and measurement, not the query path.
-func (s *Store) All() []dataspace.Tuple {
-	out := make([]dataspace.Tuple, 0, s.n)
-	for _, b := range s.bands {
-		out = append(out, b.All()...)
-	}
-	return out
-}
-
-// PlanStats aggregates the per-band planner counters, exactly as
-// index.Sharded aggregates its shards'.
-func (s *Store) PlanStats() index.PlanStats {
-	var ps index.PlanStats
-	for _, b := range s.bands {
-		ps.Merge(b.PlanStats())
-	}
-	return ps
-}
-
 // EngineStats identifies the disk engine.
 func (s *Store) EngineStats() index.EngineStats { return index.EngineStats{Kind: "disk"} }
-
-// Select returns up to limit+1 tuples matching q in descending priority
-// order — bit-identical to the in-memory engines over the same relation.
-// Bands are visited in priority order with Sharded's early-exit walk, so an
-// overflowing query usually never touches the cold tail of the file. The
-// tuples are heap copies; a query the first band decides costs two
-// allocations (the result slice and its row slab), whatever its size.
-func (s *Store) Select(q dataspace.Query, limit int) []dataspace.Tuple {
-	if limit < 0 {
-		limit = 0
-	}
-	want := limit + 1
-	var out []dataspace.Tuple
-	for _, b := range s.bands {
-		got := b.Select(q, want-len(out)-1)
-		if out == nil {
-			out = got // common case: the first band already decides
-		} else {
-			out = append(out, got...)
-		}
-		if len(out) >= want {
-			break
-		}
-	}
-	if out == nil {
-		out = []dataspace.Tuple{}
-	}
-	return out
-}
-
-// SelectBatch mirrors index.Sharded's fan-out: each query runs the
-// early-exit band walk on its own goroutine, capped at GOMAXPROCS live
-// goroutines; a cancelled ctx stops launching and the answered prefix is
-// returned. Result i is exactly Select(qs[i], limit).
-func (s *Store) SelectBatch(ctx context.Context, qs []dataspace.Query, limit int) [][]dataspace.Tuple {
-	if len(s.bands) == 1 {
-		return s.bands[0].SelectBatch(ctx, qs, limit)
-	}
-	out := make([][]dataspace.Tuple, len(qs))
-	var wg sync.WaitGroup
-	gate := make(chan struct{}, runtime.GOMAXPROCS(0))
-	launched := len(qs)
-	for i, q := range qs {
-		if ctx.Err() != nil {
-			launched = i
-			break
-		}
-		wg.Add(1)
-		gate <- struct{}{}
-		go func(i int, q dataspace.Query) {
-			defer wg.Done()
-			out[i] = s.Select(q, limit)
-			<-gate
-		}(i, q)
-	}
-	wg.Wait()
-	return out[:launched]
-}
-
-// Count returns the exact number of tuples matching q: the sum of the
-// per-band counts. Like Sharded.Count, large stores fan the per-band
-// counts out on goroutines; small ones walk serially.
-func (s *Store) Count(q dataspace.Query) int {
-	const fanOutMin = 1 << 14 // tuples; below this a serial walk is faster
-	if len(s.bands) == 1 || s.n < fanOutMin {
-		c := 0
-		for _, b := range s.bands {
-			c += b.Count(q)
-		}
-		return c
-	}
-	counts := make([]int, len(s.bands))
-	var wg sync.WaitGroup
-	for i, b := range s.bands {
-		wg.Add(1)
-		go func(i int, b *index.Store) {
-			defer wg.Done()
-			counts[i] = b.Count(q)
-		}(i, b)
-	}
-	wg.Wait()
-	c := 0
-	for _, v := range counts {
-		c += v
-	}
-	return c
-}

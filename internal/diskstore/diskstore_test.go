@@ -88,8 +88,8 @@ func TestDiskMatchesMemAcrossPatterns(t *testing.T) {
 				t.Fatal(err)
 			}
 			disk := openStore(t, buildTier(t, p, datagen.Tier10K, 11, bands), OpenOptions{Verify: true})
-			if disk.Bands() != bands {
-				t.Fatalf("Bands() = %d, want %d", disk.Bands(), bands)
+			if disk.NumShards() != bands {
+				t.Fatalf("NumShards() = %d, want %d", disk.NumShards(), bands)
 			}
 			if disk.Size() != mem.Size() {
 				t.Fatalf("Size() = %d, want %d", disk.Size(), mem.Size())
@@ -194,7 +194,7 @@ func TestEmptyRelationBothEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	disk := openStore(t, path, OpenOptions{Verify: true})
-	if got := disk.Bands(); got != 1 {
+	if got := disk.NumShards(); got != 1 {
 		t.Fatalf("empty disk store built %d bands, want 1", got)
 	}
 	for name, eng := range map[string]index.Engine{"store": single, "sharded": sharded, "disk": disk} {
@@ -220,14 +220,22 @@ func TestEmptyRelationBothEngines(t *testing.T) {
 	}
 }
 
-// TestShardClampUnified pins the satellite bugfix across sizes: the shard
-// count is clamped to max(n, 1) for every n, through the same code path.
+// TestShardClampUnified pins the shard clamp across sizes: the count is
+// clamped to max(n, 1) for every n by index.Partitions, which NewSharded
+// and the disk builder both use. A zero count reaches only Partitions
+// (NewSharded rejects it, the builder reads it as 1).
 func TestShardClampUnified(t *testing.T) {
 	for _, tc := range []struct {
 		n, shards, want int
 	}{
-		{0, 1, 1}, {0, 8, 1}, {2, 8, 2}, {8, 8, 8}, {100, 8, 8},
+		{0, 0, 1}, {0, 1, 1}, {0, 8, 1}, {5, 0, 1}, {2, 8, 2}, {8, 8, 8}, {100, 8, 8},
 	} {
+		if got := index.Partitions(tc.n, tc.shards); got != tc.want {
+			t.Errorf("Partitions(%d, %d) = %d, want %d", tc.n, tc.shards, got, tc.want)
+		}
+		if tc.shards == 0 {
+			continue
+		}
 		ds := datagen.Tiered(datagen.PatternSequential, datagen.Tier10K, 1)
 		sh, err := index.NewSharded(ds.Schema, ds.Tuples[:tc.n], tc.shards)
 		if err != nil {

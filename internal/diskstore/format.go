@@ -33,6 +33,7 @@ import (
 	"hash/crc32"
 	"unsafe"
 
+	"hidb/internal/index"
 	"hidb/internal/wire"
 )
 
@@ -210,7 +211,7 @@ func validateFooter(ft *fileFooter, footOff int64) error {
 	if ft.N < 0 || ft.Bands < 1 || len(ft.Attrs) == 0 {
 		return corrupt(footOff, "implausible footer (n=%d, bands=%d, %d attrs)", ft.N, ft.Bands, len(ft.Attrs))
 	}
-	if ft.Bands > max(ft.N, 1) {
+	if index.Partitions(ft.N, ft.Bands) != ft.Bands {
 		return corrupt(footOff, "%d bands over %d tuples", ft.Bands, ft.N)
 	}
 	d := len(ft.Attrs)

@@ -107,8 +107,9 @@ func Answer(ctx context.Context, srv Server, q dataspace.Query) (Result, error) 
 var ErrQuotaExceeded = errors.New("hiddendb: query quota exceeded")
 
 // Local is an in-process Server backed by an index.Engine — a single
-// index.Store, or a priority-range index.Sharded store that answers batches
-// with a parallel per-shard fan-out.
+// index.Store, or a priority-range index.Sharded store (in memory, or a
+// diskstore.Store's bands) that answers batches with a parallel per-shard
+// fan-out.
 type Local struct {
 	store index.Engine
 	k     int
@@ -147,11 +148,12 @@ func NewLocalSharded(schema *dataspace.Schema, bag dataspace.Bag, k int, seed ui
 }
 
 // NewLocalEngine wraps an already-built index.Engine — an in-memory Store
-// or Sharded store, or a diskstore.Store opened from a file — as a local
-// server with return limit k. The engine's rank order is taken as the
-// priority order verbatim; it is the caller's job to have arranged it (the
-// disk builder bakes the permutation in at build time, so an opened store
-// answers bit-identically to NewLocal over the same bag and seed).
+// or Sharded store, or a diskstore.Store (a Sharded over a file's bands) —
+// as a local server with return limit k. The engine's rank order is taken
+// as the priority order verbatim; it is the caller's job to have arranged
+// it (the disk builder bakes the permutation in at build time, so an
+// opened store answers bit-identically to NewLocal over the same bag and
+// seed).
 func NewLocalEngine(store index.Engine, k int) (*Local, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("hiddendb: return limit k must be >= 1, got %d", k)

@@ -163,78 +163,82 @@ func New(schema *dataspace.Schema, byRank []dataspace.Tuple) (*Store, error) {
 // newWithStats builds a Store, reusing the given selectivity statistics
 // when non-nil (the Sharded constructor samples the full relation once and
 // shares the result across shards; selectivity is a property of the data
-// shape, not of any one priority band).
+// shape, not of any one priority band). It builds the artifacts a disk
+// store persists, assembles them with NewFromArtifacts, and keeps byRank
+// so results share the caller's tuples instead of copying them.
 func newWithStats(schema *dataspace.Schema, byRank []dataspace.Tuple, stats *SelStats) (*Store, error) {
-	d := schema.Dims()
 	for r, t := range byRank {
 		if err := t.Validate(schema); err != nil {
 			return nil, fmt.Errorf("index: tuple at rank %d: %w", r, err)
 		}
 	}
-	n := len(byRank)
-	s := &Store{
-		schema:     schema,
-		n:          n,
-		byRank:     byRank,
-		scratch:    sync.Pool{New: func() any { return new([]int32) }},
-		words:      sync.Pool{New: func() any { p := make([]uint64, bitmapWords); return &p }},
-		isCat:      make([]bool, d),
-		cols:       make([][]int64, d),
-		post:       make([]map[int64][]int32, d),
-		bitmaps:    make([]*bitmapIndex, d),
-		sortedVal:  make([][]int64, d),
-		sortedRank: make([][]int32, d),
-		rankPos:    make([][]int32, d),
-		stats:      stats,
+	if stats == nil {
+		stats = buildSelStats(schema, byRank)
+	}
+	d := schema.Dims()
+	a := Artifacts{
+		N:          len(byRank),
+		Cols:       make([][]int64, d),
+		Post:       make([]map[int64][]int32, d),
+		SortedVal:  make([][]int64, d),
+		SortedRank: make([][]int32, d),
+		RankPos:    make([][]int32, d),
+		Stats:      stats,
 	}
 	for i := 0; i < d; i++ {
-		col := make([]int64, n)
+		col := make([]int64, len(byRank))
 		for r, t := range byRank {
 			col[r] = t[i]
 		}
-		s.cols[i] = col
-		attr := schema.Attr(i)
-		if attr.Kind == dataspace.Categorical {
-			s.isCat[i] = true
-			m := make(map[int64][]int32)
-			for r, v := range col {
-				m[v] = append(m[v], int32(r))
-			}
-			s.post[i] = m
-			if n >= bitmapMinTuples && attr.DomainSize <= bitmapMaxDomain {
-				bi := &bitmapIndex{m: make(map[int64]*rankBitmap, len(m))}
-				for v, list := range m {
-					bi.m[v] = buildRankBitmap(list)
-				}
-				s.bitmaps[i] = bi
-			}
+		a.Cols[i] = col
+		if schema.Attr(i).Kind == dataspace.Categorical {
+			a.Post[i] = Postings(col)
 		} else {
-			perm := make([]int32, n)
-			for r := range perm {
-				perm[r] = int32(r)
-			}
-			sort.Slice(perm, func(a, b int) bool {
-				va, vb := col[perm[a]], col[perm[b]]
-				if va != vb {
-					return va < vb
-				}
-				return perm[a] < perm[b]
-			})
-			vals := make([]int64, n)
-			pos := make([]int32, n)
-			for p, r := range perm {
-				vals[p] = col[r]
-				pos[r] = int32(p)
-			}
-			s.sortedVal[i] = vals
-			s.sortedRank[i] = perm
-			s.rankPos[i] = pos
+			a.SortedVal[i], a.SortedRank[i], a.RankPos[i] = SortedSegment(col)
 		}
 	}
-	if s.stats == nil {
-		s.stats = buildSelStats(schema, byRank)
+	s, err := NewFromArtifacts(schema, a)
+	if err != nil {
+		return nil, err
 	}
+	s.byRank = byRank
 	return s, nil
+}
+
+// Postings builds a categorical column's posting-list index: each value
+// maps to the ranks holding it, ascending.
+func Postings(col []int64) map[int64][]int32 {
+	post := make(map[int64][]int32)
+	for r, v := range col {
+		post[v] = append(post[v], int32(r))
+	}
+	return post
+}
+
+// SortedSegment builds a numeric column's sorted-segment index: vals is the
+// column sorted ascending with ties in rank order, ranks[p] the rank of
+// vals[p], and pos the inverse permutation (pos[r] is rank r's position in
+// vals).
+func SortedSegment(col []int64) (vals []int64, ranks, pos []int32) {
+	n := len(col)
+	ranks = make([]int32, n)
+	for r := range ranks {
+		ranks[r] = int32(r)
+	}
+	sort.Slice(ranks, func(a, b int) bool {
+		va, vb := col[ranks[a]], col[ranks[b]]
+		if va != vb {
+			return va < vb
+		}
+		return ranks[a] < ranks[b]
+	})
+	vals = make([]int64, n)
+	pos = make([]int32, n)
+	for p, r := range ranks {
+		vals[p] = col[r]
+		pos[r] = int32(p)
+	}
+	return vals, ranks, pos
 }
 
 // Artifacts is the set of prebuilt index structures an artifact-backed
@@ -246,12 +250,10 @@ func newWithStats(schema *dataspace.Schema, byRank []dataspace.Tuple, stats *Sel
 // copied out of Cols onto the heap; no tuple a Select returns aliases the
 // artifacts.
 //
-// Invariants the caller must uphold (they mirror what newWithStats builds):
-// Cols[i][r] is attribute i of the rank-r tuple; Post[i] maps each
-// categorical value to its ranks ascending; SortedVal[i]/SortedRank[i] list
-// numeric column i's values ascending (ties in rank order) with the rank of
-// each sorted cell; RankPos[i][r] is rank r's position in SortedVal[i]. All
-// slices are read-only after construction.
+// Invariants the caller must uphold: Cols[i][r] is attribute i of the rank-r
+// tuple; Post[i] is Postings(Cols[i]) for a categorical attribute, and
+// SortedVal[i], SortedRank[i], RankPos[i] are SortedSegment(Cols[i]) for a
+// numeric one. All slices are read-only after construction.
 type Artifacts struct {
 	// N is the relation size (every per-attribute slice has length N).
 	N int
@@ -272,11 +274,12 @@ type Artifacts struct {
 }
 
 // NewFromArtifacts builds a Store over prebuilt index structures instead of
-// a materialized row slice. Bitmap indexes are derived from the posting
-// lists under the same gates newWithStats applies (store size, domain
-// width), so an artifact-backed store makes bit-identical plan choices to
-// the in-memory store it mirrors. The artifacts are trusted (they were
-// validated when built); only structural consistency is checked here.
+// a materialized row slice; New builds its stores through it too. Bitmap
+// indexes are derived from the posting lists under one gate (store size,
+// domain width), so an artifact-backed store makes bit-identical plan
+// choices to the in-memory store it mirrors. The artifacts are trusted
+// (they were validated when built); only structural consistency is checked
+// here.
 func NewFromArtifacts(schema *dataspace.Schema, a Artifacts) (*Store, error) {
 	if schema == nil {
 		return nil, fmt.Errorf("index: nil schema")

@@ -171,9 +171,8 @@ type PlanStats struct {
 // HitRate always returns 0; see Hits.
 func (ps PlanStats) HitRate() float64 { return 0 }
 
-// Merge accumulates o into ps — the aggregation a partitioned engine
-// (Sharded, or a banded disk store) uses to report one planner view over
-// its partitions.
+// Merge accumulates o into ps — the aggregation Sharded uses to report one
+// planner view over its partitions.
 func (ps *PlanStats) Merge(o PlanStats) {
 	if ps.Paths == nil {
 		ps.Paths = make(map[string]int64, numPaths)

@@ -20,7 +20,8 @@ import (
 )
 
 // Engine is the query-evaluation contract the hiddendb server builds on.
-// Store and Sharded both implement it; all methods are safe for concurrent
+// Store and Sharded implement it, and so does the disk engine, which is a
+// Sharded over artifact-backed stores; all methods are safe for concurrent
 // use after construction.
 type Engine interface {
 	// Select returns up to limit+1 matching tuples in descending priority
@@ -61,46 +62,68 @@ var (
 )
 
 // Sharded is a priority-range-partitioned Store. Immutable after
-// NewSharded and safe for concurrent readers.
+// construction and safe for concurrent readers.
 type Sharded struct {
 	schema *dataspace.Schema
-	// byRank is the full relation in descending priority order; the shards
-	// alias contiguous segments of it.
-	byRank []dataspace.Tuple
+	n      int
 	shards []*Store
 }
+
+// Partitions clamps a requested partition count for an n-tuple relation:
+// at least one, and no more than n so no partition is ever empty — the
+// empty relation still gets exactly one (empty) partition, so the
+// zero-tuple store answers through the same code path as any other.
+func Partitions(n, parts int) int { return min(max(parts, 1), max(n, 1)) }
+
+// PartitionRange returns the half-open rank range [lo, hi) of partition i
+// when n ranks are split into parts near-equal contiguous partitions.
+func PartitionRange(n, parts, i int) (lo, hi int) { return i * n / parts, (i + 1) * n / parts }
 
 // NewSharded builds a sharded store over tuples already arranged in
 // descending priority order, split into the given number of near-equal
 // contiguous rank ranges. A shard count exceeding the tuple count is
-// clamped, so every shard is non-empty.
+// clamped (Partitions), so every shard is non-empty.
 func NewSharded(schema *dataspace.Schema, byRank []dataspace.Tuple, shards int) (*Sharded, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("index: shard count must be >= 1, got %d", shards)
 	}
-	// One unified clamp for every relation size: a shard count above n
-	// collapses to n so no shard is ever empty, and the empty relation is
-	// its own floor — it still gets exactly one (empty) shard, so the
-	// zero-tuple store answers through the same code path as any other.
-	n := len(byRank)
-	shards = min(shards, max(n, 1))
 	if schema == nil {
 		return nil, fmt.Errorf("index: nil schema")
 	}
+	n := len(byRank)
+	shards = Partitions(n, shards)
 	// One selectivity sample over the whole relation, shared by every
 	// shard: selectivity is a property of the data shape, not of any one
 	// priority band, and a full-relation sample is strictly better than
 	// per-shard ones. Each shard plans against its own posting lists, so
 	// shards may legitimately pick different paths for the same query.
 	stats := buildSelStats(schema, byRank)
-	s := &Sharded{schema: schema, byRank: byRank, shards: make([]*Store, 0, shards)}
-	for i := 0; i < shards; i++ {
-		lo, hi := i*n/shards, (i+1)*n/shards
+	parts := make([]*Store, shards)
+	for i := range parts {
+		lo, hi := PartitionRange(n, shards, i)
 		st, err := newWithStats(schema, byRank[lo:hi], stats)
 		if err != nil {
 			return nil, fmt.Errorf("index: shard %d (ranks [%d,%d)): %w", i, lo, hi, err)
 		}
-		s.shards = append(s.shards, st)
+		parts[i] = st
+	}
+	return NewPartitioned(parts)
+}
+
+// NewPartitioned serves prebuilt stores as one relation: parts[0] holds
+// the highest-priority ranks, parts[1] the next band, and so on. The parts
+// must share one schema (and should share one SelStats, so their plans
+// agree with a single store's).
+func NewPartitioned(parts []*Store) (*Sharded, error) {
+	if len(parts) == 0 {
+		return nil, fmt.Errorf("index: no partitions")
+	}
+	s := &Sharded{schema: parts[0].schema, shards: parts}
+	for i, p := range parts {
+		if p.schema != s.schema {
+			return nil, fmt.Errorf("index: partition %d has a different schema", i)
+		}
+		s.n += p.n
 	}
 	return s, nil
 }
@@ -122,14 +145,20 @@ func (s *Sharded) EngineStats() EngineStats { return EngineStats{Kind: "mem"} }
 func (s *Sharded) NumShards() int { return len(s.shards) }
 
 // Size returns the number of tuples across all shards.
-func (s *Sharded) Size() int { return len(s.byRank) }
+func (s *Sharded) Size() int { return s.n }
 
 // Schema returns the store's schema.
 func (s *Sharded) Schema() *dataspace.Schema { return s.schema }
 
-// All returns the tuples in priority order. The slice and its tuples are
-// shared; callers must not mutate them.
-func (s *Sharded) All() []dataspace.Tuple { return s.byRank }
+// All returns the tuples in priority order: the shards' All, concatenated
+// (see Store.All for which tuples are shared).
+func (s *Sharded) All() []dataspace.Tuple {
+	out := make([]dataspace.Tuple, 0, s.n)
+	for _, sh := range s.shards {
+		out = append(out, sh.All()...)
+	}
+	return out
+}
 
 // Select returns up to limit+1 tuples matching q in descending priority
 // order, identical to the single-Store result. Shards are visited in
@@ -208,7 +237,7 @@ func (s *Sharded) SelectBatch(ctx context.Context, qs []dataspace.Query, limit i
 // goroutine overhead would dominate the per-shard scans.
 func (s *Sharded) Count(q dataspace.Query) int {
 	const fanOutMin = 1 << 14 // tuples; below this a serial walk is faster
-	if len(s.shards) == 1 || len(s.byRank) < fanOutMin {
+	if len(s.shards) == 1 || s.n < fanOutMin {
 		c := 0
 		for _, sh := range s.shards {
 			c += sh.Count(q)

@@ -158,6 +158,20 @@ func TestShardedEdgeCases(t *testing.T) {
 	if _, err := NewSharded(sch, nil, 0); err == nil {
 		t.Error("shard count 0 accepted")
 	}
+	if _, err := NewPartitioned(nil); err == nil {
+		t.Error("NewPartitioned accepted no parts")
+	}
+	a, err := New(sch, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := New(dataspace.MustSchema([]dataspace.Attribute{{Name: "C1", Kind: dataspace.Categorical, DomainSize: 5}}), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewPartitioned([]*Store{a, b}); err == nil {
+		t.Error("NewPartitioned accepted parts with different schemas")
+	}
 	// Empty store: one empty shard, empty answers.
 	s, err := NewSharded(sch, nil, 4)
 	if err != nil {

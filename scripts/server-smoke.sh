@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # server-smoke.sh is the end-to-end check of the HTTP server: it builds
 # hidb-server and hidb-crawl into a temporary directory and serves AdultLike
-# at k=256 with no session flags twice, once from the in-memory engine and
-# once from the disk engine (-engine disk, store file built on first run).
-# Each pass crawls over HTTP with 16 workers and checks the paper's cost
+# at k=256 with no session flags three times: from the in-memory engine,
+# from the disk engine (-engine disk, store file built on first run), and
+# from a 4-band disk store in the same data dir, which must get a store of
+# its own (shards=4 in the server log). Each pass crawls over HTTP with 16 workers and checks the paper's cost
 # metric (778 queries) on the crawler's report and on the anonymous session
 # in GET /stats, the engine kind in /stats, and a clean exit 0 after
 # SIGTERM. It also checks that the removed -quota flag is refused.
@@ -87,4 +88,6 @@ smoke_pass() {
 
 smoke_pass mem
 smoke_pass disk -engine disk -data-dir "$tmp/data"
+smoke_pass disk -engine disk -data-dir "$tmp/data" -shards 4
+grep -q 'shards=4' "$tmp/server.log" || fail "disk -shards 4: server did not serve 4 bands"
 echo "server-smoke: ok"
