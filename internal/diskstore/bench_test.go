@@ -136,16 +136,16 @@ func BenchmarkIntersect3Way1MMemCold(b *testing.B) {
 	reportMS(b, "intersect3way_1m_mem", time.Since(start))
 }
 
-// BenchmarkIntersect3Way1MDiskWarm measures the steady state the
-// acceptance criterion bounds: hot blocks promoted — the
-// per-query cost a long-running disk server pays, to compare against
-// BenchmarkIntersect3Way1MMemCold's steady state.
+// BenchmarkIntersect3Way1MDiskWarm measures the steady state: the needle
+// query repeated on one open store, once its mapped pages are resident and
+// its scratch pools are warm — the per-query cost a long-running disk
+// server pays, to compare against BenchmarkIntersect3Way1MMemCold.
 func BenchmarkIntersect3Way1MDiskWarm(b *testing.B) {
 	benchSetup(b)
 	s := benchOpen(b, benchState.patho1MPath)
 	defer s.Close()
 	q := needle1M(s.Schema())
-	for i := 0; i < 20; i++ { // promote the needle blocks
+	for i := 0; i < 20; i++ { // fault in the pages, fill the pools
 		s.Select(q, 64)
 	}
 	b.ReportAllocs()

@@ -148,3 +148,39 @@ func BenchmarkCountScanBaseline(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkIntersectArrayBlocks isolates the dense-block kernel on the
+// shape that dominates the 1M pathological crawl: 16 blocks, each holding
+// three ~1,700-rank array containers (above sparseIntersectMax, so no
+// probe path) that share ~22 ranks. It intersects them exactly (no max)
+// into a reused buffer and must allocate nothing.
+func BenchmarkIntersectArrayBlocks(b *testing.B) {
+	const blocks = 16
+	lists := correlatedLists(simrand.New(1), 3, blocks<<16, 22.0/(1<<16), 1678.0/(1<<16))
+	bms := make([]*rankBitmap, len(lists))
+	for i, l := range lists {
+		bms[i] = buildRankBitmap(l)
+		if len(bms[i].cs) != blocks {
+			b.Fatalf("list %d spans %d blocks, want %d", i, len(bms[i].cs), blocks)
+		}
+		for _, c := range bms[i].cs {
+			if c.kind != containerArray || c.card <= sparseIntersectMax {
+				b.Fatalf("list %d built a kind-%d container of card %d, want a dense-path array", i, c.kind, c.card)
+			}
+		}
+	}
+	want := len(refIntersect(lists...))
+	words := make([]uint64, 2*bitmapWords)
+	dst := make([]int32, 0, want)
+	if allocs := testing.AllocsPerRun(10, func() { dst = intersectInto(bms, words, dst[:0], -1) }); allocs != 0 {
+		b.Fatalf("intersectInto: %.1f allocs/op, want 0", allocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = intersectInto(bms, words, dst[:0], -1)
+		if len(dst) != want {
+			b.Fatalf("intersection has %d ranks, want %d", len(dst), want)
+		}
+	}
+}

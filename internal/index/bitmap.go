@@ -12,7 +12,12 @@
 // equality predicates is a word-parallel loop over the blocks both sides
 // share — 64 ranks per AND — instead of a per-candidate merge or probe, and
 // the result enumerates in ascending rank order, which is exactly the
-// priority order Select must return.
+// priority order Select must return. A block whose smallest container is
+// sparse iterates that container and probes the others; any other block is
+// materialized: the first container is written into 1024 scratch words, and
+// each further container is ANDed in, an array one by first setting its
+// ranks into a second 1024-word half (branch-free, like Roaring's
+// array-to-bitmap conversion) and then ANDing the halves word by word.
 package index
 
 import (
@@ -86,38 +91,20 @@ func (c *container) writeWords(dst []uint64) {
 	}
 }
 
-// andWords intersects the container into dst in place (dst &= c).
-func (c *container) andWords(dst []uint64) {
+// andWords intersects the container into dst in place (dst &= c). tmp is
+// a second bitmapWords-long scratch half: an array container is first set
+// into it bit by bit and then ANDed word by word, so no step branches on
+// the array's ranks. At the cards that reach this path an array holds ~1.6
+// ranks per word, and a branch per word boundary mispredicts constantly.
+// A run container never touches tmp.
+func (c *container) andWords(dst, tmp []uint64) {
 	dst = dst[:bitmapWords]
 	switch c.kind {
 	case containerBitmap:
-		for i, w := range c.words {
-			dst[i] &= w
-		}
+		andInto(dst, c.words)
 	case containerArray:
-		// Keep only dst bits that the array also holds: walk the array
-		// once, building the kept words on the fly.
-		var cur uint64
-		wi := -1
-		for _, v := range c.arr {
-			w := int(v >> 6)
-			if w != wi {
-				if wi >= 0 {
-					dst[wi] &= cur
-				}
-				for j := wi + 1; j < w; j++ {
-					dst[j] = 0
-				}
-				wi, cur = w, 0
-			}
-			cur |= 1 << (v & 63)
-		}
-		if wi >= 0 {
-			dst[wi] &= cur
-		}
-		for j := wi + 1; j < bitmapWords; j++ {
-			dst[j] = 0
-		}
+		c.writeWords(tmp)
+		andInto(dst, tmp)
 	default:
 		// Zero everything outside the runs; inside a run dst is kept.
 		prev := -1
@@ -126,6 +113,14 @@ func (c *container) andWords(dst []uint64) {
 			prev = int(r.last)
 		}
 		clearRange(dst, prev+1, (bitmapWords<<6)-1)
+	}
+}
+
+// andInto sets dst[i] &= src[i] for every word of dst.
+func andInto(dst, src []uint64) {
+	src = src[:len(dst)]
+	for i, w := range src {
+		dst[i] &= w
 	}
 }
 
@@ -328,10 +323,10 @@ const sparseIntersectMax = 256
 // ascending order and returns the extended slice. max >= 0 truncates the
 // result to max ranks (the limit+1 early exit — valid only when no
 // residual filtering follows); max < 0 materializes the full intersection.
-// words must be a bitmapWords-long scratch slice. The append-into-a-buffer
-// shape (rather than a per-rank callback) is deliberate: a callback would
-// capture the caller's accumulator and drag it to the heap, breaking the
-// one-allocation Select contract.
+// words must be a 2*bitmapWords-long scratch slice (see andBlock). The
+// append-into-a-buffer shape (rather than a per-rank callback) is
+// deliberate: a callback would capture the caller's accumulator and drag it
+// to the heap, breaking the one-allocation Select contract.
 func intersectInto(bms []*rankBitmap, words []uint64, dst []int32, max int) []int32 {
 	var idxArr [bitmapMaxDims]int
 	cur := bitmapCursor{bms: bms}
@@ -349,11 +344,7 @@ func intersectInto(bms []*rankBitmap, words []uint64, dst []int32, max int) []in
 			// Sparse block: iterate the smallest container, probe the rest.
 			dst = appendSparse(bms, cur.idx, small, sc, base, dst)
 		} else {
-			bms[0].cs[cur.idx[0]].writeWords(words)
-			for i := 1; i < len(bms); i++ {
-				bms[i].cs[cur.idx[i]].andWords(words)
-			}
-			for wi, w := range words {
+			for wi, w := range andBlock(bms, cur.idx, words) {
 				for w != 0 {
 					b := bits.TrailingZeros64(w)
 					w &= w - 1
@@ -366,6 +357,19 @@ func intersectInto(bms []*rankBitmap, words []uint64, dst []int32, max int) []in
 		}
 		cur.advance()
 	}
+}
+
+// andBlock materializes the intersection of every bitmap's current
+// container (idx) into words' first bitmapWords half and returns that half;
+// the second half is andWords' scratch. It is the dense-block kernel of
+// both intersectInto and intersectCount.
+func andBlock(bms []*rankBitmap, idx []int, words []uint64) []uint64 {
+	dst, tmp := words[:bitmapWords], words[bitmapWords:2*bitmapWords]
+	bms[0].cs[idx[0]].writeWords(dst)
+	for i := 1; i < len(bms); i++ {
+		bms[i].cs[idx[i]].andWords(dst, tmp)
+	}
+	return dst
 }
 
 // probeOthers reports whether block-local offset v is present in every
@@ -449,8 +453,8 @@ func countSparse(bms []*rankBitmap, idx []int, small int, sc *container) int {
 }
 
 // intersectCount returns |AND of all bitmaps| without enumerating: dense
-// blocks are popcounted word-parallel. words must be a bitmapWords-long
-// scratch slice.
+// blocks are popcounted word-parallel. words must be a 2*bitmapWords-long
+// scratch slice (see andBlock).
 func intersectCount(bms []*rankBitmap, words []uint64) int {
 	var idxArr [bitmapMaxDims]int
 	cur := bitmapCursor{bms: bms}
@@ -467,11 +471,7 @@ func intersectCount(bms []*rankBitmap, words []uint64) int {
 		if sc := &bms[small].cs[cur.idx[small]]; sc.card <= sparseIntersectMax {
 			total += countSparse(bms, cur.idx, small, sc)
 		} else {
-			bms[0].cs[cur.idx[0]].writeWords(words)
-			for i := 1; i < len(bms); i++ {
-				bms[i].cs[cur.idx[i]].andWords(words)
-			}
-			for _, w := range words {
+			for _, w := range andBlock(bms, cur.idx, words) {
 				total += bits.OnesCount64(w)
 			}
 		}

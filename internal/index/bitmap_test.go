@@ -37,6 +37,24 @@ func randomList(rng *simrand.RNG, n int, density float64) []int32 {
 	return out
 }
 
+// correlatedLists draws m sorted duplicate-free rank lists over [0, n):
+// each rank is in all of them with probability common, and otherwise in
+// each one independently with probability density — the shape of the
+// crawl's conjunctions, whose predicates share far more ranks than
+// independent draws would.
+func correlatedLists(rng *simrand.RNG, m, n int, common, density float64) [][]int32 {
+	out := make([][]int32, m)
+	for r := 0; r < n; r++ {
+		all := rng.Bool(common)
+		for i := range out {
+			if all || rng.Bool(density) {
+				out[i] = append(out[i], int32(r))
+			}
+		}
+	}
+	return out
+}
+
 // runList builds a list of consecutive runs: runLen set ranks, gap unset,
 // repeating over [0, n).
 func runList(n, runLen, gap int) []int32 {
@@ -117,6 +135,10 @@ func offset(list []int32, by int32) []int32 {
 func TestIntersectAgainstReference(t *testing.T) {
 	rng := simrand.New(5)
 	n := 3 << 16 // three blocks
+	// The 1M crawl's dense blocks: three ~2.5% arrays sharing ~22 ranks a
+	// block, ANDed with a ~50% bitmap and a run list.
+	crawl := append(correlatedLists(rng, 3, n, 22.0/(1<<16), 0.025),
+		randomList(rng, n, 0.5), runList(n, 1000, 300))
 	cases := [][][]int32{
 		{randomList(rng, n, 0.03), randomList(rng, n, 0.04)},
 		{randomList(rng, n, 0.3), randomList(rng, n, 0.25), randomList(rng, n, 0.2)},
@@ -126,8 +148,9 @@ func TestIntersectAgainstReference(t *testing.T) {
 		{runList(1<<16, 100, 100), offset(runList(1<<16, 100, 100), 1<<17)},
 		// A sparse driver against dense others (the probe strategy).
 		{randomList(rng, n, 0.001), randomList(rng, n, 0.6), randomList(rng, n, 0.7)},
+		crawl,
 	}
-	words := make([]uint64, bitmapWords)
+	words := make([]uint64, 2*bitmapWords)
 	for ci, lists := range cases {
 		want := refIntersect(lists...)
 		bms := make([]*rankBitmap, len(lists))
@@ -142,13 +165,34 @@ func TestIntersectAgainstReference(t *testing.T) {
 		if c := intersectCount(bms, words); c != len(want) {
 			t.Fatalf("case %d: intersectCount = %d, want %d", ci, c, len(want))
 		}
-		// max truncation returns exactly the prefix.
-		if len(want) > 3 {
-			trunc := intersectInto(bms, words, nil, 3)
-			if !slices.Equal(trunc, want[:3]) {
-				t.Fatalf("case %d: truncated intersection = %v, want %v", ci, trunc, want[:3])
+		// max truncation returns exactly the prefix, whether it cuts the
+		// first block or half the result, inside a later block.
+		for _, max := range []int{3, len(want) / 2} {
+			if len(want) <= max {
+				continue
+			}
+			trunc := intersectInto(bms, words, nil, max)
+			if !slices.Equal(trunc, want[:max]) {
+				t.Fatalf("case %d: intersection truncated to %d diverges from the prefix (first diff around %v)",
+					ci, max, firstDiff(trunc, want[:max]))
 			}
 		}
+	}
+	// The crawl case must exercise what it is there for: dense blocks
+	// (no probe path) of three array containers, ANDed with a bitmap and
+	// a run container.
+	for _, l := range crawl[:3] {
+		for _, c := range buildRankBitmap(l).cs {
+			if c.kind != containerArray || c.card <= sparseIntersectMax {
+				t.Fatalf("crawl case built a kind-%d container of card %d, want a dense-path array", c.kind, c.card)
+			}
+		}
+	}
+	if k := buildRankBitmap(crawl[3]).cs[0].kind; k != containerBitmap {
+		t.Fatalf("crawl case's 50%% list built kind %d, want bitmap", k)
+	}
+	if k := buildRankBitmap(crawl[4]).cs[0].kind; k != containerRun {
+		t.Fatalf("crawl case's run list built kind %d, want run", k)
 	}
 }
 
@@ -161,33 +205,185 @@ func firstDiff(a, b []int32) [2]int32 {
 	return [2]int32{-1, -1}
 }
 
+// scatter draws card distinct block-local offsets, ascending.
+func scatter(rng *simrand.RNG, card int) []int32 {
+	out := make([]int32, card)
+	for i, v := range rng.Perm(1 << 16)[:card] {
+		out[i] = int32(v)
+	}
+	slices.Sort(out)
+	return out
+}
+
 func TestAndWordsAllKinds(t *testing.T) {
 	rng := simrand.New(7)
-	lists := map[string][]int32{
-		"array":  randomList(rng, 1<<16, 0.01),
-		"bitmap": randomList(rng, 1<<16, 0.5),
-		"run":    runList(1<<16, 500, 200),
+	lists := []struct {
+		name  string
+		ranks []int32
+		kind  uint8
+	}{
+		{"array", randomList(rng, 1<<16, 0.01), containerArray},
+		{"array just off", scatter(rng, sparseIntersectMax+1), containerArray},
+		{"array full", scatter(rng, arrayMaxCard-1), containerArray},
+		{"bitmap", randomList(rng, 1<<16, 0.5), containerBitmap},
+		{"run", runList(1<<16, 500, 200), containerRun},
 	}
-	words := make([]uint64, bitmapWords)
+	for _, l := range lists {
+		if k := buildContainer(l.ranks).kind; k != l.kind {
+			t.Fatalf("%s built kind %d, want %d", l.name, k, l.kind)
+		}
+	}
+	words := make([]uint64, 2*bitmapWords)
 	ref := make([]uint64, bitmapWords)
-	for nameA, la := range lists {
-		for nameB, lb := range lists {
-			ca := buildContainer(la)
-			cb := buildContainer(lb)
+	tmp := make([]uint64, bitmapWords)
+	for _, a := range lists {
+		for _, b := range lists {
+			ca := buildContainer(a.ranks)
+			cb := buildContainer(b.ranks)
+			// Garbage in both halves: writeWords must overwrite the
+			// first, andWords must not read stale scratch from the second.
+			for i := range words {
+				words[i] = rng.Uint64()
+			}
 			ca.writeWords(words)
-			cb.andWords(words)
+			cb.andWords(words[:bitmapWords], words[bitmapWords:])
 			// Reference: materialize both and AND.
-			tmp := make([]uint64, bitmapWords)
 			ca.writeWords(ref)
 			cb.writeWords(tmp)
 			for i := range ref {
 				ref[i] &= tmp[i]
 			}
-			if !slices.Equal(words, ref) {
-				t.Fatalf("andWords(%s over %s) diverges from materialized AND", nameB, nameA)
+			if !slices.Equal(words[:bitmapWords], ref) {
+				t.Fatalf("andWords(%s over %s) diverges from materialized AND", b.name, a.name)
 			}
 		}
 	}
+}
+
+// fuzzAbsent is the spec code of a block a fuzz-built list leaves empty;
+// codes 0–2 are the container kind the block must build.
+const fuzzAbsent = 3
+
+// fuzzLists builds one rank list per spec byte (at most 4) over blocks
+// 65536-rank blocks. Bits 2j..2j+1 of a spec byte pick block j's code:
+// an array or a run list of random card (half the time at or below
+// sparseIntersectMax, so both block strategies run), a 30–90% bitmap, or
+// no ranks at all. Every list also holds a block's
+// shared ranks unless its block is a run list or absent, so intersections
+// are not all empty.
+func fuzzLists(spec []byte, blocks int, seed uint64) [][]int32 {
+	rng := simrand.New(seed)
+	shared := make([][]int32, blocks)
+	for j := range shared {
+		shared[j] = scatter(rng, 1+rng.Intn(64))
+	}
+	lists := make([][]int32, min(len(spec), 4))
+	for i := range lists {
+		var l []int32
+		for j := 0; j < blocks; j++ {
+			base := int32(j) << 16
+			var block []int32
+			switch (spec[i] >> (2 * j)) & 3 {
+			case containerArray:
+				card := 1 + rng.Intn(sparseIntersectMax)
+				if rng.Bool(0.5) {
+					card = sparseIntersectMax + 1 + rng.Intn(arrayMaxCard-sparseIntersectMax-128)
+				}
+				block = mergeUnique(scatter(rng, card), shared[j])
+			case containerBitmap:
+				block = mergeUnique(randomList(rng, 1<<16, 0.3+0.6*rng.Float64()), shared[j])
+			case containerRun:
+				// Half the time a few short runs (a sparse-path block).
+				runs, span := 1<<16, 3000
+				if rng.Bool(0.5) {
+					runs, span = 1+rng.Intn(8), 30
+				}
+				for v := rng.Intn(500); v < 1<<16 && runs > 0; runs-- {
+					last := min(v+2+rng.Intn(span), 1<<16-1)
+					for r := v; r <= last; r++ {
+						block = append(block, int32(r))
+					}
+					v = last + 2 + rng.Intn(3000)
+				}
+			}
+			for _, r := range block {
+				l = append(l, base|r)
+			}
+		}
+		lists[i] = l
+	}
+	return lists
+}
+
+// mergeUnique merges two ascending lists, dropping duplicates.
+func mergeUnique(a, b []int32) []int32 {
+	out := slices.Concat(a, b)
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// FuzzIntersect checks intersectInto (whole and truncated) and
+// intersectCount against refIntersect on 1–4 fuzz-built lists over 2–4
+// blocks, with garbage in the scratch words before every call. The seed
+// corpus puts every ordered pair of container kinds in every block.
+func FuzzIntersect(f *testing.F) {
+	all := func(code byte) byte { return code | code<<2 | code<<4 | code<<6 }
+	kinds := []byte{containerArray, containerBitmap, containerRun}
+	for _, a := range kinds {
+		for _, b := range kinds {
+			// Two seeds per pair: different block counts and array cards.
+			for _, seed := range []uint64{uint64(3*a + b), uint64(3*a + b + 10)} {
+				f.Add([]byte{all(a), all(b)}, seed)
+			}
+		}
+	}
+	f.Add([]byte{all(containerArray)}, uint64(1))
+	f.Add([]byte{all(containerArray), all(containerArray), all(containerArray), all(containerBitmap)}, uint64(2))
+	f.Add([]byte{0b00011011, 0b11100100, 0b01100001}, uint64(3))
+	f.Add([]byte{fuzzAbsent | containerBitmap<<4 | containerRun<<6, all(containerArray)}, uint64(5))
+	f.Add([]byte{containerArray | fuzzAbsent<<2 | containerArray<<4, fuzzAbsent | containerArray<<2 | containerRun<<4}, uint64(8))
+	f.Fuzz(func(t *testing.T, spec []byte, seed uint64) {
+		if len(spec) == 0 {
+			return
+		}
+		blocks := 2 + int(seed%3)
+		lists := fuzzLists(spec, blocks, seed)
+		bms := make([]*rankBitmap, len(lists))
+		for i, l := range lists {
+			if len(l) == 0 {
+				return // a value with no ranks has no bitmap
+			}
+			bms[i] = buildRankBitmap(l)
+			for ci, key := range bms[i].keys {
+				if code := (spec[i] >> (2 * key)) & 3; bms[i].cs[ci].kind != code {
+					t.Fatalf("list %d block %d built kind %d, spec asked for %d", i, key, bms[i].cs[ci].kind, code)
+				}
+			}
+		}
+		want := refIntersect(lists...)
+		rng := simrand.New(seed ^ 0x9e3779b97f4a7c15)
+		words := make([]uint64, 2*bitmapWords)
+		garbage := func() {
+			for i := range words {
+				words[i] = rng.Uint64()
+			}
+		}
+		garbage()
+		if got := intersectInto(bms, words, nil, -1); !slices.Equal(got, want) {
+			t.Fatalf("intersectInto returned %d ranks, want %d (first diff around %v)",
+				len(got), len(want), firstDiff(got, want))
+		}
+		garbage()
+		if c := intersectCount(bms, words); c != len(want) {
+			t.Fatalf("intersectCount = %d, want %d", c, len(want))
+		}
+		garbage()
+		max := rng.Intn(len(want) + 1)
+		if got := intersectInto(bms, words, nil, max); !slices.Equal(got, want[:max]) {
+			t.Fatalf("intersection truncated to %d diverges from the prefix (first diff around %v)",
+				max, firstDiff(got, want[:max]))
+		}
+	})
 }
 
 func TestSetClearRange(t *testing.T) {
@@ -220,7 +416,7 @@ func TestSetClearRange(t *testing.T) {
 func TestBuildRankBitmapMatchesPostingList(t *testing.T) {
 	// End-to-end: a store's bitmap index must agree with its posting lists.
 	s := tierStore(t, datagen.PatternRandom, 61)
-	words := make([]uint64, bitmapWords)
+	words := make([]uint64, 2*bitmapWords)
 	for i := 0; i < 3; i++ {
 		for v, list := range s.post[i] {
 			bm := s.bitmaps[i].get(v)

@@ -136,7 +136,9 @@ type Store struct {
 	// package-global) so that independent shards of a Sharded store never
 	// contend on one pool.
 	scratch sync.Pool
-	// words recycles the bitmapWords-long word buffers of the bitmap path.
+	// words recycles the bitmap path's 2*bitmapWords-long word buffers:
+	// one half holds a dense block's intersection, the other is the
+	// scratch an array container is set into before it is ANDed (andBlock).
 	words sync.Pool
 }
 
@@ -296,7 +298,7 @@ func NewFromArtifacts(schema *dataspace.Schema, a Artifacts) (*Store, error) {
 		schema:     schema,
 		n:          a.N,
 		scratch:    sync.Pool{New: func() any { return new([]int32) }},
-		words:      sync.Pool{New: func() any { p := make([]uint64, bitmapWords); return &p }},
+		words:      sync.Pool{New: func() any { p := make([]uint64, 2*bitmapWords); return &p }},
 		isCat:      make([]bool, d),
 		cols:       a.Cols,
 		post:       a.Post,

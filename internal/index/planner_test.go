@@ -386,11 +386,46 @@ func TestSelStats(t *testing.T) {
 	}
 }
 
+// arrayBranchBlocks counts the blocks of q's bitmap plan that reach
+// andWords' array branch: the block takes the dense path (its smallest
+// container holds more than sparseIntersectMax ranks) and a container
+// after the first, which andBlock ANDs in, is an array.
+func arrayBranchBlocks(t *testing.T, s *Store, q dataspace.Query) int {
+	t.Helper()
+	preds := q.Preds()
+	pl := s.planQuery(preds, 65)
+	if pl.path != pathBitmap {
+		t.Fatalf("planned %s, want bitmap", pathNames[pl.path])
+	}
+	var arr [bitmapMaxDims]*rankBitmap
+	bms, ok := s.planBitmaps(preds, pl.bitmapSkip, &arr)
+	if !ok {
+		t.Fatal("bitmap plan over an absent value")
+	}
+	n := 0
+	cur := bitmapCursor{bms: bms}
+	for _, ok := cur.next(); ok; _, ok = cur.next() {
+		small := cur.smallestContainer()
+		if bms[small].cs[cur.idx[small]].card > sparseIntersectMax {
+			for i := 1; i < len(bms); i++ {
+				if bms[i].cs[cur.idx[i]].kind == containerArray {
+					n++
+					break
+				}
+			}
+		}
+		cur.advance()
+	}
+	return n
+}
+
 // TestSelectAllocsSteadyState pins the one-allocation Select contract on
 // every access path: planning allocates nothing, so once the scratch pools
 // are warm (AllocsPerRun's warm-up call) a Select allocates exactly its
 // result slice — including a narrow query right after a broad one of the
-// same shape.
+// same shape. Both bitmap cases AND ~1,600-rank array containers through
+// andWords' array branch and its second scratch half; "bitmap truncated"
+// also cuts its block's ranks at want.
 func TestSelectAllocsSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items nondeterministically under -race")
@@ -398,10 +433,18 @@ func TestSelectAllocsSteadyState(t *testing.T) {
 	s := tierStore(t, datagen.PatternPathological, 67)
 	sch := s.Schema()
 	uni := dataspace.UniverseQuery(sch)
-	needle := uni.
+	needle2 := uni.
 		WithValue(0, datagen.PathoNeedle).
-		WithValue(1, datagen.PathoNeedle).
-		WithValue(2, datagen.PathoNeedle)
+		WithValue(1, datagen.PathoNeedle)
+	needle := needle2.WithValue(2, datagen.PathoNeedle)
+	for _, q := range []dataspace.Query{needle, needle2} {
+		if n := arrayBranchBlocks(t, s, q); n == 0 {
+			t.Fatalf("%v: no block reaches andWords' array branch", q)
+		}
+	}
+	if got := len(s.Select(needle2, 64)); got != 65 {
+		t.Fatalf("2-way needle returned %d tuples, want a truncated 65", got)
+	}
 	cases := []struct {
 		name string
 		qs   []dataspace.Query
@@ -410,6 +453,7 @@ func TestSelectAllocsSteadyState(t *testing.T) {
 		{"posting", []dataspace.Query{uni.WithValue(3, 7)}},
 		{"range", []dataspace.Query{uni.WithRange(4, 100, 3000).WithValue(0, 2)}},
 		{"bitmap", []dataspace.Query{needle}},
+		{"bitmap truncated", []dataspace.Query{needle2}},
 		{"broad then narrow", []dataspace.Query{uni.WithRange(4, 0, 5000), uni.WithRange(4, 0, 20)}},
 	}
 	for _, tc := range cases {
