@@ -24,12 +24,22 @@ all: build check test race cover
 build:
 	$(GO) build ./...
 
-# check runs the static gates: go vet and gofmt. It fails listing the
-# offending files if any file is not gofmt-clean.
+# check runs the static gates: go vet, gofmt and the one-clock guard. It
+# fails listing the offending files if any file is not gofmt-clean, and
+# the offending lines if a non-test file under internal/ reads or waits on
+# the time package directly instead of through a hiddendb.Clock. The only
+# exceptions are the Wall clock itself (hiddendb/clock.go), httpclient's
+# per-attempt wall-time bound and loadgen's real-socket mode.
+CLOCK_CALLS = '\btime\.(Now|Since|Until|Sleep|After|AfterFunc|NewTimer|NewTicker|Tick)\b'
+CLOCK_ALLOWED = '^internal/hiddendb/clock\.go:|^internal/loadgen/socket\.go:|^internal/httpclient/retry\.go:[0-9]+:.*time\.AfterFunc\(r\.policy\.PerAttempt,'
 check:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt -l found unformatted files:"; echo "$$out"; exit 1; \
+	fi
+	@out=$$(grep -rnE $(CLOCK_CALLS) --include='*.go' --exclude='*_test.go' internal | grep -vE $(CLOCK_ALLOWED)); \
+	if [ -n "$$out" ]; then \
+		echo "time read or slept outside hiddendb.Clock:"; echo "$$out"; exit 1; \
 	fi
 
 # Tier-1 verification: everything must build and every test must pass.

@@ -130,11 +130,12 @@
 //
 // # Simulation and fault injection
 //
-// Two deterministic test harnesses ship with the library. NewSimClock /
-// NewSimLatencyServer simulate per-round-trip network latency on a
-// virtual clock: the clock advances only when the simulated crawl is
-// quiescent, so a crawl's wall-clock behaviour under any latency is a
-// reproducible measurement (clock.Now() after the crawl) that costs
+// Every timed layer tells time through one Clock: Wall, or a virtual
+// SimClock. Two deterministic test harnesses ship with the library.
+// NewLatencyServer on a NewSimClock simulates per-round-trip network
+// latency on virtual time: the clock advances only when the simulated
+// crawl is quiescent, so a crawl's wall-clock behaviour under any latency
+// is a reproducible measurement (clock.Now() after the crawl) that costs
 // microseconds of real time — give ParallelCrawler the same clock via
 // CrawlOptions.Clock. NewFlakyServer injects seeded transient errors,
 // nth-query failures and ctx-abort windows in front of any Server, for
@@ -306,7 +307,7 @@ func NewQuotaServer(srv Server, budget int) Server { return hiddendb.NewQuota(sr
 // ctx, so throttled crawls cancel promptly. Rate limiting delays queries;
 // it never changes their responses or count.
 func NewRateLimitedServer(srv Server, perSecond float64, burst int) (Server, error) {
-	return hiddendb.NewRateLimited(srv, perSecond, burst)
+	return hiddendb.NewRateLimited(srv, perSecond, burst, hiddendb.Wall)
 }
 
 // Crawler-side types. See the core package.
@@ -523,14 +524,17 @@ func ParallelCrawler(workers int) Crawler { return parallel.Crawler{Workers: wor
 // Deterministic simulation and fault injection. See the hiddendb package
 // for the full documentation of each type.
 type (
-	// SimClock is a deterministic virtual clock for latency simulation:
+	// Clock is the time source of every timed layer: Wall, or a SimClock.
+	Clock = hiddendb.Clock
+	// SimClock is a deterministic virtual Clock for latency simulation:
 	// round trips cost virtual time that advances only when the simulated
 	// crawl is quiescent, so the same crawl always measures the same
 	// elapsed time, in microseconds of real time. Use one clock per crawl.
 	SimClock = hiddendb.SimClock
-	// SimLatencyServer charges a fixed virtual delay per round trip on a
-	// SimClock — the deterministic counterpart of a real network latency.
-	SimLatencyServer = hiddendb.SimLatency
+	// LatencyServer charges a fixed delay per round trip on a Clock: a
+	// real network latency on Wall, its deterministic counterpart on a
+	// SimClock.
+	LatencyServer = hiddendb.Latency
 	// FlakyServer injects deterministic, seeded faults (transient errors,
 	// nth-query failures, ctx-abort windows) in front of a Server, for
 	// testing crawl resumption and budget accounting under failure.
@@ -542,18 +546,21 @@ type (
 // ErrInjectedFault is the transient error a FlakyServer injects.
 var ErrInjectedFault = hiddendb.ErrInjected
 
+// Wall is the real-time Clock.
+var Wall = hiddendb.Wall
+
 // NewSimClock returns a virtual clock at time zero.
 func NewSimClock() *SimClock { return hiddendb.NewSimClock() }
 
-// NewSimLatencyServer wraps srv so every round trip — one AnswerBatch
-// call, however wide — costs delay of virtual time on clock. A sequential
+// NewLatencyServer wraps srv so every round trip — one AnswerBatch call,
+// however wide — first waits delay on clock. On a SimClock a sequential
 // crawl drives the clock by itself; for ParallelCrawler, pass the same
 // clock in CrawlOptions.Clock so the pipelined dispatcher can keep the
 // clock's runnable-work accounting. After the crawl, clock.Now() is its
 // deterministic virtual wall-clock time — how the parallel latency
 // ablation measures pipeline speedups reproducibly without sleeping.
-func NewSimLatencyServer(srv Server, delay time.Duration, clock *SimClock) *SimLatencyServer {
-	return hiddendb.NewSimLatency(srv, delay, clock)
+func NewLatencyServer(srv Server, delay time.Duration, clock Clock) *LatencyServer {
+	return hiddendb.NewLatency(srv, delay, clock)
 }
 
 // NewFlakyServer wraps srv with deterministic fault injection per cfg.

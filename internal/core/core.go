@@ -105,12 +105,12 @@ type Options struct {
 	// Clock, when non-nil, runs the parallel crawler's pipeline under the
 	// given deterministic virtual clock: batches form and depart at
 	// virtual instants, and with the server wrapped in
-	// hiddendb.NewSimLatency on the same clock, the crawl's wall-clock
+	// hiddendb.NewLatency on the same clock, the crawl's wall-clock
 	// behaviour under any round-trip latency becomes a fast, reproducible
 	// measurement (read it from SimClock.Now). Responses and query counts
-	// are untouched. Use one clock per crawl. Sequential crawlers ignore
-	// it — a sequential crawl over a SimLatency server drives the clock
-	// by itself.
+	// are untouched. Use one clock per crawl; it is a *SimClock because
+	// the pipeline keeps its hold count. Sequential crawlers ignore it —
+	// a sequential crawl over a Latency server drives a SimClock itself.
 	Clock *hiddendb.SimClock
 }
 

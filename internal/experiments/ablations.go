@@ -192,7 +192,7 @@ func AblationParallel(cfg Config, latency time.Duration) (*Figure, error) {
 				return nil, err
 			}
 			clock := hiddendb.NewSimClock()
-			delayed := hiddendb.NewSimLatency(srv, latency, clock)
+			delayed := hiddendb.NewLatency(srv, latency, clock)
 			res, err := parallel.Crawler{Workers: w}.Crawl(context.Background(), delayed, &core.Options{
 				InFlight: depth,
 				Clock:    clock,

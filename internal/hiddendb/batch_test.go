@@ -147,7 +147,7 @@ func TestLatencyBatchIsOneRoundTrip(t *testing.T) {
 	sch := testSchema(t)
 	srv, _ := NewLocal(sch, testBag(200, 33), 20, 8)
 	delay := 40 * time.Millisecond
-	lat := NewLatency(srv, delay)
+	lat := NewLatency(srv, delay, Wall)
 	qs := batchQueries(sch, 10, 34)
 	start := time.Now()
 	if _, err := lat.AnswerBatch(context.Background(), qs); err != nil {

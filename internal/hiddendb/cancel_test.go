@@ -19,7 +19,7 @@ func TestLatencySleepAbortsOnCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lat := NewLatency(srv, 30*time.Second)
+	lat := NewLatency(srv, 30*time.Second, Wall)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(10 * time.Millisecond)

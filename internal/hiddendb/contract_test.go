@@ -101,15 +101,20 @@ func TestAnswerBatchMatchesSequential(t *testing.T) {
 		},
 		"rate-limited": func() stack {
 			c, nc := counting(local(1))
-			r, err := hiddendb.NewRateLimited(c, 1e6, 64)
+			r, err := hiddendb.NewRateLimited(c, 1e6, 64, hiddendb.Wall)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return snapshot(r, nc)
 		},
+		"latency": func() stack {
+			c, nc := counting(local(1))
+			l := hiddendb.NewLatency(c, time.Microsecond, hiddendb.Wall)
+			return snapshot(l, nc, func(m map[string]int) { m["trips"] = l.Trips() })
+		},
 		"sim-latency": func() stack {
 			c, nc := counting(local(1))
-			l := hiddendb.NewSimLatency(c, time.Millisecond, hiddendb.NewSimClock())
+			l := hiddendb.NewLatency(c, time.Millisecond, hiddendb.NewSimClock())
 			return snapshot(l, nc, func(m map[string]int) { m["trips"] = l.Trips() })
 		},
 		"flaky-no-faults": func() stack {

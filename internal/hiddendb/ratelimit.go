@@ -32,18 +32,15 @@ type RateLimited struct {
 	rate   float64 // tokens per second
 	burst  float64 // bucket capacity
 	tokens float64
-	last   time.Time
-	// now and sleep are the limiter's clock and wait primitive, swappable
-	// in tests so throttling is verifiable without real waiting.
-	now   func() time.Time
-	sleep func(context.Context, time.Duration) error
+	last   time.Duration // clock reading at the last refill
+	clock  Clock
 }
 
 // NewRateLimited wraps srv with a token bucket of the given sustained rate
 // (queries per second; must be positive) and burst capacity (queries that
 // may be issued back-to-back after an idle period; values below 1 are
-// raised to 1). The bucket starts full.
-func NewRateLimited(srv Server, perSecond float64, burst int) (*RateLimited, error) {
+// raised to 1), refilling and waiting on clock. The bucket starts full.
+func NewRateLimited(srv Server, perSecond float64, burst int, clock Clock) (*RateLimited, error) {
 	if perSecond <= 0 || math.IsInf(perSecond, 0) || math.IsNaN(perSecond) {
 		return nil, fmt.Errorf("hiddendb: rate limit must be a positive number of queries/second, got %v", perSecond)
 	}
@@ -56,9 +53,8 @@ func NewRateLimited(srv Server, perSecond float64, burst int) (*RateLimited, err
 		rate:   perSecond,
 		burst:  b,
 		tokens: b,
-		last:   time.Now(),
-		now:    time.Now,
-		sleep:  sleepCtx,
+		last:   clock.Now(),
+		clock:  clock,
 	}, nil
 }
 
@@ -84,17 +80,20 @@ func (r *RateLimited) take(ctx context.Context, n int) error {
 		}
 		for {
 			r.mu.Lock()
-			now := r.now()
-			r.tokens = math.Min(r.burst, r.tokens+now.Sub(r.last).Seconds()*r.rate)
+			now := r.clock.Now()
+			r.tokens = math.Min(r.burst, r.tokens+(now-r.last).Seconds()*r.rate)
 			r.last = now
 			if r.tokens >= float64(step) {
 				r.tokens -= float64(step)
 				r.mu.Unlock()
 				break
 			}
-			wait := time.Duration((float64(step) - r.tokens) / r.rate * float64(time.Second))
+			// Round the wait up: a truncated wait for a deficit under a
+			// nanosecond's refill is 0, which never advances a virtual
+			// clock (and busy-spins a real one).
+			wait := time.Duration(math.Ceil((float64(step) - r.tokens) / r.rate * float64(time.Second)))
 			r.mu.Unlock()
-			if err := r.sleep(ctx, wait); err != nil {
+			if err := r.clock.Sleep(ctx, wait); err != nil {
 				refund()
 				return err
 			}

@@ -9,24 +9,25 @@ import (
 	"hidb/internal/dataspace"
 )
 
-// fakeClock drives a RateLimited deterministically: take()'s refill math
-// reads the swapped clock, and each sleep advances it by the requested
-// wait, so no test time passes.
+// fakeClock is a Clock that drives a RateLimited deterministically:
+// take()'s refill math reads now, and each Sleep runs the test's sleep
+// behaviour, so no test time passes.
 type fakeClock struct {
-	now time.Time
+	now   time.Duration
+	sleep func(ctx context.Context, d time.Duration) error
 }
 
-func (c *fakeClock) get() time.Time { return c.now }
+func (c *fakeClock) Now() time.Duration { return c.now }
+
+func (c *fakeClock) Sleep(ctx context.Context, d time.Duration) error { return c.sleep(ctx, d) }
 
 func rateLimitedForTest(t *testing.T, srv Server, perSecond float64, burst int) (*RateLimited, *fakeClock) {
 	t.Helper()
-	rl, err := NewRateLimited(srv, perSecond, burst)
+	clk := &fakeClock{now: 1000 * time.Second}
+	rl, err := NewRateLimited(srv, perSecond, burst, clk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clk := &fakeClock{now: time.Unix(1000, 0)}
-	rl.now = clk.get
-	rl.last = clk.now
 	return rl, clk
 }
 
@@ -42,9 +43,9 @@ func TestRateLimitThrottlesToSustainedRate(t *testing.T) {
 	rl, clk := rateLimitedForTest(t, srv, 10, 2) // 10 qps, burst 2
 
 	var waited time.Duration
-	rl.sleep = func(ctx context.Context, d time.Duration) error {
+	clk.sleep = func(ctx context.Context, d time.Duration) error {
 		waited += d
-		clk.now = clk.now.Add(d)
+		clk.now += d
 		return ctx.Err()
 	}
 
@@ -96,7 +97,7 @@ func TestRateLimitWaitCancels(t *testing.T) {
 		t.Fatal(err)
 	}
 	counting := NewCounting(srv)
-	rl, err := NewRateLimited(counting, 0.5, 1) // one query per 2s
+	rl, err := NewRateLimited(counting, 0.5, 1, Wall) // one query per 2s
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,8 +129,8 @@ func TestRateLimitCancelledWaitRefunds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rl, _ := rateLimitedForTest(t, srv, 1, 2) // 1 qps, burst 2, bucket full
-	rl.sleep = func(ctx context.Context, d time.Duration) error {
+	rl, clk := rateLimitedForTest(t, srv, 1, 2) // 1 qps, burst 2, bucket full
+	clk.sleep = func(ctx context.Context, d time.Duration) error {
 		return context.Canceled // the refill wait dies immediately
 	}
 	// 6 queries = 3 burst-sized instalments: the first drains the full
@@ -138,7 +139,7 @@ func TestRateLimitCancelledWaitRefunds(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// The two drained tokens are back: two queries pass with no wait.
-	rl.sleep = func(ctx context.Context, d time.Duration) error {
+	clk.sleep = func(ctx context.Context, d time.Duration) error {
 		t.Fatalf("post-refund query waited %v — the cancelled instalments were not refunded", d)
 		return nil
 	}
@@ -158,8 +159,56 @@ func TestRateLimitRejectsBadRate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rate := range []float64{0, -1} {
-		if _, err := NewRateLimited(srv, rate, 1); err == nil {
+		if _, err := NewRateLimited(srv, rate, 1, Wall); err == nil {
 			t.Errorf("rate %v accepted", rate)
 		}
+	}
+}
+
+// sleepCapped is a SimClock that fails the wait once a test's sleep
+// allowance is spent, so a limiter that never advances the clock fails
+// instead of hanging.
+type sleepCapped struct {
+	*SimClock
+	left int
+}
+
+var errSleepCap = errors.New("sleep cap reached: the limiter is not advancing the clock")
+
+func (c *sleepCapped) Sleep(ctx context.Context, d time.Duration) error {
+	if c.left == 0 {
+		return errSleepCap
+	}
+	c.left--
+	return c.SimClock.Sleep(ctx, d)
+}
+
+// TestRateLimitVirtualClockAdvances: at 3 qps the exact wait, 1/3 s, is
+// not a whole number of nanoseconds. A truncated wait refills only
+// 0.999999999 of a token, the wait for the rest truncates to 0, and
+// Sleep(0) never advances a virtual clock — the limiter livelocked. The
+// wait is rounded up instead, so three queries at burst 1 land at exactly
+// two rounded-up waits.
+func TestRateLimitVirtualClockAdvances(t *testing.T) {
+	sch := testSchema(t)
+	srv, err := NewLocal(sch, testBag(50, 57), 10, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := &sleepCapped{SimClock: NewSimClock(), left: 100}
+	rl, err := NewRateLimited(srv, 3, 1, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range batchQueries(sch, 3, 65) {
+		if _, err := rl.Answer(context.Background(), q); err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+	}
+	if got, want := clock.Now(), 2*333_333_334*time.Nanosecond; got != want {
+		t.Fatalf("three queries at 3 qps left the clock at %v, want %v", got, want)
+	}
+	if clock.left != 98 {
+		t.Fatalf("three queries slept %d times, want 2", 100-clock.left)
 	}
 }

@@ -37,10 +37,11 @@
 //
 // The package also provides the measurement wrappers the crawling algorithms
 // and the experiment harness are built on: a query counter, a quota
-// enforcer that models the per-IP query budgets real sites impose, and a
-// token-bucket rate limiter modelling their per-client throttling. All
-// wrappers are safe for concurrent use when their inner server is, and
-// propagate batches natively. The memo the crawling algorithms run behind
+// enforcer that models the per-IP query budgets real sites impose, a
+// token-bucket rate limiter modelling their per-client throttling and a
+// round-trip latency; the timed ones wait on a Clock. All wrappers are
+// safe for concurrent use when their inner server is, and propagate
+// batches natively. The memo the crawling algorithms run behind
 // (the "lazy" in lazy-slice-cover) is the journal package's Server.
 package hiddendb
 
@@ -420,51 +421,42 @@ func (q *Quota) Remaining() int {
 	return q.budget - q.used
 }
 
-// Latency wraps a Server and sleeps for a fixed duration before answering,
-// simulating the network round-trip of a real remote hidden database. It is
-// what makes the parallel crawler's speedup measurable in tests and
-// benchmarks. A batch pays the delay once — the whole point of batching is
-// that B queries cost one round trip. Safe for concurrent use when the
-// inner server is (Local is: it is read-only after construction).
+// Latency wraps a Server and waits a fixed delay on its Clock before
+// answering, simulating the network round trip of a real remote hidden
+// database: really slept on Wall, virtual (and deterministic) on a
+// SimClock. It is what makes the parallel crawler's speedup measurable in
+// tests and benchmarks. A batch pays the delay once — the whole point of
+// batching is that B queries cost one round trip. A ctx cancelled during
+// the wait aborts the round trip unserved, so nothing is charged. Safe
+// for concurrent use when the inner server is (Local is: it is read-only
+// after construction).
 type Latency struct {
 	inner Server
 	delay time.Duration
+	clock Clock
+	trips atomic.Int64
 }
 
-// NewLatency wraps srv with a per-round-trip delay.
-func NewLatency(srv Server, delay time.Duration) *Latency {
-	return &Latency{inner: srv, delay: delay}
+// NewLatency wraps srv with a per-round-trip delay on clock.
+func NewLatency(srv Server, delay time.Duration, clock Clock) *Latency {
+	return &Latency{inner: srv, delay: delay, clock: clock}
 }
 
-// sleepCtx waits for the delay or the ctx, whichever ends first, returning
-// the ctx's error on cancellation. It is what keeps a simulated-latency
-// server from blocking shutdown for the full delay.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
+// Trips returns how many round trips have been served (and paid the
+// delay) so far.
+func (l *Latency) Trips() int { return int(l.trips.Load()) }
 
 // Answer implements Server as a one-query batch.
 func (l *Latency) Answer(ctx context.Context, q dataspace.Query) (Result, error) {
 	return Answer(ctx, l, q)
 }
 
-// AnswerBatch implements Server: one simulated round trip for the whole
-// batch. A ctx cancelled during the delay aborts the batch immediately —
-// the simulated round trip never completes, so nothing is served.
+// AnswerBatch implements Server: one round trip for the whole batch.
 func (l *Latency) AnswerBatch(ctx context.Context, qs []dataspace.Query) ([]Result, error) {
-	if err := sleepCtx(ctx, l.delay); err != nil {
+	if err := l.clock.Sleep(ctx, l.delay); err != nil {
 		return nil, err
 	}
+	l.trips.Add(1)
 	return l.inner.AnswerBatch(ctx, qs)
 }
 

@@ -1,4 +1,4 @@
-// A deterministic virtual clock for latency simulation.
+// A deterministic virtual clock: the simulated implementation of Clock.
 //
 // The parallel ablation's question — how much wall-clock time does a
 // pipelined batcher save under a 3 ms round trip? — used to be answered by
@@ -10,7 +10,9 @@
 // goroutine is doing work that could still issue a round trip "now". The
 // same crawl therefore always observes the same virtual elapsed time,
 // regardless of scheduler interleavings or machine load, and a simulated
-// minute of network latency costs microseconds of real time.
+// minute of network latency costs microseconds of real time. Every layer
+// that takes a Clock — Latency, RateLimited, session TTLs, retry backoff —
+// runs on it unchanged.
 //
 // Quiescence is cooperative, counted by holds. Every participant that is
 // runnable — a crawl worker computing on a response, a dispatcher packing a
@@ -28,15 +30,12 @@ import (
 	"container/heap"
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
-
-	"hidb/internal/dataspace"
 )
 
-// SimClock is a deterministic virtual clock. Create one per simulated
-// crawl with NewSimClock, wire the server with NewSimLatency and — for the
-// parallel crawler — hand the same clock to core.Options.Clock so the
+// SimClock is a deterministic virtual Clock. Create one per simulated
+// crawl with NewSimClock, wire the server with NewLatency on it and — for
+// the parallel crawler — hand the same clock to core.Options.Clock so the
 // dispatcher can keep the hold count. Mixing two independently-driven
 // crawls on one clock is not supported: the quiescence rule is "nothing in
 // this simulation is runnable", which a foreign crawl would falsify.
@@ -214,50 +213,3 @@ func (c *SimClock) advanceLocked() {
 		// why one clock drives at most one crawl.
 	}
 }
-
-// SimLatency wraps a Server so that every round trip — one AnswerBatch
-// call, of one query or many — costs a fixed delay of *virtual* time on the given
-// SimClock, the deterministic counterpart of the Latency decorator's real
-// sleep. Like Latency, a batch pays the delay once; a ctx cancelled during
-// the virtual wait aborts the round trip before it is served, so nothing
-// is charged. Responses are untouched: simulated latency can never change
-// the paper's query count, only the (virtual) wall clock.
-type SimLatency struct {
-	inner Server
-	delay time.Duration
-	clock *SimClock
-	trips atomic.Int64
-}
-
-// NewSimLatency wraps srv with a per-round-trip virtual delay on clock.
-func NewSimLatency(srv Server, delay time.Duration, clock *SimClock) *SimLatency {
-	return &SimLatency{inner: srv, delay: delay, clock: clock}
-}
-
-// Clock returns the virtual clock the delays accrue on.
-func (l *SimLatency) Clock() *SimClock { return l.clock }
-
-// Trips returns how many round trips have been served (and paid the
-// simulated delay) so far.
-func (l *SimLatency) Trips() int { return int(l.trips.Load()) }
-
-// Answer implements Server as a one-query batch.
-func (l *SimLatency) Answer(ctx context.Context, q dataspace.Query) (Result, error) {
-	return Answer(ctx, l, q)
-}
-
-// AnswerBatch implements Server: one simulated round trip for the whole
-// batch, exactly as Latency charges one real delay.
-func (l *SimLatency) AnswerBatch(ctx context.Context, qs []dataspace.Query) ([]Result, error) {
-	if err := l.clock.Sleep(ctx, l.delay); err != nil {
-		return nil, err
-	}
-	l.trips.Add(1)
-	return l.inner.AnswerBatch(ctx, qs)
-}
-
-// K implements Server.
-func (l *SimLatency) K() int { return l.inner.K() }
-
-// Schema implements Server.
-func (l *SimLatency) Schema() *dataspace.Schema { return l.inner.Schema() }

@@ -201,16 +201,13 @@ func TestSimClockIdleCallback(t *testing.T) {
 	c.Release()
 }
 
-func TestSimLatencySequentialServer(t *testing.T) {
+func TestLatencyOnSimClockSequential(t *testing.T) {
 	srv, schema := simTestServer(t, 500, 50)
 	clock := NewSimClock()
 	const delay = 2 * time.Millisecond
-	sim := NewSimLatency(srv, delay, clock)
+	sim := NewLatency(srv, delay, clock)
 	if sim.K() != srv.K() || sim.Schema() != srv.Schema() {
-		t.Fatal("SimLatency does not forward K/Schema")
-	}
-	if sim.Clock() != clock {
-		t.Fatal("SimLatency does not expose its clock")
+		t.Fatal("Latency does not forward K/Schema")
 	}
 
 	u := dataspace.UniverseQuery(schema)
@@ -246,13 +243,13 @@ func TestSimLatencySequentialServer(t *testing.T) {
 	}
 }
 
-// TestSimLatencyCancelledNotServed: a ctx cancelled before the virtual
-// round trip completes aborts the query unserved — Trips stays put, so
-// nothing was charged downstream.
-func TestSimLatencyCancelledNotServed(t *testing.T) {
+// TestLatencyOnSimClockCancelledNotServed: a ctx cancelled before the
+// virtual round trip completes aborts the query unserved — Trips stays
+// put, so nothing was charged downstream.
+func TestLatencyOnSimClockCancelledNotServed(t *testing.T) {
 	srv, schema := simTestServer(t, 100, 10)
 	clock := NewSimClock()
-	sim := NewSimLatency(srv, time.Hour, clock)
+	sim := NewLatency(srv, time.Hour, clock)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := sim.Answer(ctx, dataspace.UniverseQuery(schema)); !errors.Is(err, context.Canceled) {

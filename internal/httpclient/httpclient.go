@@ -395,7 +395,7 @@ func (c *Client) Crawl(ctx context.Context, algorithm string, skip int, onEvent 
 		if !c.retry.spend() {
 			return out, &TransportError{Op: "crawl", Attempts: failures, Err: fmt.Errorf("retry budget exhausted: %w", err)}
 		}
-		if serr := c.retry.sleep(ctx, c.retry.backoff(failures, 0)); serr != nil {
+		if serr := c.retry.policy.Clock.Sleep(ctx, c.retry.backoff(failures, 0)); serr != nil {
 			return out, serr
 		}
 	}
@@ -483,7 +483,7 @@ func (c *Client) CrawlSeq(ctx context.Context, algorithm string, skip int) iter.
 				fail(res.Queries, &TransportError{Op: "crawl", Attempts: failures, Err: fmt.Errorf("retry budget exhausted: %w", err)})
 				return
 			}
-			if serr := c.retry.sleep(cctx, c.retry.backoff(failures, 0)); serr != nil {
+			if serr := c.retry.policy.Clock.Sleep(cctx, c.retry.backoff(failures, 0)); serr != nil {
 				fail(res.Queries, serr)
 				return
 			}

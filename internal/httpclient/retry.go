@@ -12,7 +12,7 @@
 // seeded jitter, an optional cross-call retry budget (a storm brake), an
 // optional per-attempt time-to-response bound, and Retry-After honoured
 // when an overloaded server sheds the request with a 503. Backoff sleeps
-// run on hiddendb.SimClock virtual time when one is configured, so tests
+// run on the policy's hiddendb.Clock; on a hiddendb.SimClock tests
 // exercise real retry schedules in microseconds, deterministically.
 package httpclient
 
@@ -53,8 +53,10 @@ type RetryPolicy struct {
 	// lifetime — a brake on retry storms. Exhausting it fails the call
 	// with a *TransportError immediately.
 	Budget int
-	// Clock, when non-nil, runs backoff sleeps on virtual time.
-	Clock *hiddendb.SimClock
+	// Clock times the backoff sleeps; default hiddendb.Wall. A
+	// *hiddendb.SimClock runs them on virtual time. PerAttempt is always
+	// wall time.
+	Clock hiddendb.Clock
 }
 
 // withDefaults fills in the zero fields.
@@ -70,6 +72,9 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	}
 	if p.Multiplier <= 1 {
 		p.Multiplier = 2
+	}
+	if p.Clock == nil {
+		p.Clock = hiddendb.Wall
 	}
 	return p
 }
@@ -150,21 +155,6 @@ func (r *retrier) backoff(n int, retryAfter time.Duration) time.Duration {
 	return jittered
 }
 
-// sleep waits d under ctx, on the policy's virtual clock when one is set.
-func (r *retrier) sleep(ctx context.Context, d time.Duration) error {
-	if r.policy.Clock != nil {
-		return r.policy.Clock.Sleep(ctx, d)
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 // transientStatus reports whether a response status is worth retrying:
 // the server-side failures (5xx) that a later attempt may not see. 501
 // (Not Implemented) is permanent by definition. Everything below 500 —
@@ -220,7 +210,7 @@ func (r *retrier) do(ctx context.Context, op string, attempt func(context.Contex
 		if !r.spend() {
 			return nil, &TransportError{Op: op, Attempts: n, Err: fmt.Errorf("retry budget exhausted: %w", lastErr)}
 		}
-		if err := r.sleep(ctx, r.backoff(n, wait)); err != nil {
+		if err := r.policy.Clock.Sleep(ctx, r.backoff(n, wait)); err != nil {
 			return nil, err
 		}
 	}

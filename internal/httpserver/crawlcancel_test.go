@@ -37,7 +37,7 @@ func slowSharded(t *testing.T, n, k int, delay time.Duration, cfg session.Config
 	}
 	var shared hiddendb.Server = local
 	if delay > 0 {
-		shared = hiddendb.NewLatency(shared, delay)
+		shared = hiddendb.NewLatency(shared, delay, hiddendb.Wall)
 	}
 	return New(shared, WithSessions(cfg)), ds, local
 }

@@ -11,8 +11,9 @@
 //
 // The driver has two back ends with one schedule:
 //
-//   - RunSim serves the traffic in-process under a hiddendb.SimClock with
-//     SimLatency supplying the round-trip delay, so thousands of sessions
+//   - RunSim serves the traffic in-process under a hiddendb.SimClock —
+//     hiddendb.Latency on it supplies the round-trip delay, and the
+//     session table tells time by it too — so thousands of sessions
 //     run in milliseconds of real time and — because every virtual
 //     deadline is unique by construction (see the residue scheme in
 //     sim.go) — the whole run, shed 503s and quota 429s included, is

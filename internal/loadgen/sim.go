@@ -17,7 +17,8 @@ import (
 // RunSim performs the whole load run in-process under a virtual clock:
 // the handler is built over the generated dataset with per-token sessions
 // and shedding, every round trip costs Config.Latency of virtual time
-// (hiddendb.SimLatency), and every think pause is a virtual sleep. The
+// (hiddendb.Latency on the SimClock), the sessions tell time by the same
+// clock, and every think pause is a virtual sleep. The
 // run finishes in milliseconds of real time regardless of the simulated
 // latency, and its Report — sheds, quota rejections, latency percentiles,
 // the virtual elapsed time — is bit-reproducible from Config.Seed.
@@ -54,11 +55,12 @@ func RunSim(cfg Config) (*Report, error) {
 	}
 	clock := hiddendb.NewSimClock()
 	stride := time.Duration(cfg.Sessions)
-	srv := hiddendb.NewSimLatency(local, quantUp(cfg.Latency, stride), clock)
+	srv := hiddendb.NewLatency(local, quantUp(cfg.Latency, stride), clock)
 	h := httpserver.New(srv,
 		httpserver.WithSessions(session.Config{
 			Quota:       cfg.Quota,
 			MaxSessions: cfg.Sessions,
+			Clock:       clock,
 		}),
 		httpserver.WithShedding(cfg.MaxInFlight))
 

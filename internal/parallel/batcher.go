@@ -46,8 +46,9 @@ import (
 //
 // # Virtual time
 //
-// With a hiddendb.SimClock (core.Options.Clock), the whole pipeline runs
-// under deterministic virtual time: the batcher keeps the clock's hold
+// With a hiddendb.SimClock (core.Options.Clock) — the same clock the
+// server's hiddendb.Latency waits on — the whole pipeline runs under
+// deterministic virtual time: the batcher keeps the clock's hold
 // count — one hold per runnable worker, per queued request, per completion
 // signal — so the clock advances only when every goroutine of the crawl is
 // blocked on an in-flight (virtually sleeping) round trip. Launches then

@@ -21,9 +21,9 @@
 // Options.InFlight round trips (default 2) overlap, and the next batch
 // departs the moment a flight slot is free instead of waiting for the
 // previous round trip to complete — see batcher. With a
-// hiddendb.SimClock in Options.Clock the whole pipeline runs under
-// deterministic virtual time, which is how the latency ablation measures
-// wall clock reproducibly without sleeping.
+// hiddendb.SimClock in Options.Clock (and hiddendb.Latency on it) the
+// whole pipeline runs under deterministic virtual time, which is how the
+// latency ablation measures wall clock reproducibly without sleeping.
 package parallel
 
 import (

@@ -106,7 +106,7 @@ func TestParallelSpeedupUnderLatency(t *testing.T) {
 	k := 64
 	delay := 3 * time.Millisecond
 	run := func(workers int) time.Duration {
-		srv := hiddendb.NewLatency(server(t, ds, k), delay)
+		srv := hiddendb.NewLatency(server(t, ds, k), delay, hiddendb.Wall)
 		start := time.Now()
 		res, err := (Crawler{Workers: workers}).Crawl(context.Background(), srv, nil)
 		if err != nil {
@@ -225,7 +225,7 @@ func TestBatchedCrawlReducesRoundTrips(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var srv hiddendb.Server = server(t, ds, k)
 			if tc.latency > 0 {
-				srv = hiddendb.NewLatency(srv, tc.latency)
+				srv = hiddendb.NewLatency(srv, tc.latency, hiddendb.Wall)
 			}
 			handler := httpserver.New(srv)
 			ts := httptest.NewServer(handler)

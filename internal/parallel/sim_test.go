@@ -15,7 +15,7 @@ import (
 func simCrawl(t *testing.T, ds *datagen.Dataset, k, workers, batch, depth int, delay time.Duration) (elapsed time.Duration, trips, queries int) {
 	t.Helper()
 	clock := hiddendb.NewSimClock()
-	sim := hiddendb.NewSimLatency(server(t, ds, k), delay, clock)
+	sim := hiddendb.NewLatency(server(t, ds, k), delay, clock)
 	res, err := (Crawler{Workers: workers}).Crawl(context.Background(), sim, &core.Options{
 		BatchSize: batch,
 		InFlight:  depth,
@@ -117,10 +117,10 @@ func TestSimDepthSweepCostInvariant(t *testing.T) {
 	}
 }
 
-// TestSimSequentialCrawl: a sequential crawl over a SimLatency server
-// drives the clock by itself — no holds, no batcher — and its virtual
-// elapsed time is exactly queries × delay, since every paid query is one
-// round trip.
+// TestSimSequentialCrawl: a sequential crawl over a Latency server on a
+// SimClock drives the clock by itself — no holds, no batcher — and its
+// virtual elapsed time is exactly queries × delay, since every paid query
+// is one round trip.
 func TestSimSequentialCrawl(t *testing.T) {
 	ds := dataset(t, specs()["mixed"], 53)
 	k := 32
@@ -129,7 +129,7 @@ func TestSimSequentialCrawl(t *testing.T) {
 	}
 	const delay = 5 * time.Millisecond
 	clock := hiddendb.NewSimClock()
-	sim := hiddendb.NewSimLatency(server(t, ds, k), delay, clock)
+	sim := hiddendb.NewLatency(server(t, ds, k), delay, clock)
 	res, err := (core.Hybrid{}).Crawl(context.Background(), sim, nil)
 	if err != nil {
 		t.Fatal(err)

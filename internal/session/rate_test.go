@@ -34,9 +34,11 @@ func rateTable(t *testing.T, cfg Config) (*Table, *datagen.Dataset) {
 
 // TestSessionRateLimitFreeTiers: burst queries pass immediately, and
 // journal replays ride above the limiter — a replayed query needs no
-// token, so resuming a journaled crawl is never throttled.
+// token, so resuming a journaled crawl is never throttled. On virtual
+// time "immediately" is exact: the clock must not move at all.
 func TestSessionRateLimitFreeTiers(t *testing.T) {
-	tbl, ds := rateTable(t, Config{RatePerSecond: 0.5, RateBurst: 2})
+	clock := hiddendb.NewSimClock()
+	tbl, ds := rateTable(t, Config{RatePerSecond: 0.5, RateBurst: 2, Clock: clock})
 	sess, err := tbl.Get("tok")
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +46,6 @@ func TestSessionRateLimitFreeTiers(t *testing.T) {
 	q1 := dataspace.UniverseQuery(ds.Schema).WithRange(1, 0, 10)
 	q2 := dataspace.UniverseQuery(ds.Schema).WithRange(1, 11, 20)
 
-	start := time.Now()
 	if _, err := sess.Server().Answer(context.Background(), q1); err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +59,8 @@ func TestSessionRateLimitFreeTiers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("burst + replays took %v — replays are being throttled", elapsed)
+	if elapsed := clock.Now(); elapsed != 0 {
+		t.Fatalf("burst + replays waited %v — replays are being throttled", elapsed)
 	}
 	if sess.Queries() != 2 || sess.Replays() != 2 {
 		t.Fatalf("paid %d / replayed %d, want 2 / 2", sess.Queries(), sess.Replays())
@@ -98,9 +99,12 @@ func TestSessionRateLimitCancelsPromptly(t *testing.T) {
 // (before the first '-'), a resolved class replaces the table-wide rate
 // wholesale — including an explicit unlimited tier — and everything else
 // falls back to the flat rate. Classes shape timing only; Stats and
-// ClassCounts expose who landed where.
+// ClassCounts expose who landed where. The table runs on virtual time, so
+// every wait is asserted exactly.
 func TestRateClassResolution(t *testing.T) {
+	clock := hiddendb.NewSimClock()
 	tbl, ds := rateTable(t, Config{
+		Clock: clock,
 		// Flat rate so slow that any default-tier session issuing two
 		// distinct queries would stall for seconds.
 		RatePerSecond: 0.2,
@@ -134,17 +138,27 @@ func TestRateClassResolution(t *testing.T) {
 	// The unlimited class must really be unthrottled: three distinct paid
 	// queries, no waiting, while the flat rate would allow one per 5s.
 	gold, _ := tbl.Get("gold-alice")
-	start := time.Now()
 	for _, q := range qs {
 		if _, err := gold.Server().Answer(context.Background(), q); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if elapsed := time.Since(start); elapsed > time.Second {
+	if elapsed := clock.Now(); elapsed != 0 {
 		t.Fatalf("unlimited class waited %v; the flat rate leaked through", elapsed)
 	}
 	if gold.Queries() != 3 {
 		t.Fatalf("gold session paid %d queries, want 3 (classes change timing, never counts)", gold.Queries())
+	}
+	// The default tier is throttled at the flat rate: its burst query is
+	// free, and the next one waits exactly 1/0.2 qps.
+	bob, _ := tbl.Get("silver-bob")
+	for i, want := range []time.Duration{0, 5 * time.Second} {
+		if _, err := bob.Server().Answer(context.Background(), qs[i]); err != nil {
+			t.Fatal(err)
+		}
+		if got := clock.Now(); got != want {
+			t.Fatalf("default-tier query %d left the clock at %v, want %v", i, got, want)
+		}
 	}
 
 	// Snapshots carry the resolved class, and ClassCounts aggregates only

@@ -117,6 +117,10 @@ type Config struct {
 	// eviction beyond it); zero is unbounded. Ignored when SharedCache is
 	// SharedOff.
 	SharedCacheBytes int64
+	// Clock times TTL expiry and every session's rate-limit refill and
+	// waits; nil means hiddendb.Wall. A *hiddendb.SimClock runs the
+	// whole table on virtual time.
+	Clock hiddendb.Clock
 }
 
 // RateClass is one named qps/burst tier of Config.RateClasses.
@@ -148,7 +152,7 @@ type Session struct {
 	// token fell back to the table-wide rate.
 	rateClass string
 
-	lastSeen time.Time // guarded by the owning Table's mutex
+	lastSeen time.Duration // Clock reading, guarded by the owning Table's mutex
 }
 
 // RateClass returns the name of the session's resolved rate class, ""
@@ -277,9 +281,6 @@ type Table struct {
 	// recovered counts journals reloaded from a torn/corrupted file via
 	// longest-valid-prefix recovery.
 	recovered int
-
-	// now is the table's clock, swappable in tests.
-	now func() time.Time
 }
 
 // NewTable builds a session table over the shared server.
@@ -287,12 +288,14 @@ func NewTable(shared hiddendb.Server, cfg Config) *Table {
 	if cfg.MaxSessions <= 0 {
 		cfg.MaxSessions = DefaultMaxSessions
 	}
+	if cfg.Clock == nil {
+		cfg.Clock = hiddendb.Wall
+	}
 	t := &Table{
 		shared:   shared,
 		cfg:      cfg,
 		sessions: make(map[string]*list.Element),
 		lru:      list.New(),
-		now:      time.Now,
 	}
 	if cfg.SharedCache != hiddendb.SharedOff {
 		t.fleet = hiddendb.NewShared(cfg.SharedCacheBytes)
@@ -358,7 +361,7 @@ func (t *Table) SharedCache() *hiddendb.Shared { return t.fleet }
 // stalls every other client's request.
 func (t *Table) Get(token string) (*Session, error) {
 	t.mu.Lock()
-	now := t.now()
+	now := t.cfg.Clock.Now()
 	victims := t.sweepLocked(now)
 	if el, ok := t.sessions[token]; ok {
 		sess := el.Value.(*Session)
@@ -382,12 +385,12 @@ func (t *Table) Get(token string) (*Session, error) {
 	t.mu.Lock()
 	if el, ok := t.sessions[token]; ok {
 		existing := el.Value.(*Session)
-		existing.lastSeen = t.now()
+		existing.lastSeen = t.cfg.Clock.Now()
 		t.lru.MoveToFront(el)
 		t.mu.Unlock()
 		return existing, nil
 	}
-	sess.lastSeen = t.now()
+	sess.lastSeen = t.cfg.Clock.Now()
 	t.sessions[token] = t.lru.PushFront(sess)
 	victims = victims[:0]
 	for t.lru.Len() > t.cfg.MaxSessions {
@@ -406,7 +409,7 @@ func (t *Table) Touch(token string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if el, ok := t.sessions[token]; ok {
-		el.Value.(*Session).lastSeen = t.now()
+		el.Value.(*Session).lastSeen = t.cfg.Clock.Now()
 		t.lru.MoveToFront(el)
 	}
 }
@@ -444,7 +447,7 @@ func (t *Table) newSession(token string) (*Session, error) {
 		if burst <= 0 {
 			burst = int(math.Ceil(rate))
 		}
-		limited, err := hiddendb.NewRateLimited(view, rate, burst)
+		limited, err := hiddendb.NewRateLimited(view, rate, burst, t.cfg.Clock)
 		if err != nil {
 			return nil, fmt.Errorf("session: token %q: %w", token, err)
 		}
@@ -481,13 +484,13 @@ func (t *Table) newSession(token string) (*Session, error) {
 // sweepLocked evicts every session idle past the TTL, returning them for
 // the caller to persist once the lock is released. Expired sessions
 // cluster at the LRU tail, since last-use order is idle order.
-func (t *Table) sweepLocked(now time.Time) []*Session {
+func (t *Table) sweepLocked(now time.Duration) []*Session {
 	if t.cfg.TTL <= 0 {
 		return nil
 	}
 	var victims []*Session
 	for el := t.lru.Back(); el != nil; el = t.lru.Back() {
-		if now.Sub(el.Value.(*Session).lastSeen) < t.cfg.TTL {
+		if now-el.Value.(*Session).lastSeen < t.cfg.TTL {
 			break
 		}
 		victims = append(victims, t.evictLocked(el))

@@ -124,9 +124,8 @@ func TestReplaysAndHitsAreFree(t *testing.T) {
 // counters survive the eviction.
 func TestTTLEviction(t *testing.T) {
 	shared, ds := testShared(t, 200, 10)
-	tbl := NewTable(shared, Config{Quota: 2, TTL: time.Hour})
-	clock := time.Unix(1_700_000_000, 0)
-	tbl.now = func() time.Time { return clock }
+	clock := hiddendb.NewSimClock()
+	tbl := NewTable(shared, Config{Quota: 2, TTL: time.Hour, Clock: clock})
 
 	sess, err := tbl.Get("alice")
 	if err != nil {
@@ -138,14 +137,14 @@ func TestTTLEviction(t *testing.T) {
 	}
 
 	// Within the TTL the same (exhausted) session is returned.
-	clock = clock.Add(30 * time.Minute)
+	clock.Sleep(context.Background(), 30*time.Minute)
 	same, _ := tbl.Get("alice")
 	if same != sess {
 		t.Fatal("session evicted before its TTL")
 	}
 
 	// Past the TTL the budget window has reset.
-	clock = clock.Add(2 * time.Hour)
+	clock.Sleep(context.Background(), 2*time.Hour)
 	fresh, err := tbl.Get("alice")
 	if err != nil {
 		t.Fatal(err)
@@ -169,9 +168,8 @@ func TestTTLEviction(t *testing.T) {
 // new requests do, so an actively crawling session is never evicted.
 func TestTouchKeepsSessionAlive(t *testing.T) {
 	shared, _ := testShared(t, 100, 10)
-	tbl := NewTable(shared, Config{TTL: time.Hour})
-	clock := time.Unix(1_700_000_000, 0)
-	tbl.now = func() time.Time { return clock }
+	clock := hiddendb.NewSimClock()
+	tbl := NewTable(shared, Config{TTL: time.Hour, Clock: clock})
 
 	sess, err := tbl.Get("crawler")
 	if err != nil {
@@ -180,14 +178,14 @@ func TestTouchKeepsSessionAlive(t *testing.T) {
 	// Touch every 45 minutes across a 3-hour "crawl": the session must
 	// survive well past its 1-hour idle TTL.
 	for i := 0; i < 4; i++ {
-		clock = clock.Add(45 * time.Minute)
+		clock.Sleep(context.Background(), 45*time.Minute)
 		tbl.Touch("crawler")
 	}
 	if got, _ := tbl.Get("crawler"); got != sess {
 		t.Fatal("actively touched session was evicted")
 	}
 	// Silence falls: the TTL applies again.
-	clock = clock.Add(2 * time.Hour)
+	clock.Sleep(context.Background(), 2*time.Hour)
 	if got, _ := tbl.Get("crawler"); got == sess {
 		t.Fatal("idle session survived its TTL")
 	}
@@ -227,9 +225,8 @@ func TestLRUCap(t *testing.T) {
 func TestJournalPersistence(t *testing.T) {
 	shared, ds := testShared(t, 200, 10)
 	dir := t.TempDir()
-	tbl := NewTable(shared, Config{Quota: 3, TTL: time.Hour, JournalDir: dir})
-	clock := time.Unix(1_700_000_000, 0)
-	tbl.now = func() time.Time { return clock }
+	clock := hiddendb.NewSimClock()
+	tbl := NewTable(shared, Config{Quota: 3, TTL: time.Hour, JournalDir: dir, Clock: clock})
 
 	qs := distinctQueries(ds.Schema, 5)
 	sess, err := tbl.Get("alice")
@@ -245,7 +242,7 @@ func TestJournalPersistence(t *testing.T) {
 
 	// Next budget window: the journal fast-forwards the first 3 queries
 	// for free and the fresh budget pays only for the remaining 2.
-	clock = clock.Add(2 * time.Hour)
+	clock.Sleep(context.Background(), 2*time.Hour)
 	fresh, err := tbl.Get("alice")
 	if err != nil {
 		t.Fatal(err)
