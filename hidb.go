@@ -130,8 +130,8 @@
 //
 // # Simulation and fault injection
 //
-// Every timed layer tells time through one Clock: Wall, or a virtual
-// SimClock. Two deterministic test harnesses ship with the library.
+// Every timed layer tells time through one Clock: real time, or a
+// virtual SimClock. Two deterministic test harnesses ship with the library.
 // NewLatencyServer on a NewSimClock simulates per-round-trip network
 // latency on virtual time: the clock advances only when the simulated
 // crawl is quiescent, so a crawl's wall-clock behaviour under any latency
@@ -489,7 +489,9 @@ func DialHTTPToken(ctx context.Context, baseURL, token string, httpClient *http.
 // RetryPolicy tunes the fault-tolerant transport of DialHTTPRetry: attempt
 // cap, backoff shape, seeded jitter, per-attempt timeout, and an optional
 // cross-call retry budget that brakes retry storms. The zero value gives
-// sensible defaults.
+// sensible defaults. Its Clock times the backoff sleeps: nil is real
+// time, a SimClock is virtual time, and a nil *SimClock disables backoff
+// (its Sleep returns at once) rather than selecting real time.
 type RetryPolicy = httpclient.RetryPolicy
 
 // TransportError reports a remote operation that failed even after the
@@ -524,7 +526,8 @@ func ParallelCrawler(workers int) Crawler { return parallel.Crawler{Workers: wor
 // Deterministic simulation and fault injection. See the hiddendb package
 // for the full documentation of each type.
 type (
-	// Clock is the time source of every timed layer: Wall, or a SimClock.
+	// Clock is the time source of every timed layer: real time, or a
+	// SimClock.
 	Clock = hiddendb.Clock
 	// SimClock is a deterministic virtual Clock for latency simulation:
 	// round trips cost virtual time that advances only when the simulated
@@ -532,8 +535,8 @@ type (
 	// elapsed time, in microseconds of real time. Use one clock per crawl.
 	SimClock = hiddendb.SimClock
 	// LatencyServer charges a fixed delay per round trip on a Clock: a
-	// real network latency on Wall, its deterministic counterpart on a
-	// SimClock.
+	// real network latency on a real-time Clock, its deterministic
+	// counterpart on a SimClock.
 	LatencyServer = hiddendb.Latency
 	// FlakyServer injects deterministic, seeded faults (transient errors,
 	// nth-query failures, ctx-abort windows) in front of a Server, for
@@ -545,9 +548,6 @@ type (
 
 // ErrInjectedFault is the transient error a FlakyServer injects.
 var ErrInjectedFault = hiddendb.ErrInjected
-
-// Wall is the real-time Clock.
-var Wall = hiddendb.Wall
 
 // NewSimClock returns a virtual clock at time zero.
 func NewSimClock() *SimClock { return hiddendb.NewSimClock() }

@@ -53,9 +53,11 @@ type RetryPolicy struct {
 	// lifetime — a brake on retry storms. Exhausting it fails the call
 	// with a *TransportError immediately.
 	Budget int
-	// Clock times the backoff sleeps; default hiddendb.Wall. A
-	// *hiddendb.SimClock runs them on virtual time. PerAttempt is always
-	// wall time.
+	// Clock times the backoff sleeps; nil means hiddendb.Wall. A
+	// *hiddendb.SimClock runs them on virtual time, but a nil *SimClock
+	// is a non-nil Clock whose Sleep returns at once: it disables backoff
+	// rather than selecting Wall, so pass nil or hiddendb.Wall for real
+	// time. PerAttempt is always wall time.
 	Clock hiddendb.Clock
 }
 

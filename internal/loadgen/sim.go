@@ -17,11 +17,11 @@ import (
 // RunSim performs the whole load run in-process under a virtual clock:
 // the handler is built over the generated dataset with per-token sessions
 // and shedding, every round trip costs Config.Latency of virtual time
-// (hiddendb.Latency on the SimClock), the sessions tell time by the same
-// clock, and every think pause is a virtual sleep. The
-// run finishes in milliseconds of real time regardless of the simulated
-// latency, and its Report — sheds, quota rejections, latency percentiles,
-// the virtual elapsed time — is bit-reproducible from Config.Seed.
+// (hiddendb.Latency on the SimClock), and every think pause is a virtual
+// sleep. The run finishes in milliseconds of real time regardless of the
+// simulated latency, and its Report — sheds, quota rejections, latency
+// percentiles, the virtual elapsed time — is bit-reproducible from
+// Config.Seed.
 //
 // # The deadline-residue scheme
 //
@@ -60,7 +60,6 @@ func RunSim(cfg Config) (*Report, error) {
 		httpserver.WithSessions(session.Config{
 			Quota:       cfg.Quota,
 			MaxSessions: cfg.Sessions,
-			Clock:       clock,
 		}),
 		httpserver.WithShedding(cfg.MaxInFlight))
 

@@ -38,7 +38,8 @@ func rateTable(t *testing.T, cfg Config) (*Table, *datagen.Dataset) {
 // time "immediately" is exact: the clock must not move at all.
 func TestSessionRateLimitFreeTiers(t *testing.T) {
 	clock := hiddendb.NewSimClock()
-	tbl, ds := rateTable(t, Config{RatePerSecond: 0.5, RateBurst: 2, Clock: clock})
+	tbl, ds := rateTable(t, Config{RatePerSecond: 0.5, RateBurst: 2})
+	tbl.clock = clock
 	sess, err := tbl.Get("tok")
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +105,6 @@ func TestSessionRateLimitCancelsPromptly(t *testing.T) {
 func TestRateClassResolution(t *testing.T) {
 	clock := hiddendb.NewSimClock()
 	tbl, ds := rateTable(t, Config{
-		Clock: clock,
 		// Flat rate so slow that any default-tier session issuing two
 		// distinct queries would stall for seconds.
 		RatePerSecond: 0.2,
@@ -114,6 +114,7 @@ func TestRateClassResolution(t *testing.T) {
 			{Name: "slow", PerSecond: 0.1, Burst: 1}, // even tighter than flat
 		},
 	})
+	tbl.clock = clock
 	qs := distinctQueries(ds.Schema, 3)
 
 	cases := []struct {

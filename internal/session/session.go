@@ -117,10 +117,6 @@ type Config struct {
 	// eviction beyond it); zero is unbounded. Ignored when SharedCache is
 	// SharedOff.
 	SharedCacheBytes int64
-	// Clock times TTL expiry and every session's rate-limit refill and
-	// waits; nil means hiddendb.Wall. A *hiddendb.SimClock runs the
-	// whole table on virtual time.
-	Clock hiddendb.Clock
 }
 
 // RateClass is one named qps/burst tier of Config.RateClasses.
@@ -152,7 +148,7 @@ type Session struct {
 	// token fell back to the table-wide rate.
 	rateClass string
 
-	lastSeen time.Duration // Clock reading, guarded by the owning Table's mutex
+	lastSeen time.Duration // Table clock reading, guarded by the owning Table's mutex
 }
 
 // RateClass returns the name of the session's resolved rate class, ""
@@ -281,6 +277,9 @@ type Table struct {
 	// recovered counts journals reloaded from a torn/corrupted file via
 	// longest-valid-prefix recovery.
 	recovered int
+	// clock times TTL expiry and every session's rate-limit refill and
+	// waits: hiddendb.Wall, swappable in tests for a *hiddendb.SimClock.
+	clock hiddendb.Clock
 }
 
 // NewTable builds a session table over the shared server.
@@ -288,12 +287,10 @@ func NewTable(shared hiddendb.Server, cfg Config) *Table {
 	if cfg.MaxSessions <= 0 {
 		cfg.MaxSessions = DefaultMaxSessions
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = hiddendb.Wall
-	}
 	t := &Table{
 		shared:   shared,
 		cfg:      cfg,
+		clock:    hiddendb.Wall,
 		sessions: make(map[string]*list.Element),
 		lru:      list.New(),
 	}
@@ -361,7 +358,7 @@ func (t *Table) SharedCache() *hiddendb.Shared { return t.fleet }
 // stalls every other client's request.
 func (t *Table) Get(token string) (*Session, error) {
 	t.mu.Lock()
-	now := t.cfg.Clock.Now()
+	now := t.clock.Now()
 	victims := t.sweepLocked(now)
 	if el, ok := t.sessions[token]; ok {
 		sess := el.Value.(*Session)
@@ -385,12 +382,12 @@ func (t *Table) Get(token string) (*Session, error) {
 	t.mu.Lock()
 	if el, ok := t.sessions[token]; ok {
 		existing := el.Value.(*Session)
-		existing.lastSeen = t.cfg.Clock.Now()
+		existing.lastSeen = t.clock.Now()
 		t.lru.MoveToFront(el)
 		t.mu.Unlock()
 		return existing, nil
 	}
-	sess.lastSeen = t.cfg.Clock.Now()
+	sess.lastSeen = t.clock.Now()
 	t.sessions[token] = t.lru.PushFront(sess)
 	victims = victims[:0]
 	for t.lru.Len() > t.cfg.MaxSessions {
@@ -409,7 +406,7 @@ func (t *Table) Touch(token string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if el, ok := t.sessions[token]; ok {
-		el.Value.(*Session).lastSeen = t.cfg.Clock.Now()
+		el.Value.(*Session).lastSeen = t.clock.Now()
 		t.lru.MoveToFront(el)
 	}
 }
@@ -447,7 +444,7 @@ func (t *Table) newSession(token string) (*Session, error) {
 		if burst <= 0 {
 			burst = int(math.Ceil(rate))
 		}
-		limited, err := hiddendb.NewRateLimited(view, rate, burst, t.cfg.Clock)
+		limited, err := hiddendb.NewRateLimited(view, rate, burst, t.clock)
 		if err != nil {
 			return nil, fmt.Errorf("session: token %q: %w", token, err)
 		}

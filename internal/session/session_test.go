@@ -125,7 +125,8 @@ func TestReplaysAndHitsAreFree(t *testing.T) {
 func TestTTLEviction(t *testing.T) {
 	shared, ds := testShared(t, 200, 10)
 	clock := hiddendb.NewSimClock()
-	tbl := NewTable(shared, Config{Quota: 2, TTL: time.Hour, Clock: clock})
+	tbl := NewTable(shared, Config{Quota: 2, TTL: time.Hour})
+	tbl.clock = clock
 
 	sess, err := tbl.Get("alice")
 	if err != nil {
@@ -169,7 +170,8 @@ func TestTTLEviction(t *testing.T) {
 func TestTouchKeepsSessionAlive(t *testing.T) {
 	shared, _ := testShared(t, 100, 10)
 	clock := hiddendb.NewSimClock()
-	tbl := NewTable(shared, Config{TTL: time.Hour, Clock: clock})
+	tbl := NewTable(shared, Config{TTL: time.Hour})
+	tbl.clock = clock
 
 	sess, err := tbl.Get("crawler")
 	if err != nil {
@@ -226,7 +228,8 @@ func TestJournalPersistence(t *testing.T) {
 	shared, ds := testShared(t, 200, 10)
 	dir := t.TempDir()
 	clock := hiddendb.NewSimClock()
-	tbl := NewTable(shared, Config{Quota: 3, TTL: time.Hour, JournalDir: dir, Clock: clock})
+	tbl := NewTable(shared, Config{Quota: 3, TTL: time.Hour, JournalDir: dir})
+	tbl.clock = clock
 
 	qs := distinctQueries(ds.Schema, 5)
 	sess, err := tbl.Get("alice")
