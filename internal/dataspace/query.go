@@ -98,7 +98,7 @@ func (q Query) Pred(i int) Pred { return q.preds[i] }
 // Preds returns the query's predicates, aligned with the schema's
 // attributes. The slice is shared with the query — callers must treat it as
 // read-only. It exists so hot evaluation loops (the index engine's columnar
-// coversAt) can avoid a per-attribute Pred copy.
+// residual check) can avoid a per-attribute Pred copy.
 func (q Query) Preds() []Pred { return q.preds }
 
 // Covers reports whether the tuple satisfies every predicate of the query.

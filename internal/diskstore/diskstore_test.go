@@ -270,7 +270,9 @@ func TestBuildDeterministic(t *testing.T) {
 // Select the first band decides costs the result slice and the slab its
 // rows are copied into — two allocations on every access path, whatever
 // the result size — with the rank buffers recycled through the per-band
-// scratch pools.
+// scratch pools, and a Count costs nothing. The second posting query is a
+// wide-domain slice whose residual check skips every column; the second
+// range query leaves a range predicate to the residual check.
 func TestDiskSelectAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items nondeterministically under -race")
@@ -287,7 +289,9 @@ func TestDiskSelectAllocs(t *testing.T) {
 	}{
 		{"scan", uni},
 		{"posting", uni.WithValue(3, 7)},
+		{"posting", uni.WithValue(3, 11)},
 		{"range", uni.WithRange(4, 100, 1500)},
+		{"range", uni.WithRange(4, 100, 250).WithRange(5, 0, 1<<19).WithValue(0, 2)},
 		{"bitmap", needle},
 	} {
 		before := disk.PlanStats().Paths[tc.path]
@@ -299,6 +303,9 @@ func TestDiskSelectAllocs(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(100, func() { disk.Select(tc.q, 999) }); allocs > 2 {
 			t.Errorf("%s: %.1f allocs per Select, want <= 2", tc.path, allocs)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { disk.Count(tc.q) }); allocs > 0 {
+			t.Errorf("%s: %.1f allocs per Count, want 0", tc.path, allocs)
 		}
 	}
 	if es := disk.EngineStats(); es.Kind != "disk" {

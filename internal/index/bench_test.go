@@ -149,23 +149,46 @@ func BenchmarkCountScanBaseline(b *testing.B) {
 	}
 }
 
-// BenchmarkIntersectArrayBlocks isolates the dense-block kernel on the
-// shape that dominates the 1M pathological crawl: 16 blocks, each holding
-// three ~1,700-rank array containers (above sparseIntersectMax, so no
-// probe path) that share ~22 ranks. It intersects them exactly (no max)
-// into a reused buffer and must allocate nothing.
+// The dense-block kernel benchmarks time intersectInto alone, exactly (no
+// max) into a reused buffer, over 16 blocks whose containers share ~22
+// ranks per block; each must allocate nothing. The 1M pathological crawl's
+// 47.9k bitmap blocks are 60% array-array-bitmap, 32% array-array, 4%
+// three arrays and 3% array-bitmap-bitmap, its arrays holding ~1,700 ranks
+// (above sparseIntersectMax, so no probe path).
+
+// BenchmarkIntersectArrayBlocks times blocks of three ~1,700-rank array
+// containers.
 func BenchmarkIntersectArrayBlocks(b *testing.B) {
-	const blocks = 16
-	lists := correlatedLists(simrand.New(1), 3, blocks<<16, 22.0/(1<<16), 1678.0/(1<<16))
+	lists := correlatedLists(simrand.New(1), 3, kernelBlocks<<16, 22.0/(1<<16), 1678.0/(1<<16))
+	benchIntersectBlocks(b, lists, []uint8{containerArray, containerArray, containerArray})
+}
+
+// BenchmarkIntersectArrayArrayBitmapBlocks times the crawl's dominant
+// shape: two ~1,700-rank arrays and a dense bitmap container (a needle
+// value's ~1/6 of the block) holding their shared ranks.
+func BenchmarkIntersectArrayArrayBitmapBlocks(b *testing.B) {
+	rng := simrand.New(2)
+	lists := correlatedLists(rng, 2, kernelBlocks<<16, 22.0/(1<<16), 1678.0/(1<<16))
+	dense := mergeUnique(randomList(rng, kernelBlocks<<16, 1.0/6), refIntersect(lists...))
+	benchIntersectBlocks(b, append(lists, dense), []uint8{containerArray, containerArray, containerBitmap})
+}
+
+// kernelBlocks is the block count of the dense-block kernel benchmarks.
+const kernelBlocks = 16
+
+// benchIntersectBlocks builds one rank bitmap per list, checks that list i
+// spans kernelBlocks blocks of kind kinds[i] (an array one above
+// sparseIntersectMax), and times their exact intersection.
+func benchIntersectBlocks(b *testing.B, lists [][]int32, kinds []uint8) {
 	bms := make([]*rankBitmap, len(lists))
 	for i, l := range lists {
 		bms[i] = buildRankBitmap(l)
-		if len(bms[i].cs) != blocks {
-			b.Fatalf("list %d spans %d blocks, want %d", i, len(bms[i].cs), blocks)
+		if len(bms[i].cs) != kernelBlocks {
+			b.Fatalf("list %d spans %d blocks, want %d", i, len(bms[i].cs), kernelBlocks)
 		}
 		for _, c := range bms[i].cs {
-			if c.kind != containerArray || c.card <= sparseIntersectMax {
-				b.Fatalf("list %d built a kind-%d container of card %d, want a dense-path array", i, c.kind, c.card)
+			if c.kind != kinds[i] || c.kind == containerArray && c.card <= sparseIntersectMax {
+				b.Fatalf("list %d built a kind-%d container of card %d, want a dense-path kind %d", i, c.kind, c.card, kinds[i])
 			}
 		}
 	}

@@ -401,39 +401,26 @@ func (s *Store) PlanStats() PlanStats {
 	return ps
 }
 
-// coversAt reports whether the tuple at rank r satisfies every predicate,
-// reading the columns directly.
-func (s *Store) coversAt(preds []dataspace.Pred, r int32) bool {
-	for i := range preds {
-		p := &preds[i]
-		v := s.cols[i][r]
-		if s.isCat[i] {
-			if !p.Wild && v != p.Value {
-				return false
-			}
-		} else if v < p.Lo || v > p.Hi {
-			return false
-		}
-	}
-	return true
-}
-
-// coversAtSkip is coversAt with the attributes in the skip bitmask assumed
-// satisfied — the bitmap path's residual check, which never re-tests the
-// equality predicates the bitmap intersection already enforced.
-func (s *Store) coversAtSkip(preds []dataspace.Pred, r int32, skip uint64) bool {
+// covers reports whether the tuple at rank r satisfies every predicate
+// outside the skip bitmask — the attributes the access path has already
+// enforced exactly. It loads a column only for a predicate that constrains
+// (not a wildcard, not (NegInf, PosInf)), so a slice query's residual check
+// reads only its bound, unenforced columns. Attributes from 64 up have no
+// skip bit and are always checked.
+func (s *Store) covers(preds []dataspace.Pred, r int32, skip uint64) bool {
 	for i := range preds {
 		if skip>>uint(i)&1 != 0 {
 			continue
 		}
 		p := &preds[i]
-		v := s.cols[i][r]
 		if s.isCat[i] {
-			if !p.Wild && v != p.Value {
+			if !p.Wild && s.cols[i][r] != p.Value {
 				return false
 			}
-		} else if v < p.Lo || v > p.Hi {
-			return false
+		} else if p.Lo != dataspace.NegInf || p.Hi != dataspace.PosInf {
+			if v := s.cols[i][r]; v < p.Lo || v > p.Hi {
+				return false
+			}
 		}
 	}
 	return true
@@ -540,7 +527,7 @@ func (s *Store) selectScan(ranks []int32, preds []dataspace.Pred, want int) []in
 		}
 	}
 	for r := base; r < n; r++ {
-		if s.coversAt(preds, int32(r)) {
+		if s.covers(preds, int32(r), 0) {
 			ranks = append(ranks, int32(r))
 			if len(ranks) == want {
 				break
@@ -569,13 +556,19 @@ func (s *Store) chunkMask(preds []dataspace.Pred, base int) uint32 {
 				}
 			}
 		} else {
-			if p.Lo == dataspace.NegInf && p.Hi == dataspace.PosInf {
+			lo, hi := p.Lo, p.Hi
+			if lo == dataspace.NegInf && hi == dataspace.PosInf {
 				continue
 			}
+			if lo > hi {
+				return 0
+			}
+			// One unsigned compare per cell: v-lo wraps past hi-lo exactly
+			// when v lies outside [lo, hi].
 			col := s.cols[i][base : base+scanChunk : base+scanChunk]
-			lo, hi := p.Lo, p.Hi
+			span := uint64(hi) - uint64(lo)
 			for j := 0; j < scanChunk; j++ {
-				if v := col[j]; v >= lo && v <= hi {
+				if uint64(col[j])-uint64(lo) <= span {
 					m |= 1 << uint(j)
 				}
 			}
@@ -635,12 +628,13 @@ func (s *Store) selectBitmap(ranks []int32, preds []dataspace.Pred, pl plan, wan
 }
 
 // keepCovered compacts ranks in place to its first want entries (all of
-// them when want < 0) that satisfy every predicate outside the skip
-// bitmask.
+// them when want < 0) that pass the residual check covers(preds, r, skip):
+// skip holds the attributes the caller's access path already enforced (the
+// bitmap path's ANDed equalities, the range path's primary and secondary).
 func (s *Store) keepCovered(ranks []int32, preds []dataspace.Pred, skip uint64, want int) []int32 {
 	kept := ranks[:0]
 	for _, r := range ranks {
-		if s.coversAtSkip(preds, r, skip) {
+		if s.covers(preds, r, skip) {
 			kept = append(kept, r)
 			if len(kept) == want {
 				break
@@ -659,7 +653,8 @@ func (s *Store) keepCovered(ranks []int32, preds []dataspace.Pred, skip uint64, 
 // ~log2(m2) branchy probes of galloping decisively — Figure 11a runs ~30%
 // faster on column probes. Galloping pays off only when the column itself
 // falls out of cache (multi-million-row stores) while the secondary list
-// stays small enough to remain resident.
+// stays small enough to remain resident. Either way a member then passes
+// the residual check with both attributes skipped (plan.enforced).
 //
 // The intersection filter is intentionally open-coded in selectPosting,
 // selectGallop and Count's posting and gallop branches rather than shared
@@ -680,7 +675,9 @@ var colCacheTuples = 4 << 20
 // selectPosting walks the primary posting list (already rank-ascending),
 // rejecting candidates with the cheapest test for the secondary predicate —
 // a rank→sorted-position window check (numeric) or a single column load
-// (categorical) — before the full predicate check.
+// (categorical) — before the residual check, which skips the primary and
+// secondary and loads only the remaining constraining columns: none at all
+// for a slice query on the posting attribute.
 func (s *Store) selectPosting(ranks []int32, preds []dataspace.Pred, pl plan, want int) []int32 {
 	var pos []int32
 	var col []int64
@@ -701,7 +698,7 @@ func (s *Store) selectPosting(ranks []int32, preds []dataspace.Pred, pl plan, wa
 		} else if col != nil && col[r] != secVal {
 			continue
 		}
-		if s.coversAt(preds, r) {
+		if s.covers(preds, r, pl.enforced()) {
 			ranks = append(ranks, r)
 			if len(ranks) == want {
 				break
@@ -725,7 +722,7 @@ func (s *Store) selectGallop(ranks []int32, preds []dataspace.Pred, pl plan, wan
 		if b[j] != r {
 			continue
 		}
-		if s.coversAt(preds, r) {
+		if s.covers(preds, r, pl.enforced()) {
 			ranks = append(ranks, r)
 			if len(ranks) == want {
 				break
@@ -767,7 +764,8 @@ func gallop(b []int32, lo int, target int32) int {
 // selectRange enumerates the primary sorted-column segment into the rank
 // buffer, filters by the secondary predicate while the ranks are still in
 // value order, restores rank order with one allocation-free sort, then
-// compacts the buffer in place to the first want full matches.
+// compacts the buffer in place to the first want matches of the residual
+// predicates — every constraining one but the primary and secondary.
 func (s *Store) selectRange(ranks []int32, preds []dataspace.Pred, pl plan, want int) []int32 {
 	seg := s.sortedRank[pl.primary][pl.from:pl.to]
 	ranks = slices.Grow(ranks, len(seg))
@@ -791,7 +789,7 @@ func (s *Store) selectRange(ranks []int32, preds []dataspace.Pred, pl plan, want
 		}
 	}
 	slices.Sort(ranks)
-	return s.keepCovered(ranks, preds, 0, want)
+	return s.keepCovered(ranks, preds, pl.enforced(), want)
 }
 
 // SelectBatch answers every query of the batch with the same semantics as
@@ -855,7 +853,7 @@ func (s *Store) Count(q dataspace.Query) int {
 			c += bits.OnesCount32(s.chunkMask(preds, base))
 		}
 		for r := base; r < n; r++ {
-			if s.coversAt(preds, int32(r)) {
+			if s.covers(preds, int32(r), 0) {
 				c++
 			}
 		}
@@ -869,7 +867,7 @@ func (s *Store) Count(q dataspace.Query) int {
 			if j == len(b) {
 				break
 			}
-			if b[j] == r && s.coversAt(preds, r) {
+			if b[j] == r && s.covers(preds, r, 0) {
 				c++
 			}
 		}
@@ -893,13 +891,13 @@ func (s *Store) Count(q dataspace.Query) int {
 			} else if col != nil && col[r] != secVal {
 				continue
 			}
-			if s.coversAt(preds, r) {
+			if s.covers(preds, r, 0) {
 				c++
 			}
 		}
 	default:
 		for _, r := range s.sortedRank[pl.primary][pl.from:pl.to] {
-			if s.coversAt(preds, r) {
+			if s.covers(preds, r, 0) {
 				c++
 			}
 		}

@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -299,6 +300,52 @@ func TestInvertedRange(t *testing.T) {
 		}
 		if got := s.Count(q); got != 0 {
 			t.Errorf("query %d: Count = %d, want 0", i, got)
+		}
+	}
+}
+
+// TestChunkMaskMatchesCovers checks the scan's one-compare numeric range
+// test (chunkMask) against the residual check (covers), and both against
+// plain comparisons, on one chunk holding the int64 extremes and the open
+// bounds: ranges at math.MinInt64/MaxInt64, NegInf/PosInf, points and
+// inverted ranges, each beside a wildcard and a bound equality.
+func TestChunkMaskMatchesCovers(t *testing.T) {
+	const negInf, posInf = dataspace.NegInf, dataspace.PosInf
+	vals := []int64{math.MinInt64, negInf, -1, 0, 1, 7, posInf, math.MaxInt64}
+	s := &Store{isCat: []bool{true, false}, cols: [][]int64{{1, 2, 1, 2, 1, 2, 1, 2}, vals}}
+	cases := []struct {
+		name   string
+		lo, hi int64
+	}{
+		{"unbounded", negInf, posInf},
+		{"int64 extremes", math.MinInt64, math.MaxInt64},
+		{"MinInt64 point", math.MinInt64, math.MinInt64},
+		{"MaxInt64 point", math.MaxInt64, math.MaxInt64},
+		{"NegInf point", negInf, negInf},
+		{"PosInf point", posInf, posInf},
+		{"zero point", 0, 0},
+		{"below zero", negInf, -1},
+		{"from zero", 0, posInf},
+		{"from MinInt64", math.MinInt64, 0},
+		{"to MaxInt64", 1, math.MaxInt64},
+		{"inverted", 1, 0},
+		{"inverted extremes", math.MaxInt64, math.MinInt64},
+		{"inverted infinities", posInf, negInf},
+	}
+	for _, tc := range cases {
+		for _, eq := range []dataspace.Pred{{Wild: true}, {Value: 1}} {
+			preds := []dataspace.Pred{eq, {Lo: tc.lo, Hi: tc.hi}}
+			mask := s.chunkMask(preds, 0)
+			for j, v := range vals {
+				want := (eq.Wild || s.cols[0][j] == eq.Value) &&
+					(tc.lo == negInf && tc.hi == posInf || tc.lo <= v && v <= tc.hi)
+				if got := s.covers(preds, int32(j), 0); got != want {
+					t.Errorf("%s, eq %+v: covers(rank %d = %d) = %v, want %v", tc.name, eq, j, v, got, want)
+				}
+				if got := mask>>uint(j)&1 != 0; got != want {
+					t.Errorf("%s, eq %+v: chunkMask bit %d (value %d) = %v, want %v", tc.name, eq, j, v, got, want)
+				}
+			}
 		}
 	}
 }

@@ -56,13 +56,21 @@ type plan struct {
 	// (numeric secondary).
 	secFrom, secTo int32
 	// bitmapSkip is the set of bitmap-indexed equality attributes the bitmap
-	// path ANDs, as a bitmask (also coversAtSkip's argument).
+	// path ANDs, as a bitmask (also the skip set of its residual check).
 	bitmapSkip uint64
 	// exact marks a bitmap set that enforces every bound predicate: no
 	// residual pass, and the intersection may stop at want ranks.
 	exact bool
 	// bound counts the predicates that constrain the query at all.
 	bound int
+}
+
+// enforced is the skip set of the posting, gallop and range paths' residual
+// check: the primary and secondary, whose predicates their posting list or
+// sorted segment and secondary probe enforce exactly. An attribute of -1
+// (none) or from 64 up shifts out of the mask, so it is never skipped.
+func (pl *plan) enforced() uint64 {
+	return 1<<uint(pl.primary) | 1<<uint(pl.secondary)
 }
 
 // planQuery chooses the cheapest access path for a query that must return

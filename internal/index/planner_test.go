@@ -86,6 +86,26 @@ func forcePlan(s *Store, preds []dataspace.Pred, want int, path pathKind) (pl pl
 	return pl, ok
 }
 
+// checkForcedPaths forces every access path forcePlan allows on q, fails
+// unless each returns exactly naive's first want tuples, and counts the
+// paths it ran in forced.
+func checkForcedPaths(t *testing.T, s *Store, q dataspace.Query, want int, forced *[numPaths]int) {
+	t.Helper()
+	preds := q.Preds()
+	expect := naive(s, q, want)
+	for path := pathKind(0); path < numPaths; path++ {
+		pl, ok := forcePlan(s, preds, want, path)
+		if !ok {
+			continue
+		}
+		forced[path]++
+		if got := s.execSelect(pl, preds, want); !sameTuples(got, expect) {
+			t.Fatalf("%s path returned %d tuples, naive %d, on %s (want %d)",
+				pathNames[path], len(got), len(expect), q, want)
+		}
+	}
+}
+
 // TestAccessPathsAgreeAcrossPatterns is the planner oracle: on every
 // generator pattern, for random queries of every arity, each access path —
 // forced through the planner's plan, whatever its cost — must return
@@ -100,24 +120,11 @@ func TestAccessPathsAgreeAcrossPatterns(t *testing.T) {
 			var forced [numPaths]int
 			for trial := 0; trial < 150; trial++ {
 				q := tierQuery(s.Schema(), rng, n)
-				preds := q.Preds()
 				for _, limit := range []int{0, 9, 64} {
-					want := limit + 1
-					expect := naive(s, q, want)
-					if got := s.Select(q, limit); !sameTuples(got, expect) {
+					if got := s.Select(q, limit); !sameTuples(got, naive(s, q, limit+1)) {
 						t.Fatalf("trial %d limit %d: Select diverges from naive on %s", trial, limit, q)
 					}
-					for path := pathKind(0); path < numPaths; path++ {
-						pl, ok := forcePlan(s, preds, want, path)
-						if !ok {
-							continue
-						}
-						forced[path]++
-						if got := s.execSelect(pl, preds, want); !sameTuples(got, expect) {
-							t.Fatalf("trial %d limit %d: %s path diverges from naive on %s",
-								trial, limit, pathNames[path], q)
-						}
-					}
+					checkForcedPaths(t, s, q, limit+1, &forced)
 				}
 			}
 			for path, c := range forced {
@@ -147,6 +154,68 @@ func TestAccessPathsAgreeUnderGallop(t *testing.T) {
 	if s.PlanStats().Paths["gallop"] == 0 {
 		t.Log("no query routed through gallop; acceptable but unexpected")
 	}
+}
+
+// fuzzStores memoizes FuzzSelectPaths' 10k tier store per pattern.
+var fuzzStores struct {
+	sync.Mutex
+	m map[datagen.Pattern]*Store
+}
+
+func fuzzStore(t *testing.T, p datagen.Pattern) *Store {
+	fuzzStores.Lock()
+	defer fuzzStores.Unlock()
+	if fuzzStores.m[p] == nil {
+		if fuzzStores.m == nil {
+			fuzzStores.m = make(map[datagen.Pattern]*Store)
+		}
+		fuzzStores.m[p] = tierStore(t, p, 29)
+	}
+	return fuzzStores.m[p]
+}
+
+// FuzzSelectPaths is the differential oracle over every access path. The
+// input builds a query over a 10k tier store: bit i of bound binds
+// attribute i, to value c_i mod (domain+1) for C1..C4 (0 occurs nowhere)
+// and to [lo, lo+width-1] inside the domain for N1 and N2 (width 0 is an
+// inverted range). Every path forcePlan can force must match naive, and
+// Count the naive total. The seeds give an empty residual set (a slice on
+// the posting attribute C4), a residual of numeric ranges only (posting
+// and range primaries), one of wildcards only, the bitmap needle with a
+// residual range, the universe query and an inverted range.
+func FuzzSelectPaths(f *testing.F) {
+	pat := uint8(datagen.PatternPathological)
+	f.Add(pat, uint8(1<<3), uint16(0), uint16(0), uint16(0), uint16(7), uint32(0), uint32(0), uint32(0), uint32(0), uint16(64))
+	f.Add(pat, uint8(1<<3|1<<4|1<<5), uint16(0), uint16(0), uint16(0), uint16(7), uint32(100), uint32(8000), uint32(0), uint32(1<<19), uint16(999))
+	f.Add(pat, uint8(1<<0|1<<3), uint16(2), uint16(0), uint16(0), uint16(9), uint32(0), uint32(0), uint32(0), uint32(0), uint16(9))
+	f.Add(pat, uint8(1<<0|1<<4), uint16(2), uint16(0), uint16(0), uint16(0), uint32(9000), uint32(900), uint32(0), uint32(0), uint16(64))
+	f.Add(pat, uint8(1<<0|1<<4|1<<5), uint16(2), uint16(0), uint16(0), uint16(0), uint32(100), uint32(151), uint32(0), uint32(1<<19), uint16(999))
+	f.Add(pat, uint8(1<<0|1<<1|1<<2|1<<4), uint16(1), uint16(1), uint16(1), uint16(0), uint32(9900), uint32(100), uint32(0), uint32(0), uint16(0))
+	f.Add(uint8(datagen.PatternRandom), uint8(0), uint16(0), uint16(0), uint16(0), uint16(0), uint32(0), uint32(0), uint32(0), uint32(0), uint16(256))
+	f.Add(uint8(datagen.PatternRealistic), uint8(1<<1|1<<5), uint16(3), uint16(3), uint16(0), uint16(0), uint32(0), uint32(0), uint32(5000), uint32(0), uint16(5))
+	f.Fuzz(func(t *testing.T, pattern, bound uint8, c1, c2, c3, c4 uint16, lo1, w1, lo2, w2 uint32, limit uint16) {
+		s := fuzzStore(t, datagen.Patterns[int(pattern)%len(datagen.Patterns)])
+		sch := s.Schema()
+		q := dataspace.UniverseQuery(sch)
+		for i, c := range [4]uint16{c1, c2, c3, c4} {
+			if bound>>i&1 != 0 {
+				q = q.WithValue(i, int64(c)%int64(sch.Attr(i).DomainSize+1))
+			}
+		}
+		for i, r := range [2][2]uint32{{lo1, w1}, {lo2, w2}} {
+			if a := 4 + i; bound>>a&1 != 0 {
+				from, to := sch.Attr(a).Bounds()
+				span := uint32(to - from + 1)
+				lo := from + int64(r[0]%span)
+				q = q.WithRange(a, lo, lo+int64(r[1]%(span+1))-1)
+			}
+		}
+		var forced [numPaths]int
+		checkForcedPaths(t, s, q, int(limit%1024)+1, &forced)
+		if got, n := s.Count(q), len(naive(s, q, s.Size()+1)); got != n {
+			t.Fatalf("Count = %d, naive %d, on %s", got, n, q)
+		}
+	})
 }
 
 // TestCountMatchesNaiveAcrossPatterns checks Count — including the bitmap
@@ -259,28 +328,13 @@ func TestPlannerConcurrent(t *testing.T) {
 }
 
 // TestWideSchemaUncached verifies a store wider than the bitmap path's
-// attribute mask still plans and answers every query correctly.
+// attribute mask still plans and answers every query correctly, and that a
+// 70-attribute mixed schema — wider than the residual check's 64-bit skip
+// mask — still checks attributes 64 and up (two categorical, four numeric)
+// on every forced access path and in Count.
 func TestWideSchemaUncached(t *testing.T) {
-	attrs := make([]dataspace.Attribute, 33)
-	for i := range attrs {
-		attrs[i] = dataspace.Attribute{
-			Name: fmt.Sprintf("C%d", i+1), Kind: dataspace.Categorical, DomainSize: 4,
-		}
-	}
-	sch := dataspace.MustSchema(attrs)
+	sch, s := wideStore(t, 33, 33, 43)
 	rng := simrand.New(43)
-	tuples := make([]dataspace.Tuple, 500)
-	for i := range tuples {
-		tu := make(dataspace.Tuple, 33)
-		for j := range tu {
-			tu[j] = rng.IntRange(1, 4)
-		}
-		tuples[i] = tu
-	}
-	s, err := New(sch, tuples)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for trial := 0; trial < 30; trial++ {
 		q := dataspace.UniverseQuery(sch)
 		for j := 0; j < 33; j++ {
@@ -295,6 +349,73 @@ func TestWideSchemaUncached(t *testing.T) {
 	if got := pathTotal(s.PlanStats()); got != 30 {
 		t.Fatalf("wide schema: path counts sum to %d, want 30", got)
 	}
+
+	const d = 70
+	sch, s = wideStore(t, d, 66, 44)
+	var forced [numPaths]int
+	for trial := 0; trial < 200; trial++ {
+		q := dataspace.UniverseQuery(sch)
+		for j := 0; j < d; j++ {
+			// Bind the attributes from 64 up far more often, so they are
+			// residual beside a low primary as well as primary themselves.
+			p := 0.03
+			if j >= 64 {
+				p = 0.4
+			}
+			if !rng.Bool(p) {
+				continue
+			}
+			if sch.Attr(j).Kind == dataspace.Categorical {
+				q = q.WithValue(j, rng.IntRange(1, 4))
+			} else {
+				lo := rng.IntRange(0, 90)
+				q = q.WithRange(j, lo, lo+rng.IntRange(0, 40))
+			}
+		}
+		for _, want := range []int{1, 11} {
+			checkForcedPaths(t, s, q, want, &forced)
+		}
+		if got, want := s.Count(q), len(naive(s, q, s.Size()+1)); got != want {
+			t.Fatalf("trial %d: %d-attribute Count = %d, want %d on %s", trial, d, got, want, q)
+		}
+	}
+	for _, path := range []pathKind{pathScan, pathPosting, pathGallop, pathRange} {
+		if forced[path] == 0 {
+			t.Fatalf("no %d-attribute trial exercised the %s path", d, pathNames[path])
+		}
+	}
+}
+
+// wideStore builds a 500-tuple store over d attributes: the first cats
+// categorical of domain 4, the rest numeric over [0, 99].
+func wideStore(t *testing.T, d, cats int, seed uint64) (*dataspace.Schema, *Store) {
+	t.Helper()
+	attrs := make([]dataspace.Attribute, d)
+	for i := range attrs {
+		attrs[i] = dataspace.Attribute{Name: fmt.Sprintf("N%d", i+1), Kind: dataspace.Numeric, Min: 0, Max: 99}
+		if i < cats {
+			attrs[i] = dataspace.Attribute{Name: fmt.Sprintf("C%d", i+1), Kind: dataspace.Categorical, DomainSize: 4}
+		}
+	}
+	sch := dataspace.MustSchema(attrs)
+	rng := simrand.New(seed)
+	tuples := make([]dataspace.Tuple, 500)
+	for i := range tuples {
+		tu := make(dataspace.Tuple, d)
+		for j := range tu {
+			if j < cats {
+				tu[j] = rng.IntRange(1, 4)
+			} else {
+				tu[j] = rng.IntRange(0, 99)
+			}
+		}
+		tuples[i] = tu
+	}
+	s, err := New(sch, tuples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sch, s
 }
 
 // TestShardedSharesStatsKeepsPlans pins the Sharded contract: one shared
@@ -423,9 +544,11 @@ func arrayBranchBlocks(t *testing.T, s *Store, q dataspace.Query) int {
 // every access path: planning allocates nothing, so once the scratch pools
 // are warm (AllocsPerRun's warm-up call) a Select allocates exactly its
 // result slice — including a narrow query right after a broad one of the
-// same shape. Both bitmap cases AND ~1,600-rank array containers through
-// andWords' array branch and its second scratch half; "bitmap truncated"
-// also cuts its block's ranks at want.
+// same shape — and a Count allocates nothing. Both bitmap cases AND
+// ~1,600-rank array containers through andWords' array branch and its
+// second scratch half; "bitmap truncated" also cuts its block's ranks at
+// want. The cases that name a path must run it: "posting, empty residual"
+// is a wide-domain slice whose residual check skips every column.
 func TestSelectAllocsSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items nondeterministically under -race")
@@ -446,17 +569,26 @@ func TestSelectAllocsSteadyState(t *testing.T) {
 		t.Fatalf("2-way needle returned %d tuples, want a truncated 65", got)
 	}
 	cases := []struct {
-		name string
-		qs   []dataspace.Query
+		name, path string
+		qs         []dataspace.Query
 	}{
-		{"scan", []dataspace.Query{uni}},
-		{"posting", []dataspace.Query{uni.WithValue(3, 7)}},
-		{"range", []dataspace.Query{uni.WithRange(4, 100, 3000).WithValue(0, 2)}},
-		{"bitmap", []dataspace.Query{needle}},
-		{"bitmap truncated", []dataspace.Query{needle2}},
-		{"broad then narrow", []dataspace.Query{uni.WithRange(4, 0, 5000), uni.WithRange(4, 0, 20)}},
+		{"scan", "", []dataspace.Query{uni}},
+		{"posting", "", []dataspace.Query{uni.WithValue(3, 7)}},
+		{"posting, empty residual", "posting", []dataspace.Query{uni.WithValue(3, 11)}},
+		{"range", "", []dataspace.Query{uni.WithRange(4, 100, 3000).WithValue(0, 2)}},
+		{"range only", "range", []dataspace.Query{uni.WithRange(4, 2000, 2300)}},
+		{"bitmap", "", []dataspace.Query{needle}},
+		{"bitmap truncated", "", []dataspace.Query{needle2}},
+		{"broad then narrow", "", []dataspace.Query{uni.WithRange(4, 0, 5000), uni.WithRange(4, 0, 20)}},
 	}
 	for _, tc := range cases {
+		if tc.path != "" {
+			before := s.PlanStats().Paths[tc.path]
+			s.Select(tc.qs[0], 64)
+			if s.PlanStats().Paths[tc.path] != before+1 {
+				t.Fatalf("%s: query ran another access path: %v", tc.name, s.PlanStats().Paths)
+			}
+		}
 		allocs := testing.AllocsPerRun(100, func() {
 			for _, q := range tc.qs {
 				s.Select(q, 64)
@@ -465,9 +597,14 @@ func TestSelectAllocsSteadyState(t *testing.T) {
 		if allocs > float64(len(tc.qs)) {
 			t.Errorf("%s: %.1f allocs per %d Selects, want <= 1 each", tc.name, allocs, len(tc.qs))
 		}
-	}
-	if allocs := testing.AllocsPerRun(100, func() { s.Count(needle) }); allocs > 0 {
-		t.Errorf("Count: %.1f allocs, want 0", allocs)
+		allocs = testing.AllocsPerRun(100, func() {
+			for _, q := range tc.qs {
+				s.Count(q)
+			}
+		})
+		if allocs > 0 {
+			t.Errorf("%s: %.1f allocs per Count, want 0", tc.name, allocs)
+		}
 	}
 }
 
