@@ -94,14 +94,13 @@ chaos: build
 	$(GO) test -race -short ./internal/chaos/ ./internal/httpclient/ ./internal/journal/ ./internal/httpserver/ ./internal/session/
 
 # fuzz-smoke explores the index engine's two differential fuzzers for
-# FUZZTIME each (go test fuzzes one target per run): FuzzIntersect checks
+# 10 s each (go test fuzzes one target per run): FuzzIntersect checks
 # the bitmap kernels against a reference intersection, FuzzSelectPaths
 # every forced access path and Count against a naive scan. A failing input
 # is written under internal/index/testdata/fuzz/ and replays in `make test`.
-FUZZTIME ?= 10s
 fuzz-smoke: build
-	$(GO) test -run '^$$' -fuzz '^FuzzIntersect$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/index
-	$(GO) test -run '^$$' -fuzz '^FuzzSelectPaths$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/index
+	$(GO) test -run '^$$' -fuzz '^FuzzIntersect$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/index
+	$(GO) test -run '^$$' -fuzz '^FuzzSelectPaths$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/index
 
 # loadgen-smoke is the load-driver determinism gate: the sim mode must
 # produce byte-identical artifacts for the same seed (sheds, rejections

@@ -867,7 +867,7 @@ func (s *Store) Count(q dataspace.Query) int {
 			if j == len(b) {
 				break
 			}
-			if b[j] == r && s.covers(preds, r, 0) {
+			if b[j] == r && s.covers(preds, r, pl.enforced()) {
 				c++
 			}
 		}
@@ -891,7 +891,7 @@ func (s *Store) Count(q dataspace.Query) int {
 			} else if col != nil && col[r] != secVal {
 				continue
 			}
-			if s.covers(preds, r, 0) {
+			if s.covers(preds, r, pl.enforced()) {
 				c++
 			}
 		}

@@ -333,8 +333,8 @@ func TestPlannerConcurrent(t *testing.T) {
 // mask — still checks attributes 64 and up (two categorical, four numeric)
 // on every forced access path and in Count.
 func TestWideSchemaUncached(t *testing.T) {
-	sch, s := wideStore(t, 33, 33, 43)
 	rng := simrand.New(43)
+	sch, s := wideStore(t, rng, 33, 33)
 	for trial := 0; trial < 30; trial++ {
 		q := dataspace.UniverseQuery(sch)
 		for j := 0; j < 33; j++ {
@@ -351,7 +351,7 @@ func TestWideSchemaUncached(t *testing.T) {
 	}
 
 	const d = 70
-	sch, s = wideStore(t, d, 66, 44)
+	sch, s = wideStore(t, rng, d, 66)
 	var forced [numPaths]int
 	for trial := 0; trial < 200; trial++ {
 		q := dataspace.UniverseQuery(sch)
@@ -386,9 +386,9 @@ func TestWideSchemaUncached(t *testing.T) {
 	}
 }
 
-// wideStore builds a 500-tuple store over d attributes: the first cats
-// categorical of domain 4, the rest numeric over [0, 99].
-func wideStore(t *testing.T, d, cats int, seed uint64) (*dataspace.Schema, *Store) {
+// wideStore builds a 500-tuple store over d attributes, drawn from rng:
+// the first cats categorical of domain 4, the rest numeric over [0, 99].
+func wideStore(t *testing.T, rng *simrand.RNG, d, cats int) (*dataspace.Schema, *Store) {
 	t.Helper()
 	attrs := make([]dataspace.Attribute, d)
 	for i := range attrs {
@@ -398,7 +398,6 @@ func wideStore(t *testing.T, d, cats int, seed uint64) (*dataspace.Schema, *Stor
 		}
 	}
 	sch := dataspace.MustSchema(attrs)
-	rng := simrand.New(seed)
 	tuples := make([]dataspace.Tuple, 500)
 	for i := range tuples {
 		tu := make(dataspace.Tuple, d)
