@@ -96,7 +96,7 @@ chaos: build
 # fuzz-smoke explores the index engine's two differential fuzzers for
 # 10 s each (go test fuzzes one target per run): FuzzIntersect checks
 # the bitmap kernels against a reference intersection, FuzzSelectPaths
-# every forced access path and Count against a naive scan. A failing input
+# every forced access path, truncated and in full, against a naive scan. A failing input
 # is written under internal/index/testdata/fuzz/ and replays in `make test`.
 fuzz-smoke: build
 	$(GO) test -run '^$$' -fuzz '^FuzzIntersect$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/index

@@ -75,8 +75,8 @@
 //
 // Behind every local server sits a read-only columnar store with four access
 // paths: a chunked full scan with early exit, sorted per-value posting lists
-// (merged pairwise, or galloped when one list is far shorter), binary-search
-// rank ranges for numeric predicates, and — for low-cardinality categorical
+// (the shortest one walked, each candidate checked with one column load),
+// binary-search rank ranges for numeric predicates, and — for low-cardinality categorical
 // attributes — compressed per-value bitmap indexes over the priority ranks,
 // so a multi-attribute equality conjunction is answered by a word-parallel
 // AND instead of a posting-list walk. The planner chooses among them with a
@@ -98,7 +98,7 @@
 // file: per-attribute column segments, per-band posting-list and
 // sorted-projection indexes, and a checksummed footer carrying the schema
 // and the planner's selectivity sample. OpenDisk maps the file read-only
-// and serves Select/Count straight off the mapped pages, copying only each
+// and serves Select straight off the mapped pages, copying only each
 // answer's rows onto the heap, so serving a 10M-tuple store costs
 // megabytes of heap, not gigabytes. NewDiskLocalServer wraps the opened
 // store as a LocalServer; everything stacked on a local server — sessions,
@@ -613,8 +613,8 @@ func WithJournal(srv Server, j *Journal) (Server, error) { return journal.Wrap(s
 // on-disk section.
 type (
 	// DiskStore is an opened disk-resident columnar store: the sharded
-	// engine, one shard per band, serving Select/Count off mapped file
-	// pages. Close it when done.
+	// engine, one shard per band, serving Select off mapped file pages.
+	// Close it when done.
 	DiskStore = diskstore.Store
 	// DiskBuildOptions tunes BuildDisk (the priority-range band count).
 	DiskBuildOptions = diskstore.BuildOptions

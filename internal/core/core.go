@@ -265,9 +265,9 @@ func (s *session) finish() *Result {
 	}
 }
 
-// firstOpenNumeric returns the index of the first numeric attribute whose
+// FirstOpenNumeric returns the index of the first numeric attribute whose
 // extent in q still spans more than one value, or -1.
-func firstOpenNumeric(q dataspace.Query) int {
+func FirstOpenNumeric(q dataspace.Query) int {
 	sch := q.Schema()
 	for i := 0; i < sch.Dims(); i++ {
 		if sch.Attr(i).Kind == dataspace.Numeric && !q.Exhausted(i) {

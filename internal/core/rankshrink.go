@@ -69,14 +69,14 @@ func rankShrink(s *session, q dataspace.Query) error {
 	// The paper splits on A1 until it is exhausted, then recurses on the
 	// (d−1)-dimensional suffix; equivalently, always split the first
 	// non-exhausted numeric attribute.
-	dim := firstOpenNumeric(q)
+	dim := FirstOpenNumeric(q)
 	if dim < 0 {
 		// q is a point (up to exhausted attributes) yet overflowed: more
 		// than k duplicates live there.
 		return ErrUnsolvable
 	}
 
-	x, c := splitPivot(res.Tuples, dim, s.k)
+	x, c := SplitPivot(res.Tuples, dim, s.k)
 	lo, _ := q.Extent(dim)
 
 	if c <= s.k/s.splitThreshold() && x > lo {
@@ -114,10 +114,11 @@ func rankShrink(s *session, q dataspace.Query) error {
 	return nil
 }
 
-// splitPivot sorts the response on attribute dim, picks the value x of the
+// SplitPivot sorts the response on attribute dim, picks the value x of the
 // (k/2)-th tuple (1-based; the paper breaks ties arbitrarily) and returns it
-// together with its multiplicity c in the response.
-func splitPivot(resp dataspace.Bag, dim, k int) (x int64, c int) {
+// together with its multiplicity c in the response. The parallel crawler
+// splits through it too, so both forms issue the same queries.
+func SplitPivot(resp dataspace.Bag, dim, k int) (x int64, c int) {
 	vals := make([]int64, len(resp))
 	for i, t := range resp {
 		vals[i] = t[dim]

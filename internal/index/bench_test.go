@@ -94,61 +94,6 @@ func BenchmarkSelectIntersectPostingRange(b *testing.B) {
 	benchSelect(b, q, 64)
 }
 
-// BenchmarkSelectGallop pins the galloping-merge intersection itself
-// (forced past the planner's cache-size heuristic, which prefers column
-// probes at this store size), so regressions in the large-store path stay
-// visible.
-func BenchmarkSelectGallop(b *testing.B) {
-	s := benchStore(b)
-	q := dataspace.UniverseQuery(s.Schema()).WithValue(0, 3).WithValue(1, 7)
-	preds := q.Preds()
-	pl, ok := forcePlan(s, preds, 65, pathGallop)
-	if !ok {
-		b.Fatal("expected a posting ∩ posting plan")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := s.execSelect(pl, preds, 65); len(got) != 65 {
-			b.Fatalf("gallop returned %d tuples", len(got))
-		}
-	}
-}
-
-// BenchmarkCount covers the index-backed Count fast path on a
-// two-predicate query (no ordering, no allocation).
-func BenchmarkCount(b *testing.B) {
-	s := benchStore(b)
-	q := dataspace.UniverseQuery(s.Schema()).WithValue(1, 7).WithRange(2, 0, 20000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if c := s.Count(q); c == 0 {
-			b.Fatal("count returned 0")
-		}
-	}
-}
-
-// BenchmarkCountScanBaseline measures what Count cost before the
-// index-backed fast path: a full priority-order scan with Covers.
-func BenchmarkCountScanBaseline(b *testing.B) {
-	s := benchStore(b)
-	q := dataspace.UniverseQuery(s.Schema()).WithValue(1, 7).WithRange(2, 0, 20000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := 0
-		for _, t := range s.All() {
-			if q.Covers(t) {
-				c++
-			}
-		}
-		if c == 0 {
-			b.Fatal("count returned 0")
-		}
-	}
-}
-
 // The dense-block kernel benchmarks time intersectInto alone, exactly (no
 // max) into a reused buffer, over 16 blocks whose containers share ~22
 // ranks per block; each must allocate nothing. The 1M pathological crawl's

@@ -361,8 +361,8 @@ func intersectInto(bms []*rankBitmap, words []uint64, dst []int32, max int) []in
 
 // andBlock materializes the intersection of every bitmap's current
 // container (idx) into words' first bitmapWords half and returns that half;
-// the second half is andWords' scratch. It is the dense-block kernel of
-// both intersectInto and intersectCount.
+// the second half is andWords' scratch. It is intersectInto's dense-block
+// kernel.
 func andBlock(bms []*rankBitmap, idx []int, words []uint64) []uint64 {
 	dst, tmp := words[:bitmapWords], words[bitmapWords:2*bitmapWords]
 	bms[0].cs[idx[0]].writeWords(dst)
@@ -417,64 +417,4 @@ func appendSparse(bms []*rankBitmap, idx []int, small int, sc *container, base i
 		}
 	}
 	return dst
-}
-
-// countSparse intersects one block by iterating its smallest container and
-// probing the others, returning the survivor count.
-func countSparse(bms []*rankBitmap, idx []int, small int, sc *container) int {
-	c := 0
-	switch sc.kind {
-	case containerArray:
-		for _, v := range sc.arr {
-			if probeOthers(bms, idx, small, v) {
-				c++
-			}
-		}
-	case containerRun:
-		for _, r := range sc.runs {
-			for v := int32(r.start); v <= int32(r.last); v++ {
-				if probeOthers(bms, idx, small, uint16(v)) {
-					c++
-				}
-			}
-		}
-	default:
-		for wi, w := range sc.words {
-			for w != 0 {
-				b := bits.TrailingZeros64(w)
-				w &= w - 1
-				if probeOthers(bms, idx, small, uint16(wi<<6|b)) {
-					c++
-				}
-			}
-		}
-	}
-	return c
-}
-
-// intersectCount returns |AND of all bitmaps| without enumerating: dense
-// blocks are popcounted word-parallel. words must be a 2*bitmapWords-long
-// scratch slice (see andBlock).
-func intersectCount(bms []*rankBitmap, words []uint64) int {
-	var idxArr [bitmapMaxDims]int
-	cur := bitmapCursor{bms: bms}
-	if len(bms) <= len(idxArr) {
-		cur.idx = idxArr[:len(bms)]
-	}
-	total := 0
-	for {
-		_, ok := cur.next()
-		if !ok {
-			return total
-		}
-		small := cur.smallestContainer()
-		if sc := &bms[small].cs[cur.idx[small]]; sc.card <= sparseIntersectMax {
-			total += countSparse(bms, cur.idx, small, sc)
-		} else {
-			for _, w := range andBlock(bms, cur.idx, words) {
-				total += bits.OnesCount64(w)
-			}
-		}
-		cur.advance()
-	}
 }

@@ -162,9 +162,6 @@ func TestIntersectAgainstReference(t *testing.T) {
 			t.Fatalf("case %d: intersectInto returned %d ranks, want %d (first diff around %v)",
 				ci, len(got), len(want), firstDiff(got, want))
 		}
-		if c := intersectCount(bms, words); c != len(want) {
-			t.Fatalf("case %d: intersectCount = %d, want %d", ci, c, len(want))
-		}
 		// max truncation returns exactly the prefix, whether it cuts the
 		// first block or half the result, inside a later block.
 		for _, max := range []int{3, len(want) / 2} {
@@ -322,10 +319,10 @@ func mergeUnique(a, b []int32) []int32 {
 	return slices.Compact(out)
 }
 
-// FuzzIntersect checks intersectInto (whole and truncated) and
-// intersectCount against refIntersect on 1–4 fuzz-built lists over 2–4
-// blocks, with garbage in the scratch words before every call. The seed
-// corpus puts every ordered pair of container kinds in every block.
+// FuzzIntersect checks intersectInto, whole and truncated, against
+// refIntersect on 1–4 fuzz-built lists over 2–4 blocks, with garbage in
+// the scratch words before every call. The seed corpus puts every ordered
+// pair of container kinds in every block.
 func FuzzIntersect(f *testing.F) {
 	all := func(code byte) byte { return code | code<<2 | code<<4 | code<<6 }
 	kinds := []byte{containerArray, containerBitmap, containerRun}
@@ -372,10 +369,6 @@ func FuzzIntersect(f *testing.F) {
 		if got := intersectInto(bms, words, nil, -1); !slices.Equal(got, want) {
 			t.Fatalf("intersectInto returned %d ranks, want %d (first diff around %v)",
 				len(got), len(want), firstDiff(got, want))
-		}
-		garbage()
-		if c := intersectCount(bms, words); c != len(want) {
-			t.Fatalf("intersectCount = %d, want %d", c, len(want))
 		}
 		garbage()
 		max := rng.Intn(len(want) + 1)

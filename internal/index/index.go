@@ -17,7 +17,7 @@
 //
 // # Access paths
 //
-// Five access paths are maintained and chosen between per query, the way a
+// Four access paths are maintained and chosen between per query, the way a
 // (very small) relational engine would:
 //
 //   - a priority-ordered columnar scan that evaluates predicates over
@@ -25,20 +25,23 @@
 //     ANDed across predicates with early break), so the scan reads each
 //     column sequentially instead of tuple-at-a-time; overflowing queries
 //     terminate after k+1 matches;
-//   - per-attribute secondary indexes — rank-ascending posting lists for
-//     categorical equality predicates and value-sorted columns for numeric
-//     ranges — cheap when one predicate is selective;
-//   - the intersection of the two most selective predicates: posting ∩
-//     posting via a galloping (exponential-search) merge of the two
-//     rank-ascending lists, and posting ∩ range (or range ∩ range/equality)
-//     via a precomputed rank→sorted-position permutation that answers "is
-//     this rank inside the value range?" with one load and two compares;
+//   - a posting-list walk: categorical equality predicates keep
+//     rank-ascending posting lists, so the most selective one is walked
+//     already in priority order;
+//   - a range enumeration: numeric attributes keep value-sorted columns, so
+//     the most selective range is a binary-searched segment, re-sorted into
+//     rank order;
 //   - roaring-style bitmap intersection (bitmap.go): low-cardinality
 //     categorical attributes (domain ≤ bitmapMaxDomain, store ≥
 //     bitmapMinTuples) mirror each value's posting list as array / bitmap /
 //     run containers over rank space, so a 2-, 3- or k-way equality
 //     intersection is a word-parallel AND — 64 ranks per operation — that
 //     enumerates in exactly the rank order Select must return.
+//
+// The posting and range paths also test each candidate against the second
+// most selective predicate before any other: one column load for an
+// equality, and for a range one load from a precomputed rank→sorted-position
+// permutation and two compares.
 //
 // Every path returns the same tuples in the same order; the planner's
 // choice affects time only, never results.
@@ -54,9 +57,7 @@
 // constant factors for the per-candidate work (probe ≈ 2×, sort-restoring
 // range enumeration ≈ 3×), and the bitmap path costs its word-AND sweep
 // (n/64 words per attribute) plus ~1.5× the expected intersection size.
-// The cheapest path wins. Count runs the same planner with the scan costed
-// at n, since counting cannot early-exit, and answers a bitmap plan that
-// covers every bound predicate with a popcount.
+// The cheapest path wins.
 //
 // # Planning
 //
@@ -79,8 +80,8 @@
 // call on a row-backed store — the result slice, sized exactly to the
 // result — and two on an artifact-backed one, which adds the slab its
 // copied rows are cut from, regardless of access path and result size.
-// Count allocates nothing. The scratch pools are per-Store, so the shards
-// of a Sharded store never contend on a shared pool.
+// The scratch pools are per-Store, so the shards of a Sharded store never
+// contend on a shared pool.
 package index
 
 import (
@@ -132,9 +133,8 @@ type Store struct {
 	// paths counts Select executions per access path (PlanStats).
 	paths [numPaths]atomic.Int64
 	// scratch recycles the rank buffers every Select path collects its
-	// result into (and Count's bitmap path). It is per-Store (not
-	// package-global) so that independent shards of a Sharded store never
-	// contend on one pool.
+	// result into. It is per-Store (not package-global) so that independent
+	// shards of a Sharded store never contend on one pool.
 	scratch sync.Pool
 	// words recycles the bitmap path's 2*bitmapWords-long word buffers:
 	// one half holds a dense block's intersection, the other is the
@@ -487,8 +487,6 @@ func (s *Store) execSelect(pl plan, preds []dataspace.Pred, want int) []dataspac
 	switch pl.path {
 	case pathPosting:
 		ranks = s.selectPosting(ranks, preds, pl, want)
-	case pathGallop:
-		ranks = s.selectGallop(ranks, preds, pl, want)
 	case pathRange:
 		ranks = s.selectRange(ranks, preds, pl, want)
 	case pathBitmap:
@@ -627,10 +625,10 @@ func (s *Store) selectBitmap(ranks []int32, preds []dataspace.Pred, pl plan, wan
 	return s.keepCovered(ranks, preds, pl.bitmapSkip, want)
 }
 
-// keepCovered compacts ranks in place to its first want entries (all of
-// them when want < 0) that pass the residual check covers(preds, r, skip):
-// skip holds the attributes the caller's access path already enforced (the
-// bitmap path's ANDed equalities, the range path's primary and secondary).
+// keepCovered compacts ranks in place to its first want entries that pass
+// the residual check covers(preds, r, skip): skip holds the attributes the
+// caller's access path already enforced (the bitmap path's ANDed
+// equalities, the range path's primary and secondary).
 func (s *Store) keepCovered(ranks []int32, preds []dataspace.Pred, skip uint64, want int) []int32 {
 	kept := ranks[:0]
 	for _, r := range ranks {
@@ -644,40 +642,13 @@ func (s *Store) keepCovered(ranks []int32, preds []dataspace.Pred, skip uint64, 
 	return kept
 }
 
-// useGallop decides how a posting ∩ posting intersection tests membership
-// of each driving-list rank in the secondary list: a galloping cursor over
-// the secondary list versus one load from the secondary attribute's column.
-// The driving (shorter) list is walked in full either way, so this is a
-// per-candidate cost question. Measured on the paper's workloads (n ≈ 50k,
-// every column L2-resident) the single predictable column load beats the
-// ~log2(m2) branchy probes of galloping decisively — Figure 11a runs ~30%
-// faster on column probes. Galloping pays off only when the column itself
-// falls out of cache (multi-million-row stores) while the secondary list
-// stays small enough to remain resident. Either way a member then passes
-// the residual check with both attributes skipped (plan.enforced).
-//
-// The intersection filter is intentionally open-coded in selectPosting,
-// selectGallop and Count's posting and gallop branches rather than shared
-// through a per-rank callback: the loops capture their accumulators (the
-// rank buffer / the counter), so a closure-based iterator would escape
-// them to the heap and break the one-allocation Select contract the
-// benchmarks pin. TestGallopPathsMatchColumnProbe keeps the copies equivalent.
-func useGallop(m2, n int) bool {
-	return m2 <= 2048 && n >= colCacheTuples
-}
-
-// colCacheTuples is the store size (8-byte column cells, ~32 MiB — a
-// typical LLC) beyond which columns stop being cache-resident. It is a
-// variable only so tests can lower it to drive the galloping paths on
-// test-sized stores.
-var colCacheTuples = 4 << 20
-
 // selectPosting walks the primary posting list (already rank-ascending),
 // rejecting candidates with the cheapest test for the secondary predicate —
 // a rank→sorted-position window check (numeric) or a single column load
-// (categorical) — before the residual check, which skips the primary and
-// secondary and loads only the remaining constraining columns: none at all
-// for a slice query on the posting attribute.
+// (categorical, so a posting ∩ posting intersection never merges the second
+// list) — before the residual check, which skips the primary and secondary
+// and loads only the remaining constraining columns: none at all for a
+// slice query on the posting attribute.
 func (s *Store) selectPosting(ranks []int32, preds []dataspace.Pred, pl plan, want int) []int32 {
 	var pos []int32
 	var col []int64
@@ -706,59 +677,6 @@ func (s *Store) selectPosting(ranks []int32, preds []dataspace.Pred, pl plan, wa
 		}
 	}
 	return ranks
-}
-
-// selectGallop intersects the two posting lists with a galloping merge:
-// the shorter list (the primary) drives, and the cursor into the longer
-// one advances by exponential search, skipping runs of non-matching ranks.
-func (s *Store) selectGallop(ranks []int32, preds []dataspace.Pred, pl plan, want int) []int32 {
-	a, b := pl.list, pl.secList
-	j := 0
-	for _, r := range a {
-		j = gallop(b, j, r)
-		if j == len(b) {
-			break
-		}
-		if b[j] != r {
-			continue
-		}
-		if s.covers(preds, r, pl.enforced()) {
-			ranks = append(ranks, r)
-			if len(ranks) == want {
-				break
-			}
-		}
-	}
-	return ranks
-}
-
-// gallop returns the smallest index >= lo with b[idx] >= target, probing
-// exponentially and finishing with a binary search over the final window.
-func gallop(b []int32, lo int, target int32) int {
-	n := len(b)
-	if lo >= n || b[lo] >= target {
-		return lo
-	}
-	step := 1
-	hi := lo + 1
-	for hi < n && b[hi] < target {
-		lo = hi
-		hi += step
-		step <<= 1
-	}
-	if hi > n {
-		hi = n
-	}
-	// Invariant: b[lo] < target and (hi == n or b[hi] >= target).
-	for lo+1 < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if b[mid] < target {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return hi
 }
 
 // selectRange enumerates the primary sorted-column segment into the rank
@@ -808,99 +726,4 @@ func (s *Store) SelectBatch(ctx context.Context, qs []dataspace.Query, limit int
 		out = append(out, s.Select(q, limit))
 	}
 	return out
-}
-
-// countBitmap counts a bitmap plan's matches: a popcount of the
-// intersection when the bitmaps enforce every bound predicate, otherwise
-// the residual check over the intersected ranks.
-func (s *Store) countBitmap(preds []dataspace.Pred, pl plan) int {
-	var arr [bitmapMaxDims]*rankBitmap
-	bms, ok := s.planBitmaps(preds, pl.bitmapSkip, &arr)
-	if !ok {
-		return 0
-	}
-	wordsp := s.words.Get().(*[]uint64)
-	defer s.words.Put(wordsp)
-	if pl.exact {
-		return intersectCount(bms, *wordsp)
-	}
-	bufp := s.getScratch(1 << 10)
-	ranks := s.keepCovered(intersectInto(bms, *wordsp, (*bufp)[:0], -1), preds, pl.bitmapSkip, -1)
-	*bufp = ranks[:0]
-	s.scratch.Put(bufp)
-	return len(ranks)
-}
-
-// Count returns the exact number of tuples matching q. It runs Select's
-// planner with want = n, since counting cannot early-exit; result order is
-// irrelevant, so no sorting or allocation happens on any path.
-func (s *Store) Count(q dataspace.Query) int {
-	n := s.n
-	preds := q.Preds()
-	pl := s.planQuery(preds, n)
-	switch {
-	case pl.bound == 0:
-		return n
-	case pl.bound == 1:
-		// A single bound predicate: its candidate count is exact.
-		return pl.m
-	}
-	c := 0
-	switch pl.path {
-	case pathScan:
-		base := 0
-		for ; base+scanChunk <= n; base += scanChunk {
-			c += bits.OnesCount32(s.chunkMask(preds, base))
-		}
-		for r := base; r < n; r++ {
-			if s.covers(preds, int32(r), 0) {
-				c++
-			}
-		}
-	case pathBitmap:
-		c = s.countBitmap(preds, pl)
-	case pathGallop:
-		b := pl.secList
-		j := 0
-		for _, r := range pl.list {
-			j = gallop(b, j, r)
-			if j == len(b) {
-				break
-			}
-			if b[j] == r && s.covers(preds, r, pl.enforced()) {
-				c++
-			}
-		}
-	case pathPosting:
-		var pos []int32
-		var col []int64
-		var secVal int64
-		if pl.secondary >= 0 {
-			if s.isCat[pl.secondary] {
-				col = s.cols[pl.secondary]
-				secVal = preds[pl.secondary].Value
-			} else {
-				pos = s.rankPos[pl.secondary]
-			}
-		}
-		for _, r := range pl.list {
-			if pos != nil {
-				if p := pos[r]; p < pl.secFrom || p >= pl.secTo {
-					continue
-				}
-			} else if col != nil && col[r] != secVal {
-				continue
-			}
-			if s.covers(preds, r, pl.enforced()) {
-				c++
-			}
-		}
-	default:
-		for _, r := range s.sortedRank[pl.primary][pl.from:pl.to] {
-			if s.covers(preds, r, 0) {
-				c++
-			}
-		}
-	}
-	return c
 }

@@ -142,18 +142,6 @@ func TestSelectRankOrder(t *testing.T) {
 	}
 }
 
-func TestCount(t *testing.T) {
-	s := testStore(t, 3000, 7)
-	rng := simrand.New(8)
-	for trial := 0; trial < 100; trial++ {
-		q := randomQuery(s.Schema(), rng)
-		want := len(naive(s, q, 1<<30))
-		if got := s.Count(q); got != want {
-			t.Fatalf("Count = %d, want %d", got, want)
-		}
-	}
-}
-
 func TestNewValidates(t *testing.T) {
 	sch := testSchema(t)
 	if _, err := New(nil, nil); err == nil {
@@ -248,7 +236,8 @@ func randomQueryOver(sch *dataspace.Schema, rng *simrand.RNG) dataspace.Query {
 // TestPropertyRandomEngineMatchesNaiveScan pins planner correctness across
 // every access path: for randomized schemas, bags and queries, Select must
 // return exactly the tuples — in exactly the order — of a naive
-// priority-order scan, and Count must agree with the scan's total.
+// priority-order scan, and a Select at limit n must return the scan's whole
+// answer.
 func TestPropertyRandomEngineMatchesNaiveScan(t *testing.T) {
 	rng := simrand.New(99)
 	for trial := 0; trial < 40; trial++ {
@@ -273,9 +262,9 @@ func TestPropertyRandomEngineMatchesNaiveScan(t *testing.T) {
 						trial, sch, q, limit, i, got[i], want[i])
 				}
 			}
-			if gotC, wantC := s.Count(q), len(naive(s, q, 1<<30)); gotC != wantC {
-				t.Fatalf("trial %d: schema %s query %s: Count = %d, want %d",
-					trial, sch, q, gotC, wantC)
+			if got, want := s.Select(q, n), naive(s, q, n+1); !sameTuples(got, want) {
+				t.Fatalf("trial %d: schema %s query %s: Select at limit n = %d tuples, want %d",
+					trial, sch, q, len(got), len(want))
 			}
 		}
 	}
@@ -284,7 +273,7 @@ func TestPropertyRandomEngineMatchesNaiveScan(t *testing.T) {
 // TestInvertedRange pins the empty-segment clamp: a query whose numeric
 // range has Lo > Hi (constructible via WithRange, which never validates,
 // and reachable because Local.Answer skips Validate for same-schema
-// queries) must select nothing and count zero rather than panicking on a
+// queries) must select nothing at any limit rather than panicking on a
 // negative candidate count.
 func TestInvertedRange(t *testing.T) {
 	s := testStore(t, 500, 21)
@@ -295,11 +284,10 @@ func TestInvertedRange(t *testing.T) {
 		u.WithRange(2, 50, 10).WithRange(3, 0, 5), // inverted primary beside a live range
 	}
 	for i, q := range queries {
-		if got := s.Select(q, 10); len(got) != 0 {
-			t.Errorf("query %d: Select returned %d tuples for an empty range", i, len(got))
-		}
-		if got := s.Count(q); got != 0 {
-			t.Errorf("query %d: Count = %d, want 0", i, got)
+		for _, limit := range []int{10, s.Size()} {
+			if got := s.Select(q, limit); len(got) != 0 {
+				t.Errorf("query %d limit %d: Select returned %d tuples for an empty range", i, limit, len(got))
+			}
 		}
 	}
 }
@@ -344,87 +332,6 @@ func TestChunkMaskMatchesCovers(t *testing.T) {
 				}
 				if got := mask>>uint(j)&1 != 0; got != want {
 					t.Errorf("%s, eq %+v: chunkMask bit %d (value %d) = %v, want %v", tc.name, eq, j, v, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestGallop pins the exponential-search helper across window shapes.
-func TestGallop(t *testing.T) {
-	b := []int32{2, 3, 5, 8, 13, 21, 34, 55, 89}
-	for lo := 0; lo <= len(b); lo++ {
-		for target := int32(0); target < 100; target++ {
-			got := gallop(b, lo, target)
-			want := lo
-			for want < len(b) && b[want] < target {
-				want++
-			}
-			if got != want {
-				t.Fatalf("gallop(lo=%d, target=%d) = %d, want %d", lo, target, got, want)
-			}
-		}
-	}
-}
-
-// TestGallopPathsMatchColumnProbe lowers the cache-size gate so the
-// planner actually routes posting ∩ posting queries through the galloping
-// merge on a test-sized store, then checks Select and Count end-to-end
-// against the naive scan. This is the only coverage of the gallop branches
-// inside Select and Count at production thresholds (they need n ≥ 4M).
-func TestGallopPathsMatchColumnProbe(t *testing.T) {
-	defer func(old int) { colCacheTuples = old }(colCacheTuples)
-	colCacheTuples = 0
-	s := testStore(t, 4000, 23)
-	rng := simrand.New(24)
-	for trial := 0; trial < 200; trial++ {
-		q := dataspace.UniverseQuery(s.Schema()).
-			WithValue(0, rng.IntRange(1, 5)).
-			WithValue(1, rng.IntRange(1, 20))
-		for _, limit := range []int{0, 5, 100} {
-			got := s.Select(q, limit)
-			want := naive(s, q, limit+1)
-			if len(got) != len(want) {
-				t.Fatalf("trial %d limit %d: gallop Select %d tuples, naive %d", trial, limit, len(got), len(want))
-			}
-			for i := range got {
-				if !got[i].Equal(want[i]) {
-					t.Fatalf("trial %d limit %d: tuple %d differs", trial, limit, i)
-				}
-			}
-		}
-		if gotC, wantC := s.Count(q), len(naive(s, q, 1<<30)); gotC != wantC {
-			t.Fatalf("trial %d: gallop Count = %d, want %d", trial, gotC, wantC)
-		}
-	}
-}
-
-// TestSelectGallopMatchesColumnProbe forces the galloping-merge
-// intersection (normally reserved for stores too large for cache-resident
-// columns) and checks it agrees with the default column-probe path.
-func TestSelectGallopMatchesColumnProbe(t *testing.T) {
-	s := testStore(t, 4000, 17)
-	rng := simrand.New(18)
-	for trial := 0; trial < 200; trial++ {
-		q := dataspace.UniverseQuery(s.Schema()).
-			WithValue(0, rng.IntRange(1, 5)).
-			WithValue(1, rng.IntRange(1, 20))
-		preds := q.Preds()
-		for _, limit := range []int{0, 3, 50} {
-			want := limit + 1
-			galPlan, ok := forcePlan(s, preds, want, pathGallop)
-			if !ok {
-				t.Fatalf("trial %d: expected a posting ∩ posting plan, got %+v", trial, galPlan)
-			}
-			colPlan, _ := forcePlan(s, preds, want, pathPosting)
-			gal := s.execSelect(galPlan, preds, want)
-			col := s.execSelect(colPlan, preds, want)
-			if len(gal) != len(col) {
-				t.Fatalf("trial %d limit %d: gallop %d tuples, column probe %d", trial, limit, len(gal), len(col))
-			}
-			for i := range gal {
-				if !gal[i].Equal(col[i]) {
-					t.Fatalf("trial %d limit %d: tuple %d differs", trial, limit, i)
 				}
 			}
 		}

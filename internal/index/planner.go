@@ -21,14 +21,13 @@ type pathKind uint8
 const (
 	pathScan    pathKind = iota // chunked priority-order columnar scan
 	pathPosting                 // posting-list walk, optional secondary probe
-	pathGallop                  // posting ∩ posting galloping merge
 	pathRange                   // sorted-segment enumeration + rank re-sort
 	pathBitmap                  // word-parallel bitmap AND
 	numPaths
 )
 
 // pathNames maps pathKind to the stable names PlanStats reports.
-var pathNames = [numPaths]string{"scan", "posting", "gallop", "range", "bitmap"}
+var pathNames = [numPaths]string{"scan", "posting", "range", "bitmap"}
 
 // bitmapMaxDims is the widest schema whose equality predicates the bitmap
 // path serves: its attribute set fits the plan's bitmask, and a stack array
@@ -50,8 +49,6 @@ type plan struct {
 	from, to int
 	// secondary is the attribute with the second-fewest candidates; -1 = none.
 	secondary int
-	// secList is the secondary posting list (categorical secondary).
-	secList []int32
 	// secFrom, secTo bound the secondary rank→sorted-position window
 	// (numeric secondary).
 	secFrom, secTo int32
@@ -65,7 +62,7 @@ type plan struct {
 	bound int
 }
 
-// enforced is the skip set of the posting, gallop and range paths' residual
+// enforced is the skip set of the posting and range paths' residual
 // check: the primary and secondary, whose predicates their posting list or
 // sorted segment and secondary probe enforce exactly. An attribute of -1
 // (none) or from 64 up shifts out of the mask, so it is never skipped.
@@ -74,13 +71,12 @@ func (pl *plan) enforced() uint64 {
 }
 
 // planQuery chooses the cheapest access path for a query that must return
-// want matches (see the package comment's cost model). Count plans with
-// want = n: counting reads every match, so the scan costs n.
+// want matches (see the package comment's cost model). A want of n or more
+// enumerates every match, so the scan costs n and the sample is never read.
 func (s *Store) planQuery(preds []dataspace.Pred, want int) plan {
 	n := s.n
 	pl := plan{primary: -1, secondary: -1}
 	var m2, from2, to2 int
-	var list2 []int32
 	bmSel := 1.0
 	useBitmaps := len(preds) <= bitmapMaxDims
 	for i := range preds {
@@ -107,18 +103,14 @@ func (s *Store) planQuery(preds []dataspace.Pred, want int) plan {
 		pl.bound++
 		switch {
 		case pl.primary < 0 || m < pl.m:
-			pl.secondary, m2, list2, from2, to2 = pl.primary, pl.m, pl.list, pl.from, pl.to
+			pl.secondary, m2, from2, to2 = pl.primary, pl.m, pl.from, pl.to
 			pl.primary, pl.m, pl.list, pl.from, pl.to = i, m, list, from, to
 		case pl.secondary < 0 || m < m2:
-			pl.secondary, m2, list2, from2, to2 = i, m, list, from, to
+			pl.secondary, m2, from2, to2 = i, m, from, to
 		}
 	}
-	if pl.secondary >= 0 {
-		if s.isCat[pl.secondary] {
-			pl.secList = list2
-		} else {
-			pl.secFrom, pl.secTo = int32(from2), int32(to2)
-		}
+	if pl.secondary >= 0 && !s.isCat[pl.secondary] {
+		pl.secFrom, pl.secTo = int32(from2), int32(to2)
 	}
 	nBitmaps := bits.OnesCount64(pl.bitmapSkip)
 	pl.exact = nBitmaps == pl.bound
@@ -157,9 +149,6 @@ func (s *Store) planQuery(preds []dataspace.Pred, want int) plan {
 	if bmCost < best {
 		pl.path = pathBitmap
 	}
-	if pl.path == pathPosting && pl.secondary >= 0 && s.isCat[pl.secondary] && useGallop(len(pl.secList), n) {
-		pl.path = pathGallop
-	}
 	return pl
 }
 
@@ -172,7 +161,7 @@ type PlanStats struct {
 	Hits   int64 `json:"-"`
 	Misses int64 `json:"-"`
 	// Paths counts Select executions per access path, keyed "scan",
-	// "posting", "gallop", "range", "bitmap".
+	// "posting", "range", "bitmap".
 	Paths map[string]int64 `json:"paths,omitempty"`
 }
 

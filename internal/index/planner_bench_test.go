@@ -58,8 +58,8 @@ func BenchmarkSelect3WayIntersect1M(b *testing.B) {
 }
 
 // BenchmarkPlan1M measures planning alone — the per-query cost every Select
-// and Count pays — for the needle (bitmap), posting and range queries on
-// the 1M store. Planning must allocate nothing.
+// pays — for the needle (bitmap), posting and range queries on the 1M
+// store. Planning must allocate nothing.
 func BenchmarkPlan1M(b *testing.B) {
 	s := patho1MStore(b)
 	uni := dataspace.UniverseQuery(s.Schema())
@@ -117,21 +117,6 @@ func BenchmarkSelectRangeEq1M(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if got := s.Select(q, 64); len(got) == 0 {
 			b.Fatal("range ∩ equality matched nothing")
-		}
-	}
-}
-
-// BenchmarkCount3Way1M measures the popcount fast path: an all-bitmap
-// conjunction counted without enumerating a single candidate.
-func BenchmarkCount3Way1M(b *testing.B) {
-	s := patho1MStore(b)
-	q := needleQuery(s)
-	want := s.Size() / 1024
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if c := s.Count(q); c != want {
-			b.Fatalf("needle count = %d, want %d", c, want)
 		}
 	}
 }

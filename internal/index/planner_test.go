@@ -65,18 +65,15 @@ func sameTuples(a, b []dataspace.Tuple) bool {
 // forcePlan plans the query, then overrides the chosen access path with
 // path — how the tests reach every path on one query regardless of cost.
 // ok=false when the query cannot run that path: posting needs a categorical
-// primary, gallop a categorical primary and secondary, range a numeric
-// primary, and bitmap two bitmap-indexed equalities.
+// primary, range a numeric primary, and bitmap two bitmap-indexed
+// equalities.
 func forcePlan(s *Store, preds []dataspace.Pred, want int, path pathKind) (pl plan, ok bool) {
 	pl = s.planQuery(preds, want)
-	cat := func(a int) bool { return a >= 0 && s.isCat[a] }
 	switch path {
 	case pathScan:
 		ok = true
 	case pathPosting:
-		ok = cat(pl.primary)
-	case pathGallop:
-		ok = cat(pl.primary) && cat(pl.secondary)
+		ok = pl.primary >= 0 && s.isCat[pl.primary]
 	case pathRange:
 		ok = pl.primary >= 0 && !s.isCat[pl.primary]
 	case pathBitmap:
@@ -109,7 +106,8 @@ func checkForcedPaths(t *testing.T, s *Store, q dataspace.Query, want int, force
 // TestAccessPathsAgreeAcrossPatterns is the planner oracle: on every
 // generator pattern, for random queries of every arity, each access path —
 // forced through the planner's plan, whatever its cost — must return
-// exactly the naive reference answer: same tuples, same order.
+// exactly the naive reference answer: same tuples, same order. Limit n
+// enumerates every match, so the bitmap path also runs untruncated.
 func TestAccessPathsAgreeAcrossPatterns(t *testing.T) {
 	for _, p := range datagen.Patterns {
 		p := p
@@ -120,7 +118,7 @@ func TestAccessPathsAgreeAcrossPatterns(t *testing.T) {
 			var forced [numPaths]int
 			for trial := 0; trial < 150; trial++ {
 				q := tierQuery(s.Schema(), rng, n)
-				for _, limit := range []int{0, 9, 64} {
+				for _, limit := range []int{0, 9, 64, n} {
 					if got := s.Select(q, limit); !sameTuples(got, naive(s, q, limit+1)) {
 						t.Fatalf("trial %d limit %d: Select diverges from naive on %s", trial, limit, q)
 					}
@@ -133,26 +131,6 @@ func TestAccessPathsAgreeAcrossPatterns(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestAccessPathsAgreeUnderGallop re-runs the oracle with the column-cache
-// threshold lowered so the v2 executor routes posting ∩ posting through the
-// galloping merge, which test-sized stores never trigger by default.
-func TestAccessPathsAgreeUnderGallop(t *testing.T) {
-	defer func(v int) { colCacheTuples = v }(colCacheTuples)
-	colCacheTuples = 0
-	s := tierStore(t, datagen.PatternRandom, 13)
-	rng := simrand.New(14)
-	for trial := 0; trial < 150; trial++ {
-		q := tierQuery(s.Schema(), rng, s.Size())
-		got := s.Select(q, 64)
-		if !sameTuples(got, naive(s, q, 65)) {
-			t.Fatalf("trial %d: Select diverges from naive with gallop forced on %s", trial, q)
-		}
-	}
-	if s.PlanStats().Paths["gallop"] == 0 {
-		t.Log("no query routed through gallop; acceptable but unexpected")
 	}
 }
 
@@ -178,8 +156,8 @@ func fuzzStore(t *testing.T, p datagen.Pattern) *Store {
 // input builds a query over a 10k tier store: bit i of bound binds
 // attribute i, to value c_i mod (domain+1) for C1..C4 (0 occurs nowhere)
 // and to [lo, lo+width-1] inside the domain for N1 and N2 (width 0 is an
-// inverted range). Every path forcePlan can force must match naive, and
-// Count the naive total. The seeds give an empty residual set (a slice on
+// inverted range). Every path forcePlan can force must match naive at the
+// fuzzed want and at want n+1, which enumerates every match. The seeds give an empty residual set (a slice on
 // the posting attribute C4), a residual of numeric ranges only (posting
 // and range primaries), one of wildcards only, the bitmap needle with a
 // residual range, the universe query and an inverted range.
@@ -212,31 +190,8 @@ func FuzzSelectPaths(f *testing.F) {
 		}
 		var forced [numPaths]int
 		checkForcedPaths(t, s, q, int(limit%1024)+1, &forced)
-		if got, n := s.Count(q), len(naive(s, q, s.Size()+1)); got != n {
-			t.Fatalf("Count = %d, naive %d, on %s", got, n, q)
-		}
+		checkForcedPaths(t, s, q, s.Size()+1, &forced)
 	})
-}
-
-// TestCountMatchesNaiveAcrossPatterns checks Count — including the bitmap
-// popcount fast path — against a full scan on every pattern.
-func TestCountMatchesNaiveAcrossPatterns(t *testing.T) {
-	for _, p := range datagen.Patterns {
-		s := tierStore(t, p, 17)
-		rng := simrand.New(uint64(p) + 23)
-		for trial := 0; trial < 100; trial++ {
-			q := tierQuery(s.Schema(), rng, s.Size())
-			want := 0
-			for _, tu := range s.All() {
-				if q.Covers(tu) {
-					want++
-				}
-			}
-			if got := s.Count(q); got != want {
-				t.Fatalf("%v trial %d: Count = %d, want %d on %s", p, trial, got, want, q)
-			}
-		}
-	}
 }
 
 // pathTotal sums a PlanStats' per-path execution counts.
@@ -249,8 +204,7 @@ func pathTotal(ps PlanStats) int64 {
 }
 
 // TestPlanStatsCounters pins the planner's observable arithmetic: one path
-// execution per Select, none per Count, and the retired cache counters
-// reading zero.
+// execution per Select, and the retired cache counters reading zero.
 func TestPlanStatsCounters(t *testing.T) {
 	s := tierStore(t, datagen.PatternRandom, 19)
 	rng := simrand.New(20)
@@ -259,7 +213,6 @@ func TestPlanStatsCounters(t *testing.T) {
 	for i := 0; i < repeats; i++ {
 		q := dataspace.UniverseQuery(sch).WithValue(0, rng.IntRange(1, 32))
 		s.Select(q, 64)
-		s.Count(q)
 	}
 	s.Select(dataspace.UniverseQuery(sch).WithValue(0, 1).WithValue(1, 2), 64)
 	ps := s.PlanStats()
@@ -331,7 +284,7 @@ func TestPlannerConcurrent(t *testing.T) {
 // attribute mask still plans and answers every query correctly, and that a
 // 70-attribute mixed schema — wider than the residual check's 64-bit skip
 // mask — still checks attributes 64 and up (two categorical, four numeric)
-// on every forced access path and in Count.
+// on every forced access path, at small wants and at want n+1.
 func TestWideSchemaUncached(t *testing.T) {
 	rng := simrand.New(43)
 	sch, s := wideStore(t, rng, 33, 33)
@@ -372,14 +325,11 @@ func TestWideSchemaUncached(t *testing.T) {
 				q = q.WithRange(j, lo, lo+rng.IntRange(0, 40))
 			}
 		}
-		for _, want := range []int{1, 11} {
+		for _, want := range []int{1, 11, s.Size() + 1} {
 			checkForcedPaths(t, s, q, want, &forced)
 		}
-		if got, want := s.Count(q), len(naive(s, q, s.Size()+1)); got != want {
-			t.Fatalf("trial %d: %d-attribute Count = %d, want %d on %s", trial, d, got, want, q)
-		}
 	}
-	for _, path := range []pathKind{pathScan, pathPosting, pathGallop, pathRange} {
+	for _, path := range []pathKind{pathScan, pathPosting, pathRange} {
 		if forced[path] == 0 {
 			t.Fatalf("no %d-attribute trial exercised the %s path", d, pathNames[path])
 		}
@@ -542,8 +492,8 @@ func arrayBranchBlocks(t *testing.T, s *Store, q dataspace.Query) int {
 // TestSelectAllocsSteadyState pins the one-allocation Select contract on
 // every access path: planning allocates nothing, so once the scratch pools
 // are warm (AllocsPerRun's warm-up call) a Select allocates exactly its
-// result slice — including a narrow query right after a broad one of the
-// same shape — and a Count allocates nothing. Both bitmap cases AND
+// result slice, including a narrow query right after a broad one of the
+// same shape. Both bitmap cases AND
 // ~1,600-rank array containers through andWords' array branch and its
 // second scratch half; "bitmap truncated" also cuts its block's ranks at
 // want. The cases that name a path must run it: "posting, empty residual"
@@ -595,14 +545,6 @@ func TestSelectAllocsSteadyState(t *testing.T) {
 		})
 		if allocs > float64(len(tc.qs)) {
 			t.Errorf("%s: %.1f allocs per %d Selects, want <= 1 each", tc.name, allocs, len(tc.qs))
-		}
-		allocs = testing.AllocsPerRun(100, func() {
-			for _, q := range tc.qs {
-				s.Count(q)
-			}
-		})
-		if allocs > 0 {
-			t.Errorf("%s: %.1f allocs per Count, want 0", tc.name, allocs)
 		}
 	}
 }

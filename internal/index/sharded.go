@@ -31,8 +31,6 @@ type Engine interface {
 	// A cancelled ctx stops the batch between queries; the answered
 	// prefix is returned (shorter than qs signals the cancellation).
 	SelectBatch(ctx context.Context, qs []dataspace.Query, limit int) [][]dataspace.Tuple
-	// Count returns the exact number of tuples matching q.
-	Count(q dataspace.Query) int
 	// Size returns the number of tuples in the store.
 	Size() int
 	// Schema returns the store's schema.
@@ -225,38 +223,4 @@ func (s *Sharded) SelectBatch(ctx context.Context, qs []dataspace.Query, limit i
 	}
 	wg.Wait()
 	return out[:launched]
-}
-
-// Count returns the exact number of tuples matching q: the sum of the
-// per-shard counts, since the shards partition the relation. Unlike
-// Select's priority-ordered early-exit walk, a count has no early exit —
-// every shard must be consulted — so the per-shard counts run on
-// concurrent goroutines, mirroring SelectBatch's fan-out: each shard scans
-// its own columns with its own scratch memory and the partial sums land in
-// distinct slots, no shared mutable state. Small stores skip the fan-out;
-// goroutine overhead would dominate the per-shard scans.
-func (s *Sharded) Count(q dataspace.Query) int {
-	const fanOutMin = 1 << 14 // tuples; below this a serial walk is faster
-	if len(s.shards) == 1 || s.n < fanOutMin {
-		c := 0
-		for _, sh := range s.shards {
-			c += sh.Count(q)
-		}
-		return c
-	}
-	counts := make([]int, len(s.shards))
-	var wg sync.WaitGroup
-	for i, sh := range s.shards {
-		wg.Add(1)
-		go func(i int, sh *Store) {
-			defer wg.Done()
-			counts[i] = sh.Count(q)
-		}(i, sh)
-	}
-	wg.Wait()
-	c := 0
-	for _, n := range counts {
-		c += n
-	}
-	return c
 }

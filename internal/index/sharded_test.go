@@ -23,7 +23,8 @@ func testSharded(t *testing.T, n int, seed uint64, shards int) *Sharded {
 
 // TestShardedSelectMatchesStore is the sharding correctness property: for
 // any shard count, Select over the sharded store is bit-identical to the
-// single-Store engine — same tuples, same order, same overflow signalling.
+// single-Store engine — same tuples, same order, same overflow signalling —
+// including at limit n, where Select walks every shard.
 func TestShardedSelectMatchesStore(t *testing.T) {
 	const n, seed = 4000, 7
 	ref := testStore(t, n, seed)
@@ -35,7 +36,7 @@ func TestShardedSelectMatchesStore(t *testing.T) {
 		rng := simrand.New(seed + uint64(shards))
 		for trial := 0; trial < 200; trial++ {
 			q := randomQuery(ref.Schema(), rng)
-			for _, limit := range []int{0, 1, 10, 100} {
+			for _, limit := range []int{0, 1, 10, 100, n} {
 				got := sh.Select(q, limit)
 				want := ref.Select(q, limit)
 				if len(got) != len(want) {
@@ -48,9 +49,6 @@ func TestShardedSelectMatchesStore(t *testing.T) {
 							shards, trial, limit, i, got[i], want[i])
 					}
 				}
-			}
-			if gc, wc := sh.Count(q), ref.Count(q); gc != wc {
-				t.Fatalf("shards=%d trial %d: Count = %d, want %d (query %s)", shards, trial, gc, wc, q)
 			}
 		}
 	}
@@ -113,39 +111,6 @@ func TestShardedBatchConcurrent(t *testing.T) {
 						t.Errorf("goroutine %d: result %d has %d tuples, want %d", g, i, len(got[i]), len(want))
 						return
 					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-}
-
-// TestShardedCountFanOut covers the parallel Count path (stores above the
-// fan-out threshold): the concurrent per-shard sum must equal the
-// single-Store count for any query, including under concurrent callers
-// (the -race check of the fan-out's state sharing).
-func TestShardedCountFanOut(t *testing.T) {
-	const n, seed = 20_000, 23 // above fanOutMin, so Count fans out
-	ref := testStore(t, n, seed)
-	sh := testSharded(t, n, seed, 6)
-	rng := simrand.New(29)
-	for trial := 0; trial < 100; trial++ {
-		q := randomQuery(ref.Schema(), rng)
-		if gc, wc := sh.Count(q), ref.Count(q); gc != wc {
-			t.Fatalf("trial %d: fan-out Count = %d, want %d (query %s)", trial, gc, wc, q)
-		}
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := simrand.New(200 + uint64(g))
-			for trial := 0; trial < 25; trial++ {
-				q := randomQuery(sh.Schema(), rng)
-				if gc, wc := sh.Count(q), ref.Count(q); gc != wc {
-					t.Errorf("goroutine %d: Count = %d, want %d", g, gc, wc)
-					return
 				}
 			}
 		}(g)

@@ -29,7 +29,6 @@ package parallel
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 
 	"hidb/internal/core"
@@ -267,11 +266,11 @@ func (p *pool) rankShrink(q dataspace.Query) error {
 		p.emit(res.Tuples)
 		return nil
 	}
-	dim := firstOpenNumeric(q)
+	dim := core.FirstOpenNumeric(q)
 	if dim < 0 {
 		return core.ErrUnsolvable
 	}
-	x, c := splitPivot(res.Tuples, dim, p.k)
+	x, c := core.SplitPivot(res.Tuples, dim, p.k)
 	lo, _ := q.Extent(dim)
 
 	if c <= p.k/4 && x > lo {
@@ -323,39 +322,4 @@ func (p *pool) node(q dataspace.Query, level, cat int) error {
 		return p.node(child, level+1, cat)
 	})
 	return nil
-}
-
-// The two helpers below mirror core's unexported logic; they are duplicated
-// rather than exported because they are part of the algorithm, not API.
-
-func firstOpenNumeric(q dataspace.Query) int {
-	sch := q.Schema()
-	for i := 0; i < sch.Dims(); i++ {
-		if sch.Attr(i).Kind == dataspace.Numeric && !q.Exhausted(i) {
-			return i
-		}
-	}
-	return -1
-}
-
-func splitPivot(resp dataspace.Bag, dim, k int) (x int64, c int) {
-	vals := make([]int64, len(resp))
-	for i, t := range resp {
-		vals[i] = t[dim]
-	}
-	sort.Slice(vals, func(a, b int) bool { return vals[a] < vals[b] })
-	idx := k/2 - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(vals) {
-		idx = len(vals) - 1
-	}
-	x = vals[idx]
-	for _, v := range vals {
-		if v == x {
-			c++
-		}
-	}
-	return x, c
 }

@@ -152,8 +152,8 @@ type SharedCacheStatsMsg struct {
 }
 
 // PlannerStatsMsg is the store's query-planner introspection in the /stats
-// response: how often each access path (scan, posting, gallop, range,
-// bitmap) actually executed.
+// response: how often each access path (scan, posting, range, bitmap)
+// actually executed.
 type PlannerStatsMsg struct {
 	// Paths counts executed selections by access path name.
 	Paths map[string]int64 `json:"paths,omitempty"`
