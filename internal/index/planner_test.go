@@ -194,6 +194,46 @@ func FuzzSelectPaths(f *testing.F) {
 	})
 }
 
+// TestCountMatchesNaiveAcrossPatterns checks the full match count — what
+// Select at limit n returns, on the planned path and on every forced one,
+// the bitmap path untruncated among them — against a full scan's count on
+// every pattern.
+func TestCountMatchesNaiveAcrossPatterns(t *testing.T) {
+	for _, p := range datagen.Patterns {
+		s := tierStore(t, p, 17)
+		n := s.Size()
+		rng := simrand.New(uint64(p) + 23)
+		var forced [numPaths]int
+		for trial := 0; trial < 100; trial++ {
+			q := tierQuery(s.Schema(), rng, n)
+			want := 0
+			for _, tu := range s.All() {
+				if q.Covers(tu) {
+					want++
+				}
+			}
+			if got := len(s.Select(q, n)); got != want {
+				t.Fatalf("%v trial %d: Select at limit n returned %d tuples, want %d on %s", p, trial, got, want, q)
+			}
+			preds := q.Preds()
+			for path := pathKind(0); path < numPaths; path++ {
+				pl, ok := forcePlan(s, preds, n+1, path)
+				if !ok {
+					continue
+				}
+				forced[path]++
+				if got := len(s.execSelect(pl, preds, n+1)); got != want {
+					t.Fatalf("%v trial %d: %s path returned %d tuples, want %d on %s",
+						p, trial, pathNames[path], got, want, q)
+				}
+			}
+		}
+		if forced[pathBitmap] == 0 {
+			t.Fatalf("%v: no trial exercised the bitmap path", p)
+		}
+	}
+}
+
 // pathTotal sums a PlanStats' per-path execution counts.
 func pathTotal(ps PlanStats) int64 {
 	var total int64
