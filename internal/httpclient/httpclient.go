@@ -234,6 +234,7 @@ func (c *Client) post(ctx context.Context, op string, body []byte, limit int64, 
 	switch resp.StatusCode {
 	case http.StatusOK:
 	case http.StatusTooManyRequests:
+		drain(resp.Body)
 		return hiddendb.ErrQuotaExceeded
 	default:
 		snippet, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
@@ -253,6 +254,13 @@ func (c *Client) post(ctx context.Context, op string, body []byte, limit int64, 
 		return fmt.Errorf("httpclient: decoding %s result: %w", op, err)
 	}
 	return nil
+}
+
+// drain reads what is left of an error response's body, up to 4 KiB, so
+// that closing it keeps the connection: the transport drops a connection
+// whose body is closed unread, and reuses one whose body hit EOF.
+func drain(body io.Reader) {
+	io.CopyN(io.Discard, body, 4<<10)
 }
 
 // CrawlResult is the outcome of a server-side streaming crawl.
@@ -416,9 +424,11 @@ func (c *Client) openCrawl(ctx context.Context, algorithm string, skip int) (*ht
 	case http.StatusOK:
 		return resp, nil
 	case http.StatusTooManyRequests:
+		drain(resp.Body)
 		resp.Body.Close()
 		return nil, hiddendb.ErrQuotaExceeded
 	case http.StatusNotFound:
+		drain(resp.Body)
 		resp.Body.Close()
 		return nil, errors.New("httpclient: server has no /crawl endpoint (pre-session server?)")
 	default:

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"maps"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 
 	"hidb/internal/core"
@@ -54,6 +56,44 @@ func TestDialDiscoversSchema(t *testing.T) {
 	}
 	if c.Schema().String() != ds.Schema.String() {
 		t.Fatalf("schema mismatch: %s", c.Schema())
+	}
+}
+
+// TestQuotaRejectionsKeepConnection: the client drains a 429 before
+// closing it, so the transport keeps the keep-alive connection: the dial,
+// the one query the quota admits and 20 quota-rejected queries after it
+// all share one connection.
+func TestQuotaRejectionsKeepConnection(t *testing.T) {
+	ds := mixedDataset(t, 200)
+	local, err := hiddendb.NewLocal(ds.Schema, ds.Tuples, 16, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var conns atomic.Int64
+	ts := httptest.NewUnstartedServer(httpserver.New(local, httpserver.WithSessions(session.Config{Quota: 1})))
+	ts.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+	ctx := context.Background()
+	c, err := Dial(ctx, ts.URL, ts.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := dataspace.UniverseQuery(ds.Schema)
+	if _, err := c.Answer(ctx, u); err != nil {
+		t.Fatal(err)
+	}
+	for i := range int64(20) {
+		if _, err := c.Answer(ctx, u.WithRange(2, i, i)); !errors.Is(err, hiddendb.ErrQuotaExceeded) {
+			t.Fatalf("query %d over the quota: %v, want ErrQuotaExceeded", i, err)
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("%d connections opened, want 1", n)
 	}
 }
 

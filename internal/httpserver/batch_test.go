@@ -14,12 +14,8 @@ import (
 	"hidb/internal/wire"
 )
 
-func postBatch(t *testing.T, url string, msg wire.BatchRequest) *http.Response {
+func postBatch(t *testing.T, url string, body []byte) *http.Response {
 	t.Helper()
-	body, err := json.Marshal(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	resp, err := http.Post(url+"/batch", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +74,7 @@ func TestBatchEquivalence(t *testing.T) {
 	}
 	requestsBefore, singlesCost := h.Requests(), h.Queries()
 
-	resp := postBatchToken(t, ts.URL, "batcher", wire.EncodeBatchRequest(qs))
+	resp := postBatchToken(t, ts.URL, "batcher", wire.AppendBatchRequest(nil, qs))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch: %s", resp.Status)
 	}
@@ -130,7 +126,7 @@ func TestBatchMalformed(t *testing.T) {
 	}
 
 	// Empty batch.
-	resp = postBatch(t, ts.URL, wire.BatchRequest{})
+	resp = postBatch(t, ts.URL, []byte(`{"queries":null}`))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty batch: %s, want 400", resp.Status)
@@ -138,20 +134,15 @@ func TestBatchMalformed(t *testing.T) {
 
 	// One malformed query (wrong arity) poisons the whole batch, even when
 	// the other queries are fine.
-	good := wire.EncodeQuery(dataspace.UniverseQuery(ds.Schema))
-	resp = postBatch(t, ts.URL, wire.BatchRequest{
-		Queries: []wire.QueryMsg{good, {Preds: []wire.Pred{{Wild: true}}}, good},
-	})
+	good := string(wire.AppendQuery(nil, dataspace.UniverseQuery(ds.Schema)))
+	resp = postBatch(t, ts.URL, []byte(`{"queries":[`+good+`,{"preds":[{"wild":true}]},`+good+`]}`))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad arity mid-batch: %s, want 400", resp.Status)
 	}
 
 	// A categorical predicate setting both wild and value is invalid too.
-	v := int64(2)
-	resp = postBatch(t, ts.URL, wire.BatchRequest{
-		Queries: []wire.QueryMsg{{Preds: []wire.Pred{{Wild: true, Value: &v}, {}}}},
-	})
+	resp = postBatch(t, ts.URL, []byte(`{"queries":[{"preds":[{"wild":true,"value":2},{}]}]}`))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("wild+value predicate: %s, want 400", resp.Status)
@@ -182,7 +173,7 @@ func TestBatchQuotaMidBatch(t *testing.T) {
 	defer ts.Close()
 
 	qs := distinctBatch(ds.Schema, 10)
-	resp := postBatch(t, ts.URL, wire.EncodeBatchRequest(qs[:8]))
+	resp := postBatch(t, ts.URL, wire.AppendBatchRequest(nil, qs[:8]))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("first batch: %s", resp.Status)
 	}
@@ -198,7 +189,7 @@ func TestBatchQuotaMidBatch(t *testing.T) {
 	}
 
 	// Budget spent: the next batch is rejected outright.
-	resp = postBatch(t, ts.URL, wire.EncodeBatchRequest(qs[8:]))
+	resp = postBatch(t, ts.URL, wire.AppendBatchRequest(nil, qs[8:]))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("post-budget batch: %s, want 429", resp.Status)
@@ -210,7 +201,7 @@ func TestBatchQuotaMidBatch(t *testing.T) {
 		t.Fatalf("post-budget query: %s, want 429", resp.Status)
 	}
 	// The paid prefix is journaled: it replays in full, unflagged.
-	msg = decodeBatch(t, postBatch(t, ts.URL, wire.EncodeBatchRequest(qs[:5])))
+	msg = decodeBatch(t, postBatch(t, ts.URL, wire.AppendBatchRequest(nil, qs[:5])))
 	if msg.QuotaExceeded || len(msg.Results) != 5 {
 		t.Fatalf("replayed prefix: %d results, flag=%v; want 5 unflagged", len(msg.Results), msg.QuotaExceeded)
 	}
@@ -257,13 +248,13 @@ func TestInnerQuotaConsistentAcrossEndpoints(t *testing.T) {
 	}
 
 	// Same exhaustion through /batch: nothing served is a 429 too...
-	resp = postBatch(t, ts.URL, wire.EncodeBatchRequest(qs[3:5]))
+	resp = postBatch(t, ts.URL, wire.AppendBatchRequest(nil, qs[3:5]))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("inner quota via /batch: %s, want 429", resp.Status)
 	}
 	// ...and a batch whose first query replays is cut short and flagged.
-	msg := decodeBatch(t, postBatch(t, ts.URL, wire.EncodeBatchRequest([]dataspace.Query{qs[0], qs[3]})))
+	msg := decodeBatch(t, postBatch(t, ts.URL, wire.AppendBatchRequest(nil, []dataspace.Query{qs[0], qs[3]})))
 	if !msg.QuotaExceeded || len(msg.Results) != 1 {
 		t.Fatalf("batch on spent inner budget: %d results, flag=%v; want 1 + flag", len(msg.Results), msg.QuotaExceeded)
 	}
@@ -279,7 +270,7 @@ func TestBatchExactBudget(t *testing.T) {
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 	qs := testBatch(ds.Schema, 4, 55)
-	msg := decodeBatch(t, postBatch(t, ts.URL, wire.EncodeBatchRequest(qs)))
+	msg := decodeBatch(t, postBatch(t, ts.URL, wire.AppendBatchRequest(nil, qs)))
 	if msg.QuotaExceeded {
 		t.Error("exact-budget batch flagged quotaExceeded")
 	}

@@ -7,10 +7,11 @@
 // tuples plus the overflow signal, and repeating a query returns the same
 // response.
 //
-// /query and /batch answers are appended by the wire codec into a pooled
-// buffer and written in one Write, with the bytes encoding/json would
-// write. Request bodies, which third-party clients send, are decoded with
-// encoding/json.
+// Request bodies are read into a pooled buffer under a size limit (1 MiB,
+// 16 MiB for /batch) and parsed in one pass by the wire codec, which
+// accepts exactly what encoding/json would. /query and /batch answers are
+// appended into the same buffer and written in one Write, with the bytes
+// encoding/json would write.
 //
 // # Per-client sessions
 //
@@ -76,6 +77,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -268,26 +270,29 @@ func (h *Handler) noteBatchWidth(n int) {
 
 // admit gates one query-carrying request through the overload controls:
 // a draining handler sheds everything new, and with WithShedding the
-// in-flight depth is bounded. On admission the returned release must be
-// deferred; ok=false means the 503 is already written.
-func (h *Handler) admit(w http.ResponseWriter) (release func(), ok bool) {
+// in-flight depth is bounded. On admission leave must be deferred; false
+// means the 503 is already written.
+func (h *Handler) admit(w http.ResponseWriter) bool {
 	if h.draining.Load() {
 		h.shed(w, shedDraining)
-		return nil, false
+		return false
 	}
 	h.mu.Lock()
 	if h.maxInFlight > 0 && h.inFlight >= h.maxInFlight {
 		h.mu.Unlock()
 		h.shed(w, shedCapacity)
-		return nil, false
+		return false
 	}
 	h.inFlight++
 	h.mu.Unlock()
-	return func() {
-		h.mu.Lock()
-		h.inFlight--
-		h.mu.Unlock()
-	}, true
+	return true
+}
+
+// leave ends an admitted request.
+func (h *Handler) leave() {
+	h.mu.Lock()
+	h.inFlight--
+	h.mu.Unlock()
 }
 
 // ServeHTTP implements http.Handler.
@@ -375,20 +380,19 @@ func (h *Handler) resolveSession(w http.ResponseWriter, r *http.Request, bodyTok
 }
 
 func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
-	release, ok := h.admit(w)
-	if !ok {
+	if !h.admit(w) {
 		return
 	}
-	defer release()
-	var msg wire.QueryMsg
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err := dec.Decode(&msg); err != nil {
+	defer h.leave()
+	buf, err := readBody(w, r, 1<<20)
+	defer releaseBuf(buf)
+	if err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	q, err := wire.DecodeQuery(h.srv.Schema(), msg)
+	q, err := wire.ParseQuery(h.srv.Schema(), *buf)
 	if err != nil {
-		http.Error(w, "bad query: "+err.Error(), http.StatusBadRequest)
+		badRequest(w, "bad query: ", err)
 		return
 	}
 	sess, ok := h.resolveSession(w, r, "")
@@ -402,7 +406,7 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		http.Error(w, "server error: "+err.Error(), http.StatusInternalServerError)
 	default:
-		writeAnswer(w, func(b []byte) []byte { return wire.AppendResult(b, res) })
+		writeAnswer(w, buf, func(b []byte) []byte { return wire.AppendResult(b, res) })
 	}
 }
 
@@ -413,27 +417,26 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 // be discarded — plus the quotaExceeded flag or the error, respectively.
 // A batch that could not start at all gets /query's 429 or 500.
 func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
-	release, ok := h.admit(w)
-	if !ok {
+	if !h.admit(w) {
 		return
 	}
-	defer release()
-	var msg wire.BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
-	if err := dec.Decode(&msg); err != nil {
+	defer h.leave()
+	buf, err := readBody(w, r, 16<<20)
+	defer releaseBuf(buf)
+	if err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	qs, err := wire.DecodeBatchRequest(h.srv.Schema(), msg)
+	qs, token, err := wire.ParseBatchRequest(h.srv.Schema(), *buf)
 	if err != nil {
-		http.Error(w, "bad batch: "+err.Error(), http.StatusBadRequest)
+		badRequest(w, "bad batch: ", err)
 		return
 	}
 	if len(qs) == 0 {
 		http.Error(w, "bad batch: empty", http.StatusBadRequest)
 		return
 	}
-	sess, ok := h.resolveSession(w, r, msg.Token)
+	sess, ok := h.resolveSession(w, r, token)
 	if !ok {
 		return
 	}
@@ -453,7 +456,7 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if err != nil && !quotaHit {
 		serverErr = err.Error()
 	}
-	writeAnswer(w, func(b []byte) []byte { return wire.AppendBatchResponse(b, res, quotaHit, serverErr) })
+	writeAnswer(w, buf, func(b []byte) []byte { return wire.AppendBatchResponse(b, res, quotaHit, serverErr) })
 }
 
 // handleCrawl runs a crawling algorithm server-side against the caller's
@@ -464,14 +467,17 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 // their own contexts). CrawlRequest.Skip suppresses the stream's first
 // Skip tuples for reconnecting clients. See the package doc.
 func (h *Handler) handleCrawl(w http.ResponseWriter, r *http.Request) {
-	release, ok := h.admit(w)
-	if !ok {
+	if !h.admit(w) {
 		return
 	}
-	defer release()
+	defer h.leave()
+	buf, err := readBody(w, r, 1<<20)
 	var msg wire.CrawlRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err := dec.Decode(&msg); err != nil && !errors.Is(err, io.EOF) {
+	if err == nil {
+		msg, err = wire.ParseCrawlRequest(*buf)
+	}
+	releaseBuf(buf)
+	if err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -611,25 +617,58 @@ func (h *Handler) engineStats() *wire.EngineStatsMsg {
 	return &wire.EngineStatsMsg{Kind: es.EngineStats().Kind}
 }
 
-// maxPooledAnswer bounds the response buffers answerBufs keeps, so one
-// huge answer does not pin its buffer for the life of the process.
-const maxPooledAnswer = 1 << 20
+// maxPooledBuf bounds the buffers bufs keeps, so one huge request or
+// answer does not pin its buffer for the life of the process.
+const maxPooledBuf = 1 << 20
 
-// answerBufs recycles the buffers /query and /batch answers are appended
-// into.
-var answerBufs = sync.Pool{New: func() any { return new([]byte) }}
+// bufs recycles the buffers request bodies are read into and /query and
+// /batch answers are appended into: a request's answer reuses its body's
+// buffer, since the parsed request never references it.
+var bufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// readBody reads the request body, at most limit bytes of it, into a
+// pooled buffer, which the caller releases with releaseBuf. (A
+// bytes.Buffer around the pooled slice would cost an allocation.)
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) (*[]byte, error) {
+	buf := bufs.Get().(*[]byte)
+	b, body := (*buf)[:0], http.MaxBytesReader(w, r.Body, limit)
+	for {
+		b = slices.Grow(b, 512)
+		n, err := body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			*buf = b
+			if err == io.EOF {
+				err = nil
+			}
+			return buf, err
+		}
+	}
+}
+
+func releaseBuf(buf *[]byte) {
+	if cap(*buf) <= maxPooledBuf {
+		bufs.Put(buf)
+	}
+}
+
+// badRequest answers 400 to a request body the wire parser rejected:
+// "bad request: " for malformed bytes, prefix for a well-formed message
+// the schema rejects.
+func badRequest(w http.ResponseWriter, prefix string, err error) {
+	if errors.Is(err, wire.ErrMalformed) {
+		prefix = "bad request: "
+	}
+	http.Error(w, prefix+err.Error(), http.StatusBadRequest)
+}
 
 // writeAnswer writes a /query or /batch answer, which appendBody appends
-// into a pooled buffer, in one Write. The bytes are those writeJSON
-// writes for the message struct (see the wire codec).
-func writeAnswer(w http.ResponseWriter, appendBody func([]byte) []byte) {
-	buf := answerBufs.Get().(*[]byte)
+// into buf in place of the request body, in one Write. The bytes are those
+// writeJSON writes for the message struct (see the wire codec).
+func writeAnswer(w http.ResponseWriter, buf *[]byte, appendBody func([]byte) []byte) {
 	*buf = appendBody((*buf)[:0])
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(*buf)
-	if cap(*buf) <= maxPooledAnswer {
-		answerBufs.Put(buf)
-	}
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -1,6 +1,7 @@
 package httpserver
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -29,13 +30,9 @@ func catQuery(t *testing.T, schema *dataspace.Schema, v int64) wire.QueryMsg {
 	return wire.QueryMsg{Preds: preds}
 }
 
-func postBatchToken(t *testing.T, url, token string, msg wire.BatchRequest) *http.Response {
+func postBatchToken(t *testing.T, url, token string, body []byte) *http.Response {
 	t.Helper()
-	body, err := json.Marshal(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req, err := http.NewRequest(http.MethodPost, url+"/batch", strings.NewReader(string(body)))
+	req, err := http.NewRequest(http.MethodPost, url+"/batch", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +79,11 @@ func TestMetricsGoldenText(t *testing.T) {
 		t.Fatalf("carol on full table: %s, want 503", resp.Status)
 	}
 	// gold-a's width-3 batch runs into its quota after one more query.
-	var batch wire.BatchRequest
+	var batch []dataspace.Query
 	for _, v := range []int64{2, 3, 4} {
-		batch.Queries = append(batch.Queries, catQuery(t, ds.Schema, v))
+		batch = append(batch, dataspace.UniverseQuery(ds.Schema).WithValue(0, v))
 	}
-	bresp := postBatchToken(t, ts.URL, "gold-a", batch)
+	bresp := postBatchToken(t, ts.URL, "gold-a", wire.AppendBatchRequest(nil, batch))
 	var bout wire.BatchResponse
 	if err := json.NewDecoder(bresp.Body).Decode(&bout); err != nil {
 		t.Fatal(err)

@@ -272,9 +272,9 @@ func TestBodyTokenFallback(t *testing.T) {
 	defer ts.Close()
 
 	qs := distinctBatch(ds.Schema, 2)
-	msg := wire.EncodeBatchRequest(qs)
-	msg.Token = "body-tok"
-	resp := postBatch(t, ts.URL, msg)
+	body := wire.AppendBatchRequest(nil, qs)
+	body = append(body[:len(body)-1], `,"token":"body-tok"}`...)
+	resp := postBatch(t, ts.URL, body)
 	decodeBatch(t, resp) // closes body
 	sess, err := h.Sessions().Get("body-tok")
 	if err != nil {
@@ -394,7 +394,7 @@ func TestBatchFailureDeliversPrefix(t *testing.T) {
 	defer ts.Close()
 
 	qs := distinctBatch(ds.Schema, 5)
-	resp := postBatch(t, ts.URL, wire.EncodeBatchRequest(qs))
+	resp := postBatch(t, ts.URL, wire.AppendBatchRequest(nil, qs))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("mid-batch failure: %s, want 200 with the paid prefix", resp.Status)
 	}
@@ -458,7 +458,7 @@ func TestBatchFailurePrefixThroughSession(t *testing.T) {
 	defer ts.Close()
 
 	qs := distinctBatch(ds.Schema, 5)
-	resp := postBatchToken(t, ts.URL, "alice", wire.EncodeBatchRequest(qs))
+	resp := postBatchToken(t, ts.URL, "alice", wire.AppendBatchRequest(nil, qs))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("mid-batch failure: %s, want 200 with the paid prefix", resp.Status)
 	}
@@ -600,7 +600,7 @@ func TestQuotaSpansEndpoints(t *testing.T) {
 		}
 	}
 	// ...so a batch of 4 new queries only affords 3.
-	msg := decodeBatch(t, postBatch(t, ts.URL, wire.EncodeBatchRequest(qs[2:6])))
+	msg := decodeBatch(t, postBatch(t, ts.URL, wire.AppendBatchRequest(nil, qs[2:6])))
 	if !msg.QuotaExceeded || len(msg.Results) != 3 {
 		t.Fatalf("batch after singles: %d results, flag=%v; want 3 + flag", len(msg.Results), msg.QuotaExceeded)
 	}
@@ -613,7 +613,7 @@ func TestQuotaSpansEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("post-budget single: %s, want 429", resp.Status)
 	}
-	resp = postBatch(t, ts.URL, wire.EncodeBatchRequest(qs[6:]))
+	resp = postBatch(t, ts.URL, wire.AppendBatchRequest(nil, qs[6:]))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("post-budget batch: %s, want 429", resp.Status)

@@ -195,7 +195,8 @@ func TestSessionTableFullRejectsNewTokens(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("new token on full table: got %s, want 503", resp.Status)
 	}
-	resp = postBatchToken(t, ts.URL, "carol", wire.BatchRequest{Queries: []wire.QueryMsg{u, u}})
+	uq := dataspace.UniverseQuery(ds.Schema)
+	resp = postBatchToken(t, ts.URL, "carol", wire.AppendBatchRequest(nil, []dataspace.Query{uq, uq}))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("new token's batch on full table: got %s, want 503", resp.Status)

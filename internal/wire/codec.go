@@ -1,7 +1,7 @@
-// The answer path's codec: append encoders that write exactly the bytes
+// The wire codec: append encoders that write exactly the bytes
 // encoding/json writes for the message structs, and one-pass parsers for
-// /query and /batch answers. Neither side uses reflection or builds the
-// intermediate [][]int64 of ResultMsg.
+// /query, /batch and /crawl requests and for /query and /batch answers.
+// Neither side uses reflection or builds the intermediate message structs.
 
 package wire
 
@@ -56,7 +56,8 @@ func AppendQuery(dst []byte, q dataspace.Query) []byte {
 }
 
 // AppendBatchRequest appends the /batch request body for qs to dst: the
-// bytes of json.Marshal(EncodeBatchRequest(qs)).
+// bytes of json.Marshal of the BatchRequest holding EncodeQuery of each
+// query.
 func AppendBatchRequest(dst []byte, qs []dataspace.Query) []byte {
 	dst = append(dst, `{"queries":[`...)
 	for i, q := range qs {
@@ -75,8 +76,8 @@ func AppendResult(dst []byte, r hiddendb.Result) []byte {
 }
 
 // AppendBatchResponse appends the /batch response body to dst: the bytes a
-// json.Encoder writes for EncodeBatchResponse(rs, quotaExceeded) with Error
-// set to serverErr, trailing newline included.
+// json.Encoder writes for the BatchResponse holding EncodeResult of each
+// result, quotaExceeded and serverErr, trailing newline included.
 func AppendBatchResponse(dst []byte, rs []hiddendb.Result, quotaExceeded bool, serverErr string) []byte {
 	dst = append(dst, `{"results":[`...)
 	for i, r := range rs {
@@ -170,17 +171,21 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// The parsers below accept what json.NewDecoder(body).Decode into
-// ResultMsg or BatchResponse accepts, and decode it to the same values:
-// any whitespace, key order and unknown keys; keys matched like
-// encoding/json matches field names (case-insensitively, after
-// unescaping); a repeated key decoding into what its earlier occurrences
-// left, exactly as encoding/json decodes into an existing value; null
-// leaving a boolean, string or result unchanged and clearing an array.
-// Like DecodeResult after json.Decoder, they validate tuples only once the
-// whole body is parsed: a repeated key may replace an invalid array.
-// They reject what encoding/json rejects, and two inputs more, each a
-// typed error:
+// The parsers below accept what json.NewDecoder(body).Decode into the
+// message struct accepts, and decode it to the same values: any
+// whitespace, key order and unknown keys; keys matched like encoding/json
+// matches field names (case-insensitively, after unescaping); a repeated
+// key decoding into what its earlier occurrences left, exactly as
+// encoding/json decodes into an existing value; null leaving a boolean,
+// integer, string or object unchanged and clearing an array or a pointer.
+// Like the struct converters after json.Decoder, they check the decoded
+// message against the schema only once the whole body is parsed: a
+// repeated key may replace an invalid value. Every error about the bytes
+// themselves wraps ErrMalformed.
+//
+// The request parsers stop after the top-level value, as json.Decoder
+// does: what follows it is never read. The answer parsers reject what
+// encoding/json rejects, and two inputs more, each a typed error:
 var (
 	// errTrailingData: non-whitespace after the top-level value, which
 	// json.Decoder would leave unread for its next Decode.
@@ -190,30 +195,45 @@ var (
 	errNullElement = errors.New("null tuple element")
 )
 
+// ErrMalformed is wrapped by every parser error about the body's bytes:
+// not JSON, not the message's shape, or a number that is not a whole
+// int64. A well-formed message the schema rejects fails without it.
+var ErrMalformed = errors.New("malformed")
+
 // maxDepth is encoding/json's nesting limit; the parsers enforce it so a
 // deeply nested unknown field fails exactly where encoding/json fails.
 const maxDepth = 10000
 
-// maxPooledValues bounds the tuple scratch a pooled parser keeps, so one
-// huge answer does not pin its scratch for the life of the process.
+// maxPooledValues bounds the tuple scratch a pooled parser keeps, and a
+// quarter of it the request scratch (a reqPred is four words), so one huge
+// body does not pin its scratch for the life of the process.
 const maxPooledValues = 1 << 16
 
-// parser is one pass over an answer body. Tuple values are collected in
-// the pooled vals/ends scratch and copied out once per tuples array, so a
-// parsed answer never references the body or the scratch.
+// parser is one pass over a request or answer body. Tuple values are
+// collected in the pooled vals/ends scratch and copied out once per tuples
+// array, and a request's queries are decoded in the pooled reqs scratch,
+// so a parsed message never references the body or the scratch.
 type parser struct {
 	data []byte
 	pos  int
+	body string  // "request" or "answer", for error messages
 	vals []int64 // values of the tuples array being parsed
 	ends []int   // end offset in vals of each of its tuples
 	text []byte  // an unescaped key or string
+	// reqs holds the queries of the request being parsed, decoded in
+	// place: a batch's queries, then those past its length that a
+	// repeated "queries" array may decode into again (see reqQuery).
+	// preds is one query's predicates before NewQuery copies them.
+	reqs  []reqQuery
+	preds []dataspace.Pred
 }
 
 var parsers = sync.Pool{New: func() any { return new(parser) }}
 
-func newParser(data []byte) *parser {
+func newParser(data []byte, body string) *parser {
 	p := parsers.Get().(*parser)
-	p.data, p.pos = data, 0
+	p.data, p.pos, p.body = data, 0, body
+	p.reqs = p.reqs[:0]
 	return p
 }
 
@@ -222,6 +242,13 @@ func (p *parser) release() {
 	if cap(p.vals) > maxPooledValues {
 		p.vals, p.ends = nil, nil
 	}
+	n := cap(p.reqs) + cap(p.preds)
+	for _, q := range p.reqs[:cap(p.reqs)] {
+		n += cap(q.preds)
+	}
+	if n > maxPooledValues/4 {
+		p.reqs, p.preds = nil, nil
+	}
 	parsers.Put(p)
 }
 
@@ -229,7 +256,7 @@ func (p *parser) release() {
 // every tuple against the schema. The tuples share one freshly allocated
 // flat []int64; each is a capped subslice of it, and none references body.
 func ParseResult(s *dataspace.Schema, body []byte) (hiddendb.Result, error) {
-	p := newParser(body)
+	p := newParser(body, "answer")
 	defer p.release()
 	var r hiddendb.Result
 	if p.skipSpace(); !p.literal("null") {
@@ -250,7 +277,7 @@ func ParseResult(s *dataspace.Schema, body []byte) (hiddendb.Result, error) {
 // (each as ParseResult returns it), the quota flag and the server's
 // mid-batch error string.
 func ParseBatchResponse(s *dataspace.Schema, body []byte) (results []hiddendb.Result, quotaExceeded bool, serverErr string, err error) {
-	p := newParser(body)
+	p := newParser(body, "answer")
 	defer p.release()
 	if p.skipSpace(); !p.literal("null") {
 		err = p.object(func(key []byte) error {
@@ -281,8 +308,243 @@ func ParseBatchResponse(s *dataspace.Schema, body []byte) (results []hiddendb.Re
 	return results, quotaExceeded, serverErr, nil
 }
 
+// ParseQuery parses a /query request body into a query over the schema:
+// what DecodeQuery returns for the QueryMsg json.Decoder decodes from
+// body. The only allocation is the query's predicate slice.
+func ParseQuery(s *dataspace.Schema, body []byte) (dataspace.Query, error) {
+	p := newParser(body, "request")
+	defer p.release()
+	q := p.nextQuery()
+	if p.skipSpace(); !p.literal("null") {
+		if err := p.query(q, 0); err != nil {
+			return dataspace.Query{}, err
+		}
+	}
+	return p.newQuery(s, q)
+}
+
+// ParseBatchRequest parses a /batch request body into its queries and
+// body-level token. A single query the schema rejects fails the whole
+// batch, with its index in the error. The only allocations are the batch
+// slice, each query's predicate slice and the token.
+func ParseBatchRequest(s *dataspace.Schema, body []byte) (qs []dataspace.Query, token string, err error) {
+	p := newParser(body, "request")
+	defer p.release()
+	n := 0
+	if p.skipSpace(); !p.literal("null") {
+		err := p.object(func(key []byte) error {
+			switch {
+			case isField(key, "queries"):
+				var err error
+				n, err = p.queries()
+				return err
+			case isField(key, "token"):
+				return p.str(&token)
+			}
+			return p.skip(1)
+		})
+		if err != nil {
+			return nil, "", err
+		}
+	}
+	qs = make([]dataspace.Query, n)
+	for i := range qs {
+		if qs[i], err = p.newQuery(s, &p.reqs[i]); err != nil {
+			return nil, "", fmt.Errorf("wire: batch query %d: %w", i, err)
+		}
+	}
+	return qs, token, nil
+}
+
+// ParseCrawlRequest parses a /crawl request body. An empty or
+// whitespace-only body is the zero request, as is null.
+func ParseCrawlRequest(body []byte) (CrawlRequest, error) {
+	p := newParser(body, "request")
+	defer p.release()
+	var msg CrawlRequest
+	if p.skipSpace(); p.pos == len(p.data) || p.literal("null") {
+		return msg, nil
+	}
+	err := p.object(func(key []byte) error {
+		switch {
+		case isField(key, "algorithm"):
+			return p.str(&msg.Algorithm)
+		case isField(key, "token"):
+			return p.str(&msg.Token)
+		case isField(key, "skip"):
+			skip, set := int64(msg.Skip), false
+			err := p.optInt(&skip, &set)
+			msg.Skip = int(skip)
+			return err
+		}
+		return p.skip(1)
+	})
+	if err != nil {
+		return CrawlRequest{}, err
+	}
+	return msg, nil
+}
+
+// reqPred is a Pred as encoding/json leaves it after decoding in place,
+// with a flag per pointer field instead of the pointer.
+type reqPred struct {
+	value, lo, hi                int64
+	wild, hasValue, hasLo, hasHi bool
+}
+
+// reqQuery is a QueryMsg as encoding/json leaves it after decoding in
+// place: preds[:n] is its Preds. encoding/json reuses a slice's backing
+// array when a repeated key decodes into it, so an element past the
+// current length keeps what an earlier array wrote there: preds[n:] holds
+// those elements, and the backing array is zero beyond them.
+type reqQuery struct {
+	preds []reqPred
+	n     int
+}
+
+// nextQuery appends a zero query to reqs, keeping the predicate capacity
+// a pooled parser left in that slot.
+func (p *parser) nextQuery() *reqQuery {
+	if n := len(p.reqs); n < cap(p.reqs) {
+		p.reqs = p.reqs[:n+1]
+		p.reqs[n] = reqQuery{preds: p.reqs[n].preds[:0]}
+	} else {
+		p.reqs = append(p.reqs, reqQuery{})
+	}
+	return &p.reqs[len(p.reqs)-1]
+}
+
+// queries decodes a "queries" array in place into reqs, with the slice
+// semantics of parser.results, and returns the batch's new length.
+func (p *parser) queries() (int, error) {
+	if p.skipSpace(); p.literal("null") {
+		p.reqs = p.reqs[:0]
+		return 0, nil
+	}
+	i := 0
+	err := p.array(func() error {
+		if i == len(p.reqs) {
+			p.nextQuery()
+		}
+		i++
+		if p.literal("null") {
+			return nil
+		}
+		return p.query(&p.reqs[i-1], 2)
+	})
+	if i == 0 {
+		p.reqs = p.reqs[:0]
+	}
+	return i, err
+}
+
+// query decodes a query object at nesting depth (its enclosing
+// containers) into q.
+func (p *parser) query(q *reqQuery, depth int) error {
+	return p.object(func(key []byte) error {
+		if isField(key, "preds") {
+			return p.predList(q, depth+2)
+		}
+		return p.skip(depth + 1)
+	})
+}
+
+// predList decodes a "preds" array in place into q, whose objects sit at
+// nesting depth.
+func (p *parser) predList(q *reqQuery, depth int) error {
+	if p.skipSpace(); p.literal("null") {
+		q.preds, q.n = q.preds[:0], 0
+		return nil
+	}
+	i := 0
+	err := p.array(func() error {
+		if i == len(q.preds) {
+			q.preds = append(q.preds, reqPred{})
+		}
+		i++
+		if p.literal("null") {
+			return nil
+		}
+		return p.pred(&q.preds[i-1], depth)
+	})
+	if q.n = i; i == 0 {
+		q.preds = q.preds[:0]
+	}
+	return err
+}
+
+// pred decodes a predicate object at nesting depth into w.
+func (p *parser) pred(w *reqPred, depth int) error {
+	return p.object(func(key []byte) error {
+		switch {
+		case isField(key, "wild"):
+			return p.boolean(&w.wild)
+		case isField(key, "value"):
+			return p.optInt(&w.value, &w.hasValue)
+		case isField(key, "lo"):
+			return p.optInt(&w.lo, &w.hasLo)
+		case isField(key, "hi"):
+			return p.optInt(&w.hi, &w.hasHi)
+		}
+		return p.skip(depth + 1)
+	})
+}
+
+// optInt decodes a whole int64 into *v and sets *set; null clears *set,
+// as it sets an *int64 field to nil.
+func (p *parser) optInt(v *int64, set *bool) error {
+	if p.skipSpace(); p.literal("null") {
+		*set = false
+		return nil
+	}
+	n, err := p.integer()
+	if err != nil {
+		return err
+	}
+	*v, *set = n, true
+	return nil
+}
+
+// newQuery converts a decoded query to a query over s, as DecodeQuery
+// does: a categorical predicate must set exactly one of wild and value, a
+// numeric one's unset bounds are unbounded. The predicates are built in
+// the pooled scratch, which NewQuery copies.
+func (p *parser) newQuery(s *dataspace.Schema, q *reqQuery) (dataspace.Query, error) {
+	if q.n != s.Dims() {
+		return dataspace.Query{}, fmt.Errorf("wire: query has %d predicates, schema has %d attributes", q.n, s.Dims())
+	}
+	preds := p.preds[:0]
+	for i, wp := range q.preds[:q.n] {
+		if s.Attr(i).Kind != dataspace.Categorical {
+			lo, hi := dataspace.NegInf, dataspace.PosInf
+			if wp.hasLo {
+				lo = wp.lo
+			}
+			if wp.hasHi {
+				hi = wp.hi
+			}
+			preds = append(preds, dataspace.Pred{Lo: lo, Hi: hi})
+			continue
+		}
+		switch {
+		case wp.wild && !wp.hasValue:
+			preds = append(preds, dataspace.Pred{Wild: true})
+		case !wp.wild && wp.hasValue:
+			preds = append(preds, dataspace.Pred{Value: wp.value})
+		default:
+			return dataspace.Query{}, fmt.Errorf("wire: categorical predicate %d must set exactly one of wild/value", i)
+		}
+	}
+	p.preds = preds
+	return dataspace.NewQuery(s, preds)
+}
+
 func (p *parser) fail(what string) error {
-	return fmt.Errorf("wire: malformed answer at offset %d: %s", p.pos, what)
+	return p.failAt(p.pos, errors.New(what))
+}
+
+func (p *parser) failAt(pos int, err error) error {
+	return fmt.Errorf("wire: %w %s at offset %d: %w", ErrMalformed, p.body, pos, err)
 }
 
 func (p *parser) skipSpace() {
@@ -317,7 +579,7 @@ func (p *parser) literal(lit string) bool {
 func (p *parser) end() error {
 	p.skipSpace()
 	if p.pos < len(p.data) {
-		return fmt.Errorf("wire: malformed answer at offset %d: %w", p.pos, errTrailingData)
+		return p.failAt(p.pos, errTrailingData)
 	}
 	return nil
 }
@@ -448,7 +710,7 @@ func (p *parser) tuples() (dataspace.Bag, error) {
 			err := p.array(func() error {
 				v, err := p.integer()
 				if err != nil && p.literal("null") {
-					return fmt.Errorf("wire: malformed answer at offset %d: %w", p.pos-len("null"), errNullElement)
+					return p.failAt(p.pos-len("null"), errNullElement)
 				}
 				vals = append(vals, v)
 				return err

@@ -6,17 +6,18 @@
 // null standing for ±infinity — so third-party clients can speak it.
 //
 // The format is fixed: it is what encoding/json writes for the message
-// structs below. The answer path does not go through encoding/json or
-// reflection, though. AppendQuery, AppendBatchRequest, AppendResult and
-// AppendBatchResponse write the same bytes with strconv appends, and
-// TestAppendMatchesEncodingJSON pins them byte for byte. ParseResult and
-// ParseBatchResponse read an answer in one pass into one flat []int64 per
-// answer. They accept and decode what json.Decoder plus DecodeResult or
-// DecodeBatchResponse accept, except for two inputs they reject: null as
-// a tuple element, and non-whitespace after the top-level value. The
-// struct converters (EncodeResult, DecodeQuery, ...) stay: the request
-// decoders and the journal use them, and the tests take them as the
-// reference.
+// structs below. Neither the request path nor the answer path goes
+// through encoding/json or reflection, though. AppendQuery,
+// AppendBatchRequest, AppendResult and AppendBatchResponse write the same
+// bytes with strconv appends, and TestAppendMatchesEncodingJSON pins them
+// byte for byte. ParseQuery, ParseBatchRequest and ParseCrawlRequest read
+// a request, and ParseResult and ParseBatchResponse an answer, in one
+// pass with pooled scratch. They accept and decode what json.Decoder plus
+// the struct converters accept, except that the answer parsers reject two
+// inputs more: null as a tuple element, and non-whitespace after the
+// top-level value. The struct converters (EncodeQuery, DecodeQuery,
+// EncodeResult, DecodeResult) stay: the journal uses them, and the tests
+// take them as the reference.
 package wire
 
 import (
@@ -90,53 +91,6 @@ type BatchResponse struct {
 	Results       []ResultMsg `json:"results"`
 	QuotaExceeded bool        `json:"quotaExceeded,omitempty"`
 	Error         string      `json:"error,omitempty"`
-}
-
-// EncodeBatchRequest converts a query batch to the wire form.
-func EncodeBatchRequest(qs []dataspace.Query) BatchRequest {
-	msg := BatchRequest{Queries: make([]QueryMsg, len(qs))}
-	for i, q := range qs {
-		msg.Queries[i] = EncodeQuery(q)
-	}
-	return msg
-}
-
-// DecodeBatchRequest converts the wire form to queries over the schema. A
-// single malformed query fails the whole batch — no prefix is answered.
-func DecodeBatchRequest(s *dataspace.Schema, msg BatchRequest) ([]dataspace.Query, error) {
-	qs := make([]dataspace.Query, len(msg.Queries))
-	for i, qm := range msg.Queries {
-		q, err := DecodeQuery(s, qm)
-		if err != nil {
-			return nil, fmt.Errorf("wire: batch query %d: %w", i, err)
-		}
-		qs[i] = q
-	}
-	return qs, nil
-}
-
-// EncodeBatchResponse converts the answered prefix of a batch to the wire
-// form. quotaExceeded marks a batch cut short by the server's budget.
-func EncodeBatchResponse(rs []hiddendb.Result, quotaExceeded bool) BatchResponse {
-	msg := BatchResponse{Results: make([]ResultMsg, len(rs)), QuotaExceeded: quotaExceeded}
-	for i, r := range rs {
-		msg.Results[i] = EncodeResult(r)
-	}
-	return msg
-}
-
-// DecodeBatchResponse converts the wire form back to server responses,
-// validating every tuple against the schema.
-func DecodeBatchResponse(s *dataspace.Schema, msg BatchResponse) (results []hiddendb.Result, quotaExceeded bool, err error) {
-	results = make([]hiddendb.Result, len(msg.Results))
-	for i, rm := range msg.Results {
-		r, err := DecodeResult(s, rm)
-		if err != nil {
-			return nil, false, fmt.Errorf("wire: batch result %d: %w", i, err)
-		}
-		results[i] = r
-	}
-	return results, msg.QuotaExceeded, nil
 }
 
 // EncodeSchema converts a schema and return limit to the wire form.

@@ -239,22 +239,33 @@ func int64s(vs ...int64) []byte {
 	return b
 }
 
+// queryShapes are the fuzzQueryMsg arguments FuzzDecodeQuery is seeded
+// with, and whose JSON FuzzParseQuery is.
+var queryShapes = []struct {
+	arity        uint8
+	shapes, nums []byte
+}{
+	{3, []byte{1, 0, 0}, nil},                                                 // universe
+	{3, []byte{2, 12, 4}, int64s(2, -5, 9, 0)},                                // pin, closed and half-open ranges
+	{2, []byte{1, 0}, nil},                                                    // too few predicates
+	{4, []byte{1, 0, 0, 0}, nil},                                              // too many
+	{3, []byte{3, 0, 0}, int64s(1)},                                           // both wild and value
+	{3, []byte{0, 0, 0}, nil},                                                 // neither
+	{3, []byte{2, 0, 0}, int64s(5)},                                           // value outside the domain
+	{3, []byte{1, 12, 12}, int64s(9, 3, 100, -100)},                           // lo > hi
+	{3, []byte{1, 12, 12}, int64s(math.MinInt64, math.MaxInt64, 0, 0)},        // int64 extremes
+	{3, []byte{2, 4, 8}, int64s(math.MinInt64, math.MinInt64, math.MaxInt64)}, // extreme pin and bounds
+	{3, []byte{1, 13, 14}, int64s(0, 1, 2, 3)},                                // wild or value on a numeric
+	{3, []byte{13, 0, 0}, int64s(0, 1)},                                       // lo/hi on a categorical
+}
+
 // FuzzDecodeQuery feeds DecodeQuery hostile QueryMsg values directly. Each
 // must yield an error or a valid query that round-trips through
 // EncodeQuery — never a panic.
 func FuzzDecodeQuery(f *testing.F) {
-	f.Add(uint8(3), []byte{1, 0, 0}, []byte(nil))                                         // universe
-	f.Add(uint8(3), []byte{2, 12, 4}, int64s(2, -5, 9, 0))                                // pin, closed and half-open ranges
-	f.Add(uint8(2), []byte{1, 0}, []byte(nil))                                            // too few predicates
-	f.Add(uint8(4), []byte{1, 0, 0, 0}, []byte(nil))                                      // too many
-	f.Add(uint8(3), []byte{3, 0, 0}, int64s(1))                                           // both wild and value
-	f.Add(uint8(3), []byte{0, 0, 0}, []byte(nil))                                         // neither
-	f.Add(uint8(3), []byte{2, 0, 0}, int64s(5))                                           // value outside the domain
-	f.Add(uint8(3), []byte{1, 12, 12}, int64s(9, 3, 100, -100))                           // lo > hi
-	f.Add(uint8(3), []byte{1, 12, 12}, int64s(math.MinInt64, math.MaxInt64, 0, 0))        // int64 extremes
-	f.Add(uint8(3), []byte{2, 4, 8}, int64s(math.MinInt64, math.MinInt64, math.MaxInt64)) // extreme pin and bounds
-	f.Add(uint8(3), []byte{1, 13, 14}, int64s(0, 1, 2, 3))                                // wild or value on a numeric
-	f.Add(uint8(3), []byte{13, 0, 0}, int64s(0, 1))                                       // lo/hi on a categorical
+	for _, s := range queryShapes {
+		f.Add(s.arity, s.shapes, s.nums)
+	}
 	s := fuzzSchema()
 	f.Fuzz(func(t *testing.T, arity uint8, shapes, nums []byte) {
 		q, err := DecodeQuery(s, fuzzQueryMsg(arity, shapes, nums))
