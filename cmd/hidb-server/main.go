@@ -147,13 +147,9 @@ func loadFile(path string) (*datagen.Dataset, error) {
 		return nil, err
 	}
 	defer f.Close()
-	loaded, err := tableload.Read(f, tableload.Options{
+	return tableload.Read(f, tableload.Options{
 		Name: filepath.Base(path),
 	})
-	if err != nil {
-		return nil, err
-	}
-	return loaded.Dataset, nil
 }
 
 // openDiskServer serves the dataset from a disk-resident store under dir,

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -45,18 +46,23 @@ func TestDiskStoreFollowsInputs(t *testing.T) {
 		t.Fatalf("n=3000 after an n=2000 build: Size() = %d", got)
 	}
 
-	srv, err = openDiskServer(dir, ds, 256, 43, 1)
+	// k = n, so the universe query answers the whole store in rank order.
+	srv, err = openDiskServer(dir, ds, ds.N(), 43, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := hidb.RankOrder(ds.Tuples, 43)
-	got := srv.Dump()
-	if len(got) != len(want) {
-		t.Fatalf("Dump holds %d tuples, want %d", len(got), len(want))
+	res, err := srv.Answer(context.Background(), hidb.UniverseQuery(ds.Schema))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := res.Tuples
+	if len(got) != len(want) || res.Overflow {
+		t.Fatalf("store answered %d tuples (overflow %v), want %d", len(got), res.Overflow, len(want))
 	}
 	for i := range want {
 		if !got[i].Equal(want[i]) {
-			t.Fatalf("rank %d: Dump %v, RankOrder under the new seed %v", i, got[i], want[i])
+			t.Fatalf("rank %d: store %v, RankOrder under the new seed %v", i, got[i], want[i])
 		}
 	}
 	if files := storeFiles(t, dir); len(files) != 3 {

@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"hidb/internal/dataspace"
 	"hidb/internal/hiddendb"
@@ -123,7 +123,7 @@ func SplitPivot(resp dataspace.Bag, dim, k int) (x int64, c int) {
 	for i, t := range resp {
 		vals[i] = t[dim]
 	}
-	sort.Slice(vals, func(a, b int) bool { return vals[a] < vals[b] })
+	slices.Sort(vals)
 	idx := k/2 - 1
 	if idx < 0 {
 		idx = 0

@@ -133,41 +133,6 @@ func (q Query) Exhausted(i int) bool {
 	return p.Lo == p.Hi
 }
 
-// IsPoint reports whether every attribute is exhausted, i.e. the query has
-// degenerated into a single point of the data space. A point query can never
-// overflow on a solvable instance.
-func (q Query) IsPoint() bool {
-	for i := range q.preds {
-		if !q.Exhausted(i) {
-			return false
-		}
-	}
-	return true
-}
-
-// IsSlice reports whether the query is a slice query: a single categorical
-// equality predicate, wildcard/full-range everywhere else. When it is, the
-// attribute index and constant are returned.
-func (q Query) IsSlice() (attr int, value int64, ok bool) {
-	attr = -1
-	for i, p := range q.preds {
-		if q.schema.Attr(i).Kind == Categorical {
-			if !p.Wild {
-				if attr >= 0 {
-					return -1, 0, false
-				}
-				attr, value = i, p.Value
-			}
-		} else if p.Lo != NegInf || p.Hi != PosInf {
-			return -1, 0, false
-		}
-	}
-	if attr < 0 {
-		return -1, 0, false
-	}
-	return attr, value, true
-}
-
 // WithRange returns a copy of the query whose predicate on numeric attribute
 // i is replaced by [lo, hi].
 func (q Query) WithRange(i int, lo, hi int64) Query {
@@ -217,40 +182,6 @@ func (q Query) Split3(i int, x int64) (left, mid, right Query, hasLeft, hasRight
 		hasRight = true
 	}
 	return left, mid, right, hasLeft, hasRight, nil
-}
-
-// Contains reports whether q's region fully contains r's region. Both must
-// share a schema.
-func (q Query) Contains(r Query) bool {
-	for i := range q.preds {
-		qp, rp := q.preds[i], r.preds[i]
-		if q.schema.Attr(i).Kind == Categorical {
-			if qp.Wild {
-				continue
-			}
-			if rp.Wild || rp.Value != qp.Value {
-				return false
-			}
-		} else if rp.Lo < qp.Lo || rp.Hi > qp.Hi {
-			return false
-		}
-	}
-	return true
-}
-
-// Disjoint reports whether q and r cover disjoint regions of the data space.
-func (q Query) Disjoint(r Query) bool {
-	for i := range q.preds {
-		qp, rp := q.preds[i], r.preds[i]
-		if q.schema.Attr(i).Kind == Categorical {
-			if !qp.Wild && !rp.Wild && qp.Value != rp.Value {
-				return true
-			}
-		} else if qp.Hi < rp.Lo || rp.Hi < qp.Lo {
-			return true
-		}
-	}
-	return false
 }
 
 // Key returns a canonical string for the query, usable as a cache key. Two

@@ -27,9 +27,6 @@ func TestUniverseQueryCoversEverything(t *testing.T) {
 			t.Errorf("universe does not cover %v", tu)
 		}
 	}
-	if q.IsPoint() {
-		t.Error("universe should not be a point")
-	}
 }
 
 func TestNewQueryValidation(t *testing.T) {
@@ -97,9 +94,6 @@ func TestSplit2Partition(t *testing.T) {
 	if lo != 40 || hi != 100 {
 		t.Errorf("right extent [%d,%d], want [40,100]", lo, hi)
 	}
-	if !left.Disjoint(right) {
-		t.Error("split halves are not disjoint")
-	}
 	// Split boundaries are rejected outside (lo, hi].
 	if _, _, err := q.Split2(0, 0); err == nil {
 		t.Error("split at lo accepted (left would be empty)")
@@ -126,8 +120,11 @@ func TestSplit3PartitionAndDegeneration(t *testing.T) {
 	if !mid.Exhausted(0) {
 		t.Error("mid should exhaust the split attribute")
 	}
-	if !left.Disjoint(mid) || !mid.Disjoint(right) || !left.Disjoint(right) {
-		t.Error("3-way split pieces overlap")
+	if lo, hi := left.Extent(0); lo != 10 || hi != 14 {
+		t.Errorf("left extent [%d,%d], want [10,14]", lo, hi)
+	}
+	if lo, hi := right.Extent(0); lo != 16 || hi != 20 {
+		t.Errorf("right extent [%d,%d], want [16,20]", lo, hi)
 	}
 
 	// Split at the lower endpoint: no left piece.
@@ -199,70 +196,12 @@ func TestExhaustedAndIsPoint(t *testing.T) {
 	if q.Exhausted(0) || q.Exhausted(2) {
 		t.Error("universe claims exhausted attributes")
 	}
+	// A fully pinned query is a point: every attribute is exhausted.
 	q = q.WithValue(0, 3).WithValue(1, 2).WithRange(2, 7, 7).WithRange(3, -1, -1)
 	for i := 0; i < 4; i++ {
 		if !q.Exhausted(i) {
 			t.Errorf("attribute %d not exhausted", i)
 		}
-	}
-	if !q.IsPoint() {
-		t.Error("fully pinned query is not a point")
-	}
-}
-
-func TestIsSlice(t *testing.T) {
-	s := mixedSchema(t)
-	q := UniverseQuery(s).WithValue(1, 4)
-	attr, val, ok := q.IsSlice()
-	if !ok || attr != 1 || val != 4 {
-		t.Errorf("IsSlice = (%d,%d,%v), want (1,4,true)", attr, val, ok)
-	}
-	if _, _, ok := UniverseQuery(s).IsSlice(); ok {
-		t.Error("universe claimed to be a slice")
-	}
-	if _, _, ok := q.WithValue(0, 2).IsSlice(); ok {
-		t.Error("two pinned attributes claimed to be a slice")
-	}
-	if _, _, ok := q.WithRange(2, 5, 10).IsSlice(); ok {
-		t.Error("range-constrained query claimed to be a slice")
-	}
-}
-
-func TestContains(t *testing.T) {
-	s := mixedSchema(t)
-	u := UniverseQuery(s)
-	sub := u.WithValue(0, 3).WithRange(2, 100, 200)
-	if !u.Contains(sub) {
-		t.Error("universe does not contain its refinement")
-	}
-	if sub.Contains(u) {
-		t.Error("refinement contains the universe")
-	}
-	if !sub.Contains(sub) {
-		t.Error("query does not contain itself")
-	}
-	other := u.WithValue(0, 4)
-	if sub.Contains(other) || other.Contains(sub) {
-		t.Error("disjoint value pins claim containment")
-	}
-}
-
-func TestDisjoint(t *testing.T) {
-	s := mixedSchema(t)
-	u := UniverseQuery(s)
-	a := u.WithValue(0, 1)
-	b := u.WithValue(0, 2)
-	if !a.Disjoint(b) {
-		t.Error("different value pins not disjoint")
-	}
-	c := u.WithRange(2, 0, 10)
-	d := u.WithRange(2, 11, 20)
-	if !c.Disjoint(d) {
-		t.Error("non-overlapping ranges not disjoint")
-	}
-	e := u.WithRange(2, 5, 15)
-	if c.Disjoint(e) {
-		t.Error("overlapping ranges claimed disjoint")
 	}
 }
 

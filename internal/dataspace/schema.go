@@ -168,20 +168,6 @@ func (s *Schema) IsNumeric() bool { return s.Cat() == 0 }
 // IsCategorical reports whether every attribute is categorical.
 func (s *Schema) IsCategorical() bool { return s.Cat() == s.Dims() }
 
-// IsMixed reports whether the space has both categorical and numeric
-// attributes.
-func (s *Schema) IsMixed() bool { c := s.Cat(); return c > 0 && c < s.Dims() }
-
-// IndexOf returns the position of the attribute with the given name, or -1.
-func (s *Schema) IndexOf(name string) int {
-	for i, a := range s.attrs {
-		if a.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // Project returns a new schema keeping only the attributes at the given
 // positions, in the given order. The positions must describe a valid
 // categorical-prefix ordering.
@@ -194,35 +180,6 @@ func (s *Schema) Project(cols []int) (*Schema, error) {
 		attrs = append(attrs, s.attrs[c])
 	}
 	return NewSchema(attrs)
-}
-
-// SliceQueryCount returns Σ Ui over the categorical attributes: the total
-// number of distinct slice queries in the space.
-func (s *Schema) SliceQueryCount() int {
-	total := 0
-	for _, a := range s.attrs {
-		if a.Kind == Categorical {
-			total += a.DomainSize
-		}
-	}
-	return total
-}
-
-// CatPoints returns the number of points in the categorical subspace,
-// Π Ui over categorical attributes, saturating at math.MaxInt64.
-func (s *Schema) CatPoints() int64 {
-	total := int64(1)
-	for _, a := range s.attrs {
-		if a.Kind != Categorical {
-			continue
-		}
-		u := int64(a.DomainSize)
-		if total > math.MaxInt64/u {
-			return math.MaxInt64
-		}
-		total *= u
-	}
-	return total
 }
 
 // String renders the schema compactly, e.g.

@@ -23,9 +23,9 @@ func TestNewSchemaValid(t *testing.T) {
 	if s.Cat() != 2 {
 		t.Fatalf("Cat = %d, want 2", s.Cat())
 	}
-	if !s.IsMixed() || s.IsNumeric() || s.IsCategorical() {
-		t.Fatalf("kind predicates wrong: mixed=%v numeric=%v categorical=%v",
-			s.IsMixed(), s.IsNumeric(), s.IsCategorical())
+	if s.IsNumeric() || s.IsCategorical() {
+		t.Fatalf("kind predicates wrong: numeric=%v categorical=%v",
+			s.IsNumeric(), s.IsCategorical())
 	}
 }
 
@@ -113,39 +113,6 @@ func TestSchemaProject(t *testing.T) {
 	// A projection that breaks the categorical-prefix rule must fail.
 	if _, err := s.Project([]int{2, 0}); err == nil {
 		t.Error("numeric-before-categorical projection succeeded")
-	}
-}
-
-func TestSchemaIndexOf(t *testing.T) {
-	s := mixedSchema(t)
-	if i := s.IndexOf("Price"); i != 2 {
-		t.Errorf("IndexOf(Price) = %d, want 2", i)
-	}
-	if i := s.IndexOf("nope"); i != -1 {
-		t.Errorf("IndexOf(nope) = %d, want -1", i)
-	}
-}
-
-func TestSliceQueryCount(t *testing.T) {
-	s := mixedSchema(t)
-	if got := s.SliceQueryCount(); got != 92 {
-		t.Errorf("SliceQueryCount = %d, want 92", got)
-	}
-}
-
-func TestCatPoints(t *testing.T) {
-	s := mixedSchema(t)
-	if got := s.CatPoints(); got != 85*7 {
-		t.Errorf("CatPoints = %d, want %d", got, 85*7)
-	}
-	// Saturation on absurdly large products.
-	big := make([]Attribute, 8)
-	for i := range big {
-		big[i] = Attribute{Name: string(rune('A' + i)), Kind: Categorical, DomainSize: 1 << 30}
-	}
-	s2 := MustSchema(big)
-	if s2.CatPoints() <= 0 {
-		t.Error("CatPoints overflowed instead of saturating")
 	}
 }
 

@@ -138,21 +138,6 @@ func (b Bag) MaxMultiplicity() int {
 	return best
 }
 
-// DistinctPoints returns the number of distinct points occupied by the bag.
-func (b Bag) DistinctPoints() int {
-	if len(b) == 0 {
-		return 0
-	}
-	s := b.Clone().SortCanonical()
-	n := 1
-	for i := 1; i < len(s); i++ {
-		if !s[i].Equal(s[i-1]) {
-			n++
-		}
-	}
-	return n
-}
-
 // DistinctValues returns, per attribute, the number of distinct values that
 // occur in the bag. Used to pick the "top-d attributes by distinct count"
 // workloads of Figures 10b and 11b.

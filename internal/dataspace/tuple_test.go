@@ -98,9 +98,6 @@ func TestMaxMultiplicity(t *testing.T) {
 
 func TestDistinctPointsAndValues(t *testing.T) {
 	b := Bag{{1, 10}, {1, 10}, {1, 20}, {2, 10}}
-	if got := b.DistinctPoints(); got != 3 {
-		t.Errorf("DistinctPoints = %d, want 3", got)
-	}
 	dv := b.DistinctValues(2)
 	if dv[0] != 2 || dv[1] != 2 {
 		t.Errorf("DistinctValues = %v, want [2 2]", dv)

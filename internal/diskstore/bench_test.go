@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -46,7 +47,7 @@ func benchSetup(tb testing.TB) {
 
 		ds := datagen.Tiered(datagen.PatternPathological, datagen.Tier1M, 1)
 		benchState.patho1MPath = filepath.Join(dir, "patho-1m.hidb")
-		if err := BuildRanked(benchState.patho1MPath, ds.Schema, ds.Tuples, BuildOptions{Bands: benchBands}); err != nil {
+		if err := Build(benchState.patho1MPath, ds.Schema, slices.Values(ds.Tuples), BuildOptions{Bands: benchBands}); err != nil {
 			tb.Fatal(err)
 		}
 		if benchState.patho1MMem, err = index.NewSharded(ds.Schema, ds.Tuples, benchBands); err != nil {
@@ -57,7 +58,7 @@ func benchSetup(tb testing.TB) {
 		benchState.yahoo = yds
 		byRank := hiddendb.RankOrder(yds.Tuples, 42)
 		benchState.yahooPath = filepath.Join(dir, "yahoo.hidb")
-		if err := BuildRanked(benchState.yahooPath, yds.Schema, byRank, BuildOptions{Bands: benchBands}); err != nil {
+		if err := Build(benchState.yahooPath, yds.Schema, slices.Values(byRank), BuildOptions{Bands: benchBands}); err != nil {
 			tb.Fatal(err)
 		}
 		if benchState.yahooMem, err = index.NewSharded(yds.Schema, byRank, benchBands); err != nil {

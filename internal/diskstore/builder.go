@@ -279,11 +279,6 @@ func Build(path string, schema *dataspace.Schema, rows iter.Seq[dataspace.Tuple]
 	return b.Finish()
 }
 
-// BuildRanked builds a store from an already-materialized priority order.
-func BuildRanked(path string, schema *dataspace.Schema, byRank []dataspace.Tuple, opts BuildOptions) error {
-	return Build(path, schema, slices.Values(byRank), opts)
-}
-
 // segWriter appends 8-aligned, CRC'd segments to the output and records
 // the directory the footer will carry.
 type segWriter struct {

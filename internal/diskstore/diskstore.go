@@ -20,7 +20,7 @@
 // Open maps the file read-only, assembles one index.Store per priority
 // band from artifacts aliasing the mapped pages (index.NewFromArtifacts),
 // and serves the bands through index.NewPartitioned: the opened Store is an
-// index.Sharded, so the per-query cost-model planner, all five access
+// index.Sharded, so the per-query cost-model planner, all four access
 // paths, the priority-ordered band walk and the batch fan-out are the
 // in-memory engine's own code running against on-disk postings. Two
 // properties make the disk engine's behaviour bit-identical to the

@@ -205,9 +205,6 @@ func TestEmptyRelationBothEngines(t *testing.T) {
 		if got := eng.Select(dataspace.UniverseQuery(eng.Schema()), 0); len(got) != 0 {
 			t.Errorf("%s: universe Select returned %d tuples, want 0", name, len(got))
 		}
-		if got := eng.All(); len(got) != 0 {
-			t.Errorf("%s: All returned %d tuples, want 0", name, len(got))
-		}
 		if got := eng.SelectBatch(context.Background(), []dataspace.Query{q, q}, 5); len(got) != 2 || len(got[0]) != 0 || len(got[1]) != 0 {
 			t.Errorf("%s: batch over empty store answered %v", name, got)
 		}

@@ -109,13 +109,15 @@ func TestAnswerBatchMatchesSequential(t *testing.T) {
 		},
 		"latency": func() stack {
 			c, nc := counting(local(1))
-			l := hiddendb.NewLatency(c, time.Microsecond, hiddendb.Wall)
-			return snapshot(l, nc, func(m map[string]int) { m["trips"] = l.Trips() })
+			trips := &hiddendb.TripCounter{Server: c}
+			l := hiddendb.NewLatency(trips, time.Microsecond, hiddendb.Wall)
+			return snapshot(l, nc, func(m map[string]int) { m["trips"] = trips.Trips() })
 		},
 		"sim-latency": func() stack {
 			c, nc := counting(local(1))
-			l := hiddendb.NewLatency(c, time.Millisecond, hiddendb.NewSimClock())
-			return snapshot(l, nc, func(m map[string]int) { m["trips"] = l.Trips() })
+			trips := &hiddendb.TripCounter{Server: c}
+			l := hiddendb.NewLatency(trips, time.Millisecond, hiddendb.NewSimClock())
+			return snapshot(l, nc, func(m map[string]int) { m["trips"] = trips.Trips() })
 		},
 		"flaky-no-faults": func() stack {
 			c, nc := counting(local(1))

@@ -7,3 +7,6 @@ var (
 	NewBatchQueries = batchQueries
 	SameResult      = sameResult
 )
+
+// TripCounter counts the batches that reach the server it wraps.
+type TripCounter = tripCounter

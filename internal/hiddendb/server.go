@@ -264,9 +264,6 @@ func (l *Local) Shards() int {
 	return 1
 }
 
-// Dump returns the ground-truth bag (priority order). Test/measurement only.
-func (l *Local) Dump() dataspace.Bag { return dataspace.Bag(l.store.All()) }
-
 // PlanStats reports how often each of the backing store's access paths
 // executed. The counters are cumulative since construction and safe to
 // read while queries are in flight.
@@ -434,17 +431,12 @@ type Latency struct {
 	inner Server
 	delay time.Duration
 	clock Clock
-	trips atomic.Int64
 }
 
 // NewLatency wraps srv with a per-round-trip delay on clock.
 func NewLatency(srv Server, delay time.Duration, clock Clock) *Latency {
 	return &Latency{inner: srv, delay: delay, clock: clock}
 }
-
-// Trips returns how many round trips have been served (and paid the
-// delay) so far.
-func (l *Latency) Trips() int { return int(l.trips.Load()) }
 
 // Answer implements Server as a one-query batch.
 func (l *Latency) Answer(ctx context.Context, q dataspace.Query) (Result, error) {
@@ -456,7 +448,6 @@ func (l *Latency) AnswerBatch(ctx context.Context, qs []dataspace.Query) ([]Resu
 	if err := l.clock.Sleep(ctx, l.delay); err != nil {
 		return nil, err
 	}
-	l.trips.Add(1)
 	return l.inner.AnswerBatch(ctx, qs)
 }
 

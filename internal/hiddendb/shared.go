@@ -146,9 +146,6 @@ func (s *Shared) Bytes() int64 { return s.cache.Bytes() }
 // Evictions returns how many answers the byte bound has evicted.
 func (s *Shared) Evictions() int { return s.cache.Evictions() }
 
-// InFlightWaits returns the number of keys currently being led.
-func (s *Shared) InFlightWaits() int { return s.flight.InFlight() }
-
 // SharedStats is a point-in-time snapshot of the tier's counters.
 type SharedStats struct {
 	// Hits counts answers served from a cached entry; Waits answers served
@@ -176,7 +173,7 @@ func (s *Shared) Stats() SharedStats {
 		Entries:   s.Entries(),
 		Bytes:     s.Bytes(),
 		Evictions: s.Evictions(),
-		InFlight:  s.InFlightWaits(),
+		InFlight:  s.flight.InFlight(),
 	}
 }
 

@@ -79,8 +79,8 @@ func TestSharedViewSingleLeader(t *testing.T) {
 	if shared.Entries() != queries {
 		t.Fatalf("Entries = %d, want %d", shared.Entries(), queries)
 	}
-	if shared.InFlightWaits() != 0 {
-		t.Fatalf("in-flight registry not drained: %d", shared.InFlightWaits())
+	if n := shared.Stats().InFlight; n != 0 {
+		t.Fatalf("in-flight registry not drained: %d", n)
 	}
 }
 

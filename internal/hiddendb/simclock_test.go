@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -201,11 +202,26 @@ func TestSimClockIdleCallback(t *testing.T) {
 	c.Release()
 }
 
+// tripCounter counts the batches that reach the server it wraps: beneath
+// a Latency, the round trips that paid the delay.
+type tripCounter struct {
+	Server
+	trips atomic.Int64
+}
+
+func (c *tripCounter) AnswerBatch(ctx context.Context, qs []dataspace.Query) ([]Result, error) {
+	c.trips.Add(1)
+	return c.Server.AnswerBatch(ctx, qs)
+}
+
+func (c *tripCounter) Trips() int { return int(c.trips.Load()) }
+
 func TestLatencyOnSimClockSequential(t *testing.T) {
 	srv, schema := simTestServer(t, 500, 50)
 	clock := NewSimClock()
 	const delay = 2 * time.Millisecond
-	sim := NewLatency(srv, delay, clock)
+	trips := &tripCounter{Server: srv}
+	sim := NewLatency(trips, delay, clock)
 	if sim.K() != srv.K() || sim.Schema() != srv.Schema() {
 		t.Fatal("Latency does not forward K/Schema")
 	}
@@ -238,18 +254,19 @@ func TestLatencyOnSimClockSequential(t *testing.T) {
 	if clock.Now() != 2*delay {
 		t.Fatalf("batch round trip left the clock at %v, want %v", clock.Now(), 2*delay)
 	}
-	if sim.Trips() != 2 {
-		t.Fatalf("trips = %d, want 2", sim.Trips())
+	if trips.Trips() != 2 {
+		t.Fatalf("trips = %d, want 2", trips.Trips())
 	}
 }
 
 // TestLatencyOnSimClockCancelledNotServed: a ctx cancelled before the
-// virtual round trip completes aborts the query unserved — Trips stays
-// put, so nothing was charged downstream.
+// virtual round trip completes aborts the query unserved — nothing reaches
+// the inner server, so nothing was charged downstream.
 func TestLatencyOnSimClockCancelledNotServed(t *testing.T) {
 	srv, schema := simTestServer(t, 100, 10)
 	clock := NewSimClock()
-	sim := NewLatency(srv, time.Hour, clock)
+	trips := &tripCounter{Server: srv}
+	sim := NewLatency(trips, time.Hour, clock)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := sim.Answer(ctx, dataspace.UniverseQuery(schema)); !errors.Is(err, context.Canceled) {
@@ -258,8 +275,8 @@ func TestLatencyOnSimClockCancelledNotServed(t *testing.T) {
 	if _, err := sim.AnswerBatch(ctx, []dataspace.Query{dataspace.UniverseQuery(schema)}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("batch err = %v, want context.Canceled", err)
 	}
-	if sim.Trips() != 0 {
-		t.Fatalf("cancelled round trips still counted: %d", sim.Trips())
+	if trips.Trips() != 0 {
+		t.Fatalf("cancelled round trips reached the server: %d", trips.Trips())
 	}
 	if clock.Now() != 0 {
 		t.Fatalf("cancelled round trips advanced the clock to %v", clock.Now())

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"hidb/internal/datagen"
@@ -61,7 +62,7 @@ func TestEngineStatsDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "store.hidb")
-	if err := diskstore.BuildRanked(path, ds.Schema, hiddendb.RankOrder(ds.Tuples, seed), diskstore.BuildOptions{Bands: 2}); err != nil {
+	if err := diskstore.Build(path, ds.Schema, slices.Values(hiddendb.RankOrder(ds.Tuples, seed)), diskstore.BuildOptions{Bands: 2}); err != nil {
 		t.Fatal(err)
 	}
 	store, err := diskstore.Open(path, diskstore.OpenOptions{})

@@ -191,9 +191,6 @@ func (h *Handler) Sessions() *session.Table { return h.table }
 // a clean, bounded handover; draining is one-way.
 func (h *Handler) Drain() { h.draining.Store(true) }
 
-// Draining reports whether Drain has been called.
-func (h *Handler) Draining() bool { return h.draining.Load() }
-
 // InFlight returns the query-carrying requests currently being served.
 func (h *Handler) InFlight() int {
 	h.mu.Lock()

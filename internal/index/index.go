@@ -368,21 +368,6 @@ func (s *Store) Size() int { return s.n }
 // Schema returns the store's schema.
 func (s *Store) Schema() *dataspace.Schema { return s.schema }
 
-// All returns the tuples in priority order. For a row-backed store the
-// slice and its tuples are shared and must not be mutated; an
-// artifact-backed store copies every row through rows — callers that only
-// need a subset should Select instead.
-func (s *Store) All() []dataspace.Tuple {
-	if s.byRank != nil || s.n == 0 {
-		return s.byRank
-	}
-	ranks := make([]int32, s.n)
-	for r := range ranks {
-		ranks[r] = int32(r)
-	}
-	return s.rows(ranks)
-}
-
 // EngineStats identifies the in-memory engine. Engines built over
 // artifacts report their own kind.
 func (s *Store) EngineStats() EngineStats { return EngineStats{Kind: "mem"} }

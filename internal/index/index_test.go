@@ -60,11 +60,24 @@ func randomQuery(sch *dataspace.Schema, rng *simrand.RNG) dataspace.Query {
 	return q
 }
 
+// all returns the store's tuples in priority order, read from its ranks
+// directly rather than through Select, for the reference answers to walk.
+func all(s *Store) []dataspace.Tuple {
+	if s.byRank != nil || s.n == 0 {
+		return s.byRank
+	}
+	ranks := make([]int32, s.n)
+	for r := range ranks {
+		ranks[r] = int32(r)
+	}
+	return s.rows(ranks)
+}
+
 // naive computes the reference answer: qualifying tuples in rank order,
 // truncated to want.
 func naive(s *Store, q dataspace.Query, want int) []dataspace.Tuple {
 	var out []dataspace.Tuple
-	for _, t := range s.All() {
+	for _, t := range all(s) {
 		if q.Covers(t) {
 			out = append(out, t)
 			if len(out) == want {
@@ -126,7 +139,7 @@ func TestSelectRankOrder(t *testing.T) {
 	for _, tu := range got {
 		// Find the tuple's rank by scanning byRank (test-only cost).
 		r := -1
-		for i, bt := range s.All() {
+		for i, bt := range all(s) {
 			if &bt[0] == &tu[0] {
 				r = i
 				break

@@ -207,7 +207,7 @@ func TestCountMatchesNaiveAcrossPatterns(t *testing.T) {
 		for trial := 0; trial < 100; trial++ {
 			q := tierQuery(s.Schema(), rng, n)
 			want := 0
-			for _, tu := range s.All() {
+			for _, tu := range all(s) {
 				if q.Covers(tu) {
 					want++
 				}
@@ -420,7 +420,7 @@ func TestShardedSharesStatsKeepsPlans(t *testing.T) {
 			t.Fatal("shards should share one SelStats instance")
 		}
 	}
-	if got := sh.shards[0].stats.SampleSize(); got != statsSampleMax {
+	if got := sh.shards[0].stats.sampled; got != statsSampleMax {
 		t.Fatalf("shared sample size = %d, want %d", got, statsSampleMax)
 	}
 	rng := simrand.New(48)
@@ -446,8 +446,8 @@ func TestSelStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := s.Stats()
-	if st.SampleSize() != statsSampleMax {
-		t.Fatalf("sample size = %d, want %d", st.SampleSize(), statsSampleMax)
+	if st.sampled != statsSampleMax {
+		t.Fatalf("sample size = %d, want %d", st.sampled, statsSampleMax)
 	}
 	sch := d.Schema
 	uni := dataspace.UniverseQuery(sch)
@@ -461,7 +461,13 @@ func TestSelStats(t *testing.T) {
 	}
 	// The column-wise evaluation counts exactly the sampled rows a
 	// row-by-row Covers check accepts.
-	rows := st.SampleRows()
+	rows := make([]dataspace.Tuple, st.sampled)
+	for j := range rows {
+		rows[j] = make(dataspace.Tuple, len(st.cols))
+		for i, col := range st.cols {
+			rows[j][i] = col[j]
+		}
+	}
 	rng := simrand.New(54)
 	for trial := 0; trial < 200; trial++ {
 		q := tierQuery(sch, rng, len(d.Tuples))
@@ -477,11 +483,11 @@ func TestSelStats(t *testing.T) {
 		}
 	}
 	// Uniform 32-way categorical: second moment near 1/32.
-	if es := st.EqSel(0); es < 0.01 || es > 0.1 {
-		t.Fatalf("EqSel(C1) = %v, want ≈ 1/32", es)
+	if es := st.eqSel[0]; es < 0.01 || es > 0.1 {
+		t.Fatalf("eqSel[C1] = %v, want ≈ 1/32", es)
 	}
-	if es := st.EqSel(4); es != 0 {
-		t.Fatalf("EqSel(numeric) = %v, want 0", es)
+	if es := st.eqSel[4]; es != 0 {
+		t.Fatalf("eqSel[numeric] = %v, want 0", es)
 	}
 	// Empty store: selectivity defaults to 1, nothing divides by zero.
 	empty, err := New(d.Schema, nil)

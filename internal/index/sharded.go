@@ -35,8 +35,6 @@ type Engine interface {
 	Size() int
 	// Schema returns the store's schema.
 	Schema() *dataspace.Schema
-	// All returns the tuples in priority order (shared storage, read-only).
-	All() []dataspace.Tuple
 	// PlanStats returns the cumulative per-access-path Select execution
 	// counts.
 	PlanStats() PlanStats
@@ -147,16 +145,6 @@ func (s *Sharded) Size() int { return s.n }
 
 // Schema returns the store's schema.
 func (s *Sharded) Schema() *dataspace.Schema { return s.schema }
-
-// All returns the tuples in priority order: the shards' All, concatenated
-// (see Store.All for which tuples are shared).
-func (s *Sharded) All() []dataspace.Tuple {
-	out := make([]dataspace.Tuple, 0, s.n)
-	for _, sh := range s.shards {
-		out = append(out, sh.All()...)
-	}
-	return out
-}
 
 // Select returns up to limit+1 tuples matching q in descending priority
 // order, identical to the single-Store result. Shards are visited in

@@ -125,21 +125,6 @@ func NewSelStats(schema *dataspace.Schema, n int, rows []dataspace.Tuple) *SelSt
 	return st
 }
 
-// SampleRows returns the sampled rows, materialized row-major. The disk
-// builder persists them in the store footer.
-func (st *SelStats) SampleRows() []dataspace.Tuple {
-	d := len(st.cols)
-	rows := make([]dataspace.Tuple, st.sampled)
-	for j := range rows {
-		t := make(dataspace.Tuple, d)
-		for i := 0; i < d; i++ {
-			t[i] = st.cols[i][j]
-		}
-		rows[j] = t
-	}
-	return rows
-}
-
 // jointSel estimates the fraction of the relation matched by the whole
 // conjunction, by evaluating it over the sample. The estimate is smoothed
 // away from zero (half a row's worth) so the cost model never divides by
@@ -197,10 +182,3 @@ func (st *SelStats) jointSel(preds []dataspace.Pred) float64 {
 	}
 	return sel
 }
-
-// EqSel returns the sampled expected equality selectivity of categorical
-// attribute i (0 for numeric attributes).
-func (st *SelStats) EqSel(i int) float64 { return st.eqSel[i] }
-
-// SampleSize returns the number of sampled rows.
-func (st *SelStats) SampleSize() int { return st.sampled }

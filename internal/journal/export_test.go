@@ -1,6 +1,9 @@
 package journal
 
-import "hidb/internal/dataspace"
+import (
+	"hidb/internal/dataspace"
+	"hidb/internal/hiddendb"
+)
 
 // NewTestDataset exposes testDataset to the external crawl tests.
 var NewTestDataset = testDataset
@@ -17,4 +20,11 @@ func (j *Journal) Queries() []dataspace.Query {
 		qs[i] = e.q
 	}
 	return qs
+}
+
+// lookup returns the recorded response for q, if any. A hit allocates
+// nothing.
+func (j *Journal) lookup(q dataspace.Query) (hiddendb.Result, bool) {
+	res, _, ok := j.answers.Probe(q.AppendKey)
+	return res, ok
 }

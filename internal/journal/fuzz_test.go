@@ -105,10 +105,10 @@ func FuzzReadFrom(f *testing.F) {
 			return
 		}
 		// Whatever was recovered must be well-formed: every logged entry is
-		// what Lookup answers for its query, and re-serialization is
+		// what lookup answers for its query, and re-serialization is
 		// lossless.
 		for _, e := range got.log {
-			res, ok := got.Lookup(e.q)
+			res, ok := got.lookup(e.q)
 			if !ok {
 				t.Fatalf("recovered entry %s does not look up", e.q)
 			}

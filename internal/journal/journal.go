@@ -85,13 +85,6 @@ func (j *Journal) Len() int {
 	return len(j.log)
 }
 
-// Lookup returns the recorded response for q, if any. A hit allocates
-// nothing.
-func (j *Journal) Lookup(q dataspace.Query) (hiddendb.Result, bool) {
-	res, _, ok := j.answers.Probe(q.AppendKey)
-	return res, ok
-}
-
 // Record stores the response for q. Recording the same query twice is a
 // no-op (responses are stable by the problem setup).
 func (j *Journal) Record(q dataspace.Query, res hiddendb.Result) {

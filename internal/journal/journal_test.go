@@ -67,18 +67,18 @@ func TestRecordLookup(t *testing.T) {
 	ds := testDataset(t)
 	j := New(ds.Schema, 16)
 	q := dataspace.UniverseQuery(ds.Schema).WithValue(0, 2)
-	if _, ok := j.Lookup(q); ok {
+	if _, ok := j.lookup(q); ok {
 		t.Fatal("empty journal answered a query")
 	}
 	res := hiddendb.Result{Overflow: true, Tuples: ds.Tuples[:3]}
 	j.Record(q, res)
-	got, ok := j.Lookup(q)
+	got, ok := j.lookup(q)
 	if !ok || got.Overflow != true || len(got.Tuples) != 3 {
 		t.Fatal("recorded entry not returned")
 	}
 	// Re-recording is a no-op.
 	j.Record(q, hiddendb.Result{})
-	got, _ = j.Lookup(q)
+	got, _ = j.lookup(q)
 	if len(got.Tuples) != 3 {
 		t.Fatal("re-record overwrote the entry")
 	}
@@ -121,7 +121,7 @@ func TestSerializationRoundTrip(t *testing.T) {
 	}
 	// Every original entry must replay identically.
 	for _, e := range j.log {
-		got, ok := back.Lookup(e.q)
+		got, ok := back.lookup(e.q)
 		if !ok {
 			t.Fatalf("entry %s missing after round trip", e.q)
 		}
@@ -131,7 +131,7 @@ func TestSerializationRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReplayAllocatesNothing pins the journal's zero-copy memo: a Lookup
+// TestReplayAllocatesNothing pins the journal's zero-copy memo: a lookup
 // hit and a Server.Answer replay build the query's key in a pooled buffer
 // and look it up without allocating.
 func TestReplayAllocatesNothing(t *testing.T) {
@@ -154,11 +154,11 @@ func TestReplayAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		if _, ok := j.Lookup(q); !ok {
+		if _, ok := j.lookup(q); !ok {
 			t.Fatal("recorded query missed")
 		}
 	}); n != 0 {
-		t.Errorf("Journal.Lookup hit: %v allocs, want 0", n)
+		t.Errorf("Journal lookup hit: %v allocs, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		if _, err := wrapped.Answer(ctx, q); err != nil {

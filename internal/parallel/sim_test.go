@@ -15,7 +15,8 @@ import (
 func simCrawl(t *testing.T, ds *datagen.Dataset, k, workers, batch, depth int, delay time.Duration) (elapsed time.Duration, trips, queries int) {
 	t.Helper()
 	clock := hiddendb.NewSimClock()
-	sim := hiddendb.NewLatency(server(t, ds, k), delay, clock)
+	rt := &roundTrips{Server: server(t, ds, k)}
+	sim := hiddendb.NewLatency(rt, delay, clock)
 	res, err := (Crawler{Workers: workers}).Crawl(context.Background(), sim, &core.Options{
 		BatchSize: batch,
 		InFlight:  depth,
@@ -27,7 +28,7 @@ func simCrawl(t *testing.T, ds *datagen.Dataset, k, workers, batch, depth int, d
 	if !res.Tuples.EqualMultiset(ds.Tuples) {
 		t.Fatalf("sim crawl (workers=%d depth=%d): incomplete", workers, depth)
 	}
-	return clock.Now(), sim.Trips(), res.Queries
+	return clock.Now(), rt.count(), res.Queries
 }
 
 // wideDataset is a workload with a wide fan-out: rank-shrink over a large
@@ -129,7 +130,8 @@ func TestSimSequentialCrawl(t *testing.T) {
 	}
 	const delay = 5 * time.Millisecond
 	clock := hiddendb.NewSimClock()
-	sim := hiddendb.NewLatency(server(t, ds, k), delay, clock)
+	rt := &roundTrips{Server: server(t, ds, k)}
+	sim := hiddendb.NewLatency(rt, delay, clock)
 	res, err := (core.Hybrid{}).Crawl(context.Background(), sim, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +139,7 @@ func TestSimSequentialCrawl(t *testing.T) {
 	if want := time.Duration(res.Queries) * delay; clock.Now() != want {
 		t.Fatalf("sequential sim elapsed %v, want %d queries x %v = %v", clock.Now(), res.Queries, delay, want)
 	}
-	if sim.Trips() != res.Queries {
-		t.Fatalf("sequential sim paid %d trips for %d queries", sim.Trips(), res.Queries)
+	if rt.count() != res.Queries {
+		t.Fatalf("sequential sim paid %d trips for %d queries", rt.count(), res.Queries)
 	}
 }

@@ -85,22 +85,6 @@ func (c Curve) MaxDeviation() float64 {
 	return max
 }
 
-// AreaDeviation returns the mean absolute deviation from the diagonal,
-// integrated over the query axis (a curve-level L1 distance in [0,1]).
-func (c Curve) AreaDeviation() float64 {
-	if len(c) < 2 {
-		return 0
-	}
-	area := 0.0
-	for i := 1; i < len(c); i++ {
-		dx := c[i].QueryFrac - c[i-1].QueryFrac
-		mid := (c[i].TupleFrac + c[i-1].TupleFrac) / 2
-		midX := (c[i].QueryFrac + c[i-1].QueryFrac) / 2
-		area += math.Abs(mid-midX) * dx
-	}
-	return area
-}
-
 // String renders the deciles compactly for logs.
 func (c Curve) String() string {
 	d := c.Deciles()

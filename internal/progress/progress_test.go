@@ -84,20 +84,6 @@ func TestMaxDeviationBackLoaded(t *testing.T) {
 	if dev := c.MaxDeviation(); dev < 0.9 {
 		t.Errorf("back-loaded curve deviation %v, want ~1", dev)
 	}
-	if area := c.AreaDeviation(); area < 0.4 {
-		t.Errorf("back-loaded area deviation %v, want ~0.5", area)
-	}
-}
-
-func TestAreaDeviationLinear(t *testing.T) {
-	c := Normalize(linearCurve(50))
-	if area := c.AreaDeviation(); area > 0.02 {
-		t.Errorf("linear curve area deviation %v", area)
-	}
-	var tiny Curve
-	if tiny.AreaDeviation() != 0 {
-		t.Error("degenerate curve area != 0")
-	}
 }
 
 func TestString(t *testing.T) {

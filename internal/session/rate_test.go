@@ -3,7 +3,6 @@ package session
 import (
 	"context"
 	"errors"
-	"strings"
 	"testing"
 	"time"
 
@@ -174,34 +173,5 @@ func TestRateClassResolution(t *testing.T) {
 	counts := tbl.ClassCounts()
 	if counts["gold"] != 1 || counts["slow"] != 1 || len(counts) != 2 {
 		t.Errorf("ClassCounts = %v, want map[gold:1 slow:1]", counts)
-	}
-}
-
-// TestRateClassCustomResolver: Config.RateClassFor overrides the prefix
-// rule entirely — here a suffix convention routes tokens to their tier.
-func TestRateClassCustomResolver(t *testing.T) {
-	tbl, _ := rateTable(t, Config{
-		RateClasses: []RateClass{{Name: "vip"}},
-		RateClassFor: func(token string) string {
-			if strings.HasSuffix(token, "!") {
-				return "vip"
-			}
-			return ""
-		},
-	})
-	vip, err := tbl.Get("alice!")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vip.RateClass() != "vip" {
-		t.Errorf("suffix token resolved to %q, want vip", vip.RateClass())
-	}
-	// With a custom resolver the prefix rule must not apply.
-	plain, err := tbl.Get("vip-bob")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.RateClass() != "" {
-		t.Errorf("prefix rule leaked through custom resolver: %q", plain.RateClass())
 	}
 }

@@ -83,16 +83,13 @@ type Config struct {
 	RateBurst int
 	// RateClasses names per-token qps/burst tiers — the QoS knob of a
 	// real API: gold keys sustain more queries per second than free
-	// keys. Each token is resolved to a class name by RateClassFor (or,
-	// when nil, by its prefix up to the first '-': token "gold-alice"
-	// joins class "gold"); a token resolving to no listed class falls
-	// back to the flat RatePerSecond/RateBurst. Classes shape timing
-	// only — budgets, journals and the paper's query counts are
-	// untouched. A duplicated class name is resolved by the last entry.
+	// keys. A token joins the class named by its prefix up to the first
+	// '-' (token "gold-alice" joins class "gold"); a token with no prefix,
+	// or whose prefix names no listed class, falls back to the flat
+	// RatePerSecond/RateBurst. Classes shape timing only — budgets,
+	// journals and the paper's query counts are untouched. A duplicated
+	// class name is resolved by the last entry.
 	RateClasses []RateClass
-	// RateClassFor, when non-nil, overrides the default prefix resolver:
-	// it maps a token to the name of its rate class ("" for none).
-	RateClassFor func(token string) string
 	// TTL evicts a session idle for longer; zero disables expiry. With a
 	// quota, the TTL is the budget window: a token returning after expiry
 	// gets a fresh session, hence a fresh budget (and its reloaded
@@ -306,23 +303,15 @@ func NewTable(shared hiddendb.Server, cfg Config) *Table {
 	return t
 }
 
-// resolveClass maps a token to its rate class, if any: the configured
-// resolver (or the default '-'-prefix rule) names a class, and the name
-// must be listed in Config.RateClasses.
+// resolveClass maps a token to its rate class, if any: the token's
+// prefix up to the first '-' names a class, and the name must be listed
+// in Config.RateClasses.
 func (t *Table) resolveClass(token string) (RateClass, bool) {
-	if len(t.classes) == 0 {
+	i := strings.IndexByte(token, '-')
+	if len(t.classes) == 0 || i <= 0 {
 		return RateClass{}, false
 	}
-	var name string
-	if t.cfg.RateClassFor != nil {
-		name = t.cfg.RateClassFor(token)
-	} else if i := strings.IndexByte(token, '-'); i > 0 {
-		name = token[:i]
-	}
-	if name == "" {
-		return RateClass{}, false
-	}
-	cls, ok := t.classes[name]
+	cls, ok := t.classes[token[:i]]
 	return cls, ok
 }
 
@@ -586,15 +575,6 @@ func (t *Table) RecoveredJournals() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.recovered
-}
-
-// PersistErr returns the last journal-persistence failure observed during
-// an eviction, if any (evictions run inside unrelated requests and cannot
-// report errors inline).
-func (t *Table) PersistErr() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.persistErr
 }
 
 // Close persists every live session's journal (when a journal directory is

@@ -272,7 +272,7 @@ func TestJournalPersistence(t *testing.T) {
 	if shared.Queries() != storeBefore+2 {
 		t.Fatalf("store saw %d new queries, want 2", shared.Queries()-storeBefore)
 	}
-	if err := tbl.PersistErr(); err != nil {
+	if err := tbl.Close(); err != nil {
 		t.Fatalf("persistence error: %v", err)
 	}
 }

@@ -32,11 +32,6 @@ func (r *RNG) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Int63 returns a non-negative random int64.
-func (r *RNG) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
@@ -116,15 +111,6 @@ func (r *RNG) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle randomly permutes the first n elements using the provided swap
-// function (Fisher–Yates).
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // NormFloat64 returns a normally distributed float64 with mean 0 and

@@ -125,23 +125,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShuffleKeepsElements(t *testing.T) {
-	r := New(13)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
-	for _, x := range xs {
-		got += x
-	}
-	if got != sum {
-		t.Error("Shuffle lost elements")
-	}
-}
-
 func TestNormFloat64Moments(t *testing.T) {
 	r := New(17)
 	const n = 50000

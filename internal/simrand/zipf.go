@@ -53,30 +53,3 @@ func (z *Zipf) Draw() int64 {
 	}
 	return int64(i + 1)
 }
-
-// ShuffledZipf is a Zipf sampler whose ranks are randomly mapped onto domain
-// values, so the most frequent value is not always 1. This mirrors real
-// categorical data where the popular value is an arbitrary domain member.
-type ShuffledZipf struct {
-	z    *Zipf
-	map_ []int64
-}
-
-// NewShuffledZipf builds a Zipf sampler over [1, n] with exponent s and a
-// random rank-to-value permutation.
-func NewShuffledZipf(rng *RNG, n int, s float64) *ShuffledZipf {
-	perm := rng.Perm(n)
-	m := make([]int64, n)
-	for rank, val := range perm {
-		m[rank] = int64(val + 1)
-	}
-	return &ShuffledZipf{z: NewZipf(rng, n, s), map_: m}
-}
-
-// Draw samples one value in [1, N()].
-func (s *ShuffledZipf) Draw() int64 {
-	return s.map_[s.z.Draw()-1]
-}
-
-// N returns the domain size.
-func (s *ShuffledZipf) N() int { return s.z.N() }

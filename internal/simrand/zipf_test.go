@@ -68,33 +68,6 @@ func TestZipfPanics(t *testing.T) {
 	}
 }
 
-func TestShuffledZipfRangeAndMass(t *testing.T) {
-	rng := New(21)
-	s := NewShuffledZipf(rng, 50, 1.2)
-	if s.N() != 50 {
-		t.Fatalf("N = %d, want 50", s.N())
-	}
-	counts := make(map[int64]int)
-	const n = 50000
-	for i := 0; i < n; i++ {
-		v := s.Draw()
-		if v < 1 || v > 50 {
-			t.Fatalf("ShuffledZipf draw %d out of [1,50]", v)
-		}
-		counts[v]++
-	}
-	// The heaviest value holds the Zipf head mass, wherever it is mapped.
-	best := 0
-	for _, c := range counts {
-		if c > best {
-			best = c
-		}
-	}
-	if float64(best)/n < 0.15 {
-		t.Errorf("head mass %v too small for s=1.2", float64(best)/n)
-	}
-}
-
 func TestZipfDeterministicGivenSeed(t *testing.T) {
 	a := NewZipf(New(3), 20, 0.8)
 	b := NewZipf(New(3), 20, 0.8)

@@ -3,10 +3,10 @@
 // only the synthetic workloads. Columns whose every value parses as an
 // integer become numeric attributes (with bounds taken from the data);
 // everything else becomes a categorical attribute whose string values are
-// dictionary-encoded as 1..U. Because the data-space convention puts
-// categorical attributes first, the loader reorders columns and keeps the
-// mapping, and can decode extracted tuples back to the original strings and
-// column order.
+// dictionary-encoded as 1..U in order of first appearance. Because the
+// data-space convention puts categorical attributes first, the loader
+// reorders columns: categorical ones first, then numeric ones, each group in
+// file order.
 package tableload
 
 import (
@@ -35,22 +35,9 @@ type Options struct {
 	MaxDomain int
 }
 
-// Loaded is a dataset plus everything needed to map tuples back to the
-// source file's strings and column order.
-type Loaded struct {
-	// Dataset is the crawlable form: categorical columns first.
-	Dataset *datagen.Dataset
-	// SourceColumns names the file's columns in file order.
-	SourceColumns []string
-	// SchemaToSource maps schema attribute positions to file columns.
-	SchemaToSource []int
-	// Dicts holds, per schema attribute, the categorical value names
-	// (index v-1 names value v); nil entries are numeric attributes.
-	Dicts [][]string
-}
-
-// Read loads a delimited file with a header row.
-func Read(r io.Reader, opts Options) (*Loaded, error) {
+// Read loads a delimited file with a header row into a crawlable dataset
+// named opts.Name, its columns in schema order (categorical first).
+func Read(r io.Reader, opts Options) (*datagen.Dataset, error) {
 	if opts.MaxDomain == 0 {
 		opts.MaxDomain = 1 << 20
 	}
@@ -143,7 +130,6 @@ func Read(r io.Reader, opts Options) (*Loaded, error) {
 
 	// Dictionary-encode categorical columns and bound numeric ones.
 	attrs := make([]dataspace.Attribute, cols)
-	dicts := make([][]string, cols)
 	encoded := make([]map[string]int64, cols)
 	for pos, c := range order {
 		if pos < catCount {
@@ -152,13 +138,11 @@ func Read(r io.Reader, opts Options) (*Loaded, error) {
 				v := row[c]
 				if _, ok := encoded[pos][v]; !ok {
 					encoded[pos][v] = int64(len(encoded[pos]) + 1)
-					dicts[pos] = append(dicts[pos], v)
 				}
 			}
 			u := len(encoded[pos])
 			if u == 0 {
 				u = 1 // empty file: keep the schema valid
-				dicts[pos] = []string{""}
 			}
 			if u > opts.MaxDomain {
 				return nil, fmt.Errorf("tableload: column %q has %d distinct values, above the %d cap — free-text column?",
@@ -212,62 +196,9 @@ func Read(r io.Reader, opts Options) (*Loaded, error) {
 		tuples[i] = t
 	}
 
-	return &Loaded{
-		Dataset: &datagen.Dataset{
-			Name:   opts.Name,
-			Schema: schema,
-			Tuples: tuples,
-		},
-		SourceColumns:  names,
-		SchemaToSource: order,
-		Dicts:          dicts,
+	return &datagen.Dataset{
+		Name:   opts.Name,
+		Schema: schema,
+		Tuples: tuples,
 	}, nil
-}
-
-// DecodeTuple renders an extracted tuple back to the source file's strings,
-// in source column order.
-func (l *Loaded) DecodeTuple(t dataspace.Tuple) ([]string, error) {
-	if len(t) != l.Dataset.Schema.Dims() {
-		return nil, fmt.Errorf("tableload: tuple arity %d != schema dims %d", len(t), l.Dataset.Schema.Dims())
-	}
-	out := make([]string, len(t))
-	for pos, src := range l.SchemaToSource {
-		if dict := l.Dicts[pos]; dict != nil {
-			v := t[pos]
-			if v < 1 || int(v) > len(dict) {
-				return nil, fmt.Errorf("tableload: value %d outside dictionary of %q", v, l.Dataset.Schema.Attr(pos).Name)
-			}
-			out[src] = dict[v-1]
-		} else {
-			out[src] = strconv.FormatInt(t[pos], 10)
-		}
-	}
-	return out, nil
-}
-
-// WriteTSV writes a bag back as a TSV with the source header and decoded
-// categorical values.
-func (l *Loaded) WriteTSV(w io.Writer, tuples dataspace.Bag) error {
-	bw := bufio.NewWriter(w)
-	for i, name := range l.SourceColumns {
-		if i > 0 {
-			bw.WriteByte('\t')
-		}
-		bw.WriteString(name)
-	}
-	bw.WriteByte('\n')
-	for _, t := range tuples {
-		cells, err := l.DecodeTuple(t)
-		if err != nil {
-			return err
-		}
-		for i, c := range cells {
-			if i > 0 {
-				bw.WriteByte('\t')
-			}
-			bw.WriteString(c)
-		}
-		bw.WriteByte('\n')
-	}
-	return bw.Flush()
 }

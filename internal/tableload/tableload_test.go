@@ -1,12 +1,12 @@
 package tableload
 
 import (
-	"bytes"
 	"context"
 	"strings"
 	"testing"
 
 	"hidb/internal/core"
+	"hidb/internal/dataspace"
 	"hidb/internal/hiddendb"
 )
 
@@ -19,13 +19,12 @@ audi	sedan	21000	2010
 `
 
 func TestReadTSV(t *testing.T) {
-	l, err := Read(strings.NewReader(carsTSV), Options{Name: "cars"})
+	ds, err := Read(strings.NewReader(carsTSV), Options{Name: "cars"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := l.Dataset
-	if ds.N() != 5 {
-		t.Fatalf("n = %d, want 5", ds.N())
+	if ds.N() != 5 || ds.Name != "cars" {
+		t.Fatalf("n = %d, name %q; want 5, cars", ds.N(), ds.Name)
 	}
 	// make and body become categorical (2 and 3 values); price and year
 	// numeric with data-derived bounds.
@@ -39,83 +38,46 @@ func TestReadTSV(t *testing.T) {
 	if sch.Attr(1).Name != "body" || sch.Attr(1).DomainSize != 3 {
 		t.Errorf("attr1 = %+v", sch.Attr(1))
 	}
-	pi := sch.IndexOf("price")
-	if pi < 0 || sch.Attr(pi).Min != 3299 || sch.Attr(pi).Max != 50000 {
-		t.Errorf("price bounds wrong: %+v", sch.Attr(pi))
+	if a := sch.Attr(2); a.Name != "price" || a.Min != 3299 || a.Max != 50000 {
+		t.Errorf("attr2 = %+v, want price in [3299,50000]", a)
 	}
 	if err := ds.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// The duplicate row survives as a bag duplicate.
-	if ds.Tuples.MaxMultiplicity() != 2 {
-		t.Errorf("max multiplicity = %d, want 2", ds.Tuples.MaxMultiplicity())
+	// Each row keeps its place; categorical values are numbered in order
+	// of first appearance (bmw=1, audi=2; sedan=1, coupe=2, convertible=3),
+	// and the duplicate row survives as a bag duplicate.
+	want := dataspace.Bag{
+		{1, 1, 17500, 2009},
+		{1, 1, 17500, 2009},
+		{1, 2, 3299, 2001},
+		{2, 3, 50000, 2011},
+		{2, 1, 21000, 2010},
+	}
+	for i, tu := range ds.Tuples {
+		if !tu.Equal(want[i]) {
+			t.Errorf("row %d = %v, want %v", i, tu, want[i])
+		}
 	}
 }
 
 func TestReadCSVAutoDetect(t *testing.T) {
 	csv := strings.ReplaceAll(carsTSV, "\t", ",")
-	l, err := Read(strings.NewReader(csv), Options{})
+	ds, err := Read(strings.NewReader(csv), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Dataset.N() != 5 || l.Dataset.Schema.Cat() != 2 {
-		t.Fatalf("CSV auto-detect failed: n=%d cat=%d", l.Dataset.N(), l.Dataset.Schema.Cat())
-	}
-}
-
-func TestDecodeTupleRoundTrip(t *testing.T) {
-	l, err := Read(strings.NewReader(carsTSV), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, tu := range l.Dataset.Tuples {
-		cells, err := l.DecodeTuple(tu)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantLines := strings.Split(strings.TrimSpace(carsTSV), "\n")[1:]
-		want := strings.Split(wantLines[i], "\t")
-		for c := range want {
-			if cells[c] != want[c] {
-				t.Fatalf("row %d col %d: %q != %q", i, c, cells[c], want[c])
-			}
-		}
-	}
-	// Arity and dictionary errors.
-	if _, err := l.DecodeTuple(l.Dataset.Tuples[0][:2]); err == nil {
-		t.Error("wrong arity accepted")
-	}
-	bad := l.Dataset.Tuples[0].Clone()
-	bad[0] = 99
-	if _, err := l.DecodeTuple(bad); err == nil {
-		t.Error("out-of-dictionary value accepted")
-	}
-}
-
-func TestWriteTSVRoundTrip(t *testing.T) {
-	l, err := Read(strings.NewReader(carsTSV), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := l.WriteTSV(&buf, l.Dataset.Tuples); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Read(&buf, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.Dataset.Tuples.EqualMultiset(l.Dataset.Tuples) {
-		t.Fatal("TSV round trip changed the bag")
+	if ds.N() != 5 || ds.Schema.Cat() != 2 {
+		t.Fatalf("CSV auto-detect failed: n=%d cat=%d", ds.N(), ds.Schema.Cat())
 	}
 }
 
 func TestLoadedDatasetIsCrawlable(t *testing.T) {
-	l, err := Read(strings.NewReader(carsTSV), Options{})
+	ds, err := Read(strings.NewReader(carsTSV), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := hiddendb.NewLocal(l.Dataset.Schema, l.Dataset.Tuples, 2, 42)
+	srv, err := hiddendb.NewLocal(ds.Schema, ds.Tuples, 2, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +85,7 @@ func TestLoadedDatasetIsCrawlable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Tuples.EqualMultiset(l.Dataset.Tuples) {
+	if !res.Tuples.EqualMultiset(ds.Tuples) {
 		t.Fatal("crawl of loaded dataset incomplete")
 	}
 }
@@ -145,26 +107,26 @@ func TestReadErrors(t *testing.T) {
 }
 
 func TestReadEmptyFile(t *testing.T) {
-	l, err := Read(strings.NewReader("a,b\n"), Options{})
+	ds, err := Read(strings.NewReader("a,b\n"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Dataset.N() != 0 {
-		t.Fatalf("n = %d, want 0", l.Dataset.N())
+	if ds.N() != 0 {
+		t.Fatalf("n = %d, want 0", ds.N())
 	}
 	// The inferred schema must still be valid (placeholder domains/bounds).
-	if l.Dataset.Schema.Dims() != 2 {
-		t.Fatalf("dims = %d, want 2", l.Dataset.Schema.Dims())
+	if ds.Schema.Dims() != 2 {
+		t.Fatalf("dims = %d, want 2", ds.Schema.Dims())
 	}
 }
 
 func TestNumericColumnWithNegatives(t *testing.T) {
 	src := "delta\n-5\n0\n17\n"
-	l, err := Read(strings.NewReader(src), Options{})
+	ds, err := Read(strings.NewReader(src), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := l.Dataset.Schema.Attr(0)
+	a := ds.Schema.Attr(0)
 	if a.Min != -5 || a.Max != 17 {
 		t.Fatalf("bounds [%d,%d], want [-5,17]", a.Min, a.Max)
 	}
@@ -172,14 +134,14 @@ func TestNumericColumnWithNegatives(t *testing.T) {
 
 func TestMixedDigitsAndTextIsCategorical(t *testing.T) {
 	src := "zip\n02139\nN/A\n10001\n"
-	l, err := Read(strings.NewReader(src), Options{})
+	ds, err := Read(strings.NewReader(src), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Dataset.Schema.Attr(0).Kind.String() != "categorical" {
+	if ds.Schema.Attr(0).Kind.String() != "categorical" {
 		t.Error("column with a non-numeric cell inferred as numeric")
 	}
-	if l.Dataset.Schema.Attr(0).DomainSize != 3 {
-		t.Errorf("domain = %d, want 3", l.Dataset.Schema.Attr(0).DomainSize)
+	if ds.Schema.Attr(0).DomainSize != 3 {
+		t.Errorf("domain = %d, want 3", ds.Schema.Attr(0).DomainSize)
 	}
 }
