@@ -2,6 +2,7 @@ package tableload
 
 import (
 	"context"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -57,6 +58,67 @@ func TestReadTSV(t *testing.T) {
 	for i, tu := range ds.Tuples {
 		if !tu.Equal(want[i]) {
 			t.Errorf("row %d = %v, want %v", i, tu, want[i])
+		}
+	}
+}
+
+// TestDecodeTupleRoundTrip decodes every loaded tuple back to the source
+// file's strings and column order, inverting the loader's encoding by hand:
+// categorical columns come first in the schema, and their values are
+// numbered 1..U in order of first appearance. The file interleaves numeric
+// and categorical columns so the reordering is exercised.
+func TestDecodeTupleRoundTrip(t *testing.T) {
+	const src = "price\tmake\tyear\tbody\n" +
+		"17500\tbmw\t2009\tsedan\n" +
+		"3299\tbmw\t2001\tcoupe\n" +
+		"50000\taudi\t2011\tconvertible\n" +
+		"21000\taudi\t2010\tsedan\n"
+	ds, err := Read(strings.NewReader(src), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(src), "\n")
+	var rows [][]string
+	for _, line := range lines[1:] {
+		rows = append(rows, strings.Split(line, "\t"))
+	}
+	// Schema position -> file column: make, body, then price, year.
+	schemaToSource := []int{1, 3, 0, 2}
+	for pos, c := range schemaToSource {
+		if got, want := ds.Schema.Attr(pos).Name, strings.Split(lines[0], "\t")[c]; got != want {
+			t.Fatalf("attr %d = %q, want %q", pos, got, want)
+		}
+	}
+	dicts := make([][]string, len(schemaToSource))
+	for pos, c := range schemaToSource[:ds.Schema.Cat()] {
+		seen := map[string]bool{}
+		for _, row := range rows {
+			if !seen[row[c]] {
+				seen[row[c]] = true
+				dicts[pos] = append(dicts[pos], row[c])
+			}
+		}
+	}
+	if len(ds.Tuples) != len(rows) {
+		t.Fatalf("n = %d, want %d", len(ds.Tuples), len(rows))
+	}
+	for i, tu := range ds.Tuples {
+		cells := make([]string, len(tu))
+		for pos, c := range schemaToSource {
+			if dict := dicts[pos]; dict != nil {
+				v := tu[pos]
+				if v < 1 || int(v) > len(dict) {
+					t.Fatalf("row %d: value %d outside dictionary of %q", i, v, ds.Schema.Attr(pos).Name)
+				}
+				cells[c] = dict[v-1]
+			} else {
+				cells[c] = strconv.FormatInt(tu[pos], 10)
+			}
+		}
+		for c := range rows[i] {
+			if cells[c] != rows[i][c] {
+				t.Fatalf("row %d col %d: %q != %q", i, c, cells[c], rows[i][c])
+			}
 		}
 	}
 }
