@@ -28,9 +28,6 @@ var liveWithoutProductCaller = map[string]string{
 	"chaos.Transport.Script":           "the chaos suite scripts its faults through it",
 	"chaos.Transport.Faults":           "the chaos suite reads back the injected faults through it",
 	"chaos.Transport.Counts":           "the chaos suite reads the per-kind fault counts through it",
-	"tabulate.Table.NumRows":           "the experiments tests check each figure's row count through it",
-	"tabulate.Table.Rows":              "the tabulate tests check cell formatting through it",
-	"hiddendb.Flaky.Injected":          "the contract and flaky tests check the injected-fault count through it",
 }
 
 // TestInternalExportsHaveCallers fails for every exported function or

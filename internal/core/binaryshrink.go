@@ -56,12 +56,12 @@ func (BinaryShrink) Crawl(ctx context.Context, srv hiddendb.Server, opts *Option
 // paper only requires "an attribute Ai that has not been exhausted";
 // cycling keeps the recursion balanced across dimensions.
 func binaryShrink(s *session, q dataspace.Query, hint int) error {
-	res, err := s.issue(q)
+	res, err := s.Issue(q)
 	if err != nil {
 		return err
 	}
 	if res.Resolved() {
-		s.emit(res.Tuples)
+		s.Emit(res.Tuples)
 		return nil
 	}
 	dim := nextOpenNumeric(q, hint)

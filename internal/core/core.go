@@ -17,6 +17,12 @@
 // tuples plus the query cost, the paper's efficiency metric. All crawlers
 // report progress after every server round-trip, which is what the
 // progressiveness experiment (Figure 13) measures.
+//
+// Hybrid's recursion (and with it rank-shrink, slice-cover and
+// lazy-slice-cover) is written once, over a Runner that issues queries,
+// emits tuples and schedules independent sub-problems. The sequential
+// crawlers run it on an in-order Runner; the parallel package runs the
+// same recursion, through CrawlHybrid, on a concurrent one.
 package core
 
 import (
@@ -147,7 +153,8 @@ type Crawler interface {
 
 // session carries the shared machinery of one crawl: the crawl's context,
 // the counting (and possibly memoized) view of the server, the output bag,
-// and progress bookkeeping.
+// and progress bookkeeping. It is the sequential Runner: parts and values
+// run one after another, in order.
 type session struct {
 	ctx      context.Context
 	srv      hiddendb.Server
@@ -158,17 +165,6 @@ type session struct {
 	out      dataspace.Bag
 	curve    []CurvePoint
 	skipped  int
-	// splitDenom parameterizes rank-shrink's 3-way-split threshold
-	// (default 4, the paper's constant).
-	splitDenom int
-}
-
-// splitThreshold returns the denominator of the 3-way-split threshold.
-func (s *session) splitThreshold() int {
-	if s.splitDenom <= 0 {
-		return 4
-	}
-	return s.splitDenom
 }
 
 // newSession wraps srv in a counter and, when cached is true, a journal on
@@ -195,11 +191,11 @@ func newSession(ctx context.Context, srv hiddendb.Server, opts *Options, cached 
 // emptyResult is the response used for queries suppressed by QueryFilter.
 var emptyResult = hiddendb.Result{}
 
-// issue sends q to the server (or suppresses it per the dependency
+// Issue sends q to the server (or suppresses it per the dependency
 // heuristic) and records progress. The ctx is consulted first, so a
 // cancelled crawl stops promptly even through a streak of free journal
 // replays or suppressed queries.
-func (s *session) issue(q dataspace.Query) (hiddendb.Result, error) {
+func (s *session) Issue(q dataspace.Query) (hiddendb.Result, error) {
 	if err := s.ctx.Err(); err != nil {
 		return emptyResult, err
 	}
@@ -218,16 +214,16 @@ func (s *session) issue(q dataspace.Query) (hiddendb.Result, error) {
 	return res, nil
 }
 
-// emit appends fully-extracted tuples to the output bag.
-func (s *session) emit(tuples dataspace.Bag) {
+// Emit appends fully-extracted tuples to the output bag.
+func (s *session) Emit(tuples dataspace.Bag) {
 	s.out = append(s.out, tuples...)
 	if s.opts.OnTuples != nil && len(tuples) > 0 {
 		s.opts.OnTuples(tuples)
 	}
 }
 
-// emitMatching appends the subset of tuples covered by q.
-func (s *session) emitMatching(tuples dataspace.Bag, q dataspace.Query) {
+// EmitMatching appends the subset of tuples covered by q.
+func (s *session) EmitMatching(tuples dataspace.Bag, q dataspace.Query) {
 	start := len(s.out)
 	for _, t := range tuples {
 		if q.Covers(t) {
@@ -237,6 +233,26 @@ func (s *session) emitMatching(tuples dataspace.Bag, q dataspace.Query) {
 	if s.opts.OnTuples != nil && len(s.out) > start {
 		s.opts.OnTuples(s.out[start:len(s.out):len(s.out)])
 	}
+}
+
+// Split solves the parts in order, stopping at the first error.
+func (s *session) Split(parts []dataspace.Query, solve func(dataspace.Query) error) error {
+	for _, q := range parts {
+		if err := solve(q); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ForValues runs f(1), …, f(u) in order, stopping at the first error.
+func (s *session) ForValues(u int, f func(v int64) error) error {
+	for v := int64(1); v <= int64(u); v++ {
+		if err := f(v); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (s *session) progress() {
@@ -265,9 +281,9 @@ func (s *session) finish() *Result {
 	}
 }
 
-// FirstOpenNumeric returns the index of the first numeric attribute whose
+// firstOpenNumeric returns the index of the first numeric attribute whose
 // extent in q still spans more than one value, or -1.
-func FirstOpenNumeric(q dataspace.Query) int {
+func firstOpenNumeric(q dataspace.Query) int {
 	sch := q.Schema()
 	for i := 0; i < sch.Dims(); i++ {
 		if sch.Attr(i).Kind == dataspace.Numeric && !q.Exhausted(i) {

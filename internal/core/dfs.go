@@ -32,12 +32,12 @@ func (DFS) Crawl(ctx context.Context, srv hiddendb.Server, opts *Options) (*Resu
 // dfs processes the data-space-tree node at the given level, whose query has
 // attributes 0..level-1 pinned to constants.
 func dfs(s *session, q dataspace.Query, level int) error {
-	res, err := s.issue(q)
+	res, err := s.Issue(q)
 	if err != nil {
 		return err
 	}
 	if res.Resolved() {
-		s.emit(res.Tuples)
+		s.Emit(res.Tuples)
 		return nil
 	}
 	if level == s.schema.Dims() {

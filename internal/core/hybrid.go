@@ -35,64 +35,61 @@ func (h Hybrid) Name() string {
 
 // Crawl implements Crawler. Any schema is accepted.
 func (h Hybrid) Crawl(ctx context.Context, srv hiddendb.Server, opts *Options) (*Result, error) {
-	sch := srv.Schema()
-	cat := sch.Cat()
+	return crawlSlices(ctx, srv, opts, h.EagerSlices)
+}
 
-	if cat == 0 {
-		// Purely numeric: hybrid degenerates to rank-shrink.
-		s := newSession(ctx, srv, opts, false)
-		if err := rankShrink(s, dataspace.UniverseQuery(sch)); err != nil {
-			return nil, err
-		}
-		return s.finish(), nil
-	}
+// Runner executes the steps of the hybrid recursion. The recursion itself
+// (CrawlHybrid, rank-shrink, extended-DFS) is written once, over a Runner;
+// a Runner decides only how its independent sub-problems are scheduled.
+// The sequential session runs them in order; a concurrent Runner may run
+// them at once, provided every Issue is answered exactly as the sequential
+// crawl would have it answered, so the set of queries issued is the same.
+type Runner interface {
+	// Issue answers q (a repeated query may be answered from a memo).
+	Issue(q dataspace.Query) (hiddendb.Result, error)
+	// Emit outputs fully extracted tuples.
+	Emit(tuples dataspace.Bag)
+	// EmitMatching outputs the tuples covered by q.
+	EmitMatching(tuples dataspace.Bag, q dataspace.Query)
+	// Split solves the disjoint parts of a rank-shrink split.
+	Split(parts []dataspace.Query, solve func(dataspace.Query) error) error
+	// ForValues runs f(v) for every v in 1..u: the independent children
+	// of a data-space-tree node.
+	ForValues(u int, f func(v int64) error) error
+}
 
-	s := newSession(ctx, srv, opts, true)
-	oracle := sliceOracle{s: s}
-
-	if h.EagerSlices {
-		for i := 0; i < cat; i++ {
-			for v := int64(1); v <= int64(sch.Attr(i).DomainSize); v++ {
-				if _, err := oracle.get(i, v); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-
-	if cat == 1 {
-		// cat = 1 (Theorem 1, fourth bullet): the slice queries on A1 are
-		// the level-1 node queries; each overflowing one is finished by
-		// rank-shrink. Total cost U1 + O(d·n/k).
-		for v := int64(1); v <= int64(sch.Attr(0).DomainSize); v++ {
-			res, err := oracle.get(0, v)
+// CrawlHybrid runs the paper's (lazy) hybrid on r over a server with the
+// given schema and answer limit k: rank-shrink when no attribute is
+// categorical (cat = 0); one slice query per A1 value, each overflowing
+// one finished by rank-shrink, when cat = 1 (Theorem 1's fourth bullet,
+// cost U1 + O(d·n/k)); otherwise the root query and then extended-DFS.
+func CrawlHybrid(r Runner, sch *dataspace.Schema, k int) error {
+	root := dataspace.UniverseQuery(sch)
+	switch cat := sch.Cat(); cat {
+	case 0:
+		return rankShrink(r, root, k, 4)
+	case 1:
+		return r.ForValues(sch.Attr(0).DomainSize, func(v int64) error {
+			q := root.WithValue(0, v)
+			res, err := r.Issue(q)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if res.Resolved() {
-				s.emit(res.Tuples)
-				continue
+				r.Emit(res.Tuples)
+				return nil
 			}
-			if err := numericSolve(s, dataspace.UniverseQuery(sch).WithValue(0, v)); err != nil {
-				return nil, err
-			}
-		}
-		return s.finish(), nil
-	}
-
-	root := dataspace.UniverseQuery(sch)
-	if !h.EagerSlices {
-		res, err := s.issue(root)
+			return rankShrink(r, q, k, 4)
+		})
+	default:
+		res, err := r.Issue(root)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if res.Resolved() {
-			s.emit(res.Tuples)
-			return s.finish(), nil
+			r.Emit(res.Tuples)
+			return nil
 		}
+		return extendedDFS(r, root, 0, cat, k)
 	}
-	if err := extendedDFS(s, oracle, root, 0, cat); err != nil {
-		return nil, err
-	}
-	return s.finish(), nil
 }

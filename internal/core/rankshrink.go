@@ -46,8 +46,7 @@ func (r RankShrink) Crawl(ctx context.Context, srv hiddendb.Server, opts *Option
 	if denom <= 0 {
 		denom = 4
 	}
-	s.splitDenom = denom
-	if err := rankShrink(s, dataspace.UniverseQuery(s.schema)); err != nil {
+	if err := rankShrink(s, dataspace.UniverseQuery(s.schema), s.k, denom); err != nil {
 		return nil, err
 	}
 	return s.finish(), nil
@@ -55,31 +54,34 @@ func (r RankShrink) Crawl(ctx context.Context, srv hiddendb.Server, opts *Option
 
 // rankShrink extracts every tuple covered by q. All categorical attributes
 // of q (if any — the hybrid algorithm pins them) must be exhausted; the
-// remaining free dimensions are numeric.
-func rankShrink(s *session, q dataspace.Query) error {
-	res, err := s.issue(q)
+// remaining free dimensions are numeric. A 3-way split fires when the
+// pivot's multiplicity exceeds k/denom. The parts of a split are
+// independent sub-problems, handed to the runner together.
+func rankShrink(r Runner, q dataspace.Query, k, denom int) error {
+	res, err := r.Issue(q)
 	if err != nil {
 		return err
 	}
 	if res.Resolved() {
-		s.emit(res.Tuples)
+		r.Emit(res.Tuples)
 		return nil
 	}
 
 	// The paper splits on A1 until it is exhausted, then recurses on the
 	// (d−1)-dimensional suffix; equivalently, always split the first
 	// non-exhausted numeric attribute.
-	dim := FirstOpenNumeric(q)
+	dim := firstOpenNumeric(q)
 	if dim < 0 {
 		// q is a point (up to exhausted attributes) yet overflowed: more
 		// than k duplicates live there.
 		return ErrUnsolvable
 	}
 
-	x, c := SplitPivot(res.Tuples, dim, s.k)
+	x, c := splitPivot(res.Tuples, dim, k)
 	lo, _ := q.Extent(dim)
+	solve := func(part dataspace.Query) error { return rankShrink(r, part, k, denom) }
 
-	if c <= s.k/s.splitThreshold() && x > lo {
+	if c <= k/denom && x > lo {
 		// Case 1: 2-way split at x. At least k/2−c ≥ k/4 returned tuples
 		// are strictly below x, so x > lo always holds when k ≥ 4; the
 		// guard only matters for degenerate k.
@@ -87,10 +89,7 @@ func rankShrink(s *session, q dataspace.Query) error {
 		if err != nil {
 			return err
 		}
-		if err := rankShrink(s, left); err != nil {
-			return err
-		}
-		return rankShrink(s, right)
+		return r.Split([]dataspace.Query{left, right}, solve)
 	}
 
 	// Case 2: 3-way split at x. The middle band exhausts dim and becomes a
@@ -100,25 +99,21 @@ func rankShrink(s *session, q dataspace.Query) error {
 	if err != nil {
 		return err
 	}
+	parts := make([]dataspace.Query, 0, 3)
 	if hasLeft {
-		if err := rankShrink(s, left); err != nil {
-			return err
-		}
+		parts = append(parts, left)
 	}
-	if err := rankShrink(s, mid); err != nil {
-		return err
-	}
+	parts = append(parts, mid)
 	if hasRight {
-		return rankShrink(s, right)
+		parts = append(parts, right)
 	}
-	return nil
+	return r.Split(parts, solve)
 }
 
-// SplitPivot sorts the response on attribute dim, picks the value x of the
+// splitPivot sorts the response on attribute dim, picks the value x of the
 // (k/2)-th tuple (1-based; the paper breaks ties arbitrarily) and returns it
-// together with its multiplicity c in the response. The parallel crawler
-// splits through it too, so both forms issue the same queries.
-func SplitPivot(resp dataspace.Bag, dim, k int) (x int64, c int) {
+// together with its multiplicity c in the response.
+func splitPivot(resp dataspace.Bag, dim, k int) (x int64, c int) {
 	vals := make([]int64, len(resp))
 	for i, t := range resp {
 		vals[i] = t[dim]

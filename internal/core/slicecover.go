@@ -26,7 +26,7 @@ func (SliceCover) Crawl(ctx context.Context, srv hiddendb.Server, opts *Options)
 	if !srv.Schema().IsCategorical() {
 		return nil, ErrWrongSpace
 	}
-	return sliceCoverCrawl(ctx, srv, opts, true)
+	return crawlSlices(ctx, srv, opts, true)
 }
 
 // LazySliceCover is slice-cover with the paper's laziness heuristic: slice
@@ -44,7 +44,7 @@ func (LazySliceCover) Crawl(ctx context.Context, srv hiddendb.Server, opts *Opti
 	if !srv.Schema().IsCategorical() {
 		return nil, ErrWrongSpace
 	}
-	return sliceCoverCrawl(ctx, srv, opts, false)
+	return crawlSlices(ctx, srv, opts, false)
 }
 
 // sliceQuery builds the slice query "attr = value, wildcard elsewhere"
@@ -53,88 +53,33 @@ func sliceQuery(sch *dataspace.Schema, attr int, value int64) dataspace.Query {
 	return dataspace.UniverseQuery(sch).WithValue(attr, value)
 }
 
-// sliceOracle hands extended-DFS the response of a slice query. Both the
-// eager table and the lazy variant are just the memoizing session view; the
-// only difference is whether a preprocessing pass has already populated it.
-type sliceOracle struct {
-	s *session
-}
-
-func (o sliceOracle) get(attr int, value int64) (hiddendb.Result, error) {
-	return o.s.issue(sliceQuery(o.s.schema, attr, value))
-}
-
-// sliceCoverCrawl runs slice-cover (eager=true) or lazy-slice-cover
-// (eager=false) over a purely categorical server.
-func sliceCoverCrawl(ctx context.Context, srv hiddendb.Server, opts *Options, eager bool) (*Result, error) {
-	s := newSession(ctx, srv, opts, true) // memoized: repeated queries are free
-	sch := s.schema
-	oracle := sliceOracle{s: s}
-
-	anyOverflow := false
+// crawlSlices runs hybrid over srv: lazy-slice-cover over the categorical
+// prefix (all of a categorical schema) or, when eager is set, slice-cover.
+func crawlSlices(ctx context.Context, srv hiddendb.Server, opts *Options, eager bool) (*Result, error) {
+	sch := srv.Schema()
+	cat := sch.Cat()
+	// Memoized when there are slices: a repeated query is free (§3.2).
+	s := newSession(ctx, srv, opts, cat > 0)
 	if eager {
 		// Preprocessing phase: run every slice query up front.
-		for i := 0; i < sch.Dims(); i++ {
-			if sch.Attr(i).Kind != dataspace.Categorical {
-				continue
-			}
+		for i := 0; i < cat; i++ {
 			for v := int64(1); v <= int64(sch.Attr(i).DomainSize); v++ {
-				res, err := oracle.get(i, v)
-				if err != nil {
+				if _, err := s.Issue(sliceQuery(sch, i, v)); err != nil {
 					return nil, err
 				}
-				if res.Overflow {
-					anyOverflow = true
-				}
 			}
 		}
 	}
-
-	if sch.Dims() == 1 {
-		// d = 1: the slice queries are the level-1 point queries; the
-		// lookup table IS the database (cost exactly U1). The lazy variant
-		// still needs to issue them.
-		for v := int64(1); v <= int64(sch.Attr(0).DomainSize); v++ {
-			res, err := oracle.get(0, v)
-			if err != nil {
-				return nil, err
-			}
-			if res.Overflow {
-				return nil, ErrUnsolvable
-			}
-			s.emit(res.Tuples)
-		}
-		return s.finish(), nil
+	var err error
+	if eager && cat > 1 {
+		// The paper's trick: with every slice known, the root's query is
+		// skipped. If some slice overflowed, the root overflows too; if
+		// none did, extended-DFS answers every child locally.
+		err = extendedDFS(s, dataspace.UniverseQuery(sch), 0, cat, s.k)
+	} else {
+		err = CrawlHybrid(s, sch, s.k)
 	}
-
-	root := dataspace.UniverseQuery(sch)
-	if eager && !anyOverflow {
-		// Every slice resolved, so every child of the root is answerable
-		// locally; extendedDFS below will not contact the server at all.
-		if err := extendedDFS(s, oracle, root, 0, sch.Dims()); err != nil {
-			return nil, err
-		}
-		return s.finish(), nil
-	}
-	if eager && anyOverflow {
-		// The paper's trick: some slice overflowed, so the root certainly
-		// overflows — skip its query and descend directly.
-		if err := extendedDFS(s, oracle, root, 0, sch.Dims()); err != nil {
-			return nil, err
-		}
-		return s.finish(), nil
-	}
-
-	// Lazy variant: nothing is known yet, so the root query is issued.
-	res, err := s.issue(root)
 	if err != nil {
-		return nil, err
-	}
-	if res.Resolved() {
-		s.emit(res.Tuples)
-		return s.finish(), nil
-	}
-	if err := extendedDFS(s, oracle, root, 0, sch.Dims()); err != nil {
 		return nil, err
 	}
 	return s.finish(), nil
@@ -143,54 +88,43 @@ func sliceCoverCrawl(ctx context.Context, srv hiddendb.Server, opts *Options, ea
 // extendedDFS explores the children of an overflowing data-space-tree node
 // at the given level (0-based: the node has attributes 0..level-1 pinned).
 // catDims is the number of leading categorical attributes; a child at depth
-// catDims is a categorical point and is finished with numericSolve, which
+// catDims is a categorical point and is finished with rank-shrink, which
 // degenerates to a single (necessarily resolved) point query in a purely
-// categorical space.
+// categorical space. The children are independent, handed to the runner
+// together.
 //
-// For each child, the oracle's slice response is consulted first: if the
-// slice resolved, the child's answer is computed locally with no server
+// For each child, the slice response is consulted first: if the slice
+// resolved, the child's answer is computed locally with no server
 // round-trip (Lemma 3 guarantees the slice's bag contains the child's bag).
-func extendedDFS(s *session, oracle sliceOracle, q dataspace.Query, level, catDims int) error {
-	u := s.schema.Attr(level).DomainSize
-	for v := int64(1); v <= int64(u); v++ {
+// The runner's memo makes every consultation after the first free.
+func extendedDFS(r Runner, q dataspace.Query, level, catDims, k int) error {
+	sch := q.Schema()
+	return r.ForValues(sch.Attr(level).DomainSize, func(v int64) error {
 		child := q.WithValue(level, v)
-		slice, err := oracle.get(level, v)
+		slice, err := r.Issue(sliceQuery(sch, level, v))
 		if err != nil {
 			return err
 		}
 		if slice.Resolved() {
 			// Answer locally: the child's result is the subset of the
 			// slice's result satisfying the child's other predicates.
-			s.emitMatching(slice.Tuples, child)
-			continue
+			r.EmitMatching(slice.Tuples, child)
+			return nil
 		}
 		if level+1 == catDims {
 			// Categorical point reached. Pure categorical: one point
 			// query, which must resolve. Mixed (hybrid): rank-shrink over
 			// the numeric subspace with the categorical prefix pinned.
-			if err := numericSolve(s, child); err != nil {
-				return err
-			}
-			continue
+			return rankShrink(r, child, k, 4)
 		}
-		res, err := s.issue(child)
+		res, err := r.Issue(child)
 		if err != nil {
 			return err
 		}
 		if res.Resolved() {
-			s.emit(res.Tuples)
-			continue
+			r.Emit(res.Tuples)
+			return nil
 		}
-		if err := extendedDFS(s, oracle, child, level+1, catDims); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// numericSolve finishes a query whose categorical attributes are all pinned.
-// With no numeric attributes it is a single point query; otherwise it is an
-// instance of rank-shrink over the numeric subspace (§5).
-func numericSolve(s *session, q dataspace.Query) error {
-	return rankShrink(s, q)
+		return extendedDFS(r, child, level+1, catDims, k)
+	})
 }

@@ -10,3 +10,10 @@ var (
 
 // TripCounter counts the batches that reach the server it wraps.
 type TripCounter = tripCounter
+
+// FlakyInjected returns how many faults f has injected so far.
+func FlakyInjected(f *Flaky) int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.injected
+}

@@ -76,13 +76,6 @@ func (f *Flaky) Attempts() int {
 	return f.attempts
 }
 
-// Injected returns how many faults have been injected so far.
-func (f *Flaky) Injected() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.injected
-}
-
 // faultLocked advances the attempt counter and returns the fault for this
 // attempt, or nil to let it through. Callers hold f.mu.
 func (f *Flaky) faultLocked() error {

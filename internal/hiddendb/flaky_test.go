@@ -60,7 +60,7 @@ func TestFlakyFailNth(t *testing.T) {
 	if got := flaky.Attempts(); got != 6 {
 		t.Fatalf("attempts = %d, want 6", got)
 	}
-	if got := flaky.Injected(); got != 2 {
+	if got := FlakyInjected(flaky); got != 2 {
 		t.Fatalf("injected = %d, want 2", got)
 	}
 	if flaky.K() != srv.K() || flaky.Schema() != srv.Schema() {

@@ -27,13 +27,11 @@ import (
 // free, immediately, so a dependency chain pays no batching delay. Only
 // when all depth slots are busy does the batch wait, growing until a
 // completion frees a slot (or it fills to maxBatch and queues for the next
-// slot). This removes the flush-on-completion pipeline bubble of the
-// previous design, where a query arriving while any round trip was in
-// flight always waited for that round trip to finish: with depth ≥ 2 the
-// connection stays busy and the ready queue keeps draining behind it.
-// depth = 1 restores the old flush-on-completion behaviour exactly, and
-// maxBatch = depth = 1 degenerates to the original query-at-a-time
-// semaphore.
+// slot). With depth ≥ 2 the connection stays busy and the ready queue
+// keeps draining behind it: a query arriving while a round trip flies need
+// not wait for that round trip to finish. depth = 1 is flush-on-completion
+// (a batch departs only when the previous round trip has returned), and
+// maxBatch = depth = 1 issues one query at a time.
 //
 // Because a batch is answered exactly as if issued sequentially, the set
 // (and count) of queries reaching the server is identical to the

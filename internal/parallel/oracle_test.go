@@ -3,10 +3,12 @@ package parallel
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"hidb/internal/core"
 	"hidb/internal/datagen"
+	"hidb/internal/dataspace"
 	"hidb/internal/hiddendb"
 	"hidb/internal/journal"
 	"hidb/internal/simrand"
@@ -34,20 +36,55 @@ func randomSpec(rng *simrand.RNG) datagen.RandomSpec {
 	return spec
 }
 
+// pairFilter is TestParallelQueryFilter's dependency heuristic for any
+// schema: when A1 and A2 are categorical, a query pinning both to a pair
+// no tuple has is skipped. With fewer than two categorical attributes the
+// filter skips nothing.
+func pairFilter(ds *datagen.Dataset) func(dataspace.Query) bool {
+	if ds.Schema.Cat() < 2 {
+		return func(dataspace.Query) bool { return true }
+	}
+	valid := map[[2]int64]bool{}
+	for _, tu := range ds.Tuples {
+		valid[[2]int64{tu[0], tu[1]}] = true
+	}
+	return func(q dataspace.Query) bool {
+		a, b := q.Pred(0), q.Pred(1)
+		return a.Wild || b.Wild || valid[[2]int64{a.Value, b.Value}]
+	}
+}
+
+// checkMatches fails unless the parallel result res has the sequential
+// result ref's query, resolved, overflowed and skipped counts, and
+// extracted exactly ds's tuple multiset.
+func checkMatches(t testing.TB, what string, res, ref *core.Result, ds *datagen.Dataset) {
+	t.Helper()
+	got := [4]int{res.Queries, res.Resolved, res.Overflowed, res.Skipped}
+	want := [4]int{ref.Queries, ref.Resolved, ref.Overflowed, ref.Skipped}
+	if got != want {
+		t.Errorf("%s: (queries, resolved, overflowed, skipped) = %v, sequential %v", what, got, want)
+	}
+	if !res.Tuples.EqualMultiset(ds.Tuples) {
+		t.Errorf("%s: tuple multiset differs from the database", what)
+	}
+}
+
 // TestSequentialEquivalenceOracle is the randomized oracle behind the
 // package's core claim: across random schemas, batch widths and pipeline
-// depths, the parallel crawl's paid query count and extracted tuple
-// multiset are exactly the sequential algorithm's. Each trial also picks a
-// random cancellation point and checks the interruption invariants: the
-// journal holds exactly the queries the store served, and a resume on
-// that journal completes the extraction with a combined cost equal to the
-// sequential reference. Run under -race this doubles as a lock-discipline
-// check of the pipelined dispatcher.
+// depths, the parallel crawl's query, resolved, overflowed and skipped
+// counts and its extracted tuple multiset are exactly the sequential
+// algorithm's. One case per trial runs both crawls under pairFilter.
+// Each trial also picks a random cancellation point and checks the
+// interruption invariants: the journal holds exactly the queries the
+// store served, and a resume on that journal completes the extraction
+// with a combined cost equal to the sequential reference. Run under -race
+// this doubles as a lock-discipline check of the pipelined dispatcher.
 func TestSequentialEquivalenceOracle(t *testing.T) {
 	rng := simrand.New(0xA11CE)
 	batches := []int{1, 4, 16}
 	depths := []int{1, 2, 4}
 	const trials = 5
+	skipped := 0
 	for trial := 0; trial < trials; trial++ {
 		spec := randomSpec(rng)
 		ds, err := datagen.Random(spec, rng.Uint64())
@@ -72,16 +109,28 @@ func TestSequentialEquivalenceOracle(t *testing.T) {
 				if err != nil {
 					t.Fatalf("trial %d batch=%d depth=%d: %v", trial, batch, depth, err)
 				}
-				if res.Queries != ref.Queries {
-					t.Errorf("trial %d batch=%d depth=%d: cost %d != sequential %d (spec %+v, k=%d)",
-						trial, batch, depth, res.Queries, ref.Queries, spec, k)
-				}
-				if !res.Tuples.EqualMultiset(ds.Tuples) {
-					t.Errorf("trial %d batch=%d depth=%d: tuple multiset differs from the database",
-						trial, batch, depth)
-				}
+				checkMatches(t, fmt.Sprintf("trial %d batch=%d depth=%d (spec %+v, k=%d)", trial, batch, depth, spec, k), res, ref, ds)
 			}
 		}
+
+		// The filtered case, at a batch width and depth that vary with the
+		// trial.
+		filter := pairFilter(ds)
+		fref, err := (core.Hybrid{}).Crawl(context.Background(), server(t, ds, k), &core.Options{QueryFilter: filter})
+		if err != nil {
+			t.Fatalf("trial %d: filtered sequential reference: %v", trial, err)
+		}
+		skipped += fref.Skipped
+		fbatch, fdepth := batches[trial%len(batches)], depths[trial/len(batches)%len(depths)]
+		fres, err := (Crawler{Workers: 16}).Crawl(context.Background(), server(t, ds, k), &core.Options{
+			BatchSize:   fbatch,
+			InFlight:    fdepth,
+			QueryFilter: filter,
+		})
+		if err != nil {
+			t.Fatalf("trial %d filtered batch=%d depth=%d: %v", trial, fbatch, fdepth, err)
+		}
+		checkMatches(t, fmt.Sprintf("trial %d filtered batch=%d depth=%d (spec %+v, k=%d)", trial, fbatch, fdepth, spec, k), fres, fref, ds)
 
 		// A random cancellation point: cancel the crawl once the store has
 		// served cut queries, then verify the interruption invariants and
@@ -136,4 +185,46 @@ func TestSequentialEquivalenceOracle(t *testing.T) {
 				trial, cut, depth, paid, counting2.Queries(), ref.Queries)
 		}
 	}
+	if skipped == 0 {
+		t.Error("no trial's filter skipped a query, so the filtered cases checked nothing")
+	}
+}
+
+// FuzzParallelMatchesSequential fuzzes the oracle's claim: on a randomSpec
+// dataset drawn from seed, at answer limit k, the parallel crawl with 16
+// workers, batch width {1, 4, 16}[batchIdx%3] and pipeline depth
+// {1, 2, 4}[depthIdx%3] has the sequential hybrid's query, resolved,
+// overflowed and skipped counts and extracts the whole database. Odd
+// seeds crawl under pairFilter.
+func FuzzParallelMatchesSequential(f *testing.F) {
+	f.Add(uint64(1), uint8(16), uint8(0), uint8(0))
+	f.Add(uint64(2), uint8(40), uint8(1), uint8(1))
+	f.Add(uint64(3), uint8(8), uint8(2), uint8(2))
+	f.Add(uint64(0xA11CE), uint8(63), uint8(2), uint8(0))
+	f.Fuzz(func(t *testing.T, seed uint64, kIn, batchIdx, depthIdx uint8) {
+		rng := simrand.New(seed)
+		ds, err := datagen.Random(randomSpec(rng), rng.Uint64())
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := max(4+int(kIn)%60, ds.Tuples.MaxMultiplicity())
+		opts := core.Options{
+			BatchSize: []int{1, 4, 16}[batchIdx%3],
+			InFlight:  []int{1, 2, 4}[depthIdx%3],
+		}
+		var seqOpts core.Options
+		if seed%2 == 1 {
+			opts.QueryFilter = pairFilter(ds)
+			seqOpts.QueryFilter = opts.QueryFilter
+		}
+		ref, err := (core.Hybrid{}).Crawl(context.Background(), server(t, ds, k), &seqOpts)
+		if err != nil {
+			t.Fatalf("sequential reference: %v", err)
+		}
+		res, err := (Crawler{Workers: 16}).Crawl(context.Background(), server(t, ds, k), &opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkMatches(t, fmt.Sprintf("k=%d batch=%d depth=%d", k, opts.BatchSize, opts.InFlight), res, ref, ds)
+	})
 }

@@ -1,13 +1,15 @@
-// Package parallel runs the paper's crawling algorithms with many queries
-// in flight at once. The paper's cost metric is the number of queries, not
-// wall-clock time — but a real crawl pays a network round-trip per query,
-// and the algorithms' sub-problems (the rectangles produced by a split, the
-// children of a data-space-tree node, the per-point numeric sub-crawls of
-// hybrid) are mutually independent. Executing them concurrently leaves the
-// set of issued queries exactly equal to the sequential algorithms' (each
-// region's fate depends only on its own response, and a singleflight memo
-// table deduplicates slice queries), so the query cost is unchanged while
-// wall-clock time divides by the worker count.
+// Package parallel runs core's hybrid crawl with many queries in flight at
+// once. The paper's cost metric is the number of queries, not wall-clock
+// time — but a real crawl pays a network round-trip per query, and the
+// hybrid recursion's sub-problems (the parts of a rank-shrink split, the
+// children of a data-space-tree node) are mutually independent. The
+// package's pool is a core.Runner that runs each of them as a task, and
+// core.CrawlHybrid drives it: the algorithm itself lives only in core.
+// Executing the sub-problems concurrently leaves the set of issued queries
+// exactly equal to the sequential crawl's (each region's fate depends only
+// on its own response, and a singleflight memo table deduplicates slice
+// queries), so the query cost is unchanged while wall-clock time divides
+// by the worker count.
 //
 // Concurrent sub-problems do not issue their queries one at a time: ready
 // queries are drained into batches and sent through Server.AnswerBatch, so
@@ -84,55 +86,9 @@ func (c Crawler) Crawl(ctx context.Context, srv hiddendb.Server, opts *core.Opti
 	}
 	b := newBatcher(ctx, srv, maxBatch, depth, adaptive, opts.Clock, opts)
 	defer b.close()
-	p := &pool{
-		srv:    b,
-		clock:  opts.Clock,
-		schema: srv.Schema(),
-		k:      srv.K(),
-		opts:   opts,
-		quit:   make(chan struct{}),
-	}
-	cat := p.schema.Cat()
-
-	// Under a virtual clock the crawl's root goroutine counts as runnable
-	// until it has finished seeding tasks; without the hold, the clock
-	// could advance while the first spawns are still being set up.
-	p.clock.Hold()
-
-	if cat == 0 {
-		p.spawn(func() error { return p.rankShrink(dataspace.UniverseQuery(p.schema)) })
-	} else if cat == 1 {
-		// Theorem 1's cat = 1 case: one slice query per A1 value, each
-		// overflowing one finished by rank-shrink — all independent.
-		u := p.schema.Attr(0).DomainSize
-		p.spawnChildren(int64(u), func(v int64) error {
-			q := dataspace.UniverseQuery(p.schema).WithValue(0, v)
-			res, err := p.srv.Answer(q)
-			if err != nil {
-				return err
-			}
-			if res.Resolved() {
-				p.emit(res.Tuples)
-				return nil
-			}
-			return p.rankShrink(q)
-		})
-	} else {
-		root := dataspace.UniverseQuery(p.schema)
-		p.spawn(func() error {
-			res, err := p.srv.Answer(root)
-			if err != nil {
-				return err
-			}
-			if res.Resolved() {
-				p.emit(res.Tuples)
-				return nil
-			}
-			return p.node(root, 0, cat)
-		})
-	}
-
-	p.clock.Release()
+	p := &pool{srv: b, clock: opts.Clock, opts: opts, quit: make(chan struct{})}
+	sch, k := srv.Schema(), srv.K()
+	p.spawn(func() error { return core.CrawlHybrid(p, sch, k) })
 	p.wg.Wait()
 	if p.err != nil {
 		return nil, p.err
@@ -140,13 +96,13 @@ func (c Crawler) Crawl(ctx context.Context, srv hiddendb.Server, opts *core.Opti
 	return p.finish(), nil
 }
 
-// pool carries the shared state of one parallel crawl.
+// pool carries the shared state of one parallel crawl. It is the
+// concurrent core.Runner: every independent sub-problem the recursion hands
+// it becomes a task, and its queries go through the batcher.
 type pool struct {
-	srv    *batcher
-	clock  *hiddendb.SimClock // nil outside virtual-time simulations
-	schema *dataspace.Schema
-	k      int
-	opts   *core.Options
+	srv   *batcher
+	clock *hiddendb.SimClock // nil outside virtual-time simulations
+	opts  *core.Options
 
 	wg sync.WaitGroup
 
@@ -194,31 +150,45 @@ func (p *pool) spawn(f func() error) {
 	}()
 }
 
-// spawnChildren fans out f(v) for v in 1..u, chunked so that a 29,042-value
-// domain does not spawn 29,042 goroutines.
-func (p *pool) spawnChildren(u int64, f func(v int64) error) {
+// Issue implements core.Runner through the batcher.
+func (p *pool) Issue(q dataspace.Query) (hiddendb.Result, error) {
+	return p.srv.Answer(q)
+}
+
+// Split implements core.Runner: every part but the last becomes a task,
+// and the caller goes on with the last.
+func (p *pool) Split(parts []dataspace.Query, solve func(dataspace.Query) error) error {
+	last := len(parts) - 1
+	for _, q := range parts[:last] {
+		p.spawn(func() error { return solve(q) })
+	}
+	return solve(parts[last])
+}
+
+// ForValues implements core.Runner: f(v) for v in 1..u runs as tasks of
+// 128 values each, so that a 29,042-value domain does not spawn 29,042
+// goroutines. It returns once the tasks are spawned.
+func (p *pool) ForValues(u int, f func(v int64) error) error {
 	const chunk = 128
-	for lo := int64(1); lo <= u; lo += chunk {
-		hi := lo + chunk - 1
-		if hi > u {
-			hi = u
-		}
-		lo, hi := lo, hi
+	for lo := 1; lo <= u; lo += chunk {
+		hi := min(lo+chunk-1, u)
 		p.spawn(func() error {
 			for v := lo; v <= hi; v++ {
 				if p.failed() {
 					return nil
 				}
-				if err := f(v); err != nil {
+				if err := f(int64(v)); err != nil {
 					return err
 				}
 			}
 			return nil
 		})
 	}
+	return nil
 }
 
-func (p *pool) emit(tuples dataspace.Bag) {
+// Emit implements core.Runner.
+func (p *pool) Emit(tuples dataspace.Bag) {
 	if len(tuples) == 0 {
 		return
 	}
@@ -231,7 +201,8 @@ func (p *pool) emit(tuples dataspace.Bag) {
 	}
 }
 
-func (p *pool) emitMatching(tuples dataspace.Bag, q dataspace.Query) {
+// EmitMatching implements core.Runner.
+func (p *pool) EmitMatching(tuples dataspace.Bag, q dataspace.Query) {
 	var kept dataspace.Bag
 	for _, t := range tuples {
 		if q.Covers(t) {
@@ -239,7 +210,7 @@ func (p *pool) emitMatching(tuples dataspace.Bag, q dataspace.Query) {
 		}
 	}
 	if len(kept) > 0 {
-		p.emit(kept)
+		p.Emit(kept)
 	}
 }
 
@@ -253,73 +224,4 @@ func (p *pool) finish() *core.Result {
 		Skipped:    skipped,
 		Curve:      curve,
 	}
-}
-
-// rankShrink is the parallel form of the numeric algorithm: the recursion's
-// independent sub-rectangles become tasks.
-func (p *pool) rankShrink(q dataspace.Query) error {
-	res, err := p.srv.Answer(q)
-	if err != nil {
-		return err
-	}
-	if res.Resolved() {
-		p.emit(res.Tuples)
-		return nil
-	}
-	dim := core.FirstOpenNumeric(q)
-	if dim < 0 {
-		return core.ErrUnsolvable
-	}
-	x, c := core.SplitPivot(res.Tuples, dim, p.k)
-	lo, _ := q.Extent(dim)
-
-	if c <= p.k/4 && x > lo {
-		left, right, err := q.Split2(dim, x)
-		if err != nil {
-			return err
-		}
-		p.spawn(func() error { return p.rankShrink(left) })
-		return p.rankShrink(right)
-	}
-	left, mid, right, hasLeft, hasRight, err := q.Split3(dim, x)
-	if err != nil {
-		return err
-	}
-	if hasLeft {
-		p.spawn(func() error { return p.rankShrink(left) })
-	}
-	if hasRight {
-		p.spawn(func() error { return p.rankShrink(right) })
-	}
-	return p.rankShrink(mid)
-}
-
-// node is the parallel form of extended-DFS at an overflowing node: every
-// child is independent given the (deduplicated) slice responses.
-func (p *pool) node(q dataspace.Query, level, cat int) error {
-	u := int64(p.schema.Attr(level).DomainSize)
-	p.spawnChildren(u, func(v int64) error {
-		child := q.WithValue(level, v)
-		slice, err := p.srv.Answer(dataspace.UniverseQuery(p.schema).WithValue(level, v))
-		if err != nil {
-			return err
-		}
-		if slice.Resolved() {
-			p.emitMatching(slice.Tuples, child)
-			return nil
-		}
-		if level+1 == cat {
-			return p.rankShrink(child)
-		}
-		res, err := p.srv.Answer(child)
-		if err != nil {
-			return err
-		}
-		if res.Resolved() {
-			p.emit(res.Tuples)
-			return nil
-		}
-		return p.node(child, level+1, cat)
-	})
-	return nil
 }

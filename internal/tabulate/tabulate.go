@@ -37,12 +37,6 @@ func (t *Table) AddRow(cells ...any) {
 	t.rows = append(t.rows, row)
 }
 
-// NumRows returns the number of data rows added so far.
-func (t *Table) NumRows() int { return len(t.rows) }
-
-// Rows returns the formatted rows (shared slice; do not mutate).
-func (t *Table) Rows() [][]string { return t.rows }
-
 func formatFloat(v float64) string {
 	if v == float64(int64(v)) && v < 1e15 && v > -1e15 {
 		return fmt.Sprintf("%d", int64(v))

@@ -33,7 +33,7 @@ func TestStringAlignment(t *testing.T) {
 func TestFloatFormatting(t *testing.T) {
 	tb := New("", "x", "y")
 	tb.AddRow(1.0, 2.345678)
-	row := tb.Rows()[0]
+	row := tb.rows[0]
 	if row[0] != "1" {
 		t.Errorf("whole float rendered as %q, want 1", row[0])
 	}
@@ -54,13 +54,13 @@ func TestCSV(t *testing.T) {
 
 func TestNumRows(t *testing.T) {
 	tb := New("", "a")
-	if tb.NumRows() != 0 {
+	if len(tb.rows) != 0 {
 		t.Error("fresh table has rows")
 	}
 	tb.AddRow(1)
 	tb.AddRow(2)
-	if tb.NumRows() != 2 {
-		t.Errorf("NumRows = %d", tb.NumRows())
+	if len(tb.rows) != 2 {
+		t.Errorf("rows = %d", len(tb.rows))
 	}
 }
 
