@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"hidb/internal/core"
 	"hidb/internal/dataspace"
 	"hidb/internal/hiddendb"
 	"hidb/internal/httpserver"
@@ -435,6 +436,55 @@ func TestCrawlSeqResumesWithoutDuplicates(t *testing.T) {
 	if front.crawl.Load() != 3 {
 		t.Fatalf("crawl opened %d connections, want 3", front.crawl.Load())
 	}
+}
+
+// TestCrawlReconnectFailureKeepsQueries: when the reconnect after a
+// severed stream is refused (here with a quota 429), Crawl and CrawlSeq
+// both report the paid count the severed stream last carried, not zero.
+func TestCrawlReconnectFailureKeepsQueries(t *testing.T) {
+	dial := func(t *testing.T) *Client {
+		front := &cuttingFront{inner: sessionHandler(t, 200, 16), cuts: []int{900}}
+		var crawls atomic.Int32
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/crawl" && crawls.Add(1) == 2 {
+				http.Error(w, "quota exceeded", http.StatusTooManyRequests)
+				return
+			}
+			front.ServeHTTP(w, r)
+		}))
+		t.Cleanup(ts.Close)
+		c, err := DialRetry(context.Background(), ts.URL, "tok", nil, RetryPolicy{MaxAttempts: 4, Clock: hiddendb.NewSimClock()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+
+	seen := 0 // the paid count on the last line the severed stream delivered
+	res, err := dial(t).Crawl(context.Background(), "", 0, func(ev wire.CrawlEvent) { seen = ev.Queries })
+	if !errors.Is(err, hiddendb.ErrQuotaExceeded) {
+		t.Fatalf("Crawl: err = %v, want ErrQuotaExceeded", err)
+	}
+	if seen == 0 || res == nil || res.Queries != seen {
+		t.Fatalf("Crawl: result %+v after a stream that last reported %d paid queries", res, seen)
+	}
+
+	tuples := 0
+	for _, err := range dial(t).CrawlSeq(context.Background(), "", 0) {
+		if err == nil {
+			tuples++
+			continue
+		}
+		var pe *core.PartialError
+		if !errors.As(err, &pe) || !errors.Is(err, hiddendb.ErrQuotaExceeded) {
+			t.Fatalf("CrawlSeq: err = %v, want a PartialError wrapping ErrQuotaExceeded", err)
+		}
+		if pe.Queries != seen {
+			t.Fatalf("CrawlSeq: PartialError.Queries = %d after %d tuples, want %d", pe.Queries, tuples, seen)
+		}
+		return
+	}
+	t.Fatal("CrawlSeq ended without an error")
 }
 
 // TestCrawlSeveredWithoutRetryStillFails pins the pre-retry behavior: a
