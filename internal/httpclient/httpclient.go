@@ -366,45 +366,59 @@ func (c *Client) resumable(ctx context.Context, err error) bool {
 // down the stream; the server cancels this session's crawl and journals
 // everything already paid.
 func (c *Client) Crawl(ctx context.Context, algorithm string, skip int, onEvent func(wire.CrawlEvent)) (*CrawlResult, error) {
-	out := &CrawlResult{}
-	received := 0 // tuples delivered to out across all connections
+	var tuples dataspace.Bag
+	out, err := c.resume(ctx, algorithm, skip, onEvent, func(t dataspace.Tuple) bool {
+		tuples = append(tuples, t)
+		return true
+	})
+	if out != nil {
+		out.Tuples = tuples
+	}
+	return out, err
+}
+
+// resume is the loop behind Crawl and CrawlSeq: it opens the /crawl stream
+// at cursor skip and hands each tuple to emit (false stops the stream,
+// with no error). A severed stream is reopened with the cursor advanced
+// past every tuple emitted, when the client retries; only consecutive
+// reconnects that deliver no progress count against the policy's
+// attempts, and each spends the retry budget and backs off first. It
+// returns the counters of the last stream opened (nil if none opened),
+// without tuples, and the error that ended the crawl.
+func (c *Client) resume(ctx context.Context, algorithm string, skip int, onEvent func(wire.CrawlEvent), emit func(dataspace.Tuple) bool) (*CrawlResult, error) {
+	var last *CrawlResult
 	failures := 0 // consecutive reconnects with no progress
 	for {
-		resp, err := c.openCrawl(ctx, algorithm, skip+received)
+		resp, err := c.openCrawl(ctx, algorithm, skip)
 		if err != nil {
-			if received == 0 {
-				return nil, err
-			}
-			return out, err
+			return last, err
 		}
 		progressed := false
 		res, _, err := crawlStream(c.schema, resp.Body, onEvent, func(t dataspace.Tuple) bool {
-			out.Tuples = append(out.Tuples, t)
-			received++
+			skip++
 			progressed = true
-			return true
+			return emit(t)
 		})
 		resp.Body.Close()
-		res.Tuples = out.Tuples
-		*out = res
+		last = &res
 		if err == nil {
-			return out, nil
+			return last, nil
 		}
 		if !c.resumable(ctx, err) {
-			return out, ctxErr(ctx, err)
+			return last, ctxErr(ctx, err)
 		}
 		if progressed {
 			failures = 0
 		}
 		failures++
 		if failures >= c.retry.policy.MaxAttempts {
-			return out, &TransportError{Op: "crawl", Attempts: failures, Err: err}
+			return last, &TransportError{Op: "crawl", Attempts: failures, Err: err}
 		}
 		if !c.retry.spend() {
-			return out, &TransportError{Op: "crawl", Attempts: failures, Err: fmt.Errorf("retry budget exhausted: %w", err)}
+			return last, &TransportError{Op: "crawl", Attempts: failures, Err: fmt.Errorf("retry budget exhausted: %w", err)}
 		}
 		if serr := c.retry.policy.Clock.Sleep(ctx, c.retry.backoff(failures, 0)); serr != nil {
-			return out, serr
+			return last, serr
 		}
 	}
 }
@@ -449,55 +463,23 @@ func (c *Client) openCrawl(ctx context.Context, algorithm string, skip int) (*ht
 // the consumer never sees a duplicate. A crawl that fails yields one
 // final (nil, error) pair: a *core.PartialError wrapping
 // hiddendb.ErrQuotaExceeded (resumable after the budget window) or the
-// transport/server failure, with the paid query count attached.
+// transport/server failure, with the last paid query count the server
+// reported attached.
 func (c *Client) CrawlSeq(ctx context.Context, algorithm string, skip int) iter.Seq2[dataspace.Tuple, error] {
 	return func(yield func(dataspace.Tuple, error) bool) {
-		fail := func(queries int, err error) {
-			yield(nil, &core.PartialError{Queries: queries, Err: err})
-		}
+		// A false yield stops the stream; cancel then aborts it
+		// server-side.
 		cctx, cancel := context.WithCancel(ctx)
 		defer cancel()
-		received := 0 // tuples yielded across all connections
-		failures := 0 // consecutive reconnects with no progress
-		for {
-			resp, err := c.openCrawl(cctx, algorithm, skip+received)
-			if err != nil {
-				fail(0, err)
-				return
-			}
-			progressed := false
-			res, stopped, err := crawlStream(c.schema, resp.Body, nil, func(t dataspace.Tuple) bool {
-				received++
-				progressed = true
-				return yield(t, nil)
-				// A false yield stops the stream; defer cancel() then
-				// aborts it server-side.
-			})
-			resp.Body.Close()
-			if err == nil || stopped {
-				return
-			}
-			if !c.resumable(cctx, err) {
-				fail(res.Queries, ctxErr(ctx, err))
-				return
-			}
-			if progressed {
-				failures = 0
-			}
-			failures++
-			if failures >= c.retry.policy.MaxAttempts {
-				fail(res.Queries, &TransportError{Op: "crawl", Attempts: failures, Err: err})
-				return
-			}
-			if !c.retry.spend() {
-				fail(res.Queries, &TransportError{Op: "crawl", Attempts: failures, Err: fmt.Errorf("retry budget exhausted: %w", err)})
-				return
-			}
-			if serr := c.retry.policy.Clock.Sleep(cctx, c.retry.backoff(failures, 0)); serr != nil {
-				fail(res.Queries, serr)
-				return
-			}
+		last, err := c.resume(cctx, algorithm, skip, nil, func(t dataspace.Tuple) bool { return yield(t, nil) })
+		if err == nil {
+			return
 		}
+		queries := 0
+		if last != nil {
+			queries = last.Queries
+		}
+		yield(nil, &core.PartialError{Queries: queries, Err: err})
 	}
 }
 
