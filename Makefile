@@ -94,22 +94,26 @@ bench-check:
 chaos: build
 	$(GO) test -race -short ./internal/chaos/ ./internal/httpclient/ ./internal/journal/ ./internal/httpserver/ ./internal/session/
 
-# fuzz-smoke explores five differential fuzzers for 10 s each (go test
-# fuzzes one target per run). In the index engine, FuzzIntersect checks
-# the bitmap kernels against a reference intersection and FuzzSelectPaths
-# every forced access path, truncated and in full, against a naive scan.
-# In the wire codec, FuzzParseQuery and FuzzParseBatchRequest check the
-# /query and /batch request parsers against json.Decoder plus the struct
+# fuzz-smoke explores six fuzzers for 10 s each (go test fuzzes one
+# target per run). In the index engine, FuzzIntersect checks the bitmap
+# kernels against a reference intersection and FuzzSelectPaths every
+# forced access path, truncated and in full, against a naive scan. In the
+# wire codec, FuzzParseQuery and FuzzParseBatchRequest check the /query
+# and /batch request parsers against json.Decoder plus the struct
 # converters. FuzzParallelMatchesSequential checks the parallel crawler's
 # query, resolved, overflowed and skipped counts and its tuples against
-# the sequential hybrid's. A failing input is written under the package's
-# testdata/fuzz/ and replays in `make test`.
+# the sequential hybrid's. FuzzCrawlReconnectSchedule severs /crawl
+# streams on a fuzzed schedule and checks that Crawl and CrawlSeq both
+# resume to the exact bag at the fault-free paid count. A failing input
+# is written under the package's testdata/fuzz/ and replays in
+# `make test`.
 fuzz-smoke: build
 	$(GO) test -run '^$$' -fuzz '^FuzzIntersect$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/index
 	$(GO) test -run '^$$' -fuzz '^FuzzSelectPaths$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/index
 	$(GO) test -run '^$$' -fuzz '^FuzzParseQuery$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzParseBatchRequest$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzParallelMatchesSequential$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/parallel
+	$(GO) test -run '^$$' -fuzz '^FuzzCrawlReconnectSchedule$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/httpclient
 
 # loadgen-smoke is the load-driver determinism gate: the sim mode must
 # produce byte-identical artifacts for the same seed (sheds, rejections

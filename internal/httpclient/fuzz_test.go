@@ -111,13 +111,15 @@ func FuzzCrawlStream(f *testing.F) {
 }
 
 // FuzzCrawlReconnectSchedule drives the real auto-resume loop — DialRetry,
-// Crawl, the skip cursor — against a live server whose /crawl responses
-// are truncated per a fuzzed chaos schedule (one byte per connection: the
-// fraction of the stream allowed through, 255 = undisturbed). However the
-// schedule severs the streams, the stitched crawl must deliver the exact
-// dataset bag once — no duplicates, no losses — and pay exactly the
-// fault-free query count, since every reconnect replays the journaled
-// prefix for free.
+// Crawl and CrawlSeq, the skip cursor — against a live server whose
+// /crawl responses are truncated per a fuzzed chaos schedule (one byte per
+// connection: the fraction of the stream allowed through, 255 =
+// undisturbed). Each entry point runs the schedule on a fresh server.
+// However the schedule severs the streams, the stitched crawl must deliver
+// the exact dataset bag once — no duplicates, no losses — and pay exactly
+// the fault-free query count, since every reconnect replays the journaled
+// prefix for free. Crawl's paid count is its terminal event's; CrawlSeq
+// reports none on success, so its count is the session's own.
 func FuzzCrawlReconnectSchedule(f *testing.F) {
 	f.Add([]byte{128})
 	f.Add([]byte{0, 0, 64})
@@ -157,11 +159,6 @@ func FuzzCrawlReconnectSchedule(f *testing.F) {
 		if len(schedule) > 8 {
 			schedule = schedule[:8] // keep reconnect storms bounded
 		}
-		local, err := hiddendb.NewLocal(ds.Schema, ds.Tuples, k, 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := httpserver.New(local, httpserver.WithSessions(session.Config{}))
 		// Translate the schedule into byte cut points lazily: a connection's
 		// allowance is fraction/255 of however much it would have streamed.
 		cuts := make([]int, len(schedule))
@@ -172,30 +169,54 @@ func FuzzCrawlReconnectSchedule(f *testing.F) {
 				cuts[i] = int(frac) * 40 // 0..~10KB into the stream
 			}
 		}
-		front := &cuttingFront{inner: h, cuts: cuts}
-		ts := httptest.NewServer(front)
-		defer ts.Close()
+		for _, seq := range []bool{false, true} {
+			local, err := hiddendb.NewLocal(ds.Schema, ds.Tuples, k, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := httpserver.New(local, httpserver.WithSessions(session.Config{}))
+			front := &cuttingFront{inner: h, cuts: cuts}
+			ts := httptest.NewServer(front)
+			defer ts.Close()
 
-		clock := hiddendb.NewSimClock()
-		c, err := DialRetry(context.Background(), ts.URL, "tok", nil, RetryPolicy{
-			MaxAttempts: len(schedule) + 2, // the schedule can never outlast the policy
-			Clock:       clock,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := c.Crawl(context.Background(), "", 0, nil)
-		if err != nil {
-			t.Fatalf("schedule %v: crawl failed: %v", schedule, err)
-		}
-		if !res.Tuples.EqualMultiset(ref.Tuples) {
-			t.Fatalf("schedule %v: stitched bag has %d tuples, reference %d (duplicate or lost tuples)", schedule, len(res.Tuples), len(ref.Tuples))
-		}
-		if res.Queries != ref.Queries {
-			t.Fatalf("schedule %v: paid %d queries, fault-free reference %d", schedule, res.Queries, ref.Queries)
-		}
-		if got := h.Sessions().TotalQueries(); got != ref.Queries {
-			t.Fatalf("schedule %v: server-side paid count %d, want %d", schedule, got, ref.Queries)
+			clock := hiddendb.NewSimClock()
+			c, err := DialRetry(context.Background(), ts.URL, "tok", nil, RetryPolicy{
+				MaxAttempts: len(schedule) + 2, // the schedule can never outlast the policy
+				Clock:       clock,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var bag dataspace.Bag
+			paid := 0
+			if seq {
+				for tu, err := range c.CrawlSeq(context.Background(), "", 0) {
+					if err != nil {
+						t.Fatalf("schedule %v: CrawlSeq failed: %v", schedule, err)
+					}
+					bag = append(bag, tu)
+				}
+				for _, st := range h.Sessions().Stats() {
+					if st.Token == "tok" {
+						paid = st.Queries
+					}
+				}
+			} else {
+				res, err := c.Crawl(context.Background(), "", 0, nil)
+				if err != nil {
+					t.Fatalf("schedule %v: crawl failed: %v", schedule, err)
+				}
+				bag, paid = res.Tuples, res.Queries
+			}
+			if !bag.EqualMultiset(ref.Tuples) {
+				t.Fatalf("schedule %v (seq %v): stitched bag has %d tuples, reference %d (duplicate or lost tuples)", schedule, seq, len(bag), len(ref.Tuples))
+			}
+			if paid != ref.Queries {
+				t.Fatalf("schedule %v (seq %v): paid %d queries, fault-free reference %d", schedule, seq, paid, ref.Queries)
+			}
+			if got := h.Sessions().TotalQueries(); got != ref.Queries {
+				t.Fatalf("schedule %v (seq %v): server-side paid count %d, want %d", schedule, seq, got, ref.Queries)
+			}
 		}
 	})
 }
