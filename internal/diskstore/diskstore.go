@@ -272,8 +272,5 @@ func (s *Store) Close() error {
 	return s.closeErr
 }
 
-// Path returns the store file's path.
-func (s *Store) Path() string { return s.path }
-
 // EngineStats identifies the disk engine.
 func (s *Store) EngineStats() index.EngineStats { return index.EngineStats{Kind: "disk"} }

@@ -123,7 +123,7 @@ func TestAnswerBatchMatchesSequential(t *testing.T) {
 			c, nc := counting(local(1))
 			f := hiddendb.NewFlaky(c, hiddendb.FlakyConfig{Seed: 7})
 			return snapshot(f, nc, func(m map[string]int) {
-				m["attempts"], m["injected"] = f.Attempts(), hiddendb.FlakyInjected(f)
+				m["attempts"], m["injected"] = hiddendb.FlakyAttempts(f), hiddendb.FlakyInjected(f)
 			})
 		},
 	}

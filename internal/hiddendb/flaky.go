@@ -68,14 +68,6 @@ func NewFlaky(srv Server, cfg FlakyConfig) *Flaky {
 	return &Flaky{inner: srv, cfg: cfg, rng: simrand.New(cfg.Seed)}
 }
 
-// Attempts returns how many query attempts this layer has seen (served or
-// faulted).
-func (f *Flaky) Attempts() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.attempts
-}
-
 // faultLocked advances the attempt counter and returns the fault for this
 // attempt, or nil to let it through. Callers hold f.mu.
 func (f *Flaky) faultLocked() error {

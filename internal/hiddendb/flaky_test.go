@@ -57,7 +57,7 @@ func TestFlakyFailNth(t *testing.T) {
 	}
 	// Queries beyond the fault were never attempted: the counter resumes
 	// right after the faulted position.
-	if got := flaky.Attempts(); got != 6 {
+	if got := flaky.attempts; got != 6 {
 		t.Fatalf("attempts = %d, want 6", got)
 	}
 	if got := FlakyInjected(flaky); got != 2 {

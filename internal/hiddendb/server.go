@@ -322,13 +322,6 @@ func (c *Counting) Resolved() int { return int(c.resolved.Load()) }
 // Overflowed returns how many of the issued queries overflowed.
 func (c *Counting) Overflowed() int { return int(c.overflow.Load()) }
 
-// Reset zeroes the counters.
-func (c *Counting) Reset() {
-	c.queries.Store(0)
-	c.resolved.Store(0)
-	c.overflow.Store(0)
-}
-
 // Quota wraps a Server and fails with ErrQuotaExceeded after budget
 // queries, modelling per-IP limits of real sites ("most systems have a
 // control on how many queries can be submitted by the same IP address").

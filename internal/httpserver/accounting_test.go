@@ -169,8 +169,14 @@ func TestAccountingInvariant(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if sess.RateClass() != class {
-						t.Fatalf("token %q resolved to rate class %q, want %q", token, sess.RateClass(), class)
+					rateClass := "(no session)"
+					for _, st := range h.Sessions().Stats() {
+						if st.Token == token {
+							rateClass = st.RateClass
+						}
+					}
+					if rateClass != class {
+						t.Fatalf("token %q resolved to rate class %q, want %q", token, rateClass, class)
 					}
 					store.balance(t, sess, quota, ref.Queries())
 				})

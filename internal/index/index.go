@@ -372,9 +372,6 @@ func (s *Store) Schema() *dataspace.Schema { return s.schema }
 // artifacts report their own kind.
 func (s *Store) EngineStats() EngineStats { return EngineStats{Kind: "mem"} }
 
-// Stats returns the store's sampled selectivity statistics.
-func (s *Store) Stats() *SelStats { return s.stats }
-
 // PlanStats returns the per-access-path Select execution counts.
 func (s *Store) PlanStats() PlanStats {
 	ps := PlanStats{Paths: make(map[string]int64, numPaths)}

@@ -445,7 +445,7 @@ func TestSelStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := s.Stats()
+	st := s.stats
 	if st.sampled != statsSampleMax {
 		t.Fatalf("sample size = %d, want %d", st.sampled, statsSampleMax)
 	}
@@ -494,7 +494,7 @@ func TestSelStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sel := empty.Stats().jointSel(uni.Preds()); sel != 1 {
+	if sel := empty.stats.jointSel(uni.Preds()); sel != 1 {
 		t.Fatalf("empty-store selectivity = %v, want 1", sel)
 	}
 	if got := empty.Select(uni, 5); len(got) != 0 {

@@ -130,7 +130,7 @@ func TestRateClassResolution(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := sess.RateClass(); got != c.class {
+		if got := sess.rateClass; got != c.class {
 			t.Errorf("token %q resolved to class %q, want %q", c.token, got, c.class)
 		}
 	}

@@ -148,10 +148,6 @@ type Session struct {
 	lastSeen time.Duration // Table clock reading, guarded by the owning Table's mutex
 }
 
-// RateClass returns the name of the session's resolved rate class, ""
-// when the token uses the table-wide rate.
-func (s *Session) RateClass() string { return s.rateClass }
-
 // Token returns the session's API token ("" for the anonymous session).
 func (s *Session) Token() string { return s.token }
 
@@ -210,9 +206,6 @@ func (s *Session) SharedLeads() int {
 
 // JournalLen returns the number of (query, response) pairs journaled.
 func (s *Session) JournalLen() int { return s.journal.Len() }
-
-// Journal exposes the session's journal (tests and persistence).
-func (s *Session) Journal() *journal.Journal { return s.journal }
 
 // Stats is a point-in-time snapshot of one session's counters.
 type Stats struct {
