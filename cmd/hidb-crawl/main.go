@@ -10,22 +10,15 @@
 //	hidb-crawl -dataset adult -k 256 -out tuples.tsv
 //	hidb-crawl -url ... -journal state.jnl                 # resumable
 //	hidb-crawl -url ... -workers 16                        # parallel, batched
-//	hidb-crawl -url ... -workers 16 -batch 8               # cap batch size
 //	hidb-crawl -url ... -workers 16 -inflight 4            # deepen the pipeline
-//	hidb-crawl -url ... -workers 16 -inflight -1           # adaptive depth
 //
 // With -workers N the crawler drains ready queries into batches of up to N
-// (or -batch, if set) per round trip and keeps up to -inflight round trips
-// (default 2) flying at once — the next batch departs the moment a flight
-// slot frees, so the connection never idles between round trips. The query
-// cost is identical to the sequential crawl, the round-trip count
-// ~batch-size times smaller; -inflight 1 restores the flush-on-completion
-// batcher that waits out each round trip before dispatching the next, and
-// -inflight -1 lets the dispatcher pick the depth itself: it widens by one
-// whenever a full-width batch is ready while every flight slot is busy —
-// each widening saves that batch a full round trip of latency — and stops
-// when that signal stops, with neither the query count nor the round-trip
-// count ever exceeding a fixed depth's.
+// per round trip and keeps up to -inflight round trips (default 2) flying
+// at once — the next batch departs the moment a flight slot frees, so the
+// connection never idles between round trips. The query cost is identical
+// to the sequential crawl, the round-trip count ~N times smaller;
+// -inflight 1 restores the flush-on-completion batcher that waits out each
+// round trip before dispatching the next.
 package main
 
 import (
@@ -85,9 +78,8 @@ func main() {
 	out := flag.String("out", "", "write extracted tuples as TSV to this file")
 	showProgress := flag.Bool("progress", false, "print the progressiveness curve deciles")
 	journalPath := flag.String("journal", "", "journal file for resumable crawls (created if absent)")
-	workers := flag.Int("workers", 1, "concurrent in-flight queries (same cost, less wall-clock)")
-	batch := flag.Int("batch", 0, "max queries per AnswerBatch round trip (0 = worker count; capped at -workers)")
-	inflight := flag.Int("inflight", 0, "pipeline depth: overlapped AnswerBatch round trips (0 = default 2; 1 = flush-on-completion; -1 = adaptive — widen while widening keeps saving round trips)")
+	workers := flag.Int("workers", 1, "queries per AnswerBatch round trip, crawled in parallel (same cost, less wall-clock)")
+	inflight := flag.Int("inflight", 0, "pipeline depth: overlapped AnswerBatch round trips of up to -workers queries each (0 = default 2; 1 = flush-on-completion)")
 	token := flag.String("token", "", "API token sent as Authorization: Bearer (per-session quota/journal on the server)")
 	retries := flag.Int("retries", 0, "retry transient remote failures up to this many attempts per operation, with backoff (0 = fail fast); retried queries replay from the server's session journal for free")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "after SIGINT/SIGTERM, force-exit if the crawl has not wound down within this long (the journal saved so far stays intact)")
@@ -173,7 +165,7 @@ func main() {
 		log.Printf("journal %s: %d queries already paid for", *journalPath, before)
 	}
 
-	opts := &hidb.CrawlOptions{CollectCurve: *showProgress, BatchSize: *batch, InFlight: *inflight}
+	opts := &hidb.CrawlOptions{CollectCurve: *showProgress, InFlight: *inflight}
 	start := time.Now()
 	res, err := crawler.Crawl(ctx, srv, opts)
 	if jnl != nil {

@@ -323,14 +323,6 @@ type (
 	CurvePoint = core.CurvePoint
 )
 
-// InFlightAdaptive, as CrawlOptions.InFlight, lets the pipelined
-// dispatcher choose its own depth: it widens by one whenever a full-width
-// batch is ready while every flight slot is busy — each widening saves
-// that batch a round trip of latency — and stops when that signal stops.
-// Partial batches never ride the widened slots, so neither the paid query
-// count nor the round-trip count ever exceeds a fixed depth's.
-const InFlightAdaptive = core.InFlightAdaptive
-
 // Dataset bundles a schema with a bag of tuples (see datagen).
 type Dataset = datagen.Dataset
 
@@ -512,11 +504,12 @@ func DialHTTPRetry(ctx context.Context, baseURL, token string, httpClient *http.
 }
 
 // ParallelCrawler returns a crawler that drains ready queries into
-// AnswerBatch round trips of up to workers queries each (tunable via
-// CrawlOptions.BatchSize) and keeps up to CrawlOptions.InFlight round
-// trips (default 2) in flight at once: while round trips fly, the next
-// batch accumulates and departs the moment a flight slot frees, so the
-// connection never idles between round trips. The set of issued queries —
+// AnswerBatch round trips of up to workers queries each and keeps up to
+// CrawlOptions.InFlight round trips (default 2; 1 = flush-on-completion)
+// in flight at once: while round trips fly, the next batch accumulates
+// and departs the moment a flight slot frees, so the connection never
+// idles between round trips. These two numbers, batch width and pipeline
+// depth, are the pipeline's only settings. The set of issued queries —
 // and therefore the paper's cost metric — is identical to the sequential
 // algorithms'; only wall-clock time and the round-trip count change. Use
 // it when each round trip has real network cost. OnProgress and

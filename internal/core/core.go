@@ -52,17 +52,6 @@ type CurvePoint struct {
 	Tuples  int
 }
 
-// InFlightAdaptive, assigned to Options.InFlight, makes the parallel
-// crawler pick its pipeline depth itself: it starts at the default double
-// buffer and widens by one whenever a full-width batch is ready while
-// every flight slot is busy — the deterministic signal that one more
-// overlapped round trip would save a full round trip of latency. When
-// that signal stops, the widening stops: the measured savings have
-// flattened. Only full-width batches ever launch through a widened slot,
-// so widening launches the same batches earlier rather than launching
-// thinner ones; the query count is untouched, as with any fixed depth.
-const InFlightAdaptive = -1
-
 // Options tunes a crawl. The zero value is ready to use.
 type Options struct {
 	// OnProgress, when non-nil, is invoked after every query that reaches
@@ -87,26 +76,15 @@ type Options struct {
 	QueryFilter func(dataspace.Query) bool
 	// CollectCurve records a CurvePoint per query into Result.Curve.
 	CollectCurve bool
-	// BatchSize caps how many ready queries the parallel crawler packs
-	// into one Server.AnswerBatch round trip. Zero means the crawler's
-	// worker count; a batch is wholly in flight while its round trip
-	// runs, so values above the worker count are clamped to it. Batching
-	// never changes the query count — a batch is answered as if issued
-	// sequentially — only the number of round trips. Sequential crawlers
-	// ignore it.
-	BatchSize int
 	// InFlight is the parallel crawler's pipeline depth: how many
-	// AnswerBatch round trips it keeps in flight at once. While round
-	// trips fly, the next batch accumulates and departs the moment a
-	// flight slot frees — speculative double-buffering, which removes the
-	// flush-on-completion bubble where a ready query always waited out the
-	// round trip in front of it. 1 restores flush-on-completion; zero
-	// defaults to 2 (or to workers/BatchSize when a narrowed batch width
-	// would otherwise shrink the in-flight query bound below the worker
-	// count); InFlightAdaptive lets the dispatcher widen the depth itself
-	// while the widening keeps saving round-trip latency. Pipelining never
-	// changes the query count, only round trips and wall clock. Sequential
-	// crawlers ignore it.
+	// AnswerBatch round trips it keeps in flight at once, each carrying up
+	// to the crawler's worker count of queries. While round trips fly, the
+	// next batch accumulates and departs the moment a flight slot frees —
+	// speculative double-buffering, which removes the flush-on-completion
+	// bubble where a ready query always waited out the round trip in front
+	// of it. Zero (or less) defaults to 2; 1 restores flush-on-completion.
+	// Pipelining never changes the query count, only round trips and wall
+	// clock. Sequential crawlers ignore it.
 	InFlight int
 	// Clock, when non-nil, runs the parallel crawler's pipeline under the
 	// given deterministic virtual clock: batches form and depart at

@@ -66,29 +66,20 @@ type batcher struct {
 	inner    hiddendb.Server
 	opts     *core.Options
 	maxBatch int
-	// depth is the pipeline's base depth. The dispatcher owns the live
-	// (possibly widened) value as run's local; partial batches are always
-	// gated at this base value, so idleTick reads it directly.
-	depth int
-	// adaptive lets the dispatcher widen the depth up to maxAdaptiveDepth
-	// whenever a full-width batch is blocked on a flight slot — the
-	// signal that one more overlapped round trip saves its whole latency.
-	// No blocked full batch, no widening: the savings have flattened.
-	adaptive bool
+	depth    int                // how many round trips may fly at once
 	clock    *hiddendb.SimClock // nil outside virtual-time simulations
 	reqs     chan flightReq
 	donec    chan struct{}
 	tickc    chan struct{}
 	stop     chan struct{}
 
-	// pendingN, inflightN and depthN mirror the dispatcher's private state
-	// for the virtual clock's idle callback, which must decide "is there a
-	// batch to flush and a slot to fly it in — or a widening to grant?"
-	// from outside the dispatcher goroutine. They are only read at
-	// quiescence, when the dispatcher is parked and the values are exact.
+	// pendingN and inflightN mirror the dispatcher's private state for the
+	// virtual clock's idle callback, which must decide "is there a batch to
+	// flush and a slot to fly it in?" from outside the dispatcher
+	// goroutine. They are only read at quiescence, when the dispatcher is
+	// parked and the values are exact.
 	pendingN  atomic.Int32
 	inflightN atomic.Int32
-	depthN    atomic.Int32
 
 	// progressMu serializes OnProgress callbacks across concurrently
 	// completing round trips: the sequential engine invokes the callback
@@ -138,16 +129,12 @@ type flightReq struct {
 // crawl's last Answer has returned. maxBatch bounds the width of one round
 // trip, depth how many round trips overlap: at most maxBatch×depth queries
 // are in flight at once.
-func newBatcher(ctx context.Context, inner hiddendb.Server, maxBatch, depth int, adaptive bool, clock *hiddendb.SimClock, opts *core.Options) *batcher {
+func newBatcher(ctx context.Context, inner hiddendb.Server, maxBatch, depth int, clock *hiddendb.SimClock, opts *core.Options) *batcher {
 	if maxBatch < 1 {
 		maxBatch = 1
 	}
 	if depth < 1 {
 		depth = 1
-	}
-	maxDepth := depth
-	if adaptive && maxDepth < maxAdaptiveDepth {
-		maxDepth = maxAdaptiveDepth
 	}
 	b := &batcher{
 		ctx:      ctx,
@@ -155,18 +142,15 @@ func newBatcher(ctx context.Context, inner hiddendb.Server, maxBatch, depth int,
 		opts:     opts,
 		maxBatch: maxBatch,
 		depth:    depth,
-		adaptive: adaptive,
 		clock:    clock,
 		reqs:     make(chan flightReq, maxBatch),
-		// Buffered to the flight-slot count (the widest the pipeline may
-		// ever grow) so completion signals never block a delivering
-		// goroutine even when the dispatcher is busy.
-		donec:   make(chan struct{}, maxDepth),
+		// Buffered to the flight-slot count so completion signals never
+		// block a delivering goroutine even when the dispatcher is busy.
+		donec:   make(chan struct{}, depth),
 		tickc:   make(chan struct{}, 1),
 		stop:    make(chan struct{}),
 		flights: make(map[string]*flight),
 	}
-	b.depthN.Store(int32(depth))
 	if clock != nil {
 		clock.SetIdle(b.idleTick)
 	}
@@ -190,33 +174,19 @@ func (b *batcher) close() {
 }
 
 // idleTick is the SimClock's quiescence callback: wake the dispatcher
-// before virtual time advances whenever it could launch something — a
-// full-width batch with a flight slot free (or, in adaptive mode, with
-// headroom left to widen one), or a partial batch with a base-depth slot
-// free. Under a virtual clock the dispatcher launches only on these ticks
-// (see run), so the conditions here must cover exactly the launch rules.
-// The granted hold rides the tick message and is released by the
-// dispatcher once the flush is processed. Runs with the clock's lock
-// held, while every crawl goroutine is parked — the atomics are exact.
-//
-// The partial-flush slot test uses the base depth, never a widened one:
-// partial batches do not ride widened slots — see run. Gating partials on
-// the widened depth would flush them early and pay extra round trips for
-// wall clock the full batches already won.
+// before virtual time advances whenever it could launch something —
+// pending work and a free flight slot. Under a virtual clock the
+// dispatcher launches only on these ticks (see run), so this condition
+// must be exactly the launch rule. The granted hold rides the tick message
+// and is released by the dispatcher once the flush is processed. Runs with
+// the clock's lock held, while every crawl goroutine is parked — the
+// atomics are exact.
 //
 // A tick must never fire when the dispatcher would wake and change
 // nothing: it would park back into the identical quiescent state and
 // re-tick forever, without virtual time ever passing.
 func (b *batcher) idleTick() bool {
-	pending := b.pendingN.Load()
-	if pending == 0 {
-		return false
-	}
-	inflight, depth := b.inflightN.Load(), b.depthN.Load()
-	full := pending >= int32(b.maxBatch) &&
-		(inflight < depth || (b.adaptive && depth < maxAdaptiveDepth))
-	partial := inflight < int32(b.depth)
-	if !full && !partial {
+	if b.pendingN.Load() == 0 || b.inflightN.Load() >= int32(b.depth) {
 		return false
 	}
 	select {
@@ -274,11 +244,6 @@ func (b *batcher) Answer(q dataspace.Query) (hiddendb.Result, error) {
 	return f.res, f.err
 }
 
-// maxAdaptiveDepth caps how far an adaptive pipeline may widen — a
-// runaway bound far above any latency×throughput product the crawls here
-// produce, not a tuning knob.
-const maxAdaptiveDepth = 64
-
 // run is the dispatcher loop. Wait for a trigger — a ready query, a
 // completed round trip, or (under a virtual clock) a quiescence tick —
 // greedily drain whatever else is ready into the pending batch, then
@@ -289,7 +254,6 @@ const maxAdaptiveDepth = 64
 // simulated time pass while they wait.
 func (b *batcher) run() {
 	var pending []flightReq
-	depth := b.depth
 	inflight := 0
 	held := 0 // clock holds owned by the dispatcher (one per trigger consumed)
 
@@ -322,8 +286,7 @@ func (b *batcher) run() {
 		// Launch while a flight slot is free. Under real time this is
 		// eager: a full-width batch departs the moment it fills, a partial
 		// one speculatively once the ready queue is drained (waiting could
-		// only delay it), and widening happens the instant a full batch is
-		// blocked. Under a virtual clock every launch decision instead
+		// only delay it). Under a virtual clock every launch decision instead
 		// waits for a quiescence tick and processes the pending list in
 		// canonical key order: mid-instant, which queries have arrived and
 		// in what order is scheduler noise, but the quiescent set is exact
@@ -331,43 +294,23 @@ func (b *batcher) run() {
 		// departs at that instant, the deferral costs no virtual time.
 		// Batch membership (in particular, which queries are left behind
 		// when the slots run out) therefore depends only on the crawl's
-		// dependency structure. In adaptive mode a partial batch is
-		// additionally gated at the base depth: widened slots carry
-		// full-width batches only, so widening can move full batches
-		// earlier but never fragments the stream into extra partial round
-		// trips.
+		// dependency structure.
 		if b.clock == nil || ticked {
 			if b.clock != nil {
 				sort.Slice(pending, func(i, j int) bool {
 					return pending[i].key < pending[j].key
 				})
 			}
-			for {
-				for len(pending) > 0 && inflight < depth {
-					if len(pending) < b.maxBatch && inflight >= b.depth {
-						break
-					}
-					n := min(b.maxBatch, len(pending))
-					batch := make([]flightReq, n)
-					copy(batch, pending)
-					rest := copy(pending, pending[n:])
-					pending = pending[:rest]
-					inflight++
-					b.inflightN.Store(int32(inflight))
-					b.clock.Hold() // the issue goroutine's hold
-					go b.issue(batch)
-				}
-				// Adaptive widening: a full-width batch is ready but every
-				// slot is busy — launching it now instead of after the
-				// next completion saves a round trip of latency, so widen
-				// by one and launch it. When no full batch is blocked, the
-				// savings have flattened and the depth stays put.
-				if !b.adaptive || depth >= maxAdaptiveDepth ||
-					inflight < depth || len(pending) < b.maxBatch {
-					break
-				}
-				depth++
-				b.depthN.Store(int32(depth))
+			for len(pending) > 0 && inflight < b.depth {
+				n := min(b.maxBatch, len(pending))
+				batch := make([]flightReq, n)
+				copy(batch, pending)
+				rest := copy(pending, pending[n:])
+				pending = pending[:rest]
+				inflight++
+				b.inflightN.Store(int32(inflight))
+				b.clock.Hold() // the issue goroutine's hold
+				go b.issue(batch)
 			}
 		}
 		b.pendingN.Store(int32(len(pending)))

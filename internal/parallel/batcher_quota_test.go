@@ -59,7 +59,7 @@ func TestBatcherFailsFastAfterQuota(t *testing.T) {
 
 	// maxBatch = depth = 1 keeps the dispatch order deterministic: each
 	// Answer is its own round trip.
-	b := newBatcher(context.Background(), rt, 1, 1, false, nil, &core.Options{})
+	b := newBatcher(context.Background(), rt, 1, 1, nil, &core.Options{})
 	defer b.close()
 
 	qs := make([]dataspace.Query, 5)

@@ -102,9 +102,8 @@ func TestSequentialEquivalenceOracle(t *testing.T) {
 
 		for _, batch := range batches {
 			for _, depth := range depths {
-				res, err := (Crawler{Workers: 16}).Crawl(context.Background(), server(t, ds, k), &core.Options{
-					BatchSize: batch,
-					InFlight:  depth,
+				res, err := (Crawler{Workers: batch}).Crawl(context.Background(), server(t, ds, k), &core.Options{
+					InFlight: depth,
 				})
 				if err != nil {
 					t.Fatalf("trial %d batch=%d depth=%d: %v", trial, batch, depth, err)
@@ -122,8 +121,7 @@ func TestSequentialEquivalenceOracle(t *testing.T) {
 		}
 		skipped += fref.Skipped
 		fbatch, fdepth := batches[trial%len(batches)], depths[trial/len(batches)%len(depths)]
-		fres, err := (Crawler{Workers: 16}).Crawl(context.Background(), server(t, ds, k), &core.Options{
-			BatchSize:   fbatch,
+		fres, err := (Crawler{Workers: fbatch}).Crawl(context.Background(), server(t, ds, k), &core.Options{
 			InFlight:    fdepth,
 			QueryFilter: filter,
 		})
@@ -208,10 +206,8 @@ func FuzzParallelMatchesSequential(f *testing.F) {
 			t.Fatal(err)
 		}
 		k := max(4+int(kIn)%60, ds.Tuples.MaxMultiplicity())
-		opts := core.Options{
-			BatchSize: []int{1, 4, 16}[batchIdx%3],
-			InFlight:  []int{1, 2, 4}[depthIdx%3],
-		}
+		batch := []int{1, 4, 16}[batchIdx%3]
+		opts := core.Options{InFlight: []int{1, 2, 4}[depthIdx%3]}
 		var seqOpts core.Options
 		if seed%2 == 1 {
 			opts.QueryFilter = pairFilter(ds)
@@ -221,10 +217,10 @@ func FuzzParallelMatchesSequential(f *testing.F) {
 		if err != nil {
 			t.Fatalf("sequential reference: %v", err)
 		}
-		res, err := (Crawler{Workers: 16}).Crawl(context.Background(), server(t, ds, k), &opts)
+		res, err := (Crawler{Workers: batch}).Crawl(context.Background(), server(t, ds, k), &opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkMatches(t, fmt.Sprintf("k=%d batch=%d depth=%d", k, opts.BatchSize, opts.InFlight), res, ref, ds)
+		checkMatches(t, fmt.Sprintf("k=%d batch=%d depth=%d", k, batch, opts.InFlight), res, ref, ds)
 	})
 }

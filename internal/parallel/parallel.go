@@ -16,13 +16,13 @@
 // B concurrently ready queries cost a single round trip. Because a batch is
 // answered exactly as if issued sequentially, this changes neither the
 // query count nor any response — only the number of round trips, which
-// shrinks by roughly the batch size (Options.BatchSize, defaulting to the
-// worker count).
+// shrinks by roughly the batch width (Crawler.Workers).
 //
 // Batches are dispatched speculatively, double-buffered: up to
 // Options.InFlight round trips (default 2) overlap, and the next batch
 // departs the moment a flight slot is free instead of waiting for the
-// previous round trip to complete — see batcher. With a
+// previous round trip to complete — see batcher. Workers and InFlight are
+// the pipeline's only two settings. With a
 // hiddendb.SimClock in Options.Clock (and hiddendb.Latency on it) the
 // whole pipeline runs under deterministic virtual time, which is how the
 // latency ablation measures wall clock reproducibly without sleeping.
@@ -42,10 +42,10 @@ import (
 // many queries in flight. It implements core.Crawler.
 type Crawler struct {
 	// Workers is the width of one AnswerBatch round trip: the largest
-	// batch a single round trip may carry (unless Options.BatchSize lowers
-	// it). Up to Options.InFlight round trips (default 2) overlap, so at
-	// most Workers × InFlight queries are in flight at once. Zero or one
-	// degenerates to (a pipelined equivalent of) the sequential algorithm.
+	// batch a single round trip may carry. Up to Options.InFlight round
+	// trips (default 2) overlap, so at most Workers × InFlight queries are
+	// in flight at once. Zero or one degenerates to (a pipelined
+	// equivalent of) the sequential algorithm.
 	Workers int
 }
 
@@ -71,20 +71,11 @@ func (c Crawler) Crawl(ctx context.Context, srv hiddendb.Server, opts *core.Opti
 	if opts == nil {
 		opts = &core.Options{}
 	}
-	maxBatch := opts.BatchSize
-	if maxBatch <= 0 || maxBatch > c.workers() {
-		maxBatch = c.workers()
-	}
 	depth := opts.InFlight
-	adaptive := depth == core.InFlightAdaptive
 	if depth <= 0 {
-		// Double-buffer by default; with a narrowed batch width, keep at
-		// least Workers queries in flight (the pre-pipelining bound) by
-		// deepening the pipeline to compensate. Adaptive mode starts from
-		// the same default and widens on demand (see batcher).
-		depth = max(2, (c.workers()+maxBatch-1)/maxBatch)
+		depth = 2 // the double buffer
 	}
-	b := newBatcher(ctx, srv, maxBatch, depth, adaptive, opts.Clock, opts)
+	b := newBatcher(ctx, srv, c.workers(), depth, opts.Clock, opts)
 	defer b.close()
 	p := &pool{srv: b, clock: opts.Clock, opts: opts, quit: make(chan struct{})}
 	sch, k := srv.Schema(), srv.K()

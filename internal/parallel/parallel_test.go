@@ -257,8 +257,9 @@ func TestBatchedCrawlReducesRoundTrips(t *testing.T) {
 	}
 }
 
-// TestBatchSizeDoesNotChangeCost sweeps Options.BatchSize: the query count
-// is batching-invariant, per the AnswerBatch contract.
+// TestBatchSizeDoesNotChangeCost sweeps the batch width (Crawler.Workers)
+// at the depth the removed Options.BatchSize gave it under 16 workers: the
+// query count is batching-invariant, per the AnswerBatch contract.
 func TestBatchSizeDoesNotChangeCost(t *testing.T) {
 	ds := dataset(t, specs()["cat1-mixed"], 79)
 	k := 32
@@ -270,7 +271,7 @@ func TestBatchSizeDoesNotChangeCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, batch := range []int{1, 3, 16, 64} {
-		res, err := (Crawler{Workers: 16}).Crawl(context.Background(), server(t, ds, k), &core.Options{BatchSize: batch})
+		res, err := (Crawler{Workers: batch}).Crawl(context.Background(), server(t, ds, k), &core.Options{InFlight: max(2, (16+batch-1)/batch)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,25 +2,26 @@ package parallel
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 
 	"hidb/internal/core"
 	"hidb/internal/datagen"
+	"hidb/internal/dataspace"
 	"hidb/internal/hiddendb"
 )
 
 // simCrawl runs one parallel crawl under a fresh virtual clock and returns
 // its deterministic virtual elapsed time, round-trip count and query cost.
-func simCrawl(t *testing.T, ds *datagen.Dataset, k, workers, batch, depth int, delay time.Duration) (elapsed time.Duration, trips, queries int) {
+func simCrawl(t *testing.T, ds *datagen.Dataset, k, workers, depth int, delay time.Duration) (elapsed time.Duration, trips, queries int) {
 	t.Helper()
 	clock := hiddendb.NewSimClock()
 	rt := &roundTrips{Server: server(t, ds, k)}
 	sim := hiddendb.NewLatency(rt, delay, clock)
 	res, err := (Crawler{Workers: workers}).Crawl(context.Background(), sim, &core.Options{
-		BatchSize: batch,
-		InFlight:  depth,
-		Clock:     clock,
+		InFlight: depth,
+		Clock:    clock,
 	})
 	if err != nil {
 		t.Fatalf("sim crawl (workers=%d depth=%d): %v", workers, depth, err)
@@ -52,8 +53,8 @@ func wideDataset(t *testing.T) *datagen.Dataset {
 func TestSimPipelineDeterministic(t *testing.T) {
 	ds := wideDataset(t)
 	const k, workers, delay = 32, 16, 3 * time.Millisecond
-	e1, t1, q1 := simCrawl(t, ds, k, workers, 0, 2, delay)
-	e2, t2, q2 := simCrawl(t, ds, k, workers, 0, 2, delay)
+	e1, t1, q1 := simCrawl(t, ds, k, workers, 2, delay)
+	e2, t2, q2 := simCrawl(t, ds, k, workers, 2, delay)
 	if e1 != e2 || t1 != t2 || q1 != q2 {
 		t.Fatalf("virtual runs diverged: (%v, %d trips, %d queries) vs (%v, %d trips, %d queries)",
 			e1, t1, q1, e2, t2, q2)
@@ -78,8 +79,8 @@ func TestSpeculativePipelineBeatsFlushOnCompletion(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e1, t1, q1 := simCrawl(t, ds, k, workers, 0, 1, delay)
-	e2, t2, q2 := simCrawl(t, ds, k, workers, 0, 2, delay)
+	e1, t1, q1 := simCrawl(t, ds, k, workers, 1, delay)
+	e2, t2, q2 := simCrawl(t, ds, k, workers, 2, delay)
 
 	if q1 != ref.Queries || q2 != ref.Queries {
 		t.Fatalf("pipelining changed the cost metric: depth1 %d, depth2 %d, sequential %d",
@@ -110,7 +111,7 @@ func TestSimDepthSweepCostInvariant(t *testing.T) {
 	}
 	for _, batch := range []int{1, 4, 16} {
 		for _, depth := range []int{1, 2, 4} {
-			_, _, q := simCrawl(t, ds, k, 16, batch, depth, time.Millisecond)
+			_, _, q := simCrawl(t, ds, k, batch, depth, time.Millisecond)
 			if q != ref.Queries {
 				t.Errorf("batch=%d depth=%d: cost %d != sequential %d", batch, depth, q, ref.Queries)
 			}
@@ -141,5 +142,65 @@ func TestSimSequentialCrawl(t *testing.T) {
 	}
 	if rt.count() != res.Queries {
 		t.Fatalf("sequential sim paid %d trips for %d queries", rt.count(), res.Queries)
+	}
+}
+
+// peaks wraps a server and records the most AnswerBatch calls in progress
+// at once and the widest batch.
+type peaks struct {
+	hiddendb.Server
+	mu                    sync.Mutex
+	active, calls, widest int
+}
+
+func (p *peaks) Answer(ctx context.Context, q dataspace.Query) (hiddendb.Result, error) {
+	return hiddendb.Answer(ctx, p, q)
+}
+
+func (p *peaks) AnswerBatch(ctx context.Context, qs []dataspace.Query) ([]hiddendb.Result, error) {
+	p.mu.Lock()
+	p.active++
+	p.calls = max(p.calls, p.active)
+	p.widest = max(p.widest, len(qs))
+	p.mu.Unlock()
+	defer func() {
+		p.mu.Lock()
+		p.active--
+		p.mu.Unlock()
+	}()
+	return p.Server.AnswerBatch(ctx, qs)
+}
+
+// TestPipelineBounds: the batcher never has more than Options.InFlight
+// round trips in flight, nor more than Crawler.Workers queries in one.
+// Under a virtual clock the wide crawl reaches both bounds exactly; on the
+// wall clock, where launches race the workers, it must stay within them.
+func TestPipelineBounds(t *testing.T) {
+	ds := wideDataset(t)
+	const k = 32
+	for _, sim := range []bool{true, false} {
+		for _, workers := range []int{1, 4, 16} {
+			for _, depth := range []int{1, 2, 4} {
+				opts := &core.Options{InFlight: depth}
+				var clock hiddendb.Clock = hiddendb.Wall
+				if sim {
+					opts.Clock = hiddendb.NewSimClock()
+					clock = opts.Clock
+				}
+				p := &peaks{Server: hiddendb.NewLatency(server(t, ds, k), 100*time.Microsecond, clock)}
+				res, err := (Crawler{Workers: workers}).Crawl(context.Background(), p, opts)
+				if err != nil {
+					t.Fatalf("sim=%v workers=%d depth=%d: %v", sim, workers, depth, err)
+				}
+				if !res.Tuples.EqualMultiset(ds.Tuples) {
+					t.Fatalf("sim=%v workers=%d depth=%d: incomplete", sim, workers, depth)
+				}
+				if p.calls > depth || p.widest > workers ||
+					sim && (p.calls != depth || p.widest != workers) {
+					t.Errorf("sim=%v workers=%d depth=%d: peak %d round trips in flight, widest batch %d",
+						sim, workers, depth, p.calls, p.widest)
+				}
+			}
+		}
 	}
 }
