@@ -78,7 +78,7 @@ func main() {
 	out := flag.String("out", "", "write extracted tuples as TSV to this file")
 	showProgress := flag.Bool("progress", false, "print the progressiveness curve deciles")
 	journalPath := flag.String("journal", "", "journal file for resumable crawls (created if absent)")
-	workers := flag.Int("workers", 1, "queries per AnswerBatch round trip, crawled in parallel (same cost, less wall-clock)")
+	workers := flag.Int("workers", 1, "above 1, crawl in parallel with up to this many queries per AnswerBatch round trip (same cost, less wall-clock)")
 	inflight := flag.Int("inflight", 0, "pipeline depth: overlapped AnswerBatch round trips of up to -workers queries each (0 = default 2; 1 = flush-on-completion)")
 	token := flag.String("token", "", "API token sent as Authorization: Bearer (per-session quota/journal on the server)")
 	retries := flag.Int("retries", 0, "retry transient remote failures up to this many attempts per operation, with backoff (0 = fail fast); retried queries replay from the server's session journal for free")

@@ -286,15 +286,15 @@ func (b *batcher) run() {
 		// Launch while a flight slot is free. Under real time this is
 		// eager: a full-width batch departs the moment it fills, a partial
 		// one speculatively once the ready queue is drained (waiting could
-		// only delay it). Under a virtual clock every launch decision instead
-		// waits for a quiescence tick and processes the pending list in
-		// canonical key order: mid-instant, which queries have arrived and
-		// in what order is scheduler noise, but the quiescent set is exact
-		// — and since a batch launched anywhere within a simulated instant
-		// departs at that instant, the deferral costs no virtual time.
-		// Batch membership (in particular, which queries are left behind
-		// when the slots run out) therefore depends only on the crawl's
-		// dependency structure.
+		// only delay it). Under a virtual clock every launch decision
+		// instead waits for a quiescence tick and processes the pending
+		// list in canonical key order: mid-instant, which queries have
+		// arrived and in what order is scheduler noise, but the quiescent
+		// set is exact — and since a batch launched anywhere within a
+		// simulated instant departs at that instant, the deferral costs no
+		// virtual time. Batch membership (in particular, which queries are
+		// left behind when the slots run out) therefore depends only on
+		// the crawl's dependency structure.
 		if b.clock == nil || ticked {
 			if b.clock != nil {
 				sort.Slice(pending, func(i, j int) bool {
@@ -308,7 +308,6 @@ func (b *batcher) run() {
 				rest := copy(pending, pending[n:])
 				pending = pending[:rest]
 				inflight++
-				b.inflightN.Store(int32(inflight))
 				b.clock.Hold() // the issue goroutine's hold
 				go b.issue(batch)
 			}

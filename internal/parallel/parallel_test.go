@@ -257,9 +257,9 @@ func TestBatchedCrawlReducesRoundTrips(t *testing.T) {
 	}
 }
 
-// TestBatchSizeDoesNotChangeCost sweeps the batch width (Crawler.Workers)
-// at the depth the removed Options.BatchSize gave it under 16 workers: the
-// query count is batching-invariant, per the AnswerBatch contract.
+// TestBatchSizeDoesNotChangeCost sweeps the batch width (Crawler.Workers),
+// deep enough to keep at least 16 queries in flight: the query count is
+// batching-invariant, per the AnswerBatch contract.
 func TestBatchSizeDoesNotChangeCost(t *testing.T) {
 	ds := dataset(t, specs()["cat1-mixed"], 79)
 	k := 32
