@@ -439,52 +439,68 @@ func TestCrawlSeqResumesWithoutDuplicates(t *testing.T) {
 }
 
 // TestCrawlReconnectFailureKeepsQueries: when the reconnect after a
-// severed stream is refused (here with a quota 429), Crawl and CrawlSeq
-// both report the paid count the severed stream last carried, not zero.
+// severed stream fails — refused with a quota 429, or cut before its first
+// byte until the attempts run out — Crawl and CrawlSeq both report the
+// paid count the severed stream last carried, not zero.
 func TestCrawlReconnectFailureKeepsQueries(t *testing.T) {
-	dial := func(t *testing.T) *Client {
-		front := &cuttingFront{inner: sessionHandler(t, 200, 16), cuts: []int{900}}
-		var crawls atomic.Int32
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/crawl" && crawls.Add(1) == 2 {
-				http.Error(w, "quota exceeded", http.StatusTooManyRequests)
+	for _, tc := range []struct {
+		name    string
+		cuts    []int
+		refuse  bool // answer the second /crawl with 429
+		wantErr func(error) bool
+	}{
+		{"refused", []int{900}, true, func(err error) bool { return errors.Is(err, hiddendb.ErrQuotaExceeded) }},
+		{"silent", []int{900, 0, 0, 0}, false, func(err error) bool { var te *TransportError; return errors.As(err, &te) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dial := func(t *testing.T) *Client {
+				front := &cuttingFront{inner: sessionHandler(t, 200, 16), cuts: tc.cuts}
+				var crawls atomic.Int32
+				ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					if tc.refuse && r.URL.Path == "/crawl" && crawls.Add(1) == 2 {
+						http.Error(w, "quota exceeded", http.StatusTooManyRequests)
+						return
+					}
+					front.ServeHTTP(w, r)
+				}))
+				t.Cleanup(ts.Close)
+				c, err := DialRetry(context.Background(), ts.URL, "tok", nil, RetryPolicy{MaxAttempts: 3, Clock: hiddendb.NewSimClock()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return c
+			}
+
+			seen := 0 // the paid count on the last line the severed stream delivered
+			res, err := dial(t).Crawl(context.Background(), "", 0, func(ev wire.CrawlEvent) { seen = ev.Queries })
+			if !tc.wantErr(err) {
+				t.Fatalf("Crawl: err = %v", err)
+			}
+			if res == nil {
+				t.Fatal("Crawl: nil result after a stream that carried events")
+			}
+			if seen == 0 || res.Queries != seen {
+				t.Fatalf("Crawl: %d paid queries after a stream that last reported %d", res.Queries, seen)
+			}
+
+			tuples := 0
+			for _, err := range dial(t).CrawlSeq(context.Background(), "", 0) {
+				if err == nil {
+					tuples++
+					continue
+				}
+				var pe *core.PartialError
+				if !errors.As(err, &pe) || !tc.wantErr(err) {
+					t.Fatalf("CrawlSeq: err = %v, want a PartialError wrapping the failure", err)
+				}
+				if pe.Queries != seen {
+					t.Fatalf("CrawlSeq: PartialError.Queries = %d after %d tuples, want %d", pe.Queries, tuples, seen)
+				}
 				return
 			}
-			front.ServeHTTP(w, r)
-		}))
-		t.Cleanup(ts.Close)
-		c, err := DialRetry(context.Background(), ts.URL, "tok", nil, RetryPolicy{MaxAttempts: 4, Clock: hiddendb.NewSimClock()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
+			t.Fatal("CrawlSeq ended without an error")
+		})
 	}
-
-	seen := 0 // the paid count on the last line the severed stream delivered
-	res, err := dial(t).Crawl(context.Background(), "", 0, func(ev wire.CrawlEvent) { seen = ev.Queries })
-	if !errors.Is(err, hiddendb.ErrQuotaExceeded) {
-		t.Fatalf("Crawl: err = %v, want ErrQuotaExceeded", err)
-	}
-	if seen == 0 || res == nil || res.Queries != seen {
-		t.Fatalf("Crawl: result %+v after a stream that last reported %d paid queries", res, seen)
-	}
-
-	tuples := 0
-	for _, err := range dial(t).CrawlSeq(context.Background(), "", 0) {
-		if err == nil {
-			tuples++
-			continue
-		}
-		var pe *core.PartialError
-		if !errors.As(err, &pe) || !errors.Is(err, hiddendb.ErrQuotaExceeded) {
-			t.Fatalf("CrawlSeq: err = %v, want a PartialError wrapping ErrQuotaExceeded", err)
-		}
-		if pe.Queries != seen {
-			t.Fatalf("CrawlSeq: PartialError.Queries = %d after %d tuples, want %d", pe.Queries, tuples, seen)
-		}
-		return
-	}
-	t.Fatal("CrawlSeq ended without an error")
 }
 
 // TestCrawlSeveredWithoutRetryStillFails pins the pre-retry behavior: a
