@@ -383,8 +383,9 @@ func (c *Client) Crawl(ctx context.Context, algorithm string, skip int, onEvent 
 // past every tuple emitted, when the client retries; only consecutive
 // reconnects that deliver no progress count against the policy's
 // attempts, and each spends the retry budget and backs off first. It
-// returns the counters of the last stream opened (nil if none opened),
-// without tuples, and the error that ended the crawl.
+// returns, without tuples, the counters of the last stream that carried
+// an event (zero if none did, nil if no stream opened), and the error
+// that ended the crawl.
 func (c *Client) resume(ctx context.Context, algorithm string, skip int, onEvent func(wire.CrawlEvent), emit func(dataspace.Tuple) bool) (*CrawlResult, error) {
 	var last *CrawlResult
 	failures := 0 // consecutive reconnects with no progress
@@ -393,14 +394,21 @@ func (c *Client) resume(ctx context.Context, algorithm string, skip int, onEvent
 		if err != nil {
 			return last, err
 		}
-		progressed := false
-		res, _, err := crawlStream(c.schema, resp.Body, onEvent, func(t dataspace.Tuple) bool {
+		progressed, reported := false, false
+		res, _, err := crawlStream(c.schema, resp.Body, func(ev wire.CrawlEvent) {
+			reported = true
+			if onEvent != nil {
+				onEvent(ev)
+			}
+		}, func(t dataspace.Tuple) bool {
 			skip++
 			progressed = true
 			return emit(t)
 		})
 		resp.Body.Close()
-		last = &res
+		if reported || last == nil {
+			last = &res
+		}
 		if err == nil {
 			return last, nil
 		}
