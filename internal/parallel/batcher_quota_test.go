@@ -13,11 +13,12 @@ import (
 )
 
 // roundTrips counts AnswerBatch/Answer calls reaching the wrapped server —
-// the round trips a real remote client would pay for.
+// the round trips a real remote client would pay for — and records the
+// most in progress at once (peak) and the widest batch.
 type roundTrips struct {
 	hiddendb.Server
-	mu    sync.Mutex
-	calls int
+	mu                          sync.Mutex
+	calls, active, peak, widest int
 }
 
 func (r *roundTrips) Answer(ctx context.Context, q dataspace.Query) (hiddendb.Result, error) {
@@ -27,7 +28,15 @@ func (r *roundTrips) Answer(ctx context.Context, q dataspace.Query) (hiddendb.Re
 func (r *roundTrips) AnswerBatch(ctx context.Context, qs []dataspace.Query) ([]hiddendb.Result, error) {
 	r.mu.Lock()
 	r.calls++
+	r.active++
+	r.peak = max(r.peak, r.active)
+	r.widest = max(r.widest, len(qs))
 	r.mu.Unlock()
+	defer func() {
+		r.mu.Lock()
+		r.active--
+		r.mu.Unlock()
+	}()
 	return r.Server.AnswerBatch(ctx, qs)
 }
 

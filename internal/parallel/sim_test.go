@@ -2,13 +2,11 @@ package parallel
 
 import (
 	"context"
-	"sync"
 	"testing"
 	"time"
 
 	"hidb/internal/core"
 	"hidb/internal/datagen"
-	"hidb/internal/dataspace"
 	"hidb/internal/hiddendb"
 )
 
@@ -145,32 +143,6 @@ func TestSimSequentialCrawl(t *testing.T) {
 	}
 }
 
-// peaks wraps a server and records the most AnswerBatch calls in progress
-// at once and the widest batch.
-type peaks struct {
-	hiddendb.Server
-	mu                    sync.Mutex
-	active, calls, widest int
-}
-
-func (p *peaks) Answer(ctx context.Context, q dataspace.Query) (hiddendb.Result, error) {
-	return hiddendb.Answer(ctx, p, q)
-}
-
-func (p *peaks) AnswerBatch(ctx context.Context, qs []dataspace.Query) ([]hiddendb.Result, error) {
-	p.mu.Lock()
-	p.active++
-	p.calls = max(p.calls, p.active)
-	p.widest = max(p.widest, len(qs))
-	p.mu.Unlock()
-	defer func() {
-		p.mu.Lock()
-		p.active--
-		p.mu.Unlock()
-	}()
-	return p.Server.AnswerBatch(ctx, qs)
-}
-
 // TestPipelineBounds: the batcher never has more than Options.InFlight
 // round trips in flight, nor more than Crawler.Workers queries in one.
 // Under a virtual clock the wide crawl reaches both bounds exactly; on the
@@ -187,7 +159,7 @@ func TestPipelineBounds(t *testing.T) {
 					opts.Clock = hiddendb.NewSimClock()
 					clock = opts.Clock
 				}
-				p := &peaks{Server: hiddendb.NewLatency(server(t, ds, k), 100*time.Microsecond, clock)}
+				p := &roundTrips{Server: hiddendb.NewLatency(server(t, ds, k), 100*time.Microsecond, clock)}
 				res, err := (Crawler{Workers: workers}).Crawl(context.Background(), p, opts)
 				if err != nil {
 					t.Fatalf("sim=%v workers=%d depth=%d: %v", sim, workers, depth, err)
@@ -195,10 +167,10 @@ func TestPipelineBounds(t *testing.T) {
 				if !res.Tuples.EqualMultiset(ds.Tuples) {
 					t.Fatalf("sim=%v workers=%d depth=%d: incomplete", sim, workers, depth)
 				}
-				if p.calls > depth || p.widest > workers ||
-					sim && (p.calls != depth || p.widest != workers) {
+				if p.peak > depth || p.widest > workers ||
+					sim && (p.peak != depth || p.widest != workers) {
 					t.Errorf("sim=%v workers=%d depth=%d: peak %d round trips in flight, widest batch %d",
-						sim, workers, depth, p.calls, p.widest)
+						sim, workers, depth, p.peak, p.widest)
 				}
 			}
 		}
