@@ -8,16 +8,26 @@
 // blocks). The representation is chosen per block by serialized size, the
 // classic roaring heuristic.
 //
-// The payoff is the intersection path: ANDing the bitmaps of 2, 3 or more
-// equality predicates is a word-parallel loop over the blocks both sides
-// share — 64 ranks per AND — instead of a per-candidate merge or probe, and
-// the result enumerates in ascending rank order, which is exactly the
-// priority order Select must return. A block whose smallest container is
-// sparse iterates that container and probes the others; any other block is
-// materialized: the first container is written into 1024 scratch words, and
-// each further container is ANDed in, an array one by first setting its
-// ranks into a second 1024-word half (branch-free, like Roaring's
-// array-to-bitmap conversion) and then ANDing the halves word by word.
+// The payoff is the intersection path: the bitmaps of 2, 3 or more
+// equality predicates are intersected block by block over the blocks they
+// all share, and the result enumerates in ascending rank order, which is
+// exactly the priority order Select must return. Each block runs one of
+// three kernels, chosen from its smallest container (blockKernel), the way
+// Roaring picks its kernels pairwise from the containers' kinds and cards:
+//
+//   - sparse (at most sparseIntersectMax ranks): iterate that container and
+//     look each offset up in the others;
+//   - probe (a larger array): the other containers become word sets, each
+//     bitmap container read in place and the array and run containers
+//     materialized into one 1024-word scratch half, and each of the
+//     array's offsets costs one word load per set — no clear, AND or bit
+//     scan of its own 1024 words;
+//   - dense (a bitmap or run container): the first container is written
+//     into 1024 scratch words and each further container is ANDed in, an
+//     array one by first setting its ranks into a second 1024-word half
+//     (branch-free, like Roaring's array-to-bitmap conversion) and then
+//     ANDing the halves word by word — 64 ranks per AND — before one bit
+//     scan of the result.
 package index
 
 import (
@@ -79,9 +89,10 @@ func (c *container) writeWords(dst []uint64) {
 	case containerBitmap:
 		copy(dst, c.words)
 	case containerArray:
-		clear(dst)
+		w := (*[bitmapWords]uint64)(dst)
+		clear(w[:])
 		for _, v := range c.arr {
-			dst[v>>6] |= 1 << (v & 63)
+			w[v>>6] |= 1 << (v & 63)
 		}
 	default:
 		clear(dst)
@@ -315,9 +326,31 @@ func (c *bitmapCursor) smallestContainer() int {
 }
 
 // sparseIntersectMax is the smallest-container cardinality at or below which
-// a block intersection iterates that container probing the others, instead
-// of materializing and ANDing full 1024-word bitmaps.
+// a block intersection iterates that container looking its offsets up in
+// the others, instead of building any 1024-word bitmap.
 const sparseIntersectMax = 256
+
+// Block kernels of intersectInto.
+const (
+	kernelSparse = iota // appendSparse
+	kernelProbe         // appendProbe
+	kernelDense         // andBlock, then a bit scan
+)
+
+// blockKernel picks the kernel of a block whose smallest container is sc.
+// Only an array drives the probe, as only an array lists its offsets; a
+// bitmap or run container above sparseIntersectMax goes to the dense
+// kernel.
+func blockKernel(sc *container) int {
+	switch {
+	case sc.card <= sparseIntersectMax:
+		return kernelSparse
+	case sc.kind == containerArray:
+		return kernelProbe
+	default:
+		return kernelDense
+	}
+}
 
 // intersectInto appends the ranks common to all bitmaps to dst in
 // ascending order and returns the extended slice. max >= 0 truncates the
@@ -340,10 +373,13 @@ func intersectInto(bms []*rankBitmap, words []uint64, dst []int32, max int) []in
 		}
 		base := int32(key) << 16
 		small := cur.smallestContainer()
-		if sc := &bms[small].cs[cur.idx[small]]; sc.card <= sparseIntersectMax {
-			// Sparse block: iterate the smallest container, probe the rest.
+		sc := &bms[small].cs[cur.idx[small]]
+		switch blockKernel(sc) {
+		case kernelSparse:
 			dst = appendSparse(bms, cur.idx, small, sc, base, dst)
-		} else {
+		case kernelProbe:
+			dst = appendProbe(bms, cur.idx, small, sc.arr, words, base, dst)
+		default:
 			for wi, w := range andBlock(bms, cur.idx, words) {
 				for w != 0 {
 					b := bits.TrailingZeros64(w)
@@ -361,13 +397,68 @@ func intersectInto(bms []*rankBitmap, words []uint64, dst []int32, max int) []in
 
 // andBlock materializes the intersection of every bitmap's current
 // container (idx) into words' first bitmapWords half and returns that half;
-// the second half is andWords' scratch. It is intersectInto's dense-block
+// the second half is andWords' scratch. It is intersectInto's dense
 // kernel.
 func andBlock(bms []*rankBitmap, idx []int, words []uint64) []uint64 {
 	dst, tmp := words[:bitmapWords], words[bitmapWords:2*bitmapWords]
 	bms[0].cs[idx[0]].writeWords(dst)
 	for i := 1; i < len(bms); i++ {
 		bms[i].cs[idx[i]].andWords(dst, tmp)
+	}
+	return dst
+}
+
+// appendProbe is the probe kernel: for each offset v of arr, the array
+// container of the small-th bitmap, that every other bitmap's current
+// container (idx) holds, it appends base|v to dst, ascending. Bitmap
+// containers are read in place. Array and run containers are intersected
+// into words' first bitmapWords half, the second half being andWords'
+// scratch, and that half is read as one more word set. At the crawl's
+// cards (arrays of 1–2k ranks, ~1.5% of them hits) the hit branch
+// predicts well.
+func appendProbe(bms []*rankBitmap, idx []int, small int, arr []uint16, words []uint64, base int32, dst []int32) []int32 {
+	var setArr [bitmapMaxDims]*[bitmapWords]uint64
+	sets := setArr[:0]
+	scratch := false
+	for i := range bms {
+		c := &bms[i].cs[idx[i]]
+		switch {
+		case i == small:
+		case c.kind == containerBitmap:
+			sets = append(sets, (*[bitmapWords]uint64)(c.words))
+		case !scratch:
+			c.writeWords(words)
+			sets = append(sets, (*[bitmapWords]uint64)(words))
+			scratch = true
+		default:
+			c.andWords(words[:bitmapWords], words[bitmapWords:])
+		}
+	}
+	switch len(sets) {
+	case 1:
+		s := sets[0]
+		for _, v := range arr {
+			if s[v>>6]&(1<<(v&63)) != 0 {
+				dst = append(dst, base|int32(v))
+			}
+		}
+	case 2:
+		s0, s1 := sets[0], sets[1]
+		for _, v := range arr {
+			if s0[v>>6]&s1[v>>6]&(1<<(v&63)) != 0 {
+				dst = append(dst, base|int32(v))
+			}
+		}
+	default: // none (a single-bitmap plan) or three and more
+	next:
+		for _, v := range arr {
+			for _, s := range sets {
+				if s[v>>6]&(1<<(v&63)) == 0 {
+					continue next
+				}
+			}
+			dst = append(dst, base|int32(v))
+		}
 	}
 	return dst
 }

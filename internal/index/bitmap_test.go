@@ -1,6 +1,8 @@
 package index
 
 import (
+	"fmt"
+	"math/bits"
 	"slices"
 	"testing"
 
@@ -8,21 +10,34 @@ import (
 	"hidb/internal/simrand"
 )
 
-// refIntersect computes the reference intersection of rank lists.
+// refIntersect is the reference intersection: a pairwise sorted merge of
+// rank lists, each strictly ascending (it panics otherwise).
 func refIntersect(lists ...[]int32) []int32 {
-	count := make(map[int32]int)
-	for _, l := range lists {
-		for _, r := range l {
-			count[r]++
-		}
+	if len(lists) == 0 {
+		return nil
 	}
-	var out []int32
-	for r, c := range count {
-		if c == len(lists) {
-			out = append(out, r)
+	out := slices.Clone(lists[0])
+	for li, l := range lists {
+		for i := 1; i < len(l); i++ {
+			if l[i] <= l[i-1] {
+				panic(fmt.Sprintf("refIntersect: list %d is not strictly ascending at %d", li, i))
+			}
 		}
+		if li == 0 {
+			continue
+		}
+		n, j := 0, 0
+		for _, r := range out {
+			for j < len(l) && l[j] < r {
+				j++
+			}
+			if j < len(l) && l[j] == r {
+				out[n] = r
+				n++
+			}
+		}
+		out = out[:n]
 	}
-	slices.Sort(out)
 	return out
 }
 
@@ -175,13 +190,14 @@ func TestIntersectAgainstReference(t *testing.T) {
 			}
 		}
 	}
-	// The crawl case must exercise what it is there for: dense blocks
-	// (no probe path) of three array containers, ANDed with a bitmap and
-	// a run container.
+	// The crawl case must exercise what it is there for: probe blocks
+	// driven by one of three array containers above sparseIntersectMax,
+	// the other two materialized, a bitmap read in place and a run
+	// container ANDed in.
 	for _, l := range crawl[:3] {
 		for _, c := range buildRankBitmap(l).cs {
 			if c.kind != containerArray || c.card <= sparseIntersectMax {
-				t.Fatalf("crawl case built a kind-%d container of card %d, want a dense-path array", c.kind, c.card)
+				t.Fatalf("crawl case built a kind-%d container of card %d, want a probe-driving array", c.kind, c.card)
 			}
 		}
 	}
@@ -190,6 +206,114 @@ func TestIntersectAgainstReference(t *testing.T) {
 	}
 	if k := buildRankBitmap(crawl[4]).cs[0].kind; k != containerRun {
 		t.Fatalf("crawl case's run list built kind %d, want run", k)
+	}
+	crawlBms := make([]*rankBitmap, len(crawl))
+	for i, l := range crawl {
+		crawlBms[i] = buildRankBitmap(l)
+	}
+	for _, k := range blockKernels(crawlBms) {
+		if k != kernelProbe {
+			t.Fatalf("crawl case ran kernel %d, want the probe", k)
+		}
+	}
+}
+
+// blockKernels lists the kernel intersectInto runs on each block the
+// bitmaps share, in block order.
+func blockKernels(bms []*rankBitmap) []int {
+	var out []int
+	cur := bitmapCursor{bms: bms}
+	for _, ok := cur.next(); ok; _, ok = cur.next() {
+		small := cur.smallestContainer()
+		out = append(out, blockKernel(&bms[small].cs[cur.idx[small]]))
+		cur.advance()
+	}
+	return out
+}
+
+// TestIntersectKernels runs each kernel, and each probe specialisation,
+// on two blocks of one shape: whole and truncated against refIntersect,
+// with garbage in both scratch halves, allocating nothing. Every block of
+// a row must run the row's kernel, and a probe block must read exactly
+// inPlace bitmap containers in place. Cards are the 1M crawl's: arrays of
+// ~1,600 ranks, a needle value's ~1/6-dense bitmap.
+func TestIntersectKernels(t *testing.T) {
+	rng := simrand.New(11)
+	const n = 2 << 16
+	arr := func() []int32 { return randomList(rng, n, 1600.0/(1<<16)) }
+	bmp := func() []int32 { return randomList(rng, n, 1.0/6) }
+	rows := []struct {
+		name    string
+		lists   [][]int32
+		kernel  int
+		inPlace int
+	}{
+		{"sparse", [][]int32{randomList(rng, n, 0.003), arr(), bmp()}, kernelSparse, 0},
+		{"probe, single bitmap", [][]int32{arr()}, kernelProbe, 0},
+		{"probe, 0 in place", [][]int32{arr(), arr(), arr()}, kernelProbe, 0},
+		{"probe, 1 in place", [][]int32{arr(), arr(), bmp()}, kernelProbe, 1},
+		{"probe, 2 in place", [][]int32{arr(), bmp(), bmp()}, kernelProbe, 2},
+		{"probe, 2 in place and scratch", [][]int32{arr(), arr(), bmp(), bmp()}, kernelProbe, 2},
+		// 256 runs of 8 per block: 2,048 ranks in a run container.
+		{"probe, run partner", [][]int32{arr(), runList(n, 8, 248)}, kernelProbe, 0},
+		// A 1,024-rank run container is smallest, so the block is dense,
+		// and andBlock sets its array partner into the second half.
+		{"dense, array partner", [][]int32{runList(n, 4, 252), randomList(rng, n, 0.05), bmp()}, kernelDense, 0},
+		{"dense, bitmaps", [][]int32{bmp(), randomList(rng, n, 0.5)}, kernelDense, 0},
+	}
+	// Every list also holds ~22 shared ranks per block, like the crawl's.
+	shared := randomList(rng, n, 22.0/(1<<16))
+	words := make([]uint64, 2*bitmapWords)
+	for _, row := range rows {
+		bms := make([]*rankBitmap, len(row.lists))
+		for i, l := range row.lists {
+			row.lists[i] = mergeUnique(l, shared)
+			bms[i] = buildRankBitmap(row.lists[i])
+		}
+		blocks := 0
+		cur := bitmapCursor{bms: bms}
+		for _, ok := cur.next(); ok; _, ok = cur.next() {
+			blocks++
+			small := cur.smallestContainer()
+			if k := blockKernel(&bms[small].cs[cur.idx[small]]); k != row.kernel {
+				t.Fatalf("%s: block ran kernel %d, want %d", row.name, k, row.kernel)
+			}
+			inPlace := 0
+			for i := range bms {
+				if i != small && bms[i].cs[cur.idx[i]].kind == containerBitmap {
+					inPlace++
+				}
+			}
+			if row.kernel == kernelProbe && inPlace != row.inPlace {
+				t.Fatalf("%s: probe reads %d bitmaps in place, want %d", row.name, inPlace, row.inPlace)
+			}
+			cur.advance()
+		}
+		if blocks != 2 {
+			t.Fatalf("%s: %d shared blocks, want 2", row.name, blocks)
+		}
+		want := refIntersect(row.lists...)
+		if len(want) < 8 {
+			t.Fatalf("%s: only %d common ranks; the row tests too little", row.name, len(want))
+		}
+		for _, max := range []int{-1, 3, len(want) / 2} {
+			for i := range words {
+				words[i] = rng.Uint64()
+			}
+			got := intersectInto(bms, words, nil, max)
+			wantMax := want
+			if max >= 0 {
+				wantMax = want[:max]
+			}
+			if !slices.Equal(got, wantMax) {
+				t.Fatalf("%s: intersectInto(max %d) returned %d ranks, want %d (first diff around %v)",
+					row.name, max, len(got), len(wantMax), firstDiff(got, wantMax))
+			}
+		}
+		dst := make([]int32, 0, len(want))
+		if allocs := testing.AllocsPerRun(5, func() { dst = intersectInto(bms, words, dst[:0], -1) }); allocs != 0 {
+			t.Fatalf("%s: intersectInto made %.1f allocations, want 0", row.name, allocs)
+		}
 	}
 }
 
@@ -202,13 +326,24 @@ func firstDiff(a, b []int32) [2]int32 {
 	return [2]int32{-1, -1}
 }
 
-// scatter draws card distinct block-local offsets, ascending.
+// scatter draws card distinct block-local offsets, ascending: it sets
+// random offsets into a 65536-bit set until card are set, then reads the
+// set back in order.
 func scatter(rng *simrand.RNG, card int) []int32 {
-	out := make([]int32, card)
-	for i, v := range rng.Perm(1 << 16)[:card] {
-		out[i] = int32(v)
+	var set [bitmapWords]uint64
+	for n := 0; n < card; {
+		v := rng.Intn(1 << 16)
+		if bit := uint64(1) << (v & 63); set[v>>6]&bit == 0 {
+			set[v>>6] |= bit
+			n++
+		}
 	}
-	slices.Sort(out)
+	out := make([]int32, 0, card)
+	for wi, w := range set {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, int32(wi<<6|bits.TrailingZeros64(w)))
+		}
+	}
 	return out
 }
 
@@ -264,10 +399,11 @@ const fuzzAbsent = 3
 // fuzzLists builds one rank list per spec byte (at most 4) over blocks
 // 65536-rank blocks. Bits 2j..2j+1 of a spec byte pick block j's code:
 // an array or a run list of random card (half the time at or below
-// sparseIntersectMax, so both block strategies run), a 30–90% bitmap, or
-// no ranks at all. Every list also holds a block's
-// shared ranks unless its block is a run list or absent, so intersections
-// are not all empty.
+// sparseIntersectMax, so every kernel runs), a 7–90% bitmap (the crawl's
+// needle bitmaps are ~1/6 dense), or no ranks at all. A seed with its top
+// bit set draws every array at the 1M crawl's 1,024–2,047 ranks. Every
+// list also holds a block's shared ranks unless its block is a run list
+// or absent, so intersections are not all empty.
 func fuzzLists(spec []byte, blocks int, seed uint64) [][]int32 {
 	rng := simrand.New(seed)
 	shared := make([][]int32, blocks)
@@ -282,13 +418,20 @@ func fuzzLists(spec []byte, blocks int, seed uint64) [][]int32 {
 			var block []int32
 			switch (spec[i] >> (2 * j)) & 3 {
 			case containerArray:
-				card := 1 + rng.Intn(sparseIntersectMax)
-				if rng.Bool(0.5) {
+				// The margins leave room for the ≤ 64 shared ranks.
+				var card int
+				switch {
+				case seed>>63 == 1:
+					card = 1024 + rng.Intn(1024-64)
+				case rng.Bool(0.5):
+					card = 1 + rng.Intn(sparseIntersectMax)
+				default:
 					card = sparseIntersectMax + 1 + rng.Intn(arrayMaxCard-sparseIntersectMax-128)
 				}
 				block = mergeUnique(scatter(rng, card), shared[j])
 			case containerBitmap:
-				block = mergeUnique(randomList(rng, 1<<16, 0.3+0.6*rng.Float64()), shared[j])
+				// At least 7% of 65536 stays well above arrayMaxCard.
+				block = mergeUnique(randomList(rng, 1<<16, 0.07+0.83*rng.Float64()), shared[j])
 			case containerRun:
 				// Half the time a few short runs (a sparse-path block).
 				runs, span := 1<<16, 3000
@@ -312,17 +455,33 @@ func fuzzLists(spec []byte, blocks int, seed uint64) [][]int32 {
 	return lists
 }
 
-// mergeUnique merges two ascending lists, dropping duplicates.
+// mergeUnique merges two strictly ascending lists, dropping duplicates.
 func mergeUnique(a, b []int32) []int32 {
-	out := slices.Concat(a, b)
-	slices.Sort(out)
-	return slices.Compact(out)
+	out := make([]int32, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			out = append(out, a[i])
+			i++
+		case b[j] < a[i]:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }
 
 // FuzzIntersect checks intersectInto, whole and truncated, against
 // refIntersect on 1–4 fuzz-built lists over 2–4 blocks, with garbage in
 // the scratch words before every call. The seed corpus puts every ordered
-// pair of container kinds in every block.
+// pair of container kinds in every block, and runs the 1M crawl's block
+// shapes (A = array, B = bitmap) with 1,024–2,047-rank arrays.
 func FuzzIntersect(f *testing.F) {
 	all := func(code byte) byte { return code | code<<2 | code<<4 | code<<6 }
 	kinds := []byte{containerArray, containerBitmap, containerRun}
@@ -339,6 +498,10 @@ func FuzzIntersect(f *testing.F) {
 	f.Add([]byte{0b00011011, 0b11100100, 0b01100001}, uint64(3))
 	f.Add([]byte{fuzzAbsent | containerBitmap<<4 | containerRun<<6, all(containerArray)}, uint64(5))
 	f.Add([]byte{containerArray | fuzzAbsent<<2 | containerArray<<4, fuzzAbsent | containerArray<<2 | containerRun<<4}, uint64(8))
+	a, b := all(containerArray), all(containerBitmap)
+	for i, spec := range [][]byte{{a}, {a, a}, {a, a, b}, {a, b, b}, {a, a, a}} {
+		f.Add(spec, uint64(1)<<63|uint64(i))
+	}
 	f.Fuzz(func(t *testing.T, spec []byte, seed uint64) {
 		if len(spec) == 0 {
 			return

@@ -35,8 +35,10 @@
 //     categorical attributes (domain ≤ bitmapMaxDomain, store ≥
 //     bitmapMinTuples) mirror each value's posting list as array / bitmap /
 //     run containers over rank space, so a 2-, 3- or k-way equality
-//     intersection is a word-parallel AND — 64 ranks per operation — that
-//     enumerates in exactly the rank order Select must return.
+//     intersection runs block by block — a probe of the smallest array
+//     against the other containers' words, or a word-parallel AND of 64
+//     ranks per operation — and enumerates in exactly the rank order
+//     Select must return.
 //
 // The posting and range paths also test each candidate against the second
 // most selective predicate before any other: one column load for an
@@ -57,6 +59,8 @@
 // constant factors for the per-candidate work (probe ≈ 2×, sort-restoring
 // range enumeration ≈ 3×), and the bitmap path costs its word-AND sweep
 // (n/64 words per attribute) plus ~1.5× the expected intersection size.
+// That sweep is the dense kernel's; a block whose smallest container is an
+// array runs the probe kernel instead and costs less than it is charged.
 // The cheapest path wins.
 //
 // # Planning
@@ -137,8 +141,10 @@ type Store struct {
 	// shards of a Sharded store never contend on one pool.
 	scratch sync.Pool
 	// words recycles the bitmap path's 2*bitmapWords-long word buffers:
-	// one half holds a dense block's intersection, the other is the
-	// scratch an array container is set into before it is ANDed (andBlock).
+	// the first half holds a materialized block (the dense kernel's
+	// intersection, or the array and run partners the probe kernel tests
+	// its array against), the second is the scratch an array container is
+	// set into before it is ANDed (andWords).
 	words sync.Pool
 }
 

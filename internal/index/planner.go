@@ -127,7 +127,8 @@ func (s *Store) planQuery(preds []dataspace.Pred, want int) plan {
 	}
 	bmCost := math.Inf(1)
 	if nBitmaps >= 2 {
-		// Word-parallel AND over every block plus the emission of the
+		// Word-parallel AND over every block (the dense kernel; blocks
+		// that run the probe kernel cost less) plus the emission of the
 		// expected intersection (independence estimate from exact
 		// per-value frequencies).
 		bmCost = float64(n)/64*float64(nBitmaps) + 1.5*float64(n)*bmSel

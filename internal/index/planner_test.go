@@ -3,6 +3,7 @@ package index
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"testing"
 
@@ -502,11 +503,8 @@ func TestSelStats(t *testing.T) {
 	}
 }
 
-// arrayBranchBlocks counts the blocks of q's bitmap plan that reach
-// andWords' array branch: the block takes the dense path (its smallest
-// container holds more than sparseIntersectMax ranks) and a container
-// after the first, which andBlock ANDs in, is an array.
-func arrayBranchBlocks(t *testing.T, s *Store, q dataspace.Query) int {
+// bitmapsOfPlan returns the bitmaps q's bitmap plan intersects.
+func bitmapsOfPlan(t *testing.T, s *Store, q dataspace.Query) []*rankBitmap {
 	t.Helper()
 	preds := q.Preds()
 	pl := s.planQuery(preds, 65)
@@ -518,32 +516,19 @@ func arrayBranchBlocks(t *testing.T, s *Store, q dataspace.Query) int {
 	if !ok {
 		t.Fatal("bitmap plan over an absent value")
 	}
-	n := 0
-	cur := bitmapCursor{bms: bms}
-	for _, ok := cur.next(); ok; _, ok = cur.next() {
-		small := cur.smallestContainer()
-		if bms[small].cs[cur.idx[small]].card > sparseIntersectMax {
-			for i := 1; i < len(bms); i++ {
-				if bms[i].cs[cur.idx[i]].kind == containerArray {
-					n++
-					break
-				}
-			}
-		}
-		cur.advance()
-	}
-	return n
+	return bms
 }
 
 // TestSelectAllocsSteadyState pins the one-allocation Select contract on
 // every access path: planning allocates nothing, so once the scratch pools
 // are warm (AllocsPerRun's warm-up call) a Select allocates exactly its
 // result slice, including a narrow query right after a broad one of the
-// same shape. Both bitmap cases AND
-// ~1,600-rank array containers through andWords' array branch and its
-// second scratch half; "bitmap truncated" also cuts its block's ranks at
-// want. The cases that name a path must run it: "posting, empty residual"
-// is a wide-domain slice whose residual check skips every column.
+// same shape. Both bitmap cases run the probe kernel on ~1,600-rank array
+// containers: "bitmap" materializes two of its three arrays, the second
+// through andWords' array branch and its second scratch half, and "bitmap
+// truncated" cuts its block's ranks at want. The cases that name a path
+// must run it: "posting, empty residual" is a wide-domain slice whose
+// residual check skips every column.
 func TestSelectAllocsSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items nondeterministically under -race")
@@ -556,8 +541,16 @@ func TestSelectAllocsSteadyState(t *testing.T) {
 		WithValue(1, datagen.PathoNeedle)
 	needle := needle2.WithValue(2, datagen.PathoNeedle)
 	for _, q := range []dataspace.Query{needle, needle2} {
-		if n := arrayBranchBlocks(t, s, q); n == 0 {
-			t.Fatalf("%v: no block reaches andWords' array branch", q)
+		kernels := blockKernels(bitmapsOfPlan(t, s, q))
+		if len(kernels) == 0 || slices.ContainsFunc(kernels, func(k int) bool { return k != kernelProbe }) {
+			t.Fatalf("%v: blocks ran kernels %v, want only the probe", q, kernels)
+		}
+	}
+	for _, bm := range bitmapsOfPlan(t, s, needle) {
+		for _, c := range bm.cs {
+			if c.kind != containerArray {
+				t.Fatalf("needle built a kind-%d container, want three arrays per block", c.kind)
+			}
 		}
 	}
 	if got := len(s.Select(needle2, 64)); got != 65 {
