@@ -176,6 +176,33 @@ func TestParallelProgressCallbacks(t *testing.T) {
 	if final.Tuples != len(res.Tuples) {
 		t.Errorf("final curve point %d tuples, want %d", final.Tuples, len(res.Tuples))
 	}
+
+	// Running totals: with round trips completing concurrently and a slow
+	// observer, every point still follows the previous one by exactly one
+	// query, up to the crawl's total.
+	t.Run("in-count-order", func(t *testing.T) {
+		for trial := 0; trial < 20; trial++ {
+			var last core.CurvePoint
+			var bad []core.CurvePoint
+			res, err := (Crawler{Workers: 4}).Crawl(context.Background(), server(t, ds, 32), &core.Options{
+				InFlight: 4,
+				OnProgress: func(p core.CurvePoint) {
+					if p.Queries != last.Queries+1 || p.Tuples < last.Tuples {
+						bad = append(bad, p)
+					}
+					last = p
+					time.Sleep(20 * time.Microsecond)
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(bad) > 0 || last.Queries != res.Queries {
+				t.Fatalf("trial %d: %d points out of count order (first %+v); last point %+v for %d queries",
+					trial, len(bad), bad[:min(1, len(bad))], last, res.Queries)
+			}
+		}
+	})
 }
 
 func TestParallelQueryFilter(t *testing.T) {
