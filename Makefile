@@ -18,7 +18,7 @@ COVER_PKGS ?= ./internal/core ./internal/hiddendb ./internal/parallel ./internal
 COVER_MIN ?= 80
 COVER_OUT ?= cover.out
 
-.PHONY: all build check test race cover bench bench-check chaos fuzz-smoke loadgen-smoke server-smoke clean
+.PHONY: all build check test race cover bench bench-check chaos fuzz-smoke loadgen-smoke server-smoke loc clean
 
 all: build check test race cover
 
@@ -135,6 +135,14 @@ loadgen-smoke: build
 # (see scripts/server-smoke.sh).
 server-smoke: build
 	GO=$(GO) bash scripts/server-smoke.sh
+
+# loc prints the non-test Go line counts of the files git tracks: the root
+# module without bench/, then the separate bench/ module. A refactor
+# reports the change in both against its parent commit (git add new files
+# first: untracked files are not counted).
+loc:
+	@printf 'root (without bench/): %d non-test Go lines\n' $$(git ls-files '*.go' | grep -v -e '^bench/' -e '_test\.go$$' | xargs cat | wc -l)
+	@printf 'bench/: %d non-test Go lines\n' $$(git ls-files 'bench/*.go' | grep -v '_test\.go$$' | xargs cat | wc -l)
 
 clean:
 	rm -f $(BENCH_OUT) bench-snapshot.json $(COVER_OUT) loadgen-a.json loadgen-b.json

@@ -314,7 +314,9 @@ func NewRateLimitedServer(srv Server, perSecond float64, burst int) (Server, err
 type (
 	// Crawler is a complete-extraction algorithm.
 	Crawler = core.Crawler
-	// CrawlResult is the outcome of a crawl: the full bag plus the cost.
+	// CrawlResult is the outcome of a crawl: the full bag plus the cost,
+	// or, returned with a crawl's error, the partial bag and the queries
+	// paid before it stopped.
 	CrawlResult = core.Result
 	// CrawlOptions tunes a crawl (progress callbacks, §1.3 dependency
 	// filter, progressiveness curve collection).
@@ -382,7 +384,8 @@ func BestCrawler(s *Schema) Crawler { return core.ForSchema(s) }
 // Crawl extracts the entire hidden database behind srv using the paper's
 // recommended algorithm for the server's schema. Cancelling ctx stops the
 // crawl between queries with the ctx's error; with a live ctx the query
-// count is exactly the algorithm's.
+// count is exactly the algorithm's. A failed crawl returns its error with
+// the partial CrawlResult, whose Queries is the cost already paid.
 func Crawl(ctx context.Context, srv Server, opts *CrawlOptions) (*CrawlResult, error) {
 	return core.ForSchema(srv.Schema()).Crawl(ctx, srv, opts)
 }
@@ -399,9 +402,9 @@ type PartialCrawlError = core.PartialError
 // retrieved, in exactly the order (and number) Crawl's Result.Tuples would
 // hold. Breaking out of the range loop cancels the crawl and waits for it
 // to wind down; a crawl that cannot finish yields one final (nil,
-// *PartialCrawlError) pair. Streaming is delivery, not a different
-// algorithm: consuming the whole stream costs exactly Crawl's query
-// count.
+// *PartialCrawlError) pair, whose Queries is the partial CrawlResult's.
+// Streaming is delivery, not a different algorithm: consuming the whole
+// stream costs exactly Crawl's query count.
 func CrawlSeq(ctx context.Context, srv Server, opts *CrawlOptions) iter.Seq2[Tuple, error] {
 	return core.CrawlSeq(ctx, core.ForSchema(srv.Schema()), srv, opts)
 }

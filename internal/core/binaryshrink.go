@@ -29,26 +29,23 @@ func (BinaryShrink) Name() string { return "binary-shrink" }
 func (BinaryShrink) Crawl(ctx context.Context, srv hiddendb.Server, opts *Options) (*Result, error) {
 	sch := srv.Schema()
 	if !sch.IsNumeric() {
-		return nil, ErrWrongSpace
+		return &Result{}, ErrWrongSpace
 	}
 	for i := 0; i < sch.Dims(); i++ {
 		a := sch.Attr(i)
 		if a.Min == 0 && a.Max == 0 {
-			return nil, fmt.Errorf("binary-shrink: numeric attribute %q needs declared Min/Max bounds: %w", a.Name, ErrWrongSpace)
+			return &Result{}, fmt.Errorf("binary-shrink: numeric attribute %q needs declared Min/Max bounds: %w", a.Name, ErrWrongSpace)
 		}
 	}
-	s := newSession(ctx, srv, opts, false)
-
 	// Start from the bounding rectangle declared by the schema.
 	q := dataspace.UniverseQuery(sch)
 	for i := 0; i < sch.Dims(); i++ {
 		lo, hi := sch.Attr(i).Bounds()
 		q = q.WithRange(i, lo, hi)
 	}
-	if err := binaryShrink(s, q, 0); err != nil {
-		return nil, err
-	}
-	return s.finish(), nil
+	return runSession(ctx, srv, opts, false, func(s *session) error {
+		return binaryShrink(s, q, 0)
+	})
 }
 
 // binaryShrink splits round-robin (kd-tree style): the split dimension

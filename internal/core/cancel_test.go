@@ -60,9 +60,9 @@ func sessionStack(t *testing.T, inner hiddendb.Server, jnl *journal.Journal, bud
 }
 
 // TestCancelMidCrawlInvariants cancels a sequential crawl while a query is
-// in flight and asserts the counting wrapper, the quota, and the journal
-// agree exactly: every query the store served is journaled, every
-// journaled query was debited, and nothing else was — no query paid
+// in flight and asserts the counting wrapper, the quota, the journal and
+// the crawl's partial Result agree exactly: every query the store served
+// is journaled, debited and counted, and nothing else was — no query paid
 // twice, no refund leaked. The crawl then resumes with the same journal
 // and the combined cost equals an uninterrupted reference crawl's.
 func TestCancelMidCrawlInvariants(t *testing.T) {
@@ -93,7 +93,7 @@ func TestCancelMidCrawlInvariants(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		srv, counting, quota := sessionStack(t, &cancelAfter{Server: local, cancel: cancel, serve: cutoff}, jnl, budget)
 
-		_, err := Hybrid{}.Crawl(ctx, srv, nil)
+		part, err := Hybrid{}.Crawl(ctx, srv, nil)
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("cutoff %d: err = %v, want context.Canceled", cutoff, err)
@@ -102,6 +102,9 @@ func TestCancelMidCrawlInvariants(t *testing.T) {
 		paid := counting.Queries()
 		if paid != cutoff {
 			t.Errorf("cutoff %d: store served %d queries", cutoff, paid)
+		}
+		if part == nil || part.Queries != paid {
+			t.Errorf("cutoff %d: cancelled crawl returned %+v, want a partial Result of %d queries", cutoff, part, paid)
 		}
 		if jnl.Len() != paid {
 			t.Errorf("cutoff %d: journal holds %d entries, store served %d — a paid query went unrecorded or a free one was journaled",

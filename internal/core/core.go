@@ -15,8 +15,12 @@
 //
 // Every crawler consumes a hiddendb.Server and returns the complete bag of
 // tuples plus the query cost, the paper's efficiency metric. All crawlers
-// report progress after every server round-trip, which is what the
-// progressiveness experiment (Figure 13) measures.
+// report progress after every paid query, which is what the
+// progressiveness experiment (Figure 13) measures. One Books per crawl,
+// a decorator directly above the server, keeps those numbers for the
+// sequential and the parallel crawlers alike: the counts, the curve, the
+// QueryFilter skips and the output bag. A failed crawl returns its books
+// as a partial Result.
 //
 // Hybrid's recursion (and with it rank-shrink, slice-cover and
 // lazy-slice-cover) is written once, over a Runner that issues queries,
@@ -55,10 +59,13 @@ type CurvePoint struct {
 // Options tunes a crawl. The zero value is ready to use.
 type Options struct {
 	// OnProgress, when non-nil, is invoked after every query that reaches
-	// the server with the running totals. Calls are serialized — even the
-	// parallel engine, whose round trips complete concurrently, never
-	// invokes it from two goroutines at once — so the callback needs no
-	// locking of its own.
+	// the server with the running totals: each call's Queries is the
+	// previous call's plus one, ending at Result.Queries. Both crawlers
+	// call it from their Books, under the lock that counted the query, so
+	// calls are serialized even when the parallel engine's round trips
+	// complete concurrently, and the callback needs no locking of its own.
+	// A slow callback delays the crawl's bookkeeping, not its round trips
+	// in flight.
 	OnProgress func(CurvePoint)
 	// OnTuples, when non-nil, is invoked with each chunk of newly
 	// extracted tuples, in output order: the concatenation of all chunks
@@ -98,7 +105,9 @@ type Options struct {
 	Clock *hiddendb.SimClock
 }
 
-// Result is the outcome of a crawl.
+// Result is the outcome of a crawl. A failed crawl returns the partial
+// Result with its error: the tuples extracted and the queries paid before
+// it stopped.
 type Result struct {
 	// Tuples is the reconstructed bag: exactly the server's hidden
 	// database when the crawl succeeds.
@@ -125,92 +134,49 @@ type Crawler interface {
 	// recorded), so a cancelled crawl resumes where it stopped.
 	// Cancellation never changes which queries a completing crawl issues —
 	// with a live ctx the query count is bit-identical to the pre-context
-	// contract's.
+	// contract's. Every crawler of this package and of package parallel
+	// returns a non-nil Result, partial when err is non-nil.
 	Crawl(ctx context.Context, srv hiddendb.Server, opts *Options) (*Result, error)
 }
 
-// session carries the shared machinery of one crawl: the crawl's context,
-// the counting (and possibly memoized) view of the server, the output bag,
-// and progress bookkeeping. It is the sequential Runner: parts and values
-// run one after another, in order.
+// session is the sequential Runner: parts and values run one after
+// another, in order. Its queries go through the crawl's books, behind a
+// journal when the crawl is memoized, so a replay never reaches the
+// books; the books also collect its output.
 type session struct {
-	ctx      context.Context
-	srv      hiddendb.Server
-	counting *hiddendb.Counting
-	schema   *dataspace.Schema
-	k        int
-	opts     Options
-	out      dataspace.Bag
-	curve    []CurvePoint
-	skipped  int
+	*Books
+	ctx context.Context
+	srv hiddendb.Server
 }
 
-// newSession wraps srv in a counter and, when cached is true, a journal on
-// top of the counter so repeated queries are free.
-func newSession(ctx context.Context, srv hiddendb.Server, opts *Options, cached bool) *session {
-	if opts == nil {
-		opts = &Options{}
-	}
-	counting := hiddendb.NewCounting(srv)
-	var view hiddendb.Server = counting
+// runSession runs body on a fresh session over srv and returns the
+// session's books with body's error: the whole Result, or the partial one
+// of a failed crawl. When cached is true a journal sits in front of the
+// books, so repeated queries are free.
+func runSession(ctx context.Context, srv hiddendb.Server, opts *Options, cached bool, body func(*session) error) (*Result, error) {
+	books := NewBooks(srv, opts)
+	s := &session{Books: books, ctx: ctx, srv: books}
 	if cached { // a journal built from srv's own schema and k always wraps it
-		view, _ = journal.Wrap(counting, journal.New(srv.Schema(), srv.K()))
+		s.srv, _ = journal.Wrap(books, journal.New(srv.Schema(), srv.K()))
 	}
-	return &session{
-		ctx:      ctx,
-		srv:      view,
-		counting: counting,
-		schema:   srv.Schema(),
-		k:        srv.K(),
-		opts:     *opts,
-	}
+	err := body(s)
+	return books.Result(), err
 }
 
 // emptyResult is the response used for queries suppressed by QueryFilter.
 var emptyResult = hiddendb.Result{}
 
-// Issue sends q to the server (or suppresses it per the dependency
-// heuristic) and records progress. The ctx is consulted first, so a
-// cancelled crawl stops promptly even through a streak of free journal
-// replays or suppressed queries.
+// Issue sends q to the server, unless the dependency heuristic skips it.
+// The ctx is consulted first, so a cancelled crawl stops promptly even
+// through a streak of free journal replays or suppressed queries.
 func (s *session) Issue(q dataspace.Query) (hiddendb.Result, error) {
 	if err := s.ctx.Err(); err != nil {
 		return emptyResult, err
 	}
-	if s.opts.QueryFilter != nil && !s.opts.QueryFilter(q) {
-		s.skipped++
+	if s.Skip(q) {
 		return emptyResult, nil
 	}
-	before := s.counting.Queries()
-	res, err := s.srv.Answer(s.ctx, q)
-	if err != nil {
-		return res, err
-	}
-	if s.counting.Queries() != before { // not a replay
-		s.progress()
-	}
-	return res, nil
-}
-
-// Emit appends fully-extracted tuples to the output bag.
-func (s *session) Emit(tuples dataspace.Bag) {
-	s.out = append(s.out, tuples...)
-	if s.opts.OnTuples != nil && len(tuples) > 0 {
-		s.opts.OnTuples(tuples)
-	}
-}
-
-// EmitMatching appends the subset of tuples covered by q.
-func (s *session) EmitMatching(tuples dataspace.Bag, q dataspace.Query) {
-	start := len(s.out)
-	for _, t := range tuples {
-		if q.Covers(t) {
-			s.out = append(s.out, t)
-		}
-	}
-	if s.opts.OnTuples != nil && len(s.out) > start {
-		s.opts.OnTuples(s.out[start:len(s.out):len(s.out)])
-	}
+	return s.srv.Answer(s.ctx, q)
 }
 
 // Split solves the parts in order, stopping at the first error.
@@ -231,32 +197,6 @@ func (s *session) ForValues(u int, f func(v int64) error) error {
 		}
 	}
 	return nil
-}
-
-func (s *session) progress() {
-	p := CurvePoint{Queries: s.counting.Queries(), Tuples: len(s.out)}
-	if s.opts.CollectCurve {
-		s.curve = append(s.curve, p)
-	}
-	if s.opts.OnProgress != nil {
-		s.opts.OnProgress(p)
-	}
-}
-
-// finish assembles the Result.
-func (s *session) finish() *Result {
-	// The last curve point may predate the final emits; refresh it.
-	if s.opts.CollectCurve && len(s.curve) > 0 {
-		s.curve[len(s.curve)-1].Tuples = len(s.out)
-	}
-	return &Result{
-		Tuples:     s.out,
-		Queries:    s.counting.Queries(),
-		Resolved:   s.counting.Resolved(),
-		Overflowed: s.counting.Overflowed(),
-		Skipped:    s.skipped,
-		Curve:      s.curve,
-	}
 }
 
 // firstOpenNumeric returns the index of the first numeric attribute whose

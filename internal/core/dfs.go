@@ -20,13 +20,11 @@ func (DFS) Name() string { return "dfs" }
 func (DFS) Crawl(ctx context.Context, srv hiddendb.Server, opts *Options) (*Result, error) {
 	sch := srv.Schema()
 	if !sch.IsCategorical() {
-		return nil, ErrWrongSpace
+		return &Result{}, ErrWrongSpace
 	}
-	s := newSession(ctx, srv, opts, false)
-	if err := dfs(s, dataspace.UniverseQuery(sch), 0); err != nil {
-		return nil, err
-	}
-	return s.finish(), nil
+	return runSession(ctx, srv, opts, false, func(s *session) error {
+		return dfs(s, dataspace.UniverseQuery(sch), 0)
+	})
 }
 
 // dfs processes the data-space-tree node at the given level, whose query has
@@ -40,11 +38,12 @@ func dfs(s *session, q dataspace.Query, level int) error {
 		s.Emit(res.Tuples)
 		return nil
 	}
-	if level == s.schema.Dims() {
+	sch := q.Schema()
+	if level == sch.Dims() {
 		// A leaf (a single point of the data space) overflowed.
 		return ErrUnsolvable
 	}
-	u := s.schema.Attr(level).DomainSize
+	u := sch.Attr(level).DomainSize
 	for v := int64(1); v <= int64(u); v++ {
 		if err := dfs(s, q.WithValue(level, v), level+1); err != nil {
 			return err

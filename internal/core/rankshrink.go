@@ -39,17 +39,15 @@ func (r RankShrink) Name() string {
 // Crawl implements Crawler. The server's schema must be purely numeric.
 func (r RankShrink) Crawl(ctx context.Context, srv hiddendb.Server, opts *Options) (*Result, error) {
 	if !srv.Schema().IsNumeric() {
-		return nil, ErrWrongSpace
+		return &Result{}, ErrWrongSpace
 	}
-	s := newSession(ctx, srv, opts, false)
 	denom := r.SplitDenom
 	if denom <= 0 {
 		denom = 4
 	}
-	if err := rankShrink(s, dataspace.UniverseQuery(s.schema), s.k, denom); err != nil {
-		return nil, err
-	}
-	return s.finish(), nil
+	return runSession(ctx, srv, opts, false, func(s *session) error {
+		return rankShrink(s, dataspace.UniverseQuery(srv.Schema()), srv.K(), denom)
+	})
 }
 
 // rankShrink extracts every tuple covered by q. All categorical attributes

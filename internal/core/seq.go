@@ -44,7 +44,8 @@ func (e *PartialError) Unwrap() error { return e.Err }
 // wind down, and returns. If the crawl fails — the server's quota runs
 // dry, ctx is cancelled, a round trip errors — the iterator yields one
 // final (nil, *PartialError) pair carrying the failure and the queries
-// already paid, then stops.
+// already paid, read from the partial Result the crawler returned with
+// its error, then stops.
 //
 // The stream is built on Options.OnTuples; a caller-provided OnTuples
 // callback still fires (before each chunk is streamed). opts is read once
@@ -58,26 +59,6 @@ func CrawlSeq(ctx context.Context, c Crawler, srv hiddendb.Server, opts *Options
 		cctx, cancel := context.WithCancel(ctx)
 		defer cancel()
 
-		// paid tracks the highest query count any progress callback has
-		// reported, so a failure can state the partial cost even though
-		// the crawler returns no Result alongside its error. Progress
-		// callbacks may be concurrent (the parallel crawler), hence the
-		// atomic max.
-		var paid atomic.Int64
-		o := base
-		prevProgress := base.OnProgress
-		o.OnProgress = func(p CurvePoint) {
-			for {
-				cur := paid.Load()
-				if int64(p.Queries) <= cur || paid.CompareAndSwap(cur, int64(p.Queries)) {
-					break
-				}
-			}
-			if prevProgress != nil {
-				prevProgress(p)
-			}
-		}
-
 		type outcome struct {
 			res *Result
 			err error
@@ -88,6 +69,7 @@ func CrawlSeq(ctx context.Context, c Crawler, srv hiddendb.Server, opts *Options
 		// never reached the consumer, so even if the crawl itself manages
 		// to finish cleanly, the stream must not end looking complete.
 		var dropped atomic.Bool
+		o := base
 		prevTuples := base.OnTuples
 		o.OnTuples = func(chunk dataspace.Bag) {
 			if prevTuples != nil {
@@ -131,7 +113,9 @@ func CrawlSeq(ctx context.Context, c Crawler, srv hiddendb.Server, opts *Options
 			}
 		}
 		if out.err != nil {
-			pe := &PartialError{Queries: int(paid.Load()), Err: out.err}
+			// A failed crawler returns its partial books; a Crawler that
+			// returns none reports no paid queries.
+			pe := &PartialError{Err: out.err}
 			if out.res != nil {
 				pe.Queries = out.res.Queries
 			}

@@ -24,7 +24,7 @@ func (SliceCover) Name() string { return "slice-cover" }
 // Crawl implements Crawler. The server's schema must be purely categorical.
 func (SliceCover) Crawl(ctx context.Context, srv hiddendb.Server, opts *Options) (*Result, error) {
 	if !srv.Schema().IsCategorical() {
-		return nil, ErrWrongSpace
+		return &Result{}, ErrWrongSpace
 	}
 	return crawlSlices(ctx, srv, opts, true)
 }
@@ -42,7 +42,7 @@ func (LazySliceCover) Name() string { return "lazy-slice-cover" }
 // Crawl implements Crawler. The server's schema must be purely categorical.
 func (LazySliceCover) Crawl(ctx context.Context, srv hiddendb.Server, opts *Options) (*Result, error) {
 	if !srv.Schema().IsCategorical() {
-		return nil, ErrWrongSpace
+		return &Result{}, ErrWrongSpace
 	}
 	return crawlSlices(ctx, srv, opts, false)
 }
@@ -56,33 +56,28 @@ func sliceQuery(sch *dataspace.Schema, attr int, value int64) dataspace.Query {
 // crawlSlices runs hybrid over srv: lazy-slice-cover over the categorical
 // prefix (all of a categorical schema) or, when eager is set, slice-cover.
 func crawlSlices(ctx context.Context, srv hiddendb.Server, opts *Options, eager bool) (*Result, error) {
-	sch := srv.Schema()
+	sch, k := srv.Schema(), srv.K()
 	cat := sch.Cat()
 	// Memoized when there are slices: a repeated query is free (§3.2).
-	s := newSession(ctx, srv, opts, cat > 0)
-	if eager {
-		// Preprocessing phase: run every slice query up front.
-		for i := 0; i < cat; i++ {
-			for v := int64(1); v <= int64(sch.Attr(i).DomainSize); v++ {
-				if _, err := s.Issue(sliceQuery(sch, i, v)); err != nil {
-					return nil, err
+	return runSession(ctx, srv, opts, cat > 0, func(s *session) error {
+		if eager {
+			// Preprocessing phase: run every slice query up front.
+			for i := 0; i < cat; i++ {
+				for v := int64(1); v <= int64(sch.Attr(i).DomainSize); v++ {
+					if _, err := s.Issue(sliceQuery(sch, i, v)); err != nil {
+						return err
+					}
 				}
 			}
 		}
-	}
-	var err error
-	if eager && cat > 1 {
-		// The paper's trick: with every slice known, the root's query is
-		// skipped. If some slice overflowed, the root overflows too; if
-		// none did, extended-DFS answers every child locally.
-		err = extendedDFS(s, dataspace.UniverseQuery(sch), 0, cat, s.k)
-	} else {
-		err = CrawlHybrid(s, sch, s.k)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return s.finish(), nil
+		if eager && cat > 1 {
+			// The paper's trick: with every slice known, the root's query
+			// is skipped. If some slice overflowed, the root overflows
+			// too; if none did, extended-DFS answers every child locally.
+			return extendedDFS(s, dataspace.UniverseQuery(sch), 0, cat, k)
+		}
+		return CrawlHybrid(s, sch, k)
+	})
 }
 
 // extendedDFS explores the children of an overflowing data-space-tree node

@@ -120,32 +120,30 @@ type Local struct {
 // priority permutation is drawn from the given seed, so the same
 // (bag, k, seed) triple always yields an identical server.
 func NewLocal(schema *dataspace.Schema, bag dataspace.Bag, k int, seed uint64) (*Local, error) {
-	byRank, err := rankPermutation(bag, k, seed)
-	if err != nil {
-		return nil, err
-	}
-	store, err := index.New(schema, byRank)
-	if err != nil {
-		return nil, err
-	}
-	return &Local{store: store, k: k}, nil
+	return NewLocalSharded(schema, bag, k, seed, 1)
 }
 
 // NewLocalSharded builds a local server whose store is partitioned into the
-// given number of priority-range shards. Responses are bit-identical to
-// NewLocal with the same (bag, k, seed); only AnswerBatch's execution
-// changes — the batch fans out across the shards in parallel, each shard
-// with its own scratch pool.
+// given number of priority-range shards; one shard is an unpartitioned
+// store. Responses are bit-identical to NewLocal with the same
+// (bag, k, seed); only AnswerBatch's execution changes — the batch fans
+// out across the shards in parallel, each shard with its own scratch pool.
 func NewLocalSharded(schema *dataspace.Schema, bag dataspace.Bag, k int, seed uint64, shards int) (*Local, error) {
-	byRank, err := rankPermutation(bag, k, seed)
+	if k < 1 {
+		return nil, fmt.Errorf("hiddendb: return limit k must be >= 1, got %d", k)
+	}
+	byRank := RankOrder(bag, seed)
+	var store index.Engine
+	var err error
+	if shards == 1 {
+		store, err = index.New(schema, byRank)
+	} else {
+		store, err = index.NewSharded(schema, byRank, shards)
+	}
 	if err != nil {
 		return nil, err
 	}
-	store, err := index.NewSharded(schema, byRank, shards)
-	if err != nil {
-		return nil, err
-	}
-	return &Local{store: store, k: k}, nil
+	return NewLocalEngine(store, k)
 }
 
 // NewLocalEngine wraps an already-built index.Engine — an in-memory Store
@@ -169,23 +167,12 @@ func NewLocalEngine(store index.Engine, k int) (*Local, error) {
 // servers use: the seed's random permutation. Exported so a disk-store
 // build can bake the exact NewLocal priority order into the file.
 func RankOrder(bag dataspace.Bag, seed uint64) []dataspace.Tuple {
-	byRank, _ := rankPermutation(bag, 1, seed)
-	return byRank
-}
-
-// rankPermutation arranges the bag in descending priority order per the
-// seed's random permutation.
-func rankPermutation(bag dataspace.Bag, k int, seed uint64) ([]dataspace.Tuple, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("hiddendb: return limit k must be >= 1, got %d", k)
-	}
-	rng := simrand.New(seed)
-	perm := rng.Perm(len(bag))
+	perm := simrand.New(seed).Perm(len(bag))
 	byRank := make([]dataspace.Tuple, len(bag))
 	for rank, idx := range perm {
 		byRank[rank] = bag[idx]
 	}
-	return byRank, nil
+	return byRank
 }
 
 // Answer implements Server with one engine Select.

@@ -540,20 +540,20 @@ func (h *Handler) handleCrawl(w http.ResponseWriter, r *http.Request) {
 		},
 	}
 
+	// A core crawler returns its books even when it fails, so the
+	// partial Result's outcome split is reported too.
 	res, err := crawler.Crawl(r.Context(), sess.Server(), opts)
 	final := wire.CrawlEvent{
 		Done:        true,
 		Queries:     sess.Queries(),
+		Resolved:    res.Resolved,
+		Overflowed:  res.Overflowed,
 		Tuples:      tuplesSent,
 		Skipped:     msg.Skip - toSkip,
 		Replays:     sess.Replays() - replays0,
 		SharedHits:  sess.SharedHits() - sharedHits0,
 		SharedWaits: sess.SharedWaits() - sharedWaits0,
 		Engine:      h.engineStats(),
-	}
-	if res != nil {
-		final.Resolved = res.Resolved
-		final.Overflowed = res.Overflowed
 	}
 	if err != nil {
 		final.Error = err.Error()

@@ -8,15 +8,16 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"hidb/internal/core"
 	"hidb/internal/dataspace"
 	"hidb/internal/hiddendb"
 	"hidb/internal/httpclient"
 )
 
-// batcher is the concurrent counterpart of core's session plumbing: a
-// thread-safe memoizing, counting, filtering view of the server that packs
-// the crawl's ready queries into AnswerBatch round trips.
+// batcher is the parallel crawl's view of its server: it packs the
+// crawl's ready queries into AnswerBatch round trips, single-flights
+// repeated queries and keeps the virtual clock's holds. Its server is the
+// crawl's core.Books, which count every answered query and report
+// progress; the batcher keeps no counter of its own.
 //
 // Workers submit queries and block on their result; a single dispatcher
 // goroutine drains the ready queue into batches of up to maxBatch and
@@ -64,7 +65,6 @@ type batcher struct {
 	// server (or on the wire) instead of letting them run to completion.
 	ctx      context.Context
 	inner    hiddendb.Server
-	opts     *core.Options
 	maxBatch int
 	depth    int                // how many round trips may fly at once
 	clock    *hiddendb.SimClock // nil outside virtual-time simulations
@@ -81,13 +81,6 @@ type batcher struct {
 	pendingN  atomic.Int32
 	inflightN atomic.Int32
 
-	// progressMu serializes OnProgress callbacks across concurrently
-	// completing round trips: the sequential engine invokes the callback
-	// serially, so callers write non-thread-safe observers — the parallel
-	// engine must honour the same contract. Separate from mu so a slow
-	// observer never blocks result delivery or the dispatcher.
-	progressMu sync.Mutex
-
 	mu      sync.Mutex
 	flights map[string]*flight
 	// deferred holds an error the server reported alongside a fully
@@ -95,12 +88,6 @@ type batcher struct {
 	// affordable responses): those results were delivered, and the error
 	// fails every query after them, as it would sequentially.
 	deferred error
-	queries  int
-	resolve  int
-	overfl   int
-	skipped  int
-	tuples   int
-	curve    []core.CurvePoint
 }
 
 // flight is one in-progress or completed query.
@@ -129,7 +116,7 @@ type flightReq struct {
 // crawl's last Answer has returned. maxBatch bounds the width of one round
 // trip, depth how many round trips overlap: at most maxBatch×depth queries
 // are in flight at once.
-func newBatcher(ctx context.Context, inner hiddendb.Server, maxBatch, depth int, clock *hiddendb.SimClock, opts *core.Options) *batcher {
+func newBatcher(ctx context.Context, inner hiddendb.Server, maxBatch, depth int, clock *hiddendb.SimClock) *batcher {
 	if maxBatch < 1 {
 		maxBatch = 1
 	}
@@ -139,7 +126,6 @@ func newBatcher(ctx context.Context, inner hiddendb.Server, maxBatch, depth int,
 	b := &batcher{
 		ctx:      ctx,
 		inner:    inner,
-		opts:     opts,
 		maxBatch: maxBatch,
 		depth:    depth,
 		clock:    clock,
@@ -211,12 +197,6 @@ func (b *batcher) idleTick() bool {
 func (b *batcher) Answer(q dataspace.Query) (hiddendb.Result, error) {
 	if err := b.ctx.Err(); err != nil {
 		return hiddendb.Result{}, err
-	}
-	if b.opts.QueryFilter != nil && !b.opts.QueryFilter(q) {
-		b.mu.Lock()
-		b.skipped++
-		b.mu.Unlock()
-		return hiddendb.Result{}, nil
 	}
 	key := q.Key()
 	b.mu.Lock()
@@ -358,21 +338,10 @@ func (b *batcher) issue(batch []flightReq) {
 			b.deferred = err
 		}
 	}
-	points := make([]core.CurvePoint, len(results))
 	waiters := 0
 	for i, r := range batch {
 		if i < len(results) {
 			r.f.res = results[i]
-			b.queries++
-			if results[i].Overflow {
-				b.overfl++
-			} else {
-				b.resolve++
-			}
-			points[i] = core.CurvePoint{Queries: b.queries, Tuples: b.tuples}
-			if b.opts.CollectCurve {
-				b.curve = append(b.curve, points[i])
-			}
 		} else {
 			r.f.err = err
 		}
@@ -380,13 +349,6 @@ func (b *batcher) issue(batch []flightReq) {
 		waiters += r.f.waiters
 	}
 	b.mu.Unlock()
-	if b.opts.OnProgress != nil {
-		b.progressMu.Lock()
-		for _, p := range points {
-			b.opts.OnProgress(p)
-		}
-		b.progressMu.Unlock()
-	}
 
 	// Clock protocol: mint the woken workers' holds (and the completion
 	// signal's) before any of them can run, then retire this goroutine's.
@@ -398,23 +360,6 @@ func (b *batcher) issue(batch []flightReq) {
 	}
 	b.donec <- struct{}{}
 	b.clock.Release()
-}
-
-// noteTuples records output growth for the progressiveness curve.
-func (b *batcher) noteTuples(n int) {
-	b.mu.Lock()
-	b.tuples += n
-	b.mu.Unlock()
-}
-
-// stats snapshots the counters for the final Result.
-func (b *batcher) stats() (queries, resolved, overflowed, skipped int, curve []core.CurvePoint) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.opts.CollectCurve && len(b.curve) > 0 {
-		b.curve[len(b.curve)-1].Tuples = b.tuples
-	}
-	return b.queries, b.resolve, b.overfl, b.skipped, b.curve
 }
 
 // isTransportExhausted reports whether err is a terminal transport failure:

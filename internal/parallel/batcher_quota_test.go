@@ -68,7 +68,7 @@ func TestBatcherFailsFastAfterQuota(t *testing.T) {
 
 	// maxBatch = depth = 1 keeps the dispatch order deterministic: each
 	// Answer is its own round trip.
-	b := newBatcher(context.Background(), rt, 1, 1, nil, &core.Options{})
+	b := newBatcher(context.Background(), rt, 1, 1, nil)
 	defer b.close()
 
 	qs := make([]dataspace.Query, 5)
@@ -106,7 +106,9 @@ func TestBatcherFailsFastAfterQuota(t *testing.T) {
 
 // TestParallelCrawlStopsAtQuota: a whole parallel crawl against an
 // exhausted budget issues no storm of doomed round trips — the round-trip
-// count stays within the batches in flight when the quota tripped.
+// count stays within the batches in flight when the quota tripped. The
+// failed crawl returns its books: a partial Result, and through CrawlSeq a
+// PartialError, whose Queries is the count the store was paid.
 func TestParallelCrawlStopsAtQuota(t *testing.T) {
 	ds, err := datagen.Random(datagen.RandomSpec{
 		N:          2000,
@@ -123,11 +125,15 @@ func TestParallelCrawlStopsAtQuota(t *testing.T) {
 	}
 	const budget = 7
 	const workers = 4
-	rt := &roundTrips{Server: hiddendb.NewQuota(local, budget)}
+	paid := hiddendb.NewCounting(hiddendb.NewQuota(local, budget))
+	rt := &roundTrips{Server: paid}
 
-	_, err = Crawler{Workers: workers}.Crawl(context.Background(), rt, nil)
+	res, err := Crawler{Workers: workers}.Crawl(context.Background(), rt, nil)
 	if !errors.Is(err, hiddendb.ErrQuotaExceeded) {
 		t.Fatalf("crawl on a %d-query budget: err=%v, want quota", budget, err)
+	}
+	if res == nil || res.Queries != paid.Queries() {
+		t.Fatalf("failed crawl returned %+v, want a partial Result of the %d paid queries", res, paid.Queries())
 	}
 	// Before the latch fix, every ready query after exhaustion paid its
 	// own doomed round trip. With it, only round trips already in flight
@@ -135,5 +141,16 @@ func TestParallelCrawlStopsAtQuota(t *testing.T) {
 	// most one per worker.
 	if got := rt.count(); got > budget+workers {
 		t.Fatalf("%d round trips for a %d-query budget with %d workers; post-quota hammering is back", got, budget, workers)
+	}
+
+	paid = hiddendb.NewCounting(hiddendb.NewQuota(local, budget))
+	var pe *core.PartialError
+	for _, err := range core.CrawlSeq(context.Background(), Crawler{Workers: workers}, paid, nil) {
+		if err != nil && !errors.As(err, &pe) {
+			t.Fatalf("CrawlSeq: err=%v, want a PartialError", err)
+		}
+	}
+	if pe == nil || !errors.Is(pe, hiddendb.ErrQuotaExceeded) || pe.Queries != paid.Queries() {
+		t.Fatalf("CrawlSeq ended with %v, want quota after the %d paid queries", pe, paid.Queries())
 	}
 }

@@ -58,9 +58,9 @@ func (c *cancelMidBatch) AnswerBatch(ctx context.Context, qs []dataspace.Query) 
 
 // TestParallelCancelInvariants cancels a parallel crawl mid-batch and
 // asserts the session-stack layers agree: every query the store answered
-// is in the journal and debited from the quota, and nothing else is — no
-// double pay, no leaked refund — even with batches cut short at answered
-// prefixes. The crawl then resumes on the same journal and the combined
+// is in the journal, debited from the quota and counted in the crawl's
+// partial Result, and nothing else is — no double pay, no leaked refund —
+// even with batches cut short at answered prefixes. The crawl then resumes on the same journal and the combined
 // cost equals the sequential reference. Run under -race this also checks
 // the cancellation paths' locking.
 func TestParallelCancelInvariants(t *testing.T) {
@@ -86,7 +86,7 @@ func TestParallelCancelInvariants(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		_, err = (Crawler{Workers: 8}).Crawl(ctx, jsrv, nil)
+		part, err := (Crawler{Workers: 8}).Crawl(ctx, jsrv, nil)
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("cutoff %d: err = %v, want context.Canceled", cutoff, err)
@@ -95,6 +95,9 @@ func TestParallelCancelInvariants(t *testing.T) {
 		paid := counting.Queries()
 		if paid != cutoff {
 			t.Errorf("cutoff %d: store served %d queries", cutoff, paid)
+		}
+		if part == nil || part.Queries != paid {
+			t.Errorf("cutoff %d: cancelled crawl returned %+v, want a partial Result of %d queries", cutoff, part, paid)
 		}
 		if jnl.Len() != paid {
 			t.Errorf("cutoff %d: journal %d entries for %d served queries", cutoff, jnl.Len(), paid)

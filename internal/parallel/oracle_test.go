@@ -54,11 +54,41 @@ func pairFilter(ds *datagen.Dataset) func(dataspace.Query) bool {
 	}
 }
 
-// checkMatches fails unless the parallel result res has the sequential
-// result ref's query, resolved, overflowed and skipped counts, and
-// extracted exactly ds's tuple multiset.
-func checkMatches(t testing.TB, what string, res, ref *core.Result, ds *datagen.Dataset) {
+// checkMatches crawls ds at answer limit k with the sequential hybrid and
+// with the parallel crawler at batch width batch, both under opts, and
+// fails unless the parallel crawl has the sequential one's query,
+// resolved, overflowed and skipped counts and extracted exactly ds's tuple
+// multiset. Both crawls collect their curve and record OnProgress, and
+// each crawl's books must hold together: the progress points step by one
+// query up to Result.Queries, the curve has a point per query, and its
+// final point counts every tuple. It returns the sequential result.
+func checkMatches(t *testing.T, what string, ds *datagen.Dataset, k, batch int, opts core.Options) *core.Result {
 	t.Helper()
+	crawl := func(c core.Crawler) *core.Result {
+		t.Helper()
+		var points []core.CurvePoint
+		o := opts
+		o.CollectCurve = true
+		o.OnProgress = func(p core.CurvePoint) { points = append(points, p) }
+		res, err := c.Crawl(context.Background(), server(t, ds, k), &o)
+		if err != nil {
+			t.Fatalf("%s: %s: %v", what, c.Name(), err)
+		}
+		for i, p := range points {
+			if p.Queries != i+1 {
+				t.Fatalf("%s: %s: progress point %d is %+v, not a running total", what, c.Name(), i, p)
+			}
+		}
+		if len(points) != res.Queries || len(res.Curve) != res.Queries {
+			t.Errorf("%s: %s: %d progress points and %d curve points for %d queries",
+				what, c.Name(), len(points), len(res.Curve), res.Queries)
+		}
+		if n := len(res.Curve); n > 0 && res.Curve[n-1].Tuples != len(res.Tuples) {
+			t.Errorf("%s: %s: final curve point %+v for %d tuples", what, c.Name(), res.Curve[n-1], len(res.Tuples))
+		}
+		return res
+	}
+	ref, res := crawl(core.Hybrid{}), crawl(Crawler{Workers: batch})
 	got := [4]int{res.Queries, res.Resolved, res.Overflowed, res.Skipped}
 	want := [4]int{ref.Queries, ref.Resolved, ref.Overflowed, ref.Skipped}
 	if got != want {
@@ -67,13 +97,15 @@ func checkMatches(t testing.TB, what string, res, ref *core.Result, ds *datagen.
 	if !res.Tuples.EqualMultiset(ds.Tuples) {
 		t.Errorf("%s: tuple multiset differs from the database", what)
 	}
+	return ref
 }
 
 // TestSequentialEquivalenceOracle is the randomized oracle behind the
 // package's core claim: across random schemas, batch widths and pipeline
 // depths, the parallel crawl's query, resolved, overflowed and skipped
 // counts and its extracted tuple multiset are exactly the sequential
-// algorithm's. One case per trial runs both crawls under pairFilter.
+// algorithm's, and both crawls' books hold together (see checkMatches).
+// One case per trial runs both crawls under pairFilter.
 // Each trial also picks a random cancellation point and checks the
 // interruption invariants: the journal holds exactly the queries the
 // store served, and a resume on that journal completes the extraction
@@ -95,40 +127,20 @@ func TestSequentialEquivalenceOracle(t *testing.T) {
 		if m := ds.Tuples.MaxMultiplicity(); m > k {
 			k = m
 		}
-		ref, err := (core.Hybrid{}).Crawl(context.Background(), server(t, ds, k), nil)
-		if err != nil {
-			t.Fatalf("trial %d: sequential reference: %v", trial, err)
-		}
-
+		var ref *core.Result
 		for _, batch := range batches {
 			for _, depth := range depths {
-				res, err := (Crawler{Workers: batch}).Crawl(context.Background(), server(t, ds, k), &core.Options{
-					InFlight: depth,
-				})
-				if err != nil {
-					t.Fatalf("trial %d batch=%d depth=%d: %v", trial, batch, depth, err)
-				}
-				checkMatches(t, fmt.Sprintf("trial %d batch=%d depth=%d (spec %+v, k=%d)", trial, batch, depth, spec, k), res, ref, ds)
+				ref = checkMatches(t, fmt.Sprintf("trial %d batch=%d depth=%d (spec %+v, k=%d)", trial, batch, depth, spec, k),
+					ds, k, batch, core.Options{InFlight: depth})
 			}
 		}
 
 		// The filtered case, at a batch width and depth that vary with the
 		// trial.
-		filter := pairFilter(ds)
-		fref, err := (core.Hybrid{}).Crawl(context.Background(), server(t, ds, k), &core.Options{QueryFilter: filter})
-		if err != nil {
-			t.Fatalf("trial %d: filtered sequential reference: %v", trial, err)
-		}
-		skipped += fref.Skipped
 		fbatch, fdepth := batches[trial%len(batches)], depths[trial/len(batches)%len(depths)]
-		fres, err := (Crawler{Workers: fbatch}).Crawl(context.Background(), server(t, ds, k), &core.Options{
-			InFlight:    fdepth,
-			QueryFilter: filter,
-		})
-		if err != nil {
-			t.Fatalf("trial %d filtered batch=%d depth=%d: %v", trial, fbatch, fdepth, err)
-		}
-		checkMatches(t, fmt.Sprintf("trial %d filtered batch=%d depth=%d (spec %+v, k=%d)", trial, fbatch, fdepth, spec, k), fres, fref, ds)
+		fref := checkMatches(t, fmt.Sprintf("trial %d filtered batch=%d depth=%d (spec %+v, k=%d)", trial, fbatch, fdepth, spec, k),
+			ds, k, fbatch, core.Options{InFlight: fdepth, QueryFilter: pairFilter(ds)})
+		skipped += fref.Skipped
 
 		// A random cancellation point: cancel the crawl once the store has
 		// served cut queries, then verify the interruption invariants and
@@ -192,8 +204,9 @@ func TestSequentialEquivalenceOracle(t *testing.T) {
 // dataset drawn from seed, at answer limit k, the parallel crawl with 16
 // workers, batch width {1, 4, 16}[batchIdx%3] and pipeline depth
 // {1, 2, 4}[depthIdx%3] has the sequential hybrid's query, resolved,
-// overflowed and skipped counts and extracts the whole database. Odd
-// seeds crawl under pairFilter.
+// overflowed and skipped counts and extracts the whole database, and both
+// crawls' books hold together (see checkMatches). Odd seeds crawl under
+// pairFilter.
 func FuzzParallelMatchesSequential(f *testing.F) {
 	f.Add(uint64(1), uint8(16), uint8(0), uint8(0))
 	f.Add(uint64(2), uint8(40), uint8(1), uint8(1))
@@ -208,19 +221,9 @@ func FuzzParallelMatchesSequential(f *testing.F) {
 		k := max(4+int(kIn)%60, ds.Tuples.MaxMultiplicity())
 		batch := []int{1, 4, 16}[batchIdx%3]
 		opts := core.Options{InFlight: []int{1, 2, 4}[depthIdx%3]}
-		var seqOpts core.Options
 		if seed%2 == 1 {
 			opts.QueryFilter = pairFilter(ds)
-			seqOpts.QueryFilter = opts.QueryFilter
 		}
-		ref, err := (core.Hybrid{}).Crawl(context.Background(), server(t, ds, k), &seqOpts)
-		if err != nil {
-			t.Fatalf("sequential reference: %v", err)
-		}
-		res, err := (Crawler{Workers: batch}).Crawl(context.Background(), server(t, ds, k), &opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkMatches(t, fmt.Sprintf("k=%d batch=%d depth=%d", k, batch, opts.InFlight), res, ref, ds)
+		checkMatches(t, fmt.Sprintf("k=%d batch=%d depth=%d", k, batch, opts.InFlight), ds, k, batch, opts)
 	})
 }

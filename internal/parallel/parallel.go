@@ -16,7 +16,12 @@
 // B concurrently ready queries cost a single round trip. Because a batch is
 // answered exactly as if issued sequentially, this changes neither the
 // query count nor any response — only the number of round trips, which
-// shrinks by roughly the batch width (Crawler.Workers).
+// shrinks by roughly the batch width (Crawler.Workers). The batcher packs
+// the batches, single-flights repeated queries and keeps the virtual
+// clock's holds; the counting is left to the crawl's core.Books, which sit
+// between the batcher and the server exactly as they sit below a
+// sequential crawl's journal: they count every paid query, report progress
+// in count order, apply QueryFilter and collect the output.
 //
 // Batches are dispatched speculatively, double-buffered: up to
 // Options.InFlight round trips (default 2) overlap, and the next batch
@@ -61,12 +66,13 @@ func (c Crawler) workers() int {
 	return c.Workers
 }
 
-// Crawl implements core.Crawler. Options are honoured; OnProgress and
-// QueryFilter callbacks must be safe for concurrent invocation.
-// Cancelling ctx aborts the crawl: the in-flight batches are cancelled
-// through the server (their answered prefixes are still counted and, in a
-// journaled stack, recorded), the workers drain, and the ctx's error is
-// returned.
+// Crawl implements core.Crawler. Options are honoured; QueryFilter and
+// OnTuples callbacks must be safe for concurrent invocation, while the
+// crawl's books serialize OnProgress. The books sit directly above srv,
+// below the batcher. Cancelling ctx aborts the crawl: the in-flight
+// batches are cancelled through the server (their answered prefixes are
+// still counted and, in a journaled stack, recorded), the workers drain,
+// and the ctx's error is returned with the partial Result.
 func (c Crawler) Crawl(ctx context.Context, srv hiddendb.Server, opts *core.Options) (*core.Result, error) {
 	if opts == nil {
 		opts = &core.Options{}
@@ -75,30 +81,26 @@ func (c Crawler) Crawl(ctx context.Context, srv hiddendb.Server, opts *core.Opti
 	if depth <= 0 {
 		depth = 2 // the double buffer
 	}
-	b := newBatcher(ctx, srv, c.workers(), depth, opts.Clock, opts)
+	books := core.NewBooks(srv, opts)
+	b := newBatcher(ctx, books, c.workers(), depth, opts.Clock)
 	defer b.close()
-	p := &pool{srv: b, clock: opts.Clock, opts: opts, quit: make(chan struct{})}
+	p := &pool{Books: books, srv: b, clock: opts.Clock, quit: make(chan struct{})}
 	sch, k := srv.Schema(), srv.K()
 	p.spawn(func() error { return core.CrawlHybrid(p, sch, k) })
 	p.wg.Wait()
-	if p.err != nil {
-		return nil, p.err
-	}
-	return p.finish(), nil
+	return books.Result(), p.err
 }
 
 // pool carries the shared state of one parallel crawl. It is the
 // concurrent core.Runner: every independent sub-problem the recursion hands
-// it becomes a task, and its queries go through the batcher.
+// it becomes a task, its queries go through the batcher, and its output
+// goes to the crawl's books.
 type pool struct {
+	*core.Books
 	srv   *batcher
 	clock *hiddendb.SimClock // nil outside virtual-time simulations
-	opts  *core.Options
 
 	wg sync.WaitGroup
-
-	outMu sync.Mutex
-	out   dataspace.Bag
 
 	errOnce sync.Once
 	err     error
@@ -141,8 +143,12 @@ func (p *pool) spawn(f func() error) {
 	}()
 }
 
-// Issue implements core.Runner through the batcher.
+// Issue implements core.Runner through the batcher, unless the
+// dependency heuristic skips q.
 func (p *pool) Issue(q dataspace.Query) (hiddendb.Result, error) {
+	if p.Skip(q) {
+		return hiddendb.Result{}, nil
+	}
 	return p.srv.Answer(q)
 }
 
@@ -176,43 +182,4 @@ func (p *pool) ForValues(u int, f func(v int64) error) error {
 		})
 	}
 	return nil
-}
-
-// Emit implements core.Runner.
-func (p *pool) Emit(tuples dataspace.Bag) {
-	if len(tuples) == 0 {
-		return
-	}
-	p.outMu.Lock()
-	p.out = append(p.out, tuples...)
-	p.outMu.Unlock()
-	p.srv.noteTuples(len(tuples))
-	if p.opts.OnTuples != nil {
-		p.opts.OnTuples(tuples)
-	}
-}
-
-// EmitMatching implements core.Runner.
-func (p *pool) EmitMatching(tuples dataspace.Bag, q dataspace.Query) {
-	var kept dataspace.Bag
-	for _, t := range tuples {
-		if q.Covers(t) {
-			kept = append(kept, t)
-		}
-	}
-	if len(kept) > 0 {
-		p.Emit(kept)
-	}
-}
-
-func (p *pool) finish() *core.Result {
-	queries, resolved, overflowed, skipped, curve := p.srv.stats()
-	return &core.Result{
-		Tuples:     p.out,
-		Queries:    queries,
-		Resolved:   resolved,
-		Overflowed: overflowed,
-		Skipped:    skipped,
-		Curve:      curve,
-	}
 }
