@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -203,6 +204,85 @@ func TestParallelProgressCallbacks(t *testing.T) {
 			}
 		}
 	})
+
+	// Output order: with round trips completing concurrently and a slow
+	// consumer, the OnTuples chunks arrive one call at a time and their
+	// concatenation is Result.Tuples, and CrawlSeq streams Result.Tuples
+	// in order.
+	t.Run("in-output-order", func(t *testing.T) {
+		for trial := 0; trial < 20; trial++ {
+			var mu sync.Mutex
+			var got dataspace.Bag
+			var active, overlaps atomic.Int32
+			res, err := (Crawler{Workers: 8}).Crawl(context.Background(), server(t, ds, 32), &core.Options{
+				InFlight: 4,
+				OnTuples: func(chunk dataspace.Bag) {
+					if active.Add(1) > 1 {
+						overlaps.Add(1)
+					}
+					mu.Lock()
+					got = append(got, chunk...)
+					mu.Unlock()
+					time.Sleep(5 * time.Microsecond)
+					active.Add(-1)
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := overlaps.Load(); n > 0 {
+				t.Errorf("trial %d: %d OnTuples calls overlapped another", trial, n)
+			}
+			if i := firstDifference(got, res.Tuples); i >= 0 {
+				t.Fatalf("trial %d: OnTuples chunks differ from Result.Tuples at tuple %d of %d/%d",
+					trial, i, len(got), len(res.Tuples))
+			}
+
+			rec := &resultRecorder{Crawler: Crawler{Workers: 8}, opts: &core.Options{InFlight: 4}}
+			var streamed dataspace.Bag
+			for tu, err := range core.CrawlSeq(context.Background(), rec, server(t, ds, 32), nil) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				streamed = append(streamed, tu)
+			}
+			if i := firstDifference(streamed, rec.res.Tuples); i >= 0 {
+				t.Fatalf("trial %d: CrawlSeq differs from Result.Tuples at tuple %d of %d/%d",
+					trial, i, len(streamed), len(rec.res.Tuples))
+			}
+		}
+	})
+}
+
+// resultRecorder is a core.Crawler that runs its Crawler with the
+// recorder's options, plus the caller's OnTuples, and keeps the Result.
+type resultRecorder struct {
+	Crawler
+	opts *core.Options
+	res  *core.Result
+}
+
+func (r *resultRecorder) Crawl(ctx context.Context, srv hiddendb.Server, opts *core.Options) (*core.Result, error) {
+	o := *r.opts
+	o.OnTuples = opts.OnTuples
+	res, err := r.Crawler.Crawl(ctx, srv, &o)
+	r.res = res
+	return res, err
+}
+
+// firstDifference returns the index of the first tuple where a and b
+// differ, len of the shorter when one is a prefix of the other, or -1 when
+// they are equal.
+func firstDifference(a, b dataspace.Bag) int {
+	for i := range min(len(a), len(b)) {
+		if !a[i].Equal(b[i]) {
+			return i
+		}
+	}
+	if len(a) != len(b) {
+		return min(len(a), len(b))
+	}
+	return -1
 }
 
 func TestParallelQueryFilter(t *testing.T) {
