@@ -147,7 +147,7 @@ func main() {
 		if *algo != "" {
 			log.Printf("-workers overrides -algo: the parallel engine runs the hybrid family")
 		}
-		crawler = hidb.ParallelCrawler(*workers)
+		crawler = hidb.ParallelCrawler{Workers: *workers, InFlight: *inflight}
 	}
 
 	// Resumable crawls: replay the journal in front of the server, and
@@ -165,7 +165,11 @@ func main() {
 		log.Printf("journal %s: %d queries already paid for", *journalPath, before)
 	}
 
-	opts := &hidb.CrawlOptions{CollectCurve: *showProgress, InFlight: *inflight}
+	opts := &hidb.CrawlOptions{}
+	var points []hidb.CurvePoint
+	if *showProgress {
+		opts.OnProgress = func(p hidb.CurvePoint) { points = append(points, p) }
+	}
 	start := time.Now()
 	res, err := crawler.Crawl(ctx, srv, opts)
 	if jnl != nil {
@@ -193,7 +197,7 @@ func main() {
 		fmt.Printf("complete    %v\n", res.Tuples.EqualMultiset(groundTruth))
 	}
 	if *showProgress {
-		curve := progress.Normalize(res.Curve)
+		curve := progress.Normalize(points, len(res.Tuples))
 		fmt.Printf("progress    %s (max deviation from linear: %.1f%%)\n",
 			curve, curve.MaxDeviation()*100)
 	}

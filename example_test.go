@@ -136,7 +136,7 @@ func ExampleParallelCrawler() {
 	srv, _ := hidb.NewLocalServer(schema, bag, 16, 42)
 
 	seq, _ := hidb.Crawl(context.Background(), srv, nil)
-	par, err := hidb.ParallelCrawler(8).Crawl(context.Background(), srv, nil)
+	par, err := hidb.ParallelCrawler{Workers: 8, InFlight: 4}.Crawl(context.Background(), srv, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

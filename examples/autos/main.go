@@ -63,7 +63,11 @@ func main() {
 		}
 		return valid[[2]int64{b.Value, m.Value}]
 	}
-	res, err := hidb.Crawl(context.Background(), srv, &hidb.CrawlOptions{QueryFilter: filter, CollectCurve: true})
+	var curve []hidb.CurvePoint
+	res, err := hidb.Crawl(context.Background(), srv, &hidb.CrawlOptions{
+		QueryFilter: filter,
+		OnProgress:  func(p hidb.CurvePoint) { curve = append(curve, p) },
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -76,8 +80,9 @@ func main() {
 	fmt.Println("\nprogressiveness (% of tuples after each 10% of queries):")
 	total := res.Queries
 	final := len(res.Tuples)
+	curve[len(curve)-1].Tuples = final // the last answer's tuples follow its point
 	decile := 1
-	for _, p := range res.Curve {
+	for _, p := range curve {
 		for decile <= 10 && p.Queries*10 >= total*decile {
 			fmt.Printf("  %3d%% of queries -> %3d%% of tuples\n",
 				decile*10, p.Tuples*100/final)

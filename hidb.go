@@ -60,9 +60,9 @@
 // Cancellation obeys the same invariant from the other side: a cancelled
 // batch ends at an answered prefix, and a query cut off by ctx was never
 // served, never charged. ParallelCrawler drains its ready queries into
-// such batches automatically, and pipelines them: up to
-// CrawlOptions.InFlight round trips (default 2, the double buffer;
-// hidb-crawl's -inflight flag) fly at once, the next batch departing the
+// such batches automatically, and pipelines them: up to its InFlight
+// round trips (default 2, the double buffer; hidb-crawl's -inflight
+// flag) fly at once, the next batch departing the
 // moment a flight slot frees, so a high-latency connection never idles
 // between round trips. A custom wrapper implements Server directly, its
 // Answer a one-query AnswerBatch; for a per-IP budget, NewQuotaServer
@@ -136,8 +136,8 @@
 // latency on virtual time: the clock advances only when the simulated
 // crawl is quiescent, so a crawl's wall-clock behaviour under any latency
 // is a reproducible measurement (clock.Now() after the crawl) that costs
-// microseconds of real time — give ParallelCrawler the same clock via
-// CrawlOptions.Clock. NewFlakyServer injects seeded transient errors,
+// microseconds of real time — give ParallelCrawler the same clock in its
+// Clock field. NewFlakyServer injects seeded transient errors,
 // nth-query failures and ctx-abort windows in front of any Server, for
 // testing that crawls resume correctly and budgets stay consistent under
 // real-world failure.
@@ -506,18 +506,18 @@ func DialHTTPRetry(ctx context.Context, baseURL, token string, httpClient *http.
 	return httpclient.DialRetry(ctx, baseURL, token, httpClient, policy)
 }
 
-// ParallelCrawler returns a crawler that drains ready queries into
-// AnswerBatch round trips of up to workers queries each and keeps up to
-// CrawlOptions.InFlight round trips (default 2; 1 = flush-on-completion)
-// in flight at once: while round trips fly, the next batch accumulates
-// and departs the moment a flight slot frees, so the connection never
-// idles between round trips. These two numbers, batch width and pipeline
-// depth, are the pipeline's only settings. The set of issued queries —
-// and therefore the paper's cost metric — is identical to the sequential
-// algorithms'; only wall-clock time and the round-trip count change. Use
-// it when each round trip has real network cost. OnProgress and
-// QueryFilter callbacks must be safe for concurrent invocation.
-func ParallelCrawler(workers int) Crawler { return parallel.Crawler{Workers: workers} }
+// ParallelCrawler is a crawler that drains ready queries into AnswerBatch
+// round trips of up to Workers queries each and keeps up to InFlight
+// round trips (default 2; 1 = flush-on-completion) in flight at once:
+// while round trips fly, the next batch accumulates and departs the
+// moment a flight slot frees, so the connection never idles between round
+// trips. These two numbers, batch width and pipeline depth, are the
+// pipeline's only settings; Clock runs it on a SimClock. The set of
+// issued queries — and therefore the paper's cost metric — is identical
+// to the sequential algorithms'; only wall-clock time and the round-trip
+// count change. Use it when each round trip has real network cost. It
+// calls CrawlOptions' callbacks as the sequential crawlers do.
+type ParallelCrawler = parallel.Crawler
 
 // Deterministic simulation and fault injection. See the hiddendb package
 // for the full documentation of each type.
@@ -550,8 +550,8 @@ func NewSimClock() *SimClock { return hiddendb.NewSimClock() }
 
 // NewLatencyServer wraps srv so every round trip — one AnswerBatch call,
 // however wide — first waits delay on clock. On a SimClock a sequential
-// crawl drives the clock by itself; for ParallelCrawler, pass the same
-// clock in CrawlOptions.Clock so the pipelined dispatcher can keep the
+// crawl drives the clock by itself; for ParallelCrawler, set the same
+// clock in its Clock field so the pipelined dispatcher can keep the
 // clock's runnable-work accounting. After the crawl, clock.Now() is its
 // deterministic virtual wall-clock time — how the parallel latency
 // ablation measures pipeline speedups reproducibly without sleeping.

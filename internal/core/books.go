@@ -3,30 +3,40 @@ package core
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 
 	"hidb/internal/dataspace"
 	"hidb/internal/hiddendb"
 )
 
-// Books keeps the books of one crawl: the query counts, the
-// progressiveness curve and OnProgress, the QueryFilter skips and the
-// output bag, closed into the crawl's Result. It is a hiddendb.Server
-// that sits directly above the server the crawl was handed, so every
-// answer it sees was paid for: a memo in front of it (the sequential
-// session's journal, the parallel batcher's single-flight) keeps replays
-// away from it. Both crawlers keep their books in one: the sequential
-// session and the parallel pool alike.
+// Books keeps the books of one crawl: the query counts and OnProgress,
+// the QueryFilter skips, and the output bag and OnTuples, closed into the
+// crawl's Result. It is a hiddendb.Server that sits directly above the
+// server the crawl was handed, so every answer it sees was paid for: a
+// memo in front of it (the sequential session's journal, the parallel
+// batcher's single-flight) keeps replays away from it. Both crawlers keep
+// their books in one: the sequential session and the parallel pool alike.
 //
-// Books is safe for concurrent use. The lock is held from a query's
-// count through its OnProgress call, so the callbacks are serialized and
-// see running totals in count order, while the round trips themselves
-// run unserialized below.
+// Books is safe for concurrent use, and calls each of Options' callbacks
+// one call at a time. The counting lock is held from a query's count
+// through its OnProgress call, so OnProgress sees running totals in count
+// order; QueryFilter runs under the same lock. The emit lock is held from
+// an append to the bag through its OnTuples call, so the chunks arrive in
+// bag order. A slow OnTuples consumer thus holds up other emits, never
+// counting or OnProgress, and the round trips themselves run unserialized
+// below.
 type Books struct {
 	inner hiddendb.Server
 	opts  Options
 
-	mu  sync.Mutex
-	res Result
+	mu  sync.Mutex // the counting lock
+	res Result     // the counts; res.Tuples is unused
+
+	emitMu sync.Mutex // the emit lock
+	tuples dataspace.Bag
+	// emitted is len(tuples), for OnProgress to read under the counting
+	// lock alone.
+	emitted atomic.Int64
 }
 
 // NewBooks opens the books of a crawl over srv; opts may be nil.
@@ -44,8 +54,8 @@ func (b *Books) Answer(ctx context.Context, q dataspace.Query) (hiddendb.Result,
 }
 
 // AnswerBatch implements hiddendb.Server. Every answered query, the
-// prefix of a failed batch included, is counted, sampled into the curve
-// and reported to OnProgress, in order.
+// prefix of a failed batch included, is counted and reported to
+// OnProgress, in order.
 func (b *Books) AnswerBatch(ctx context.Context, qs []dataspace.Query) ([]hiddendb.Result, error) {
 	results, err := b.inner.AnswerBatch(ctx, qs)
 	b.mu.Lock()
@@ -57,12 +67,8 @@ func (b *Books) AnswerBatch(ctx context.Context, qs []dataspace.Query) ([]hidden
 		} else {
 			b.res.Resolved++
 		}
-		p := CurvePoint{Queries: b.res.Queries, Tuples: len(b.res.Tuples)}
-		if b.opts.CollectCurve {
-			b.res.Curve = append(b.res.Curve, p)
-		}
 		if b.opts.OnProgress != nil {
-			b.opts.OnProgress(p)
+			b.opts.OnProgress(CurvePoint{Queries: b.res.Queries, Tuples: int(b.emitted.Load())})
 		}
 	}
 	return results, err
@@ -78,12 +84,15 @@ func (b *Books) Schema() *dataspace.Schema { return b.inner.Schema() }
 // heuristic of §1.3), counting the skip: the query is then treated as
 // resolved and empty, and never sent.
 func (b *Books) Skip(q dataspace.Query) bool {
-	if b.opts.QueryFilter == nil || b.opts.QueryFilter(q) {
+	if b.opts.QueryFilter == nil {
 		return false
 	}
 	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.opts.QueryFilter(q) {
+		return false
+	}
 	b.res.Skipped++
-	b.mu.Unlock()
 	return true
 }
 
@@ -93,9 +102,10 @@ func (b *Books) Emit(tuples dataspace.Bag) {
 	if len(tuples) == 0 {
 		return
 	}
-	b.mu.Lock()
-	b.res.Tuples = append(b.res.Tuples, tuples...)
-	b.mu.Unlock()
+	b.emitMu.Lock()
+	defer b.emitMu.Unlock()
+	b.tuples = append(b.tuples, tuples...)
+	b.emitted.Store(int64(len(b.tuples)))
 	if b.opts.OnTuples != nil {
 		b.opts.OnTuples(tuples)
 	}
@@ -105,18 +115,18 @@ func (b *Books) Emit(tuples dataspace.Bag) {
 // handed to OnTuples is the bag's own tail, capped, so later appends never
 // write into it.
 func (b *Books) EmitMatching(tuples dataspace.Bag, q dataspace.Query) {
-	b.mu.Lock()
-	start := len(b.res.Tuples)
+	b.emitMu.Lock()
+	defer b.emitMu.Unlock()
+	start := len(b.tuples)
 	for _, t := range tuples {
 		if q.Covers(t) {
-			b.res.Tuples = append(b.res.Tuples, t)
+			b.tuples = append(b.tuples, t)
 		}
 	}
-	end := len(b.res.Tuples)
-	kept := b.res.Tuples[start:end:end]
-	b.mu.Unlock()
-	if b.opts.OnTuples != nil && len(kept) > 0 {
-		b.opts.OnTuples(kept)
+	end := len(b.tuples)
+	b.emitted.Store(int64(end))
+	if b.opts.OnTuples != nil && end > start {
+		b.opts.OnTuples(b.tuples[start:end:end])
 	}
 }
 
@@ -125,11 +135,10 @@ func (b *Books) EmitMatching(tuples dataspace.Bag, q dataspace.Query) {
 // failed.
 func (b *Books) Result() *Result {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	// The last curve point may predate the final emits; refresh it.
-	if n := len(b.res.Curve); n > 0 {
-		b.res.Curve[n-1].Tuples = len(b.res.Tuples)
-	}
 	res := b.res
+	b.mu.Unlock()
+	b.emitMu.Lock()
+	res.Tuples = b.tuples
+	b.emitMu.Unlock()
 	return &res
 }

@@ -18,9 +18,10 @@
 // report progress after every paid query, which is what the
 // progressiveness experiment (Figure 13) measures. One Books per crawl,
 // a decorator directly above the server, keeps those numbers for the
-// sequential and the parallel crawlers alike: the counts, the curve, the
-// QueryFilter skips and the output bag. A failed crawl returns its books
-// as a partial Result.
+// sequential and the parallel crawlers alike: the counts, the QueryFilter
+// skips and the output bag. It also calls Options' three callbacks, the
+// crawl's whole contract with its caller, one call at a time and in
+// order. A failed crawl returns its books as a partial Result.
 //
 // Hybrid's recursion (and with it rank-shrink, slice-cover and
 // lazy-slice-cover) is written once, over a Runner that issues queries,
@@ -56,53 +57,36 @@ type CurvePoint struct {
 	Tuples  int
 }
 
-// Options tunes a crawl. The zero value is ready to use.
+// Options holds the three callbacks every crawler honours. The zero value
+// is ready to use. A crawl's Books call each callback one call at a time,
+// for the sequential and the parallel crawlers alike, so none needs
+// locking of its own.
 type Options struct {
 	// OnProgress, when non-nil, is invoked after every query that reaches
 	// the server with the running totals: each call's Queries is the
-	// previous call's plus one, ending at Result.Queries. Both crawlers
-	// call it from their Books, under the lock that counted the query, so
-	// calls are serialized even when the parallel engine's round trips
-	// complete concurrently, and the callback needs no locking of its own.
-	// A slow callback delays the crawl's bookkeeping, not its round trips
-	// in flight.
+	// previous call's plus one, ending at Result.Queries, and Tuples never
+	// decreases. Collecting the points gives the progressiveness curve of
+	// Figure 13; the last point's Tuples may predate the crawl's final
+	// emits (see progress.Normalize). It runs under the lock that counted
+	// the query, so a slow callback delays the crawl's bookkeeping, not its
+	// round trips in flight.
 	OnProgress func(CurvePoint)
 	// OnTuples, when non-nil, is invoked with each chunk of newly
 	// extracted tuples, in output order: the concatenation of all chunks
 	// is exactly Result.Tuples. It is what lets a server stream a crawl's
 	// output incrementally instead of buffering the whole bag. The chunk
-	// is read-only and only valid during the call. With the parallel
-	// crawler the callback must be safe for concurrent invocation.
+	// is read-only and only valid during the call. It runs under its own
+	// lock, so a slow consumer holds up the crawl's other emits but never
+	// its counting or OnProgress.
 	OnTuples func(dataspace.Bag)
 	// QueryFilter, when non-nil, implements the attribute-dependency
 	// heuristic of §1.3: a query for which it returns false is assumed to
 	// cover no valid point and is skipped (treated as resolved and empty)
 	// instead of being sent to the server. Supplying a filter that wrongly
 	// rejects a non-empty region makes the crawl incomplete; that is the
-	// caller's contract, exactly as in the paper.
+	// caller's contract, exactly as in the paper. It runs under the
+	// books' lock.
 	QueryFilter func(dataspace.Query) bool
-	// CollectCurve records a CurvePoint per query into Result.Curve.
-	CollectCurve bool
-	// InFlight is the parallel crawler's pipeline depth: how many
-	// AnswerBatch round trips it keeps in flight at once, each carrying up
-	// to the crawler's worker count of queries. While round trips fly, the
-	// next batch accumulates and departs the moment a flight slot frees —
-	// speculative double-buffering, which removes the flush-on-completion
-	// bubble where a ready query always waited out the round trip in front
-	// of it. Zero (or less) defaults to 2; 1 restores flush-on-completion.
-	// Pipelining never changes the query count, only round trips and wall
-	// clock. Sequential crawlers ignore it.
-	InFlight int
-	// Clock, when non-nil, runs the parallel crawler's pipeline under the
-	// given deterministic virtual clock: batches form and depart at
-	// virtual instants, and with the server wrapped in
-	// hiddendb.NewLatency on the same clock, the crawl's wall-clock
-	// behaviour under any round-trip latency becomes a fast, reproducible
-	// measurement (read it from SimClock.Now). Responses and query counts
-	// are untouched. Use one clock per crawl; it is a *SimClock because
-	// the pipeline keeps its hold count. Sequential crawlers ignore it —
-	// a sequential crawl over a Latency server drives a SimClock itself.
-	Clock *hiddendb.SimClock
 }
 
 // Result is the outcome of a crawl. A failed crawl returns the partial
@@ -120,8 +104,6 @@ type Result struct {
 	Resolved, Overflowed int
 	// Skipped counts queries suppressed by Options.QueryFilter.
 	Skipped int
-	// Curve is the progressiveness curve (only when CollectCurve is set).
-	Curve []CurvePoint
 }
 
 // Crawler is a complete-extraction algorithm for Problem 1.

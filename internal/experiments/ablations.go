@@ -193,10 +193,7 @@ func AblationParallel(cfg Config, latency time.Duration) (*Figure, error) {
 			}
 			clock := hiddendb.NewSimClock()
 			delayed := hiddendb.NewLatency(srv, latency, clock)
-			res, err := parallel.Crawler{Workers: w}.Crawl(context.Background(), delayed, &core.Options{
-				InFlight: depth,
-				Clock:    clock,
-			})
+			res, err := parallel.Crawler{Workers: w, InFlight: depth, Clock: clock}.Crawl(context.Background(), delayed, nil)
 			if err != nil {
 				return nil, err
 			}

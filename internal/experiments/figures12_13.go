@@ -69,19 +69,22 @@ func Figure13(cfg Config) (*Figure, error) {
 	return fig, nil
 }
 
-// ProgressCurve runs hybrid with curve collection and returns the
-// normalized progressiveness curve.
+// ProgressCurve runs hybrid, collecting its OnProgress points, and
+// returns the normalized progressiveness curve.
 func ProgressCurve(cfg Config, ds *datagen.Dataset, k int) (progress.Curve, error) {
 	srv, err := localServer(ds, k, cfg.PrioritySeed)
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.Hybrid{}.Crawl(context.Background(), srv, &core.Options{CollectCurve: true})
+	var points []core.CurvePoint
+	res, err := core.Hybrid{}.Crawl(context.Background(), srv, &core.Options{
+		OnProgress: func(p core.CurvePoint) { points = append(points, p) },
+	})
 	if err != nil {
 		return nil, err
 	}
 	if !res.Tuples.EqualMultiset(ds.Tuples) {
 		return nil, fmt.Errorf("experiments: hybrid incomplete on %s (k=%d)", ds.Name, k)
 	}
-	return progress.Normalize(res.Curve), nil
+	return progress.Normalize(points, len(res.Tuples)), nil
 }

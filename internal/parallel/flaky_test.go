@@ -51,7 +51,7 @@ func TestFlakyPrefixStitchingThroughBatcher(t *testing.T) {
 		{AbortFrom: 9, AbortUntil: 12}, // a window of ctx aborts
 	} {
 		srv, jnl, counting, quota := flakyStack(t, server(t, ds, k), cfg, budget)
-		_, err := (Crawler{Workers: 8}).Crawl(context.Background(), srv, &core.Options{InFlight: 2})
+		_, err := (Crawler{Workers: 8, InFlight: 2}).Crawl(context.Background(), srv, nil)
 		if err == nil {
 			t.Fatalf("cfg %+v: crawl survived the fault plan", cfg)
 		}
@@ -83,7 +83,7 @@ func TestFlakyPrefixStitchingThroughBatcher(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := (Crawler{Workers: 8}).Crawl(context.Background(), jsrv2, &core.Options{InFlight: 2})
+		res, err := (Crawler{Workers: 8, InFlight: 2}).Crawl(context.Background(), jsrv2, nil)
 		if err != nil {
 			t.Fatalf("cfg %+v: resume: %v", cfg, err)
 		}

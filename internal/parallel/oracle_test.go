@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"hidb/internal/core"
@@ -55,21 +57,31 @@ func pairFilter(ds *datagen.Dataset) func(dataspace.Query) bool {
 }
 
 // checkMatches crawls ds at answer limit k with the sequential hybrid and
-// with the parallel crawler at batch width batch, both under opts, and
-// fails unless the parallel crawl has the sequential one's query,
-// resolved, overflowed and skipped counts and extracted exactly ds's tuple
-// multiset. Both crawls collect their curve and record OnProgress, and
-// each crawl's books must hold together: the progress points step by one
-// query up to Result.Queries, the curve has a point per query, and its
-// final point counts every tuple. It returns the sequential result.
-func checkMatches(t *testing.T, what string, ds *datagen.Dataset, k, batch int, opts core.Options) *core.Result {
+// with par, both under opts, and fails unless the parallel crawl has the
+// sequential one's query, resolved, overflowed and skipped counts and
+// extracted exactly ds's tuple multiset. Both crawls must keep the crawl
+// contract: the OnProgress points step by one query up to
+// Result.Queries, the OnTuples chunks concatenate to Result.Tuples, and
+// no QueryFilter call overlaps another. It returns the sequential result.
+func checkMatches(t *testing.T, what string, ds *datagen.Dataset, k int, par Crawler, opts core.Options) *core.Result {
 	t.Helper()
 	crawl := func(c core.Crawler) *core.Result {
 		t.Helper()
 		var points []core.CurvePoint
+		var chunks dataspace.Bag
+		var filtering, overlaps atomic.Int32
 		o := opts
-		o.CollectCurve = true
 		o.OnProgress = func(p core.CurvePoint) { points = append(points, p) }
+		o.OnTuples = func(chunk dataspace.Bag) { chunks = append(chunks, chunk...) }
+		if filter := opts.QueryFilter; filter != nil {
+			o.QueryFilter = func(q dataspace.Query) bool {
+				if filtering.Add(1) > 1 {
+					overlaps.Add(1)
+				}
+				defer filtering.Add(-1)
+				return filter(q)
+			}
+		}
 		res, err := c.Crawl(context.Background(), server(t, ds, k), &o)
 		if err != nil {
 			t.Fatalf("%s: %s: %v", what, c.Name(), err)
@@ -79,16 +91,18 @@ func checkMatches(t *testing.T, what string, ds *datagen.Dataset, k, batch int, 
 				t.Fatalf("%s: %s: progress point %d is %+v, not a running total", what, c.Name(), i, p)
 			}
 		}
-		if len(points) != res.Queries || len(res.Curve) != res.Queries {
-			t.Errorf("%s: %s: %d progress points and %d curve points for %d queries",
-				what, c.Name(), len(points), len(res.Curve), res.Queries)
+		if len(points) != res.Queries {
+			t.Errorf("%s: %s: %d progress points for %d queries", what, c.Name(), len(points), res.Queries)
 		}
-		if n := len(res.Curve); n > 0 && res.Curve[n-1].Tuples != len(res.Tuples) {
-			t.Errorf("%s: %s: final curve point %+v for %d tuples", what, c.Name(), res.Curve[n-1], len(res.Tuples))
+		if len(chunks) != len(res.Tuples) || !slices.EqualFunc(chunks, res.Tuples, dataspace.Tuple.Equal) {
+			t.Errorf("%s: %s: the OnTuples chunks (%d tuples) are not Result.Tuples (%d)", what, c.Name(), len(chunks), len(res.Tuples))
+		}
+		if n := overlaps.Load(); n > 0 {
+			t.Errorf("%s: %s: %d QueryFilter calls overlapped another", what, c.Name(), n)
 		}
 		return res
 	}
-	ref, res := crawl(core.Hybrid{}), crawl(Crawler{Workers: batch})
+	ref, res := crawl(core.Hybrid{}), crawl(par)
 	got := [4]int{res.Queries, res.Resolved, res.Overflowed, res.Skipped}
 	want := [4]int{ref.Queries, ref.Resolved, ref.Overflowed, ref.Skipped}
 	if got != want {
@@ -104,7 +118,7 @@ func checkMatches(t *testing.T, what string, ds *datagen.Dataset, k, batch int, 
 // package's core claim: across random schemas, batch widths and pipeline
 // depths, the parallel crawl's query, resolved, overflowed and skipped
 // counts and its extracted tuple multiset are exactly the sequential
-// algorithm's, and both crawls' books hold together (see checkMatches).
+// algorithm's, and both crawls keep the crawl contract (see checkMatches).
 // One case per trial runs both crawls under pairFilter.
 // Each trial also picks a random cancellation point and checks the
 // interruption invariants: the journal holds exactly the queries the
@@ -131,7 +145,7 @@ func TestSequentialEquivalenceOracle(t *testing.T) {
 		for _, batch := range batches {
 			for _, depth := range depths {
 				ref = checkMatches(t, fmt.Sprintf("trial %d batch=%d depth=%d (spec %+v, k=%d)", trial, batch, depth, spec, k),
-					ds, k, batch, core.Options{InFlight: depth})
+					ds, k, Crawler{Workers: batch, InFlight: depth}, core.Options{})
 			}
 		}
 
@@ -139,7 +153,7 @@ func TestSequentialEquivalenceOracle(t *testing.T) {
 		// trial.
 		fbatch, fdepth := batches[trial%len(batches)], depths[trial/len(batches)%len(depths)]
 		fref := checkMatches(t, fmt.Sprintf("trial %d filtered batch=%d depth=%d (spec %+v, k=%d)", trial, fbatch, fdepth, spec, k),
-			ds, k, fbatch, core.Options{InFlight: fdepth, QueryFilter: pairFilter(ds)})
+			ds, k, Crawler{Workers: fbatch, InFlight: fdepth}, core.Options{QueryFilter: pairFilter(ds)})
 		skipped += fref.Skipped
 
 		// A random cancellation point: cancel the crawl once the store has
@@ -154,8 +168,7 @@ func TestSequentialEquivalenceOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = (Crawler{Workers: 16}).Crawl(ctx, jsrv, &core.Options{
-			InFlight: depth,
+		_, err = (Crawler{Workers: 16, InFlight: depth}).Crawl(ctx, jsrv, &core.Options{
 			OnProgress: func(p core.CurvePoint) {
 				if p.Queries >= cut {
 					cancel()
@@ -183,7 +196,7 @@ func TestSequentialEquivalenceOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := (Crawler{Workers: 16}).Crawl(context.Background(), jsrv2, &core.Options{InFlight: depth})
+		res, err := (Crawler{Workers: 16, InFlight: depth}).Crawl(context.Background(), jsrv2, nil)
 		if err != nil {
 			t.Fatalf("trial %d cut=%d: resume: %v", trial, cut, err)
 		}
@@ -201,12 +214,12 @@ func TestSequentialEquivalenceOracle(t *testing.T) {
 }
 
 // FuzzParallelMatchesSequential fuzzes the oracle's claim: on a randomSpec
-// dataset drawn from seed, at answer limit k, the parallel crawl with 16
-// workers, batch width {1, 4, 16}[batchIdx%3] and pipeline depth
+// dataset drawn from seed, at answer limit k, the parallel crawl with
+// batch width {1, 4, 16}[batchIdx%3] and pipeline depth
 // {1, 2, 4}[depthIdx%3] has the sequential hybrid's query, resolved,
 // overflowed and skipped counts and extracts the whole database, and both
-// crawls' books hold together (see checkMatches). Odd seeds crawl under
-// pairFilter.
+// crawls keep the crawl contract (see checkMatches). Odd seeds crawl
+// under pairFilter.
 func FuzzParallelMatchesSequential(f *testing.F) {
 	f.Add(uint64(1), uint8(16), uint8(0), uint8(0))
 	f.Add(uint64(2), uint8(40), uint8(1), uint8(1))
@@ -219,11 +232,11 @@ func FuzzParallelMatchesSequential(f *testing.F) {
 			t.Fatal(err)
 		}
 		k := max(4+int(kIn)%60, ds.Tuples.MaxMultiplicity())
-		batch := []int{1, 4, 16}[batchIdx%3]
-		opts := core.Options{InFlight: []int{1, 2, 4}[depthIdx%3]}
+		par := Crawler{Workers: []int{1, 4, 16}[batchIdx%3], InFlight: []int{1, 2, 4}[depthIdx%3]}
+		var opts core.Options
 		if seed%2 == 1 {
 			opts.QueryFilter = pairFilter(ds)
 		}
-		checkMatches(t, fmt.Sprintf("k=%d batch=%d depth=%d", k, batch, opts.InFlight), ds, k, batch, opts)
+		checkMatches(t, fmt.Sprintf("k=%d batch=%d depth=%d", k, par.Workers, par.InFlight), ds, k, par, opts)
 	})
 }

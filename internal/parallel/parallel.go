@@ -24,13 +24,16 @@
 // in count order, apply QueryFilter and collect the output.
 //
 // Batches are dispatched speculatively, double-buffered: up to
-// Options.InFlight round trips (default 2) overlap, and the next batch
+// Crawler.InFlight round trips (default 2) overlap, and the next batch
 // departs the moment a flight slot is free instead of waiting for the
 // previous round trip to complete — see batcher. Workers and InFlight are
-// the pipeline's only two settings. With a
-// hiddendb.SimClock in Options.Clock (and hiddendb.Latency on it) the
-// whole pipeline runs under deterministic virtual time, which is how the
-// latency ablation measures wall clock reproducibly without sleeping.
+// the pipeline's only two settings. With a hiddendb.SimClock in
+// Crawler.Clock (and hiddendb.Latency on it) the whole pipeline runs
+// under deterministic virtual time, which is how the latency ablation
+// measures wall clock reproducibly without sleeping. The crawl's Options
+// are the sequential crawlers' own, and its books call them the same way:
+// one call at a time, OnProgress in count order and OnTuples in output
+// order.
 package parallel
 
 import (
@@ -47,11 +50,30 @@ import (
 // many queries in flight. It implements core.Crawler.
 type Crawler struct {
 	// Workers is the width of one AnswerBatch round trip: the largest
-	// batch a single round trip may carry. Up to Options.InFlight round
-	// trips (default 2) overlap, so at most Workers × InFlight queries are
-	// in flight at once. Zero or one degenerates to (a pipelined
-	// equivalent of) the sequential algorithm.
+	// batch a single round trip may carry. Up to InFlight round trips
+	// overlap, so at most Workers × InFlight queries are in flight at
+	// once. Zero or one degenerates to (a pipelined equivalent of) the
+	// sequential algorithm.
 	Workers int
+	// InFlight is the pipeline depth: how many AnswerBatch round trips
+	// the crawl keeps in flight at once, each carrying up to Workers
+	// queries. While round trips fly, the next batch accumulates and
+	// departs the moment a flight slot frees — speculative
+	// double-buffering, which removes the flush-on-completion bubble
+	// where a ready query always waited out the round trip in front of
+	// it. Zero (or less) defaults to 2; 1 restores flush-on-completion.
+	// Pipelining never changes the query count, only round trips and wall
+	// clock.
+	InFlight int
+	// Clock, when non-nil, runs the pipeline under the given
+	// deterministic virtual clock: batches form and depart at virtual
+	// instants, and with the server wrapped in hiddendb.NewLatency on the
+	// same clock, the crawl's wall-clock behaviour under any round-trip
+	// latency becomes a fast, reproducible measurement (read it from
+	// SimClock.Now). Responses and query counts are untouched. Use one
+	// clock per crawl; it is a *SimClock because the pipeline keeps its
+	// hold count.
+	Clock *hiddendb.SimClock
 }
 
 // Name implements core.Crawler.
@@ -66,25 +88,21 @@ func (c Crawler) workers() int {
 	return c.Workers
 }
 
-// Crawl implements core.Crawler. Options are honoured; QueryFilter and
-// OnTuples callbacks must be safe for concurrent invocation, while the
-// crawl's books serialize OnProgress. The books sit directly above srv,
-// below the batcher. Cancelling ctx aborts the crawl: the in-flight
-// batches are cancelled through the server (their answered prefixes are
-// still counted and, in a journaled stack, recorded), the workers drain,
-// and the ctx's error is returned with the partial Result.
+// Crawl implements core.Crawler, honouring opts as the sequential
+// crawlers do. The books sit directly above srv, below the batcher.
+// Cancelling ctx aborts the crawl: the in-flight batches are cancelled
+// through the server (their answered prefixes are still counted and, in
+// a journaled stack, recorded), the workers drain, and the ctx's error is
+// returned with the partial Result.
 func (c Crawler) Crawl(ctx context.Context, srv hiddendb.Server, opts *core.Options) (*core.Result, error) {
-	if opts == nil {
-		opts = &core.Options{}
-	}
-	depth := opts.InFlight
+	depth := c.InFlight
 	if depth <= 0 {
 		depth = 2 // the double buffer
 	}
 	books := core.NewBooks(srv, opts)
-	b := newBatcher(ctx, books, c.workers(), depth, opts.Clock)
+	b := newBatcher(ctx, books, c.workers(), depth, c.Clock)
 	defer b.close()
-	p := &pool{Books: books, srv: b, clock: opts.Clock, quit: make(chan struct{})}
+	p := &pool{Books: books, srv: b, clock: c.Clock, quit: make(chan struct{})}
 	sch, k := srv.Schema(), srv.K()
 	p.spawn(func() error { return core.CrawlHybrid(p, sch, k) })
 	p.wg.Wait()

@@ -17,10 +17,7 @@ func simCrawl(t *testing.T, ds *datagen.Dataset, k, workers, depth int, delay ti
 	clock := hiddendb.NewSimClock()
 	rt := &roundTrips{Server: server(t, ds, k)}
 	sim := hiddendb.NewLatency(rt, delay, clock)
-	res, err := (Crawler{Workers: workers}).Crawl(context.Background(), sim, &core.Options{
-		InFlight: depth,
-		Clock:    clock,
-	})
+	res, err := (Crawler{Workers: workers, InFlight: depth, Clock: clock}).Crawl(context.Background(), sim, nil)
 	if err != nil {
 		t.Fatalf("sim crawl (workers=%d depth=%d): %v", workers, depth, err)
 	}
@@ -143,7 +140,7 @@ func TestSimSequentialCrawl(t *testing.T) {
 	}
 }
 
-// TestPipelineBounds: the batcher never has more than Options.InFlight
+// TestPipelineBounds: the batcher never has more than Crawler.InFlight
 // round trips in flight, nor more than Crawler.Workers queries in one.
 // Under a virtual clock the wide crawl reaches both bounds exactly; on the
 // wall clock, where launches race the workers, it must stay within them.
@@ -153,14 +150,14 @@ func TestPipelineBounds(t *testing.T) {
 	for _, sim := range []bool{true, false} {
 		for _, workers := range []int{1, 4, 16} {
 			for _, depth := range []int{1, 2, 4} {
-				opts := &core.Options{InFlight: depth}
+				c := Crawler{Workers: workers, InFlight: depth}
 				var clock hiddendb.Clock = hiddendb.Wall
 				if sim {
-					opts.Clock = hiddendb.NewSimClock()
-					clock = opts.Clock
+					c.Clock = hiddendb.NewSimClock()
+					clock = c.Clock
 				}
 				p := &roundTrips{Server: hiddendb.NewLatency(server(t, ds, k), 100*time.Microsecond, clock)}
-				res, err := (Crawler{Workers: workers}).Crawl(context.Background(), p, opts)
+				res, err := c.Crawl(context.Background(), p, nil)
 				if err != nil {
 					t.Fatalf("sim=%v workers=%d depth=%d: %v", sim, workers, depth, err)
 				}

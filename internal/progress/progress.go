@@ -24,23 +24,27 @@ type Point struct {
 // Curve is a normalized progressiveness curve, monotone in both coordinates.
 type Curve []Point
 
-// Normalize converts a raw per-query curve (absolute counts) into fractions
-// of the final totals. An empty or single-point raw curve yields nil.
-func Normalize(raw []core.CurvePoint) Curve {
+// Normalize converts a crawl's OnProgress points (absolute counts) into
+// fractions of the final totals: the last point's queries and tuples, the
+// crawl's final bag size. The last point is taken to have output every
+// tuple, since the last query's answer may be emitted after its point was
+// reported. No points, no queries or no tuples yield nil.
+func Normalize(raw []core.CurvePoint, tuples int) Curve {
 	if len(raw) == 0 {
 		return nil
 	}
-	last := raw[len(raw)-1]
-	if last.Queries == 0 || last.Tuples == 0 {
+	queries := raw[len(raw)-1].Queries
+	if queries == 0 || tuples == 0 {
 		return nil
 	}
 	out := make(Curve, len(raw))
 	for i, p := range raw {
 		out[i] = Point{
-			QueryFrac: float64(p.Queries) / float64(last.Queries),
-			TupleFrac: float64(p.Tuples) / float64(last.Tuples),
+			QueryFrac: float64(p.Queries) / float64(queries),
+			TupleFrac: float64(p.Tuples) / float64(tuples),
 		}
 	}
+	out[len(out)-1].TupleFrac = 1
 	return out
 }
 

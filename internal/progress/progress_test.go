@@ -16,7 +16,7 @@ func linearCurve(n int) []core.CurvePoint {
 }
 
 func TestNormalize(t *testing.T) {
-	c := Normalize(linearCurve(10))
+	c := Normalize(linearCurve(10), 100)
 	if len(c) != 10 {
 		t.Fatalf("len = %d", len(c))
 	}
@@ -27,19 +27,28 @@ func TestNormalize(t *testing.T) {
 	if c[4].QueryFrac != 0.5 || c[4].TupleFrac != 0.5 {
 		t.Fatalf("midpoint %+v, want (0.5,0.5)", c[4])
 	}
+
+	// The last point may predate the crawl's final emits: the final bag
+	// size sets the scale, and the last point reaches it.
+	raw := linearCurve(10)
+	raw[9].Tuples = 80
+	c = Normalize(raw, 100)
+	if last := c[len(c)-1]; last.TupleFrac != 1 || c[4].TupleFrac != 0.5 {
+		t.Fatalf("lagging last point: final %+v, midpoint %+v, want TupleFrac 1 and 0.5", last, c[4])
+	}
 }
 
 func TestNormalizeDegenerate(t *testing.T) {
-	if Normalize(nil) != nil {
+	if Normalize(nil, 0) != nil {
 		t.Error("nil raw curve should normalize to nil")
 	}
-	if Normalize([]core.CurvePoint{{Queries: 0, Tuples: 0}}) != nil {
+	if Normalize([]core.CurvePoint{{Queries: 0, Tuples: 0}}, 0) != nil {
 		t.Error("zero totals should normalize to nil")
 	}
 }
 
 func TestAt(t *testing.T) {
-	c := Normalize(linearCurve(10))
+	c := Normalize(linearCurve(10), 100)
 	if got := c.At(0.5); math.Abs(got-0.5) > 1e-9 {
 		t.Errorf("At(0.5) = %v", got)
 	}
@@ -56,7 +65,7 @@ func TestAt(t *testing.T) {
 }
 
 func TestDeciles(t *testing.T) {
-	c := Normalize(linearCurve(100))
+	c := Normalize(linearCurve(100), 1000)
 	d := c.Deciles()
 	for i, v := range d {
 		want := float64(i+1) / 10
@@ -67,7 +76,7 @@ func TestDeciles(t *testing.T) {
 }
 
 func TestMaxDeviationLinear(t *testing.T) {
-	c := Normalize(linearCurve(50))
+	c := Normalize(linearCurve(50), 500)
 	if dev := c.MaxDeviation(); dev > 0.03 {
 		t.Errorf("linear curve deviation %v", dev)
 	}
@@ -80,14 +89,14 @@ func TestMaxDeviationBackLoaded(t *testing.T) {
 		raw[i] = core.CurvePoint{Queries: i + 1, Tuples: 0}
 	}
 	raw[99].Tuples = 1000
-	c := Normalize(raw)
+	c := Normalize(raw, 1000)
 	if dev := c.MaxDeviation(); dev < 0.9 {
 		t.Errorf("back-loaded curve deviation %v, want ~1", dev)
 	}
 }
 
 func TestString(t *testing.T) {
-	c := Normalize(linearCurve(10))
+	c := Normalize(linearCurve(10), 100)
 	s := c.String()
 	if s == "" || s[0] != '[' {
 		t.Errorf("String = %q", s)
