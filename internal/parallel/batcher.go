@@ -2,7 +2,6 @@ package parallel
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -10,7 +9,6 @@ import (
 
 	"hidb/internal/dataspace"
 	"hidb/internal/hiddendb"
-	"hidb/internal/httpclient"
 )
 
 // batcher is the parallel crawl's view of its server: it packs the
@@ -45,7 +43,7 @@ import (
 //
 // # Virtual time
 //
-// With a hiddendb.SimClock (core.Options.Clock) — the same clock the
+// With a hiddendb.SimClock (Crawler.Clock) — the same clock the
 // server's hiddendb.Latency waits on — the whole pipeline runs under
 // deterministic virtual time: the batcher keeps the clock's hold
 // count — one hold per runnable worker, per queued request, per completion
@@ -83,10 +81,11 @@ type batcher struct {
 
 	mu      sync.Mutex
 	flights map[string]*flight
-	// deferred holds an error the server reported alongside a fully
-	// answered batch (e.g. a remote quota signal flagged on the last
-	// affordable responses): those results were delivered, and the error
-	// fails every query after them, as it would sequentially.
+	// deferred latches an error a round trip reported: every
+	// later distinct query fails fast with it instead of paying a round
+	// trip, since any failed query already fails the whole crawl. A
+	// fully answered batch still delivers its results (e.g. a remote
+	// quota signal flagged on the last affordable responses).
 	deferred error
 }
 
@@ -317,25 +316,9 @@ func (b *batcher) issue(batch []flightReq) {
 
 	b.mu.Lock()
 	if err != nil {
+		b.deferred = err
 		if len(results) == len(batch) {
-			// Every query of this batch was answered; the error concerns
-			// whatever would come next (a quota flagged on the last
-			// affordable responses). Deliver the results and fail later
-			// queries instead of dropping the signal.
-			b.deferred = err
-			err = nil
-		} else if errors.Is(err, hiddendb.ErrQuotaExceeded) || hiddendb.Cancelled(err) || isTransportExhausted(err) {
-			// The budget died mid-batch, the crawl was cancelled, or the
-			// retrying transport gave up after its full attempt/budget
-			// allowance: this batch's unanswered queries fail below with
-			// the error, and every later distinct query is doomed too —
-			// budgets never come back within a crawl, a cancelled ctx
-			// stays cancelled, and a connection that outlived every
-			// retry won't heal for the very next round trip. Latch the
-			// error so they fail fast instead of each paying a pointless
-			// round trip (for exhausted retries, a pointless full retry
-			// cycle).
-			b.deferred = err
+			err = nil // every query of this batch was answered
 		}
 	}
 	waiters := 0
@@ -360,12 +343,4 @@ func (b *batcher) issue(batch []flightReq) {
 	}
 	b.donec <- struct{}{}
 	b.clock.Release()
-}
-
-// isTransportExhausted reports whether err is a terminal transport failure:
-// the retrying HTTP client already spent every attempt (or its retry
-// budget) before surfacing it, so an immediate re-issue cannot succeed.
-func isTransportExhausted(err error) bool {
-	var te *httpclient.TransportError
-	return errors.As(err, &te)
 }

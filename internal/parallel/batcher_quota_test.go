@@ -46,10 +46,11 @@ func (r *roundTrips) count() int {
 	return r.calls
 }
 
-// TestBatcherFailsFastAfterQuota is the post-quota hammering regression:
-// once a round trip reports ErrQuotaExceeded — even with a short answered
-// prefix — later distinct queries must fail fast from the latched error
-// instead of each paying a doomed round trip against the exhausted server.
+// TestBatcherFailsFastAfterQuota is the post-failure hammering
+// regression: once a round trip fails — a quota running dry with a short
+// answered prefix, or any other error, such as an injected fault — later
+// distinct queries must fail fast from the latched error instead of each
+// paying a round trip, since the failure already fails the crawl.
 func TestBatcherFailsFastAfterQuota(t *testing.T) {
 	ds, err := datagen.Random(datagen.RandomSpec{
 		N:          200,
@@ -64,43 +65,53 @@ func TestBatcherFailsFastAfterQuota(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := &roundTrips{Server: hiddendb.NewQuota(local, 2)}
-
-	// maxBatch = depth = 1 keeps the dispatch order deterministic: each
-	// Answer is its own round trip.
-	b := newBatcher(context.Background(), rt, 1, 1, nil)
-	defer b.close()
-
 	qs := make([]dataspace.Query, 5)
 	for i := range qs {
 		lo := int64(i * 3)
 		qs[i] = dataspace.UniverseQuery(ds.Schema).WithRange(1, lo, lo+2)
 	}
 
-	// Two queries fit the budget.
-	for i := 0; i < 2; i++ {
-		if _, err := b.Answer(qs[i]); err != nil {
-			t.Fatalf("in-budget query %d: %v", i, err)
-		}
-	}
-	// The third pays the round trip that discovers the exhaustion: the
-	// quota cuts the batch short (empty prefix, len(results) < len(batch)).
-	if _, err := b.Answer(qs[2]); !errors.Is(err, hiddendb.ErrQuotaExceeded) {
-		t.Fatalf("query 2: err=%v, want quota", err)
-	}
-	after := rt.count()
-	if after != 3 {
-		t.Fatalf("round trips at exhaustion: %d, want 3", after)
-	}
+	for _, tc := range []struct {
+		name string
+		srv  hiddendb.Server // answers two queries, then fails the third
+		want error
+	}{
+		{"quota", hiddendb.NewQuota(local, 2), hiddendb.ErrQuotaExceeded},
+		{"injected", hiddendb.NewFlaky(local, hiddendb.FlakyConfig{FailNth: 3}), hiddendb.ErrInjected},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := &roundTrips{Server: tc.srv}
+			// maxBatch = depth = 1 keeps the dispatch order deterministic:
+			// each Answer is its own round trip.
+			b := newBatcher(context.Background(), rt, 1, 1, nil)
+			defer b.close()
 
-	// Every later distinct query fails fast — zero further round trips.
-	for i := 3; i < 5; i++ {
-		if _, err := b.Answer(qs[i]); !errors.Is(err, hiddendb.ErrQuotaExceeded) {
-			t.Fatalf("post-budget query %d: err=%v, want quota", i, err)
-		}
-	}
-	if got := rt.count(); got != after {
-		t.Fatalf("post-budget queries paid %d extra round trips, want 0", got-after)
+			for i := 0; i < 2; i++ {
+				if _, err := b.Answer(qs[i]); err != nil {
+					t.Fatalf("query %d: %v", i, err)
+				}
+			}
+			// The third pays the round trip that fails, cut short with an
+			// empty answered prefix.
+			if _, err := b.Answer(qs[2]); !errors.Is(err, tc.want) {
+				t.Fatalf("query 2: err=%v, want %v", err, tc.want)
+			}
+			after := rt.count()
+			if after != 3 {
+				t.Fatalf("round trips at the failure: %d, want 3", after)
+			}
+
+			// Every later distinct query fails fast — zero further round
+			// trips.
+			for i := 3; i < 5; i++ {
+				if _, err := b.Answer(qs[i]); !errors.Is(err, tc.want) {
+					t.Fatalf("query %d after the failure: err=%v, want %v", i, err, tc.want)
+				}
+			}
+			if got := rt.count(); got != after {
+				t.Fatalf("queries after the failure paid %d extra round trips, want 0", got-after)
+			}
+		})
 	}
 }
 
