@@ -76,19 +76,6 @@ type Figure struct {
 	Series []Series
 }
 
-// Value returns the y value of the labeled series at x index i.
-func (f *Figure) Value(label string, i int) (float64, error) {
-	for _, s := range f.Series {
-		if s.Label == label {
-			if i < 0 || i >= len(s.Values) {
-				return 0, fmt.Errorf("experiments: index %d out of range for series %q", i, label)
-			}
-			return s.Values[i], nil
-		}
-	}
-	return 0, fmt.Errorf("experiments: no series %q in figure %s", label, f.ID)
-}
-
 // Table renders the figure as an aligned text table, one row per x value.
 func (f *Figure) Table() *tabulate.Table {
 	header := append([]string{f.XLabel}, labels(f.Series)...)

@@ -318,23 +318,6 @@ func TestReportSmoke(t *testing.T) {
 	}
 }
 
-func TestFigureValue(t *testing.T) {
-	fig := &Figure{
-		ID: "t", X: []float64{1, 2},
-		Series: []Series{{Label: "a", Values: []float64{10, 20}}},
-	}
-	v, err := fig.Value("a", 1)
-	if err != nil || v != 20 {
-		t.Errorf("Value = %v, %v", v, err)
-	}
-	if _, err := fig.Value("b", 0); err == nil {
-		t.Error("unknown series accepted")
-	}
-	if _, err := fig.Value("a", 5); err == nil {
-		t.Error("out-of-range index accepted")
-	}
-}
-
 func TestFigure11bShape(t *testing.T) {
 	fig, err := Figure11b(testConfig())
 	if err != nil {

@@ -113,10 +113,6 @@ func dial(ctx context.Context, baseURL, token string, httpClient *http.Client, r
 	return c, nil
 }
 
-// Token returns the API token this client identifies as ("" when
-// anonymous).
-func (c *Client) Token() string { return c.token }
-
 // do issues one request against the server root under ctx, stamping the
 // token.
 func (c *Client) do(ctx context.Context, method, path string, body []byte) (*http.Response, error) {

@@ -45,9 +45,6 @@ func TestTokenRidesEveryRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Token() != "secret-tok" {
-		t.Fatalf("Token() = %q", c.Token())
-	}
 	if _, err := c.AnswerBatch(context.Background(), []dataspace.Query{dataspace.UniverseQuery(sch)}); err != nil {
 		t.Fatal(err)
 	}

@@ -41,10 +41,7 @@ func NewZipf(rng *RNG, n int, s float64) *Zipf {
 	return &Zipf{rng: rng, cdf: cdf}
 }
 
-// N returns the domain size.
-func (z *Zipf) N() int { return len(z.cdf) }
-
-// Draw samples one value in [1, N()].
+// Draw samples one value in [1, n].
 func (z *Zipf) Draw() int64 {
 	u := z.rng.Float64()
 	i := sort.SearchFloat64s(z.cdf, u)
