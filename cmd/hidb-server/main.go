@@ -246,11 +246,7 @@ func main() {
 	var srv *hidb.LocalServer
 	switch *engine {
 	case "mem":
-		if *shards > 1 {
-			srv, err = hidb.NewShardedLocalServer(ds.Schema, ds.Tuples, *k, *prioritySeed, *shards)
-		} else {
-			srv, err = hidb.NewLocalServer(ds.Schema, ds.Tuples, *k, *prioritySeed)
-		}
+		srv, err = hidb.NewShardedLocalServer(ds.Schema, ds.Tuples, *k, *prioritySeed, *shards)
 	case "disk":
 		if *dataDir == "" {
 			log.Print("-engine disk requires -data-dir")
