@@ -62,9 +62,8 @@
 // served, never charged. ParallelCrawler drains its ready queries into
 // such batches automatically, and pipelines them: up to its InFlight
 // round trips (default 2, the double buffer; hidb-crawl's -inflight
-// flag) fly at once, the next batch departing the
-// moment a flight slot frees, so a high-latency connection never idles
-// between round trips. A custom wrapper implements Server directly, its
+// flag) fly at once, the next batch departing the moment a flight slot
+// frees, so a high-latency connection never idles between round trips. A custom wrapper implements Server directly, its
 // Answer a one-query AnswerBatch; for a per-IP budget, NewQuotaServer
 // already keeps the batch and cancellation contracts. For serving many
 // concurrent crawls from one process, NewShardedLocalServer partitions the
@@ -318,8 +317,10 @@ type (
 	// or, returned with a crawl's error, the partial bag and the queries
 	// paid before it stopped.
 	CrawlResult = core.Result
-	// CrawlOptions tunes a crawl (progress callbacks, §1.3 dependency
-	// filter, progressiveness curve collection).
+	// CrawlOptions holds the three callbacks every crawler honours:
+	// OnProgress (the per-query progressiveness points), OnTuples (the
+	// output, chunk by chunk, in order) and QueryFilter (§1.3's
+	// dependency filter). Each is called one call at a time.
 	CrawlOptions = core.Options
 	// CurvePoint is one sample of the progressiveness curve.
 	CurvePoint = core.CurvePoint
@@ -404,7 +405,9 @@ type PartialCrawlError = core.PartialError
 // to wind down; a crawl that cannot finish yields one final (nil,
 // *PartialCrawlError) pair, whose Queries is the partial CrawlResult's.
 // Streaming is delivery, not a different algorithm: consuming the whole
-// stream costs exactly Crawl's query count.
+// stream costs exactly Crawl's query count. It is built on
+// CrawlOptions.OnTuples, whose chunks every crawler delivers in output
+// order.
 func CrawlSeq(ctx context.Context, srv Server, opts *CrawlOptions) iter.Seq2[Tuple, error] {
 	return core.CrawlSeq(ctx, core.ForSchema(srv.Schema()), srv, opts)
 }

@@ -35,8 +35,8 @@ import (
 
 // SimClock is a deterministic virtual Clock. Create one per simulated
 // crawl with NewSimClock, wire the server with NewLatency on it and — for
-// the parallel crawler — hand the same clock to core.Options.Clock so the
-// dispatcher can keep the hold count. Mixing two independently-driven
+// the parallel crawler — set the same clock in parallel.Crawler.Clock so
+// the dispatcher can keep the hold count. Mixing two independently-driven
 // crawls on one clock is not supported: the quiescence rule is "nothing in
 // this simulation is runnable", which a foreign crawl would falsify.
 type SimClock struct {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -221,9 +222,8 @@ func TestParallelProgressCallbacks(t *testing.T) {
 			if n := overlaps.Load(); n > 0 {
 				t.Errorf("trial %d: %d OnTuples calls overlapped another", trial, n)
 			}
-			if i := firstDifference(got, res.Tuples); i >= 0 {
-				t.Fatalf("trial %d: OnTuples chunks differ from Result.Tuples at tuple %d of %d/%d",
-					trial, i, len(got), len(res.Tuples))
+			if !slices.EqualFunc(got, res.Tuples, dataspace.Tuple.Equal) {
+				t.Fatalf("trial %d: the OnTuples chunks (%d tuples) are not Result.Tuples (%d)", trial, len(got), len(res.Tuples))
 			}
 
 			rec := &resultRecorder{Crawler: Crawler{Workers: 8, InFlight: 4}}
@@ -234,9 +234,8 @@ func TestParallelProgressCallbacks(t *testing.T) {
 				}
 				streamed = append(streamed, tu)
 			}
-			if i := firstDifference(streamed, rec.res.Tuples); i >= 0 {
-				t.Fatalf("trial %d: CrawlSeq differs from Result.Tuples at tuple %d of %d/%d",
-					trial, i, len(streamed), len(rec.res.Tuples))
+			if !slices.EqualFunc(streamed, rec.res.Tuples, dataspace.Tuple.Equal) {
+				t.Fatalf("trial %d: CrawlSeq's %d tuples are not Result.Tuples (%d)", trial, len(streamed), len(rec.res.Tuples))
 			}
 		}
 	})
@@ -253,21 +252,6 @@ func (r *resultRecorder) Crawl(ctx context.Context, srv hiddendb.Server, opts *c
 	res, err := r.Crawler.Crawl(ctx, srv, opts)
 	r.res = res
 	return res, err
-}
-
-// firstDifference returns the index of the first tuple where a and b
-// differ, len of the shorter when one is a prefix of the other, or -1 when
-// they are equal.
-func firstDifference(a, b dataspace.Bag) int {
-	for i := range min(len(a), len(b)) {
-		if !a[i].Equal(b[i]) {
-			return i
-		}
-	}
-	if len(a) != len(b) {
-		return min(len(a), len(b))
-	}
-	return -1
 }
 
 func TestParallelQueryFilter(t *testing.T) {
