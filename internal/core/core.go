@@ -84,8 +84,8 @@ type Options struct {
 	// cover no valid point and is skipped (treated as resolved and empty)
 	// instead of being sent to the server. Supplying a filter that wrongly
 	// rejects a non-empty region makes the crawl incomplete; that is the
-	// caller's contract, exactly as in the paper. It runs under the
-	// books' lock.
+	// caller's contract, exactly as in the paper. It runs under the lock
+	// that counts queries, so it never overlaps OnProgress.
 	QueryFilter func(dataspace.Query) bool
 }
 

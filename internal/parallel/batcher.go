@@ -81,11 +81,11 @@ type batcher struct {
 
 	mu      sync.Mutex
 	flights map[string]*flight
-	// deferred latches an error a round trip reported: every
-	// later distinct query fails fast with it instead of paying a round
-	// trip, since any failed query already fails the whole crawl. A
-	// fully answered batch still delivers its results (e.g. a remote
-	// quota signal flagged on the last affordable responses).
+	// deferred latches an error a round trip reported: every later
+	// distinct query fails fast with it instead of paying a round trip,
+	// since any failed query already fails the whole crawl. A fully
+	// answered batch still delivers its results (e.g. a remote quota
+	// signal flagged on the last affordable responses).
 	deferred error
 }
 
