@@ -186,6 +186,36 @@ func TestOnProgressMonotone(t *testing.T) {
 	}
 }
 
+func TestCollectCurve(t *testing.T) {
+	ds := mixedDS(t, 3000, 9)
+	srv := newServer(t, ds, 32, 42)
+	var curve []CurvePoint
+	res, err := (Hybrid{}).Crawl(context.Background(), srv, &Options{
+		OnProgress: func(p CurvePoint) { curve = append(curve, p) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(curve) != res.Queries {
+		t.Fatalf("curve has %d points for %d queries", len(curve), res.Queries)
+	}
+	final := curve[len(curve)-1]
+	if final.Queries != res.Queries || final.Tuples > len(res.Tuples) {
+		t.Fatalf("final curve point %+v does not match totals (%d, %d)",
+			final, res.Queries, len(res.Tuples))
+	}
+	// Collecting the curve does not change the crawl.
+	srv2 := newServer(t, ds, 32, 42)
+	res2, err := (Hybrid{}).Crawl(context.Background(), srv2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res2.Queries != res.Queries || len(res2.Tuples) != len(res.Tuples) {
+		t.Errorf("crawl without OnProgress: %d queries, %d tuples; with it: %d, %d",
+			res2.Queries, len(res2.Tuples), res.Queries, len(res.Tuples))
+	}
+}
+
 func TestQuotaErrorPropagates(t *testing.T) {
 	ds := mixedDS(t, 3000, 10)
 	srv := newServer(t, ds, 16, 42)
