@@ -79,7 +79,7 @@ func main() {
 	showProgress := flag.Bool("progress", false, "print the progressiveness curve deciles")
 	journalPath := flag.String("journal", "", "journal file for resumable crawls (created if absent)")
 	workers := flag.Int("workers", 1, "above 1, crawl in parallel with up to this many queries per AnswerBatch round trip (same cost, less wall-clock)")
-	inflight := flag.Int("inflight", 0, "pipeline depth: overlapped AnswerBatch round trips of up to -workers queries each (0 = default 2; 1 = flush-on-completion)")
+	inflight := flag.Int("inflight", 0, "pipeline depth with -workers above 1: overlapped AnswerBatch round trips of up to -workers queries each (0 = default 2; 1 = flush-on-completion)")
 	token := flag.String("token", "", "API token sent as Authorization: Bearer (per-session quota/journal on the server)")
 	retries := flag.Int("retries", 0, "retry transient remote failures up to this many attempts per operation, with backoff (0 = fail fast); retried queries replay from the server's session journal for free")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "after SIGINT/SIGTERM, force-exit if the crawl has not wound down within this long (the journal saved so far stays intact)")
@@ -148,6 +148,8 @@ func main() {
 			log.Printf("-workers overrides -algo: the parallel engine runs the hybrid family")
 		}
 		crawler = hidb.ParallelCrawler{Workers: *workers, InFlight: *inflight}
+	} else if *inflight != 0 {
+		log.Printf("-inflight is ignored without -workers above 1: the sequential crawl keeps one query in flight")
 	}
 
 	// Resumable crawls: replay the journal in front of the server, and

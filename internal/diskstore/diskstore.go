@@ -38,8 +38,11 @@
 // copies each rank's d words out of the mapped columns into one
 // exact-size heap slab per call (index.Store's rows). Returned tuples are
 // therefore fresh copies that never alias the read-only mapping — callers
-// may keep or write them, and they outlive Close. The engine keeps no
-// cache of its own: the OS page cache holds the hot pages.
+// may keep or write them, and they outlive Close. The engine keeps no row
+// or page cache of its own: the OS page cache holds the hot pages. The
+// only query results it keeps are each band's parent-node memo, the
+// in-memory engine's own (index.Store), which holds a few rank lists of
+// bitmap intersections on the heap.
 //
 // # Integrity
 //

@@ -261,9 +261,10 @@ func TestBuildDeterministic(t *testing.T) {
 // Select the first band decides costs the result slice and the slab its
 // rows are copied into — two allocations on every access path, whatever
 // the result size — with the rank buffers recycled through the per-band
-// scratch pools. The second posting query is a
-// wide-domain slice whose residual check skips every column; the second
-// range query leaves a range predicate to the residual check.
+// scratch pools. The second posting query is a wide-domain slice whose
+// residual check skips every column; the second range query leaves a
+// range predicate to the residual check. A bitmap plan that memoizes its
+// parent node adds two more: the memo entry and its rank list.
 func TestDiskSelectAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items nondeterministically under -race")
@@ -294,6 +295,40 @@ func TestDiskSelectAllocs(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(100, func() { disk.Select(tc.q, 999) }); allocs > 2 {
 			t.Errorf("%s: %.1f allocs per Select, want <= 2", tc.path, allocs)
+		}
+	}
+	// The bitmap path's parent-node memo: two children of one needle ∧
+	// non-needle parent walk it and allocate only their results. Two
+	// children each of two parents that share a memo slot (the index
+	// package's TestSelectAllocsSteadyState checks that they do) memoize
+	// each parent on its second child, which adds the memo entry and its
+	// rank list.
+	child := func(c2, c3 int64) dataspace.Query {
+		return uni.WithValue(0, datagen.PathoNeedle).WithValue(1, c2).WithValue(2, c3)
+	}
+	for _, tc := range []struct {
+		name   string
+		qs     []dataspace.Query
+		allocs float64
+	}{
+		{"memo hit", []dataspace.Query{child(2, 1), child(2, 3)}, 2 * 2},
+		{"memo miss", []dataspace.Query{child(2, 1), child(2, 3), child(7, 1), child(7, 4)}, 4*2 + 2*2},
+	} {
+		before := disk.PlanStats().Paths["bitmap"]
+		for _, q := range tc.qs {
+			if len(disk.Select(q, 999)) == 0 {
+				t.Fatalf("%s: %s matched nothing", tc.name, q)
+			}
+		}
+		if got := disk.PlanStats().Paths["bitmap"] - before; got != int64(len(tc.qs)) {
+			t.Fatalf("%s: ran %d bitmap plans, want %d: %v", tc.name, got, len(tc.qs), disk.PlanStats().Paths)
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			for _, q := range tc.qs {
+				disk.Select(q, 999)
+			}
+		}); allocs > tc.allocs {
+			t.Errorf("%s: %.1f allocs per %d Selects, want <= %.0f", tc.name, allocs, len(tc.qs), tc.allocs)
 		}
 	}
 	if es := disk.EngineStats(); es.Kind != "disk" {

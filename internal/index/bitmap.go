@@ -32,6 +32,7 @@ package index
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -413,9 +414,12 @@ func andBlock(bms []*rankBitmap, idx []int, words []uint64) []uint64 {
 // container (idx) holds, it appends base|v to dst, ascending. Bitmap
 // containers are read in place. Array and run containers are intersected
 // into words' first bitmapWords half, the second half being andWords'
-// scratch, and that half is read as one more word set. At the crawl's
-// cards (arrays of 1–2k ranks, ~1.5% of them hits) the hit branch
-// predicts well.
+// scratch, and that half is read as one more word set. The one-set loop
+// is branch-free: it stores every offset and advances past it by its hit
+// bit, so dst grows by len(arr) for the block first. It computes the
+// memoized parent nodes (prefix.go), an array probed against a needle
+// value's bitmap, where about one offset in six hits and a hit branch
+// would mispredict constantly.
 func appendProbe(bms []*rankBitmap, idx []int, small int, arr []uint16, words []uint64, base int32, dst []int32) []int32 {
 	var setArr [bitmapMaxDims]*[bitmapWords]uint64
 	sets := setArr[:0]
@@ -437,11 +441,13 @@ func appendProbe(bms []*rankBitmap, idx []int, small int, arr []uint16, words []
 	switch len(sets) {
 	case 1:
 		s := sets[0]
+		n := len(dst)
+		dst = slices.Grow(dst, len(arr))[:n+len(arr)]
 		for _, v := range arr {
-			if s[v>>6]&(1<<(v&63)) != 0 {
-				dst = append(dst, base|int32(v))
-			}
+			dst[n] = base | int32(v)
+			n += int(s[v>>6] >> (v & 63) & 1)
 		}
+		dst = dst[:n]
 	case 2:
 		s0, s1 := sets[0], sets[1]
 		for _, v := range arr {

@@ -38,7 +38,13 @@
 //     intersection runs block by block — a probe of the smallest array
 //     against the other containers' words, or a word-parallel AND of 64
 //     ranks per operation — and enumerates in exactly the rank order
-//     Select must return.
+//     Select must return. A plan of three or more bitmaps shares all but
+//     its highest attribute's equality with its DFS siblings, so the
+//     Store memoizes that prefix intersection, the parent node, in a
+//     handful of slots (prefix.go) and answers the next siblings by
+//     walking it like a posting list, whenever the planner's posting cost
+//     for that walk beats the plan's bitmap cost. It still counts as a
+//     bitmap execution.
 //
 // The posting and range paths also test each candidate against the second
 // most selective predicate before any other: one column load for an
@@ -83,9 +89,10 @@
 // turns the ranks into tuples. Select therefore performs one allocation per
 // call on a row-backed store — the result slice, sized exactly to the
 // result — and two on an artifact-backed one, which adds the slab its
-// copied rows are cut from, regardless of access path and result size.
-// The scratch pools are per-Store, so the shards of a Sharded store never
-// contend on a shared pool.
+// copied rows are cut from, regardless of access path and result size. A
+// bitmap plan that memoizes its parent node adds two more: the memo entry
+// and its rank list. The scratch pools are per-Store, so the shards of a
+// Sharded store never contend on a shared pool.
 package index
 
 import (
@@ -101,7 +108,11 @@ import (
 )
 
 // Store holds one relation, its priority order, and its secondary indexes.
-// A Store is immutable after New and safe for concurrent readers.
+// Its relation and indexes are immutable after construction, so every
+// Select on one input returns the same answer. What a Select changes is
+// cache and bookkeeping only: the per-path counters, the scratch pools and
+// the parent-node memo, whose slots are replaced whole through atomic
+// pointers. A Store is safe for concurrent readers.
 type Store struct {
 	schema *dataspace.Schema
 	// n is the relation size. For a row-backed store it equals
@@ -136,6 +147,10 @@ type Store struct {
 	stats *SelStats
 	// paths counts Select executions per access path (PlanStats).
 	paths [numPaths]atomic.Int64
+	// prefix memoizes the parent-node intersections bitmap plans computed
+	// last, one per hash slot (prefix.go). An entry is immutable; a miss
+	// replaces its slot's entry whole.
+	prefix [prefixSlots]prefixSlot
 	// scratch recycles the rank buffers every Select path collects its
 	// result into. It is per-Store (not package-global) so that independent
 	// shards of a Sharded store never contend on one pool.
@@ -474,7 +489,7 @@ func (s *Store) execSelect(pl plan, preds []dataspace.Pred, want int) []dataspac
 	ranks := (*bufp)[:0]
 	switch pl.path {
 	case pathPosting:
-		ranks = s.selectPosting(ranks, preds, pl, want)
+		ranks = s.selectPosting(ranks, preds, pl, pl.enforced(), want)
 	case pathRange:
 		ranks = s.selectRange(ranks, preds, pl, want)
 	case pathBitmap:
@@ -588,17 +603,27 @@ func (s *Store) planBitmaps(preds []dataspace.Pred, set uint64, arr *[bitmapMaxD
 	return bms, true
 }
 
-// selectBitmap intersects the rank bitmaps of the plan's equality
-// predicates into the rank buffer (ascending — already priority order) and
-// applies the residual predicates, if any, per surviving rank, compacting
-// the buffer in place. A plan whose bitmaps cover every bound predicate
-// (pl.exact) needs no residual pass and lets the intersection stop at want
-// ranks.
+// selectBitmap answers a bitmap plan in rank order — already priority
+// order. A plan of three or more bitmaps whose parent node, the
+// intersection of all but its highest attribute's bitmap, is memoized and
+// cheaper to walk than the kernel (prefixList) walks that prefix like a
+// posting list: it keeps the ranks whose highest attribute holds the
+// plan's value and pass the residual check, stopping at want. Otherwise it
+// intersects the bitmaps into the rank buffer and applies the residual
+// predicates, if any, per surviving rank, compacting the buffer in place.
+// A plan whose bitmaps cover every bound predicate (pl.exact) needs no
+// residual pass and lets the intersection stop at want ranks.
 func (s *Store) selectBitmap(ranks []int32, preds []dataspace.Pred, pl plan, want int) []int32 {
 	var arr [bitmapMaxDims]*rankBitmap
 	bms, ok := s.planBitmaps(preds, pl.bitmapSkip, &arr)
 	if !ok {
 		return ranks
+	}
+	if len(bms) >= 3 {
+		if list, ok := s.prefixList(preds, pl.bitmapSkip, bms); ok {
+			walk := plan{list: list, secondary: bits.Len64(pl.bitmapSkip) - 1}
+			return s.selectPosting(ranks, preds, walk, pl.bitmapSkip, want)
+		}
 	}
 	maxRanks := -1
 	if pl.exact {
@@ -630,14 +655,16 @@ func (s *Store) keepCovered(ranks []int32, preds []dataspace.Pred, skip uint64, 
 	return kept
 }
 
-// selectPosting walks the primary posting list (already rank-ascending),
-// rejecting candidates with the cheapest test for the secondary predicate —
-// a rank→sorted-position window check (numeric) or a single column load
-// (categorical, so a posting ∩ posting intersection never merges the second
-// list) — before the residual check, which skips the primary and secondary
-// and loads only the remaining constraining columns: none at all for a
-// slice query on the posting attribute.
-func (s *Store) selectPosting(ranks []int32, preds []dataspace.Pred, pl plan, want int) []int32 {
+// selectPosting walks the plan's rank-ascending list, rejecting candidates
+// with the cheapest test for the secondary predicate — a rank→sorted-position
+// window check (numeric) or a single column load (categorical, so a posting
+// ∩ posting intersection never merges the second list) — before the
+// residual check, which skips the attributes in skip and loads only the
+// remaining constraining columns. A posting plan's list is its primary
+// posting list and skip its primary and secondary (plan.enforced), so a
+// slice query on the posting attribute loads no column at all; the bitmap
+// path walks a memoized prefix intersection the same way (prefixList).
+func (s *Store) selectPosting(ranks []int32, preds []dataspace.Pred, pl plan, skip uint64, want int) []int32 {
 	var pos []int32
 	var col []int64
 	var secVal int64
@@ -657,7 +684,7 @@ func (s *Store) selectPosting(ranks []int32, preds []dataspace.Pred, pl plan, wa
 		} else if col != nil && col[r] != secVal {
 			continue
 		}
-		if s.covers(preds, r, pl.enforced()) {
+		if s.covers(preds, r, skip) {
 			ranks = append(ranks, r)
 			if len(ranks) == want {
 				break

@@ -118,8 +118,7 @@ func (s *Store) planQuery(preds []dataspace.Pred, want int) plan {
 	idxCost, idxPath := math.Inf(1), pathScan
 	if pl.primary >= 0 {
 		if s.isCat[pl.primary] {
-			// Posting walk: one secondary probe + residual check per candidate.
-			idxCost, idxPath = 2*float64(pl.m), pathPosting
+			idxCost, idxPath = postingCost(pl.m), pathPosting
 		} else {
 			// Range enumeration pays an extra rank re-sort.
 			idxCost, idxPath = 3*float64(pl.m), pathRange
@@ -127,11 +126,7 @@ func (s *Store) planQuery(preds []dataspace.Pred, want int) plan {
 	}
 	bmCost := math.Inf(1)
 	if nBitmaps >= 2 {
-		// Word-parallel AND over every block (the dense kernel; blocks
-		// that run the probe kernel cost less) plus the emission of the
-		// expected intersection (independence estimate from exact
-		// per-value frequencies).
-		bmCost = float64(n)/64*float64(nBitmaps) + 1.5*float64(n)*bmSel
+		bmCost = bitmapCost(n, nBitmaps, bmSel)
 	}
 	// Expected ranks the chunked scan reads before collecting want matches:
 	// want/jointSel clamped to n. Since jointSel ≤ 1 it is never below
@@ -151,6 +146,19 @@ func (s *Store) planQuery(preds []dataspace.Pred, want int) plan {
 		pl.path = pathBitmap
 	}
 	return pl
+}
+
+// postingCost is the posting walk's cost over a list of m candidates: one
+// secondary probe plus one residual check per candidate.
+func postingCost(m int) float64 { return 2 * float64(m) }
+
+// bitmapCost is the bitmap path's cost over an n-rank store: a
+// word-parallel AND over every block of its nBitmaps bitmaps (the dense
+// kernel; blocks that run the probe kernel cost less) plus the emission of
+// the expected intersection, sel being its independence estimate from
+// exact per-value frequencies.
+func bitmapCost(n, nBitmaps int, sel float64) float64 {
+	return float64(n)/64*float64(nBitmaps) + 1.5*float64(n)*sel
 }
 
 // PlanStats reports how many times each access path executed a Select,

@@ -120,3 +120,45 @@ func BenchmarkSelectRangeEq1M(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSelectDFSSiblings1M times the extended DFS's sibling queries on
+// the 1M store at the 1M crawl's limit of 999. "siblings" runs the 32
+// children C3=1..32 of the needle ∧ non-needle parent C1=1 ∧ C2=2 in
+// order, so every child walks the memoized parent; "alternating"
+// interleaves them with the children of C1=1 ∧ C2=7, whose parent shares
+// its memo slot, so every child misses. One op is one Select.
+func BenchmarkSelectDFSSiblings1M(b *testing.B) {
+	s := patho1MStore(b)
+	child := func(c2, c3 int64) dataspace.Query {
+		return dataspace.UniverseQuery(s.Schema()).
+			WithValue(0, datagen.PathoNeedle).
+			WithValue(1, c2).
+			WithValue(2, c3)
+	}
+	var siblings, alternating []dataspace.Query
+	for v := int64(1); v <= 32; v++ {
+		siblings = append(siblings, child(2, v))
+		alternating = append(alternating, child(2, v), child(7, v))
+	}
+	for _, bc := range []struct {
+		name string
+		qs   []dataspace.Query
+	}{
+		{"siblings", siblings},
+		{"alternating", alternating},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for _, q := range bc.qs {
+				if pl := s.planQuery(q.Preds(), 1000); pl.path != pathBitmap {
+					b.Fatalf("%s planned %s, want bitmap", q, pathNames[pl.path])
+				}
+				s.Select(q, 999)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Select(bc.qs[i%len(bc.qs)], 999)
+			}
+		})
+	}
+}

@@ -158,10 +158,16 @@ func fuzzStore(t *testing.T, p datagen.Pattern) *Store {
 // attribute i, to value c_i mod (domain+1) for C1..C4 (0 occurs nowhere)
 // and to [lo, lo+width-1] inside the domain for N1 and N2 (width 0 is an
 // inverted range). Every path forcePlan can force must match naive at the
-// fuzzed want and at want n+1, which enumerates every match. The seeds give an empty residual set (a slice on
-// the posting attribute C4), a residual of numeric ranges only (posting
-// and range primaries), one of wildcards only, the bitmap needle with a
-// residual range, the universe query and an inverted range.
+// fuzzed want and at want n+1, which enumerates every match. A query with
+// a bitmap-indexed equality is then followed by its sibling, the same
+// query with the next value on its highest bitmap attribute, as the
+// extended DFS issues it: when the first query memoized its parent node
+// (prefix.go), the sibling's bitmap path walks it. The seeds give an empty
+// residual set (a slice on the posting attribute C4), a residual of
+// numeric ranges only (posting and range primaries), one of wildcards
+// only, the bitmap needle with a residual range, the universe query, an
+// inverted range, and a child of a needle ∧ non-needle parent with a
+// residual range, whose sibling walks the memo.
 func FuzzSelectPaths(f *testing.F) {
 	pat := uint8(datagen.PatternPathological)
 	f.Add(pat, uint8(1<<3), uint16(0), uint16(0), uint16(0), uint16(7), uint32(0), uint32(0), uint32(0), uint32(0), uint16(64))
@@ -172,6 +178,7 @@ func FuzzSelectPaths(f *testing.F) {
 	f.Add(pat, uint8(1<<0|1<<1|1<<2|1<<4), uint16(1), uint16(1), uint16(1), uint16(0), uint32(9900), uint32(100), uint32(0), uint32(0), uint16(0))
 	f.Add(uint8(datagen.PatternRandom), uint8(0), uint16(0), uint16(0), uint16(0), uint16(0), uint32(0), uint32(0), uint32(0), uint32(0), uint16(256))
 	f.Add(uint8(datagen.PatternRealistic), uint8(1<<1|1<<5), uint16(3), uint16(3), uint16(0), uint16(0), uint32(0), uint32(0), uint32(5000), uint32(0), uint16(5))
+	f.Add(pat, uint8(1<<0|1<<1|1<<2|1<<5), uint16(1), uint16(2), uint16(3), uint16(0), uint32(0), uint32(0), uint32(1000), uint32(1<<19), uint16(4))
 	f.Fuzz(func(t *testing.T, pattern, bound uint8, c1, c2, c3, c4 uint16, lo1, w1, lo2, w2 uint32, limit uint16) {
 		s := fuzzStore(t, datagen.Patterns[int(pattern)%len(datagen.Patterns)])
 		sch := s.Schema()
@@ -192,6 +199,12 @@ func FuzzSelectPaths(f *testing.F) {
 		var forced [numPaths]int
 		checkForcedPaths(t, s, q, int(limit%1024)+1, &forced)
 		checkForcedPaths(t, s, q, s.Size()+1, &forced)
+		if set := s.planQuery(q.Preds(), 1).bitmapSkip; set != 0 {
+			h := bits.Len64(set) - 1
+			sib := q.WithValue(h, q.Preds()[h].Value%int64(sch.Attr(h).DomainSize)+1)
+			checkForcedPaths(t, s, sib, int(limit%1024)+1, &forced)
+			checkForcedPaths(t, s, sib, s.Size()+1, &forced)
+		}
 	})
 }
 
@@ -528,7 +541,9 @@ func bitmapsOfPlan(t *testing.T, s *Store, q dataspace.Query) []*rankBitmap {
 // through andWords' array branch and its second scratch half, and "bitmap
 // truncated" cuts its block's ranks at want. The cases that name a path
 // must run it: "posting, empty residual" is a wide-domain slice whose
-// residual check skips every column.
+// residual check skips every column. The memo cases pin a hit (the result
+// only) and a memoizing miss (the result, the memo entry and its rank
+// list).
 func TestSelectAllocsSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items nondeterministically under -race")
@@ -585,6 +600,50 @@ func TestSelectAllocsSteadyState(t *testing.T) {
 		if allocs > float64(len(tc.qs)) {
 			t.Errorf("%s: %.1f allocs per %d Selects, want <= 1 each", tc.name, allocs, len(tc.qs))
 		}
+	}
+	// Two siblings of one needle ∧ non-needle parent node walk the memo
+	// and allocate only their results. Two children each of two parents
+	// sharing a memo slot miss on every parent's first child, which runs
+	// the kernel, and memoize it on the second, which adds the memo entry
+	// and its rank list.
+	a, b := prefixOf(s, datagen.PathoNeedle, 2), prefixOf(s, datagen.PathoNeedle, 7)
+	if slotOf(s, a) != slotOf(s, b) {
+		t.Fatal("the memo-miss parents no longer share a slot")
+	}
+	hit := []dataspace.Query{a.WithValue(2, 1), a.WithValue(2, 3)}
+	miss := []dataspace.Query{a.WithValue(2, 1), a.WithValue(2, 3), b.WithValue(2, 1), b.WithValue(2, 4)}
+	before := s.PlanStats().Paths["bitmap"]
+	for i, q := range miss {
+		if first := i%2 == 0; first && walks(s, q) || !walks(s, q) {
+			t.Fatalf("%s: its parent was not memoized on exactly its second query", q)
+		}
+		if len(s.Select(q, 64)) == 0 {
+			t.Fatalf("%s matched nothing: its result would not allocate", q)
+		}
+	}
+	if got := s.PlanStats().Paths["bitmap"] - before; got != int64(len(miss)) {
+		t.Fatalf("the memo cases ran %d bitmap plans, want %d: %v", got, len(miss), s.PlanStats().Paths)
+	}
+	for _, q := range hit { // b holds the slot: memoize a again
+		s.Select(q, 64)
+	}
+	entry := entryFor(s, a)
+	if allocs := testing.AllocsPerRun(100, func() {
+		for _, q := range hit {
+			s.Select(q, 64)
+		}
+	}); allocs > 2 {
+		t.Errorf("memo hit: %.1f allocs per 2 Selects, want <= 1 each", allocs)
+	}
+	if entryFor(s, a) != entry {
+		t.Fatal("memo hit: a sibling replaced the memo entry")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		for _, q := range miss {
+			s.Select(q, 64)
+		}
+	}); allocs > 4+2*2 {
+		t.Errorf("memo miss: %.1f allocs per 4 Selects and 2 memoized parents, want <= 8", allocs)
 	}
 }
 
