@@ -148,8 +148,8 @@ type Store struct {
 	// paths counts Select executions per access path (PlanStats).
 	paths [numPaths]atomic.Int64
 	// prefix memoizes the parent-node intersections bitmap plans computed
-	// last, one per hash slot (prefix.go). An entry is immutable; a miss
-	// replaces its slot's entry whole.
+	// last, one per hash slot (prefix.go). An entry is immutable; a
+	// memoizing miss replaces its slot's entry whole.
 	prefix [prefixSlots]prefixSlot
 	// scratch recycles the rank buffers every Select path collects its
 	// result into. It is per-Store (not package-global) so that independent
