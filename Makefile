@@ -94,7 +94,7 @@ bench-check:
 chaos: build
 	$(GO) test -race -short ./internal/chaos/ ./internal/httpclient/ ./internal/journal/ ./internal/httpserver/ ./internal/session/
 
-# fuzz-smoke explores six fuzzers for 10 s each (go test fuzzes one
+# fuzz-smoke explores eight fuzzers for 10 s each (go test fuzzes one
 # target per run). In the index engine, FuzzIntersect checks the bitmap
 # kernels against a reference intersection and FuzzSelectPaths every
 # forced access path, truncated and in full, against a naive scan. In the
@@ -104,9 +104,11 @@ chaos: build
 # query, resolved, overflowed and skipped counts and its tuples against
 # the sequential hybrid's. FuzzCrawlReconnectSchedule severs /crawl
 # streams on a fuzzed schedule and checks that Crawl and CrawlSeq both
-# resume to the exact bag at the fault-free paid count. A failing input
-# is written under the package's testdata/fuzz/ and replays in
-# `make test`.
+# resume to the exact bag at the fault-free paid count. FuzzDecodeFooter
+# and FuzzReadFrom feed hostile bytes to the two on-disk decoders, the
+# disk store's footer and the session journal, which must answer with a
+# typed *CorruptionError, never a panic. A failing input is written under
+# the package's testdata/fuzz/ and replays in `make test`.
 fuzz-smoke: build
 	$(GO) test -run '^$$' -fuzz '^FuzzIntersect$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/index
 	$(GO) test -run '^$$' -fuzz '^FuzzSelectPaths$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/index
@@ -114,6 +116,8 @@ fuzz-smoke: build
 	$(GO) test -run '^$$' -fuzz '^FuzzParseBatchRequest$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzParallelMatchesSequential$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/parallel
 	$(GO) test -run '^$$' -fuzz '^FuzzCrawlReconnectSchedule$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/httpclient
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFooter$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/diskstore
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrom$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/journal
 
 # loadgen-smoke is the load-driver determinism gate: the sim mode must
 # produce byte-identical artifacts for the same seed (sheds, rejections

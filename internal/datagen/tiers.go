@@ -10,9 +10,10 @@ import (
 
 // Pattern selects the tuple distribution of the scale-tier factory. The
 // four patterns stress different parts of the query planner: Sequential
-// produces long runs of equal values in rank order (run containers,
-// perfectly clustered posting lists), Random produces uniform iid values
-// (array/bitmap containers, no clustering), Realistic produces the skew the
+// produces long runs of equal values in rank order (perfectly clustered
+// posting lists, which the bitmap index still stores as array or bitmap
+// containers by cardinality), Random produces uniform iid values (no
+// clustering), Realistic produces the skew the
 // paper's datasets show (Zipf categorical marginals, numeric point masses),
 // and Pathological hides every match of a specific 3-way conjunction at the
 // bottom of the rank space, defeating both the scan's early exit and the

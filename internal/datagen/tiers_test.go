@@ -94,7 +94,8 @@ func TestTierAndPatternStrings(t *testing.T) {
 }
 
 // TestSequentialRuns pins the clustering property that makes the sequential
-// pattern exercise run containers: C3 is constant over kilorank blocks.
+// pattern's posting lists perfectly clustered: C3 is constant over
+// kilorank blocks.
 func TestSequentialRuns(t *testing.T) {
 	d := Tiered(PatternSequential, Tier10K, 0)
 	for r := 1; r < 1024 && r < d.N(); r++ {

@@ -105,7 +105,7 @@ func (q Query) Preds() []Pred { return q.preds }
 func (q Query) Covers(t Tuple) bool {
 	for i, p := range q.preds {
 		v := t[i]
-		if q.schema.Attr(i).Kind == Categorical {
+		if q.schema.attrs[i].Kind == Categorical {
 			if !p.Wild && v != p.Value {
 				return false
 			}
@@ -127,7 +127,7 @@ func (q Query) Extent(i int) (lo, hi int64) {
 // value (numeric) or is pinned to a constant (categorical).
 func (q Query) Exhausted(i int) bool {
 	p := q.preds[i]
-	if q.schema.Attr(i).Kind == Categorical {
+	if q.schema.attrs[i].Kind == Categorical {
 		return !p.Wild
 	}
 	return p.Lo == p.Hi
@@ -194,7 +194,7 @@ func (q Query) Key() string {
 		if i > 0 {
 			b.WriteByte('|')
 		}
-		if q.schema.Attr(i).Kind == Categorical {
+		if q.schema.attrs[i].Kind == Categorical {
 			if p.Wild {
 				b.WriteByte('*')
 			} else {
@@ -225,7 +225,7 @@ const (
 // same schema have equal keys iff they specify identical predicates.
 func (q Query) AppendKey(dst []byte) []byte {
 	for i, p := range q.preds {
-		if q.schema.Attr(i).Kind == Categorical {
+		if q.schema.attrs[i].Kind == Categorical {
 			if p.Wild {
 				dst = append(dst, keyWild)
 			} else {

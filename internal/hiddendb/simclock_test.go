@@ -81,8 +81,12 @@ func TestSimClockConcurrentSleepersWakeTogether(t *testing.T) {
 	const d = 3 * time.Millisecond
 	var wg sync.WaitGroup
 	woke := make(chan time.Duration, 2)
+	// Both holds are minted by the "spawner", as the batcher does, before
+	// either sleeper runs: a sleeper that went to sleep while the other's
+	// hold was still unminted would find the clock quiescent and wake alone.
+	c.Hold()
+	c.Hold()
 	for i := 0; i < 2; i++ {
-		c.Hold() // minted by the "spawner", as the batcher does
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

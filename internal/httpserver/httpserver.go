@@ -568,22 +568,8 @@ func (h *Handler) handleStats(w http.ResponseWriter) {
 	msg := wire.StatsMsg{
 		Queries:         h.table.TotalQueries(),
 		Requests:        h.Requests(),
+		Sessions:        h.table.Stats(),
 		EvictedSessions: h.table.Evicted(),
-	}
-	for _, s := range h.table.Stats() {
-		msg.Sessions = append(msg.Sessions, wire.SessionStatsMsg{
-			Token:       s.Token,
-			Queries:     s.Queries,
-			Resolved:    s.Resolved,
-			Overflowed:  s.Overflowed,
-			Remaining:   s.Remaining,
-			Replays:     s.Replays,
-			JournalLen:  s.JournalLen,
-			SharedHits:  s.SharedHits,
-			SharedWaits: s.SharedWaits,
-			SharedLeads: s.SharedLeads,
-			RateClass:   s.RateClass,
-		})
 	}
 	if sc := h.table.SharedCache(); sc != nil {
 		st := sc.Stats()

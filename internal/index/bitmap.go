@@ -3,10 +3,13 @@
 // For a low-cardinality categorical attribute, the rank-ascending posting
 // list of each value is mirrored as a rankBitmap: the 32-bit rank space is
 // split into 65536-rank blocks, and each non-empty block is stored as one of
-// three containers — a sorted array of 16-bit offsets (sparse blocks), a
-// 1024-word bitmap (dense blocks), or a list of [start,last] runs (clustered
-// blocks). The representation is chosen per block by serialized size, the
-// classic roaring heuristic.
+// two containers — a sorted array of 16-bit offsets below arrayMaxCard
+// ranks, a 1024-word bitmap from there up. The server gives every tuple a
+// random priority, so a value's ranks are a random subset of rank space.
+// There Roaring's third kind, [start,last] runs, is smaller than both only
+// for a value holding more than ~97% of a full block (or half of a short
+// tail block), so it is left out: a clustered list, such as the
+// Sequential tier's, is stored by its cardinality like any other.
 //
 // The payoff is the intersection path: the bitmaps of 2, 3 or more
 // equality predicates are intersected block by block over the blocks they
@@ -18,16 +21,14 @@
 //   - sparse (at most sparseIntersectMax ranks): iterate that container and
 //     look each offset up in the others;
 //   - probe (a larger array): the other containers become word sets, each
-//     bitmap container read in place and the array and run containers
-//     materialized into one 1024-word scratch half, and each of the
-//     array's offsets costs one word load per set — no clear, AND or bit
-//     scan of its own 1024 words;
-//   - dense (a bitmap or run container): the first container is written
-//     into 1024 scratch words and each further container is ANDed in, an
-//     array one by first setting its ranks into a second 1024-word half
-//     (branch-free, like Roaring's array-to-bitmap conversion) and then
-//     ANDing the halves word by word — 64 ranks per AND — before one bit
-//     scan of the result.
+//     bitmap container read in place and the other array containers
+//     materialized into one 1024-word scratch half (branch-free, like
+//     Roaring's array-to-bitmap conversion), and each of the array's
+//     offsets costs one word load per set — no clear, AND or bit scan of
+//     its own 1024 words;
+//   - dense (a bitmap, so every container is one): the first bitmap is
+//     copied into 1024 scratch words and each further one is ANDed in word
+//     by word — 64 ranks per AND — before one bit scan of the result.
 package index
 
 import (
@@ -40,22 +41,18 @@ import (
 const (
 	containerArray uint8 = iota
 	containerBitmap
-	containerRun
 )
 
 // bitmapWords is the word count of a dense container: 65536 ranks / 64.
 const bitmapWords = 1 << 10
 
-// arrayMaxCard is the cardinality above which a sparse container converts
-// to a dense bitmap (the roaring threshold: 4096 × 2 bytes = 8 KiB, the
-// size of a full bitmap container).
+// arrayMaxCard is the cardinality from which a block is a bitmap rather
+// than an array (the roaring threshold: 4096 × 2 bytes = 8 KiB, the size of
+// a full bitmap container).
 const arrayMaxCard = 1 << 12
 
-// rankRun is one maximal run of consecutive ranks, inclusive on both ends.
-type rankRun struct{ start, last uint16 }
-
-// container holds one 65536-rank block of a rankBitmap in whichever of the
-// three representations serializes smallest.
+// container holds one 65536-rank block of a rankBitmap: an array below
+// arrayMaxCard ranks, a bitmap from there up.
 type container struct {
 	kind uint8
 	// card is the number of ranks in the block, in [1, 65536].
@@ -64,42 +61,28 @@ type container struct {
 	arr []uint16
 	// words is the 1024-word dense bitmap (containerBitmap).
 	words []uint64
-	// runs lists maximal runs ascending (containerRun).
-	runs []rankRun
 }
 
 // contains reports whether block-local offset v is in the container.
 func (c *container) contains(v uint16) bool {
-	switch c.kind {
-	case containerArray:
-		i := sort.Search(len(c.arr), func(i int) bool { return c.arr[i] >= v })
-		return i < len(c.arr) && c.arr[i] == v
-	case containerBitmap:
+	if c.kind == containerBitmap {
 		return c.words[v>>6]&(1<<(v&63)) != 0
-	default:
-		i := sort.Search(len(c.runs), func(i int) bool { return c.runs[i].last >= v })
-		return i < len(c.runs) && c.runs[i].start <= v
 	}
+	i := sort.Search(len(c.arr), func(i int) bool { return c.arr[i] >= v })
+	return i < len(c.arr) && c.arr[i] == v
 }
 
 // writeWords materializes the container into dst, a bitmapWords-long word
 // slice, overwriting it.
 func (c *container) writeWords(dst []uint64) {
-	dst = dst[:bitmapWords]
-	switch c.kind {
-	case containerBitmap:
-		copy(dst, c.words)
-	case containerArray:
-		w := (*[bitmapWords]uint64)(dst)
-		clear(w[:])
-		for _, v := range c.arr {
-			w[v>>6] |= 1 << (v & 63)
-		}
-	default:
-		clear(dst)
-		for _, r := range c.runs {
-			setRange(dst, r.start, r.last)
-		}
+	if c.kind == containerBitmap {
+		copy(dst[:bitmapWords], c.words)
+		return
+	}
+	w := (*[bitmapWords]uint64)(dst)
+	clear(w[:])
+	for _, v := range c.arr {
+		w[v>>6] |= 1 << (v & 63)
 	}
 }
 
@@ -108,24 +91,14 @@ func (c *container) writeWords(dst []uint64) {
 // into it bit by bit and then ANDed word by word, so no step branches on
 // the array's ranks. At the cards that reach this path an array holds ~1.6
 // ranks per word, and a branch per word boundary mispredicts constantly.
-// A run container never touches tmp.
 func (c *container) andWords(dst, tmp []uint64) {
 	dst = dst[:bitmapWords]
-	switch c.kind {
-	case containerBitmap:
+	if c.kind == containerBitmap {
 		andInto(dst, c.words)
-	case containerArray:
-		c.writeWords(tmp)
-		andInto(dst, tmp)
-	default:
-		// Zero everything outside the runs; inside a run dst is kept.
-		prev := -1
-		for _, r := range c.runs {
-			clearRange(dst, prev+1, int(r.start)-1)
-			prev = int(r.last)
-		}
-		clearRange(dst, prev+1, (bitmapWords<<6)-1)
+		return
 	}
+	c.writeWords(tmp)
+	andInto(dst, tmp)
 }
 
 // andInto sets dst[i] &= src[i] for every word of dst.
@@ -134,42 +107,6 @@ func andInto(dst, src []uint64) {
 	for i, w := range src {
 		dst[i] &= w
 	}
-}
-
-// setRange sets bits [start, last] (block-local, inclusive) in words.
-func setRange(words []uint64, start, last uint16) {
-	sw, lw := int(start>>6), int(last>>6)
-	sm := ^uint64(0) << (start & 63)
-	lm := ^uint64(0) >> (63 - last&63)
-	if sw == lw {
-		words[sw] |= sm & lm
-		return
-	}
-	words[sw] |= sm
-	for i := sw + 1; i < lw; i++ {
-		words[i] = ^uint64(0)
-	}
-	words[lw] |= lm
-}
-
-// clearRange zeroes bits [start, last] (block-local, inclusive) in words.
-// An inverted range clears nothing.
-func clearRange(words []uint64, start, last int) {
-	if start > last {
-		return
-	}
-	sw, lw := start>>6, last>>6
-	sm := ^(^uint64(0) << (start & 63))
-	lm := ^(^uint64(0) >> (63 - last&63))
-	if sw == lw {
-		words[sw] &= sm | lm
-		return
-	}
-	words[sw] &= sm
-	for i := sw + 1; i < lw; i++ {
-		words[i] = 0
-	}
-	words[lw] &= lm
 }
 
 // rankBitmap is the roaring-style bitmap of one categorical value's ranks:
@@ -196,50 +133,24 @@ func buildRankBitmap(list []int32) *rankBitmap {
 	return b
 }
 
-// buildContainer picks the smallest representation for one block's ranks
-// (global ranks sharing one high-16 key, ascending).
+// buildContainer converts one block's ranks (global ranks sharing one
+// high-16 key, ascending) into an array below arrayMaxCard ranks and a
+// bitmap from there up.
 func buildContainer(ranks []int32) container {
-	// Count maximal runs in one pass.
-	runs := 1
-	for i := 1; i < len(ranks); i++ {
-		if ranks[i] != ranks[i-1]+1 {
-			runs++
-		}
-	}
 	card := len(ranks)
-	runBytes, arrBytes, bmpBytes := 4*runs, 2*card, 8*bitmapWords
-	if card >= arrayMaxCard {
-		arrBytes = bmpBytes + 1 // arrays beyond the threshold are never used
-	}
-	switch {
-	case runBytes < arrBytes && runBytes < bmpBytes:
-		c := container{kind: containerRun, card: int32(card), runs: make([]rankRun, 0, runs)}
-		start := uint16(ranks[0])
-		prev := start
-		for _, r := range ranks[1:] {
-			v := uint16(r)
-			if v != prev+1 {
-				c.runs = append(c.runs, rankRun{start, prev})
-				start = v
-			}
-			prev = v
-		}
-		c.runs = append(c.runs, rankRun{start, prev})
-		return c
-	case arrBytes <= bmpBytes:
+	if card < arrayMaxCard {
 		c := container{kind: containerArray, card: int32(card), arr: make([]uint16, card)}
 		for i, r := range ranks {
 			c.arr[i] = uint16(r)
 		}
 		return c
-	default:
-		c := container{kind: containerBitmap, card: int32(card), words: make([]uint64, bitmapWords)}
-		for _, r := range ranks {
-			v := uint16(r)
-			c.words[v>>6] |= 1 << (v & 63)
-		}
-		return c
 	}
+	c := container{kind: containerBitmap, card: int32(card), words: make([]uint64, bitmapWords)}
+	for _, r := range ranks {
+		v := uint16(r)
+		c.words[v>>6] |= 1 << (v & 63)
+	}
+	return c
 }
 
 // bitmapIndex maps a categorical attribute's values to their rank bitmaps.
@@ -338,18 +249,18 @@ const (
 	kernelDense         // andBlock, then a bit scan
 )
 
-// blockKernel picks the kernel of a block whose smallest container is sc.
-// Only an array drives the probe, as only an array lists its offsets; a
-// bitmap or run container above sparseIntersectMax goes to the dense
-// kernel.
+// blockKernel picks the kernel of a block whose smallest container is sc:
+// sparse or probe for an array, dense for a bitmap. A bitmap holds at
+// least arrayMaxCard ranks, far above sparseIntersectMax, and when the
+// smallest container is one, every container of the block is.
 func blockKernel(sc *container) int {
 	switch {
+	case sc.kind == containerBitmap:
+		return kernelDense
 	case sc.card <= sparseIntersectMax:
 		return kernelSparse
-	case sc.kind == containerArray:
-		return kernelProbe
 	default:
-		return kernelDense
+		return kernelProbe
 	}
 }
 
@@ -377,7 +288,7 @@ func intersectInto(bms []*rankBitmap, words []uint64, dst []int32, max int) []in
 		sc := &bms[small].cs[cur.idx[small]]
 		switch blockKernel(sc) {
 		case kernelSparse:
-			dst = appendSparse(bms, cur.idx, small, sc, base, dst)
+			dst = appendSparse(bms, cur.idx, small, sc.arr, base, dst)
 		case kernelProbe:
 			dst = appendProbe(bms, cur.idx, small, sc.arr, words, base, dst)
 		default:
@@ -398,8 +309,8 @@ func intersectInto(bms []*rankBitmap, words []uint64, dst []int32, max int) []in
 
 // andBlock materializes the intersection of every bitmap's current
 // container (idx) into words' first bitmapWords half and returns that half;
-// the second half is andWords' scratch. It is intersectInto's dense
-// kernel.
+// the second half is andWords' scratch, which bitmap containers leave
+// untouched. It is intersectInto's dense kernel.
 func andBlock(bms []*rankBitmap, idx []int, words []uint64) []uint64 {
 	dst, tmp := words[:bitmapWords], words[bitmapWords:2*bitmapWords]
 	bms[0].cs[idx[0]].writeWords(dst)
@@ -412,7 +323,7 @@ func andBlock(bms []*rankBitmap, idx []int, words []uint64) []uint64 {
 // appendProbe is the probe kernel: for each offset v of arr, the array
 // container of the small-th bitmap, that every other bitmap's current
 // container (idx) holds, it appends base|v to dst, ascending. Bitmap
-// containers are read in place. Array and run containers are intersected
+// containers are read in place. The other array containers are intersected
 // into words' first bitmapWords half, the second half being andWords'
 // scratch, and that half is read as one more word set. The one-set loop
 // is branch-free: it stores every offset and advances past it by its hit
@@ -483,34 +394,13 @@ func probeOthers(bms []*rankBitmap, idx []int, small int, v uint16) bool {
 	return true
 }
 
-// appendSparse intersects one block by iterating its smallest container and
-// probing the others, appending surviving ranks to dst ascending.
-func appendSparse(bms []*rankBitmap, idx []int, small int, sc *container, base int32, dst []int32) []int32 {
-	switch sc.kind {
-	case containerArray:
-		for _, v := range sc.arr {
-			if probeOthers(bms, idx, small, v) {
-				dst = append(dst, base|int32(v))
-			}
-		}
-	case containerRun:
-		for _, r := range sc.runs {
-			for v := int32(r.start); v <= int32(r.last); v++ {
-				if probeOthers(bms, idx, small, uint16(v)) {
-					dst = append(dst, base|v)
-				}
-			}
-		}
-	default:
-		for wi, w := range sc.words {
-			for w != 0 {
-				b := bits.TrailingZeros64(w)
-				w &= w - 1
-				v := uint16(wi<<6 | b)
-				if probeOthers(bms, idx, small, v) {
-					dst = append(dst, base|int32(v))
-				}
-			}
+// appendSparse intersects one block by iterating arr, the array container
+// of the small-th bitmap, and looking each offset up in the others,
+// appending surviving ranks to dst ascending.
+func appendSparse(bms []*rankBitmap, idx []int, small int, arr []uint16, base int32, dst []int32) []int32 {
+	for _, v := range arr {
+		if probeOthers(bms, idx, small, v) {
+			dst = append(dst, base|int32(v))
 		}
 	}
 	return dst

@@ -84,30 +84,48 @@ func runList(n, runLen, gap int) []int32 {
 	return out
 }
 
+// cardKind is the container kind the card rule picks for a block of card
+// ranks: an array below arrayMaxCard, a bitmap from there up.
+func cardKind(card int) uint8 {
+	if card < arrayMaxCard {
+		return containerArray
+	}
+	return containerBitmap
+}
+
+// TestContainerKindSelection checks the card rule on both sides of
+// arrayMaxCard, for clustered and scattered ranks alike: placement never
+// changes the kind.
 func TestContainerKindSelection(t *testing.T) {
-	// One long run → run container.
-	runs := buildRankBitmap(runList(5000, 5000, 0))
-	if k := runs.cs[0].kind; k != containerRun {
-		t.Fatalf("a single 5000-rank run built kind %d, want run", k)
-	}
-	// A sparse scatter → array container.
 	rng := simrand.New(1)
-	sparse := buildRankBitmap(randomList(rng, 60000, 0.01))
-	if k := sparse.cs[0].kind; k != containerArray {
-		t.Fatalf("a ~600-rank scatter built kind %d, want array", k)
+	cases := []struct {
+		name  string
+		ranks []int32
+	}{
+		{"one run just below", runList(arrayMaxCard-1, arrayMaxCard-1, 0)},
+		{"one run at", runList(arrayMaxCard, arrayMaxCard, 0)},
+		{"one 5000-rank run", runList(5000, 5000, 0)},
+		{"a full block", runList(1<<16, 1<<16, 0)},
+		{"scatter just below", scatter(rng, arrayMaxCard-1)},
+		{"scatter at", scatter(rng, arrayMaxCard)},
+		{"a ~600-rank scatter", randomList(rng, 60000, 0.01)},
+		{"a ~30000-rank scatter", randomList(rng, 60000, 0.5)},
 	}
-	// A dense scatter → bitmap container (too many ranks for an array, too
-	// fragmented for runs).
-	dense := buildRankBitmap(randomList(rng, 60000, 0.5))
-	if k := dense.cs[0].kind; k != containerBitmap {
-		t.Fatalf("a ~30000-rank scatter built kind %d, want bitmap", k)
+	for _, c := range cases {
+		bm := buildRankBitmap(c.ranks)
+		if len(bm.cs) != 1 || int(bm.cs[0].card) != len(c.ranks) {
+			t.Fatalf("%s: built %d containers, want one of card %d", c.name, len(bm.cs), len(c.ranks))
+		}
+		if k, want := bm.cs[0].kind, cardKind(len(c.ranks)); k != want {
+			t.Fatalf("%s: %d ranks built kind %d, want %d", c.name, len(c.ranks), k, want)
+		}
 	}
 }
 
 func TestRankBitmapContains(t *testing.T) {
 	rng := simrand.New(3)
-	// Span several 65536-rank blocks with mixed densities so all three
-	// container kinds appear.
+	// Span several 65536-rank blocks with mixed densities so both
+	// container kinds appear, one of them clustered.
 	list := slices.Concat(
 		randomList(rng, 60000, 0.003),
 		offset(runList(30000, 800, 50), 1<<16),
@@ -151,7 +169,7 @@ func TestIntersectAgainstReference(t *testing.T) {
 	rng := simrand.New(5)
 	n := 3 << 16 // three blocks
 	// The 1M crawl's dense blocks: three ~2.5% arrays sharing ~22 ranks a
-	// block, ANDed with a ~50% bitmap and a run list.
+	// block, ANDed with a ~50% bitmap and a clustered ~77% one.
 	crawl := append(correlatedLists(rng, 3, n, 22.0/(1<<16), 0.025),
 		randomList(rng, n, 0.5), runList(n, 1000, 300))
 	cases := [][][]int32{
@@ -164,6 +182,12 @@ func TestIntersectAgainstReference(t *testing.T) {
 		// A sparse driver against dense others (the probe strategy).
 		{randomList(rng, n, 0.001), randomList(rng, n, 0.6), randomList(rng, n, 0.7)},
 		crawl,
+		// YahooLike's tail block: 4,232 ranks, 80% holding one value
+		// (~3,400 ranks in ~680 runs, an array), after a full block.
+		{randomList(rng, 1<<16+4232, 0.8), randomList(rng, 1<<16+4232, 0.3)},
+		// A full block at least 97% dense (a bitmap) against a sparse
+		// array and a half-dense bitmap.
+		{randomList(rng, 1<<16, 0.98), randomList(rng, 1<<16, 0.05), randomList(rng, 1<<16, 0.5)},
 	}
 	words := make([]uint64, 2*bitmapWords)
 	for ci, lists := range cases {
@@ -192,8 +216,8 @@ func TestIntersectAgainstReference(t *testing.T) {
 	}
 	// The crawl case must exercise what it is there for: probe blocks
 	// driven by one of three array containers above sparseIntersectMax,
-	// the other two materialized, a bitmap read in place and a run
-	// container ANDed in.
+	// the other two materialized and two bitmaps read in place, the
+	// clustered one a bitmap by the card rule.
 	for _, l := range crawl[:3] {
 		for _, c := range buildRankBitmap(l).cs {
 			if c.kind != containerArray || c.card <= sparseIntersectMax {
@@ -204,8 +228,10 @@ func TestIntersectAgainstReference(t *testing.T) {
 	if k := buildRankBitmap(crawl[3]).cs[0].kind; k != containerBitmap {
 		t.Fatalf("crawl case's 50%% list built kind %d, want bitmap", k)
 	}
-	if k := buildRankBitmap(crawl[4]).cs[0].kind; k != containerRun {
-		t.Fatalf("crawl case's run list built kind %d, want run", k)
+	for _, c := range buildRankBitmap(crawl[4]).cs {
+		if want := cardKind(int(c.card)); c.kind != want || c.kind != containerBitmap {
+			t.Fatalf("crawl case's clustered list built kind %d at card %d, want bitmap", c.kind, c.card)
+		}
 	}
 	crawlBms := make([]*rankBitmap, len(crawl))
 	for i, l := range crawl {
@@ -254,11 +280,11 @@ func TestIntersectKernels(t *testing.T) {
 		{"probe, 1 in place", [][]int32{arr(), arr(), bmp()}, kernelProbe, 1},
 		{"probe, 2 in place", [][]int32{arr(), bmp(), bmp()}, kernelProbe, 2},
 		{"probe, 2 in place and scratch", [][]int32{arr(), arr(), bmp(), bmp()}, kernelProbe, 2},
-		// 256 runs of 8 per block: 2,048 ranks in a run container.
-		{"probe, run partner", [][]int32{arr(), runList(n, 8, 248)}, kernelProbe, 0},
-		// A 1,024-rank run container is smallest, so the block is dense,
-		// and andBlock sets its array partner into the second half.
-		{"dense, array partner", [][]int32{runList(n, 4, 252), randomList(rng, n, 0.05), bmp()}, kernelDense, 0},
+		// 256 runs of 8 per block: 2,048 clustered ranks, an array.
+		{"probe, clustered partner", [][]int32{arr(), runList(n, 8, 248)}, kernelProbe, 0},
+		// A 1,024-rank clustered array drives the probe against a
+		// ~3,300-rank array and a bitmap.
+		{"probe, clustered driver", [][]int32{runList(n, 4, 252), randomList(rng, n, 0.05), bmp()}, kernelProbe, 1},
 		{"dense, bitmaps", [][]int32{bmp(), randomList(rng, n, 0.5)}, kernelDense, 0},
 	}
 	// Every list also holds ~22 shared ranks per block, like the crawl's.
@@ -358,7 +384,8 @@ func TestAndWordsAllKinds(t *testing.T) {
 		{"array just off", scatter(rng, sparseIntersectMax+1), containerArray},
 		{"array full", scatter(rng, arrayMaxCard-1), containerArray},
 		{"bitmap", randomList(rng, 1<<16, 0.5), containerBitmap},
-		{"run", runList(1<<16, 500, 200), containerRun},
+		{"clustered bitmap", runList(1<<16, 500, 200), containerBitmap},
+		{"clustered array", runList(1<<16, 8, 248), containerArray},
 	}
 	for _, l := range lists {
 		if k := buildContainer(l.ranks).kind; k != l.kind {
@@ -392,18 +419,22 @@ func TestAndWordsAllKinds(t *testing.T) {
 	}
 }
 
-// fuzzAbsent is the spec code of a block a fuzz-built list leaves empty;
-// codes 0–2 are the container kind the block must build.
-const fuzzAbsent = 3
+// Spec codes of a fuzz-built block beyond the container kinds (codes 0
+// and 1, the kind the block must build): a clustered list, whose kind the
+// card rule picks, and an empty block.
+const (
+	fuzzClustered = 2
+	fuzzAbsent    = 3
+)
 
 // fuzzLists builds one rank list per spec byte (at most 4) over blocks
 // 65536-rank blocks. Bits 2j..2j+1 of a spec byte pick block j's code:
-// an array or a run list of random card (half the time at or below
-// sparseIntersectMax, so every kernel runs), a 7–90% bitmap (the crawl's
-// needle bitmaps are ~1/6 dense), or no ranks at all. A seed with its top
-// bit set draws every array at the 1M crawl's 1,024–2,047 ranks. Every
-// list also holds a block's shared ranks unless its block is a run list
-// or absent, so intersections are not all empty.
+// an array or a clustered list of runs of random card (half the time at
+// or below sparseIntersectMax, so every kernel runs), a 7–90% bitmap (the
+// crawl's needle bitmaps are ~1/6 dense), or no ranks at all. A seed with
+// its top bit set draws every array at the 1M crawl's 1,024–2,047 ranks.
+// Every list also holds a block's shared ranks unless its block is
+// clustered or absent, so intersections are not all empty.
 func fuzzLists(spec []byte, blocks int, seed uint64) [][]int32 {
 	rng := simrand.New(seed)
 	shared := make([][]int32, blocks)
@@ -432,7 +463,7 @@ func fuzzLists(spec []byte, blocks int, seed uint64) [][]int32 {
 			case containerBitmap:
 				// At least 7% of 65536 stays well above arrayMaxCard.
 				block = mergeUnique(randomList(rng, 1<<16, 0.07+0.83*rng.Float64()), shared[j])
-			case containerRun:
+			case fuzzClustered:
 				// Half the time a few short runs (a sparse-path block).
 				runs, span := 1<<16, 3000
 				if rng.Bool(0.5) {
@@ -479,12 +510,14 @@ func mergeUnique(a, b []int32) []int32 {
 
 // FuzzIntersect checks intersectInto, whole and truncated, against
 // refIntersect on 1–4 fuzz-built lists over 2–4 blocks, with garbage in
-// the scratch words before every call. The seed corpus puts every ordered
-// pair of container kinds in every block, and runs the 1M crawl's block
-// shapes (A = array, B = bitmap) with 1,024–2,047-rank arrays.
+// the scratch words before every call. Every block must build the kind
+// the card rule picks, and an array or bitmap block the kind its spec
+// code names. The seed corpus puts every ordered pair of array, bitmap and
+// clustered blocks in every block, and runs the 1M crawl's block shapes
+// (A = array, B = bitmap) with 1,024–2,047-rank arrays.
 func FuzzIntersect(f *testing.F) {
 	all := func(code byte) byte { return code | code<<2 | code<<4 | code<<6 }
-	kinds := []byte{containerArray, containerBitmap, containerRun}
+	kinds := []byte{containerArray, containerBitmap, fuzzClustered}
 	for _, a := range kinds {
 		for _, b := range kinds {
 			// Two seeds per pair: different block counts and array cards.
@@ -496,8 +529,8 @@ func FuzzIntersect(f *testing.F) {
 	f.Add([]byte{all(containerArray)}, uint64(1))
 	f.Add([]byte{all(containerArray), all(containerArray), all(containerArray), all(containerBitmap)}, uint64(2))
 	f.Add([]byte{0b00011011, 0b11100100, 0b01100001}, uint64(3))
-	f.Add([]byte{fuzzAbsent | containerBitmap<<4 | containerRun<<6, all(containerArray)}, uint64(5))
-	f.Add([]byte{containerArray | fuzzAbsent<<2 | containerArray<<4, fuzzAbsent | containerArray<<2 | containerRun<<4}, uint64(8))
+	f.Add([]byte{fuzzAbsent | containerBitmap<<4 | fuzzClustered<<6, all(containerArray)}, uint64(5))
+	f.Add([]byte{containerArray | fuzzAbsent<<2 | containerArray<<4, fuzzAbsent | containerArray<<2 | fuzzClustered<<4}, uint64(8))
 	a, b := all(containerArray), all(containerBitmap)
 	for i, spec := range [][]byte{{a}, {a, a}, {a, a, b}, {a, b, b}, {a, a, a}} {
 		f.Add(spec, uint64(1)<<63|uint64(i))
@@ -515,8 +548,12 @@ func FuzzIntersect(f *testing.F) {
 			}
 			bms[i] = buildRankBitmap(l)
 			for ci, key := range bms[i].keys {
-				if code := (spec[i] >> (2 * key)) & 3; bms[i].cs[ci].kind != code {
-					t.Fatalf("list %d block %d built kind %d, spec asked for %d", i, key, bms[i].cs[ci].kind, code)
+				c := &bms[i].cs[ci]
+				if want := cardKind(int(c.card)); c.kind != want {
+					t.Fatalf("list %d block %d built kind %d at card %d, the card rule picks %d", i, key, c.kind, c.card, want)
+				}
+				if code := (spec[i] >> (2 * key)) & 3; code != fuzzClustered && c.kind != code {
+					t.Fatalf("list %d block %d built kind %d, spec asked for %d", i, key, c.kind, code)
 				}
 			}
 		}
@@ -540,33 +577,6 @@ func FuzzIntersect(f *testing.F) {
 				max, firstDiff(got, want[:max]))
 		}
 	})
-}
-
-func TestSetClearRange(t *testing.T) {
-	words := make([]uint64, bitmapWords)
-	setRange(words, 0, 1<<16-1)
-	for i, w := range words {
-		if w != ^uint64(0) {
-			t.Fatalf("full setRange left word %d = %x", i, w)
-		}
-	}
-	clearRange(words, 64, 191) // exactly words 1 and 2
-	if words[0] != ^uint64(0) || words[1] != 0 || words[2] != 0 || words[3] != ^uint64(0) {
-		t.Fatal("aligned clearRange wrong")
-	}
-	clear(words)
-	setRange(words, 3, 3) // single bit, single word
-	if words[0] != 1<<3 {
-		t.Fatalf("single-bit setRange = %x", words[0])
-	}
-	setRange(words, 60, 70) // straddles a word boundary
-	if words[0] != 1<<3|uint64(0xF)<<60 || words[1] != (1<<7)-1 {
-		t.Fatalf("straddling setRange = %x %x", words[0], words[1])
-	}
-	clearRange(words, 70, 60) // inverted: no-op
-	if words[1] != (1<<7)-1 {
-		t.Fatal("inverted clearRange should be a no-op")
-	}
 }
 
 func TestBuildRankBitmapMatchesPostingList(t *testing.T) {

@@ -33,8 +33,8 @@
 //     rank order;
 //   - roaring-style bitmap intersection (bitmap.go): low-cardinality
 //     categorical attributes (domain ≤ bitmapMaxDomain, store ≥
-//     bitmapMinTuples) mirror each value's posting list as array / bitmap /
-//     run containers over rank space, so a 2-, 3- or k-way equality
+//     bitmapMinTuples) mirror each value's posting list as array or
+//     bitmap containers over rank space, so a 2-, 3- or k-way equality
 //     intersection runs block by block — a probe of the smallest array
 //     against the other containers' words, or a word-parallel AND of 64
 //     ranks per operation — and enumerates in exactly the rank order
@@ -157,9 +157,9 @@ type Store struct {
 	scratch sync.Pool
 	// words recycles the bitmap path's 2*bitmapWords-long word buffers:
 	// the first half holds a materialized block (the dense kernel's
-	// intersection, or the array and run partners the probe kernel tests
-	// its array against), the second is the scratch an array container is
-	// set into before it is ANDed (andWords).
+	// intersection, or the array partners the probe kernel tests its
+	// array against), the second is the scratch an array container is set
+	// into before it is ANDed (andWords).
 	words sync.Pool
 }
 

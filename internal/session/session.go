@@ -58,6 +58,7 @@ import (
 
 	"hidb/internal/hiddendb"
 	"hidb/internal/journal"
+	"hidb/internal/wire"
 )
 
 // DefaultMaxSessions caps the live-session count when Config.MaxSessions
@@ -207,26 +208,10 @@ func (s *Session) SharedLeads() int {
 // JournalLen returns the number of (query, response) pairs journaled.
 func (s *Session) JournalLen() int { return s.journal.Len() }
 
-// Stats is a point-in-time snapshot of one session's counters.
-type Stats struct {
-	Token      string
-	Queries    int
-	Resolved   int
-	Overflowed int
-	Remaining  int // -1 when unlimited
-	Replays    int
-	JournalLen int
-	// SharedHits, SharedWaits and SharedLeads are the session's traffic
-	// through the fleet-wide shared tier; all zero in paper mode.
-	SharedHits  int
-	SharedWaits int
-	SharedLeads int
-	// RateClass names the token's resolved qps tier, "" for the default.
-	RateClass string
-}
-
-func (s *Session) stats() Stats {
-	return Stats{
+// stats is a point-in-time snapshot of the session's counters, as /stats
+// reports them.
+func (s *Session) stats() wire.SessionStatsMsg {
+	return wire.SessionStatsMsg{
 		Token:       s.token,
 		RateClass:   s.rateClass,
 		Queries:     s.Queries(),
@@ -550,9 +535,9 @@ func (t *Table) TotalQueries() int {
 }
 
 // Stats snapshots every live session's counters, sorted by token.
-func (t *Table) Stats() []Stats {
+func (t *Table) Stats() []wire.SessionStatsMsg {
 	t.mu.Lock()
-	out := make([]Stats, 0, t.lru.Len())
+	out := make([]wire.SessionStatsMsg, 0, t.lru.Len())
 	for el := t.lru.Front(); el != nil; el = el.Next() {
 		out = append(out, el.Value.(*Session).stats())
 	}
