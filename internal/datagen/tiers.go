@@ -13,11 +13,11 @@ import (
 // produces long runs of equal values in rank order (perfectly clustered
 // posting lists, which the bitmap index still stores as array or bitmap
 // containers by cardinality), Random produces uniform iid values (no
-// clustering), Realistic produces the skew the
-// paper's datasets show (Zipf categorical marginals, numeric point masses),
-// and Pathological hides every match of a specific 3-way conjunction at the
-// bottom of the rank space, defeating both the scan's early exit and the
-// posting walk's hope of finding k+1 matches near the top.
+// clustering), Realistic produces the skew the paper's datasets show (Zipf
+// categorical marginals, numeric point masses), and Pathological hides
+// every match of a specific 3-way conjunction at the bottom of the rank
+// space, defeating both the scan's early exit and the posting walk's hope
+// of finding k+1 matches near the top.
 type Pattern int
 
 const (
